@@ -7,16 +7,14 @@ machine-readable report:
   beaconing at 10 Hz (the ISSUE's acceptance scenario): end-to-end event
   throughput plus per-call ``transmit`` and receiver-selection cost.
 * **neighbor-query scaling** — the same microbenchmarks at 300 m spacing
-  with N = 500…4000 interfaces, where the O(N)->O(k) selection asymptotics
-  show: the linear scan grows with N while the grid stays flat.
+  with N = 500…4000 interfaces, where the grid's O(k) selection keeps the
+  per-call cost flat as N grows.
 * **full World runs** — three traffic densities of the paper's inter-area
   scenario, reported through :class:`repro.experiments.reporting.PerfSnapshot`.
 
-Each section also runs the in-harness A/B against the linear-scan fallback
-(``use_spatial_index=False`` / ``channel_use_spatial_index=False``), and the
-report embeds ``pre_change_reference`` — the same workloads measured at the
-pre-change seed commit (e78bade) on the reference machine — so speedups are
-stated against real pre-change code, not just against the fallback path.
+The report embeds ``pre_change_reference`` — the same workloads measured at
+the pre-grid seed commit (e78bade) on the reference machine — so speedups
+are stated against the linear-scan code the grid replaced.
 
 Usage::
 
@@ -128,14 +126,14 @@ PRE_CHANGE_REFERENCE = {
 # ----------------------------------------------------------------------
 # channel microbenchmarks
 # ----------------------------------------------------------------------
-def build_channel(n: int, spacing: float, *, use_grid: bool):
+def build_channel(n: int, spacing: float):
     """A standalone channel with ``n`` interfaces on a 250-wide lattice.
 
     Rows are spaced ``spacing * 50`` apart so tx_range only reaches along a
     row — neighborhood size k is set by ``spacing``, not by n.
     """
     sim = Simulator()
-    ch = BroadcastChannel(sim, RandomStreams(1), use_spatial_index=use_grid)
+    ch = BroadcastChannel(sim, RandomStreams(1))
     ifaces = []
     for i in range(n):
         p = Position((i % 250) * spacing, (i // 250) * spacing * 50)
@@ -146,9 +144,9 @@ def build_channel(n: int, spacing: float, *, use_grid: bool):
     return sim, ch, ifaces
 
 
-def bench_transmit_call(n, spacing, *, use_grid, reps, rounds=3):
+def bench_transmit_call(n, spacing, *, reps, rounds=3):
     """Best-of-``reps`` per-call cost of transmit (selection + enqueue), us."""
-    sim, ch, ifaces = build_channel(n, spacing, use_grid=use_grid)
+    sim, ch, ifaces = build_channel(n, spacing)
     best = float("inf")
     for _ in range(reps):
         start_sent = ch.stats.frames_sent
@@ -163,9 +161,9 @@ def bench_transmit_call(n, spacing, *, use_grid, reps, rounds=3):
     return best * 1e6
 
 
-def bench_receivers_for(n, spacing, *, use_grid, reps, rounds=6):
+def bench_receivers_for(n, spacing, *, reps, rounds=6):
     """Best-of-``reps`` per-call cost of the receiver-selection path, us."""
-    sim, ch, ifaces = build_channel(n, spacing, use_grid=use_grid)
+    sim, ch, ifaces = build_channel(n, spacing)
     frames = [iface.send(FrameKind.BEACON, b"x") for iface in ifaces]
     sim.run_until(1.0)
     best = float("inf")
@@ -178,12 +176,12 @@ def bench_receivers_for(n, spacing, *, use_grid, reps, rounds=6):
     return best * 1e6
 
 
-def bench_end_to_end(n, spacing, *, use_grid, reps, duration):
+def bench_end_to_end(n, spacing, *, reps, duration):
     """10 Hz staggered beaconing through the full event loop, tx/s."""
     best = float("inf")
     sent = 0
     for _ in range(reps):
-        sim, ch, ifaces = build_channel(n, spacing, use_grid=use_grid)
+        sim, ch, ifaces = build_channel(n, spacing)
 
         def beacon(iface):
             iface.send(FrameKind.BEACON, b"x" * 32)
@@ -198,19 +196,12 @@ def bench_end_to_end(n, spacing, *, use_grid, reps, duration):
     return sent / best
 
 
-def microbenchmark(n, spacing, *, use_grid, reps, e2e_duration):
+def microbenchmark(n, spacing, *, reps, e2e_duration):
     return {
-        "transmit_call_us": round(
-            bench_transmit_call(n, spacing, use_grid=use_grid, reps=reps), 2
-        ),
-        "receivers_for_us": round(
-            bench_receivers_for(n, spacing, use_grid=use_grid, reps=reps), 2
-        ),
+        "transmit_call_us": round(bench_transmit_call(n, spacing, reps=reps), 2),
+        "receivers_for_us": round(bench_receivers_for(n, spacing, reps=reps), 2),
         "end_to_end_tx_per_s": round(
-            bench_end_to_end(
-                n, spacing, use_grid=use_grid, reps=reps, duration=e2e_duration
-            ),
-            0,
+            bench_end_to_end(n, spacing, reps=reps, duration=e2e_duration), 0
         ),
     }
 
@@ -218,7 +209,7 @@ def microbenchmark(n, spacing, *, use_grid, reps, e2e_duration):
 # ----------------------------------------------------------------------
 # full World runs
 # ----------------------------------------------------------------------
-def bench_world(spacing, *, use_grid, reps, duration):
+def bench_world(spacing, *, reps, duration):
     """One attacked inter-area World per rep; best wall time + counters."""
     best_wall = float("inf")
     snapshot = None
@@ -226,7 +217,6 @@ def bench_world(spacing, *, use_grid, reps, duration):
     config = replace(
         config,
         road=replace(config.road, inter_vehicle_space=spacing),
-        channel_use_spatial_index=use_grid,
     )
     for _ in range(reps):
         world = World(config, attacked=True)
@@ -293,12 +283,7 @@ def main(argv=None):
             "best_of": reps,
             "tx_range_m": TX_RANGE,
             "methodology": (
-                "All numbers are best-of-N minima. 'scan' columns are the "
-                "in-harness linear-scan fallback (use_spatial_index=False), "
-                "measured in the same process — speedup_vs_scan isolates "
-                "the grid's contribution and is immune to machine-load "
-                "drift, but understates the PR's total gain because the "
-                "fallback also benefits from the event-loop optimizations. "
+                "All numbers are best-of-N minima. "
                 "The authoritative pre/post comparison is "
                 "'pre_change_reference': alternating seed-commit (e78bade, "
                 "via git worktree) vs post-change process runs on the "
@@ -315,17 +300,9 @@ def main(argv=None):
         "n_interfaces": 500,
         "spacing_m": 30.0,
         "beacon_hz": 10.0,
-        "grid": microbenchmark(
-            500, 30.0, use_grid=True, reps=reps, e2e_duration=e2e_duration
-        ),
-        "scan": microbenchmark(
-            500, 30.0, use_grid=False, reps=reps, e2e_duration=e2e_duration
-        ),
+        "grid": microbenchmark(500, 30.0, reps=reps, e2e_duration=e2e_duration),
     }
     ref = PRE_CHANGE_REFERENCE["microbenchmarks"]["dense500"]
-    dense["speedup_vs_scan"] = {
-        m: _speedup(dense["scan"][m], dense["grid"][m], m) for m in ref
-    }
     dense["speedup_vs_pre_change"] = {
         m: _speedup(ref[m], dense["grid"][m], m) for m in ref
     }
@@ -335,16 +312,7 @@ def main(argv=None):
     scaling = {"spacing_m": 300.0, "by_n": {}}
     for n in scaling_ns:
         entry = {
-            "grid": microbenchmark(
-                n, 300.0, use_grid=True, reps=reps, e2e_duration=e2e_duration
-            ),
-            "scan": microbenchmark(
-                n, 300.0, use_grid=False, reps=reps, e2e_duration=e2e_duration
-            ),
-        }
-        metrics = ("transmit_call_us", "receivers_for_us", "end_to_end_tx_per_s")
-        entry["speedup_vs_scan"] = {
-            m: _speedup(entry["scan"][m], entry["grid"][m], m) for m in metrics
+            "grid": microbenchmark(n, 300.0, reps=reps, e2e_duration=e2e_duration)
         }
         ref = PRE_CHANGE_REFERENCE["microbenchmarks"].get(f"n{n}")
         if ref:
@@ -354,23 +322,11 @@ def main(argv=None):
         scaling["by_n"][str(n)] = entry
     report["neighbor_query_scaling"] = scaling
 
-    # --- full World runs (A/B: grid vs linear-scan fallback) -----------
+    # --- full World runs ------------------------------------------------
     worlds = {"scenario": "inter-area attacked, seed 7", "by_spacing": {}}
     for spacing in world_spacings:
         entry = {
-            "grid": bench_world(
-                spacing, use_grid=True, reps=reps, duration=world_duration
-            ),
-            "scan": bench_world(
-                spacing, use_grid=False, reps=reps, duration=world_duration
-            ),
-        }
-        if entry["grid"]["frames_sent"] != entry["scan"]["frames_sent"]:
-            raise AssertionError(
-                "grid/scan World runs diverged — equivalence broken"
-            )
-        entry["speedup_vs_scan"] = {
-            "wall_s": _speedup(entry["scan"]["wall_s"], entry["grid"]["wall_s"], "wall_s")
+            "grid": bench_world(spacing, reps=reps, duration=world_duration)
         }
         ref = PRE_CHANGE_REFERENCE["world_runs"].get(str(int(spacing)))
         if ref and not args.quick:

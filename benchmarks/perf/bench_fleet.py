@@ -14,11 +14,10 @@ Times the batched hot loops the fleet refactor introduces
   N = 500 / 5 000 / 50 000 members, where the O(ticks) event heap and the
   vectorised neighbor sweep keep per-beacon cost flat.
 * **mobility scaling** — one mobility step (IDM + position propagation
-  to the radio layer) at the same N, batched SoA writeback +
-  ``SpatialGrid.move_many`` vs the legacy per-interface lazy refresh.
-* **full World runs** — the fig-7 inter-area attacked scenario A/B
-  (``fleet_use_batched`` on/off), plus one *city-scale* batched World at
-  ~50 000 nodes that the per-object path cannot reasonably run.
+  to the radio layer) at the same N: batched SoA writeback +
+  ``SpatialGrid.move_many``.
+* **full World runs** — the fig-7 inter-area attacked scenario, plus one
+  *city-scale* World at ~50 000 nodes.
 
 Usage::
 
@@ -163,16 +162,14 @@ def bench_fleet_end_to_end(n, spacing, *, reps, duration, obstruction=None):
 # ----------------------------------------------------------------------
 # mobility step (IDM + position propagation to the radio layer)
 # ----------------------------------------------------------------------
-def _build_mobility(n_target, *, batched):
+def _build_mobility(n_target):
     spacing = 30.0
     road = RoadSegment(
         length=max(300.0, n_target / 2 * spacing), lanes_per_direction=2
     )
     sim = Simulator()
     ch = BroadcastChannel(sim, RandomStreams(1))
-    fleet = (
-        FleetState(ch, capacity=max(256, n_target + 64)) if batched else None
-    )
+    fleet = FleetState(ch, capacity=max(256, n_target + 64))
     traffic = TrafficSimulation(
         road, IdmParameters(), dt=0.1, rng=random.Random(1), fleet=fleet
     )
@@ -182,48 +179,43 @@ def _build_mobility(n_target, *, batched):
         iface.attach(lambda frame: None)
         ch.register(iface)
         vehicle.iface = iface
-        if fleet is not None:
-            vehicle.fleet_slot = fleet.add(
-                vehicle,
-                iface,
-                x=vehicle.x,
-                y=vehicle.lane.y,
-                speed=vehicle.speed,
-                heading=vehicle.heading,
-                tx_range=TX_RANGE,
-            )
+        vehicle.fleet_slot = fleet.add(
+            vehicle,
+            iface,
+            x=vehicle.x,
+            y=vehicle.lane.y,
+            speed=vehicle.speed,
+            heading=vehicle.heading,
+            tx_range=TX_RANGE,
+        )
 
     def detach(vehicle):
-        if fleet is not None and vehicle.fleet_slot is not None:
+        if vehicle.fleet_slot is not None:
             fleet.remove(vehicle.fleet_slot)
             vehicle.fleet_slot = None
         ch.unregister(vehicle.iface)
 
     traffic.on_spawn.append(attach)
     traffic.on_exit.append(detach)
-    if fleet is not None:
-        traffic.on_step.append(lambda _now: fleet.push_positions_to_channel())
-    else:
-        traffic.on_step.append(lambda _now: ch.invalidate_positions())
+    traffic.on_step.append(lambda _now: fleet.push_positions_to_channel())
     n = traffic.populate(spacing=spacing)
     # Build the grid up front so the timed loop measures steady state.
     ch.neighbors_within(Position(0.0, 0.0), 1.0)
     return traffic, ch, n
 
 
-def bench_mobility(n_target, *, batched, reps, steps):
+def bench_mobility(n_target, *, reps, steps):
     """Best-of-``reps`` cost of one mobility step, us.
 
     Each timed step includes the probe query a real tick's first beacon
-    would issue — which is what forces the legacy path's lazy
-    ``get_position()``-per-interface refresh, while the batched path has
-    already pushed positions with one ``move_many`` call.
+    would issue; the step has already pushed the fleet's positions into
+    the channel grid with one ``move_many`` call.
     """
     best = float("inf")
     n = 0
     probe = Position(0.0, 0.0)
     for _ in range(reps):
-        traffic, ch, n = _build_mobility(n_target, batched=batched)
+        traffic, ch, n = _build_mobility(n_target)
         now = 0.0
         t0 = time.perf_counter()
         for _ in range(steps):
@@ -237,7 +229,7 @@ def bench_mobility(n_target, *, batched, reps, steps):
 # ----------------------------------------------------------------------
 # full World runs
 # ----------------------------------------------------------------------
-def bench_world(*, batched, reps, duration, spacing=30.0):
+def bench_world(*, reps, duration, spacing=30.0):
     """One attacked inter-area World per rep; best wall time + counters."""
     best_wall = float("inf")
     snapshot = None
@@ -245,7 +237,6 @@ def bench_world(*, batched, reps, duration, spacing=30.0):
     config = replace(
         config,
         road=replace(config.road, inter_vehicle_space=spacing),
-        fleet_use_batched=batched,
     )
     for _ in range(reps):
         world = World(config, attacked=True)
@@ -266,12 +257,11 @@ def bench_world(*, batched, reps, duration, spacing=30.0):
 
 
 def bench_world_scale(n_target, *, duration):
-    """A city-scale batched World: ~``n_target`` nodes on one long road.
+    """A city-scale World: ~``n_target`` nodes on one long road.
 
-    One run, no A/B: at this N the per-object path's event heap (one
-    timer + ~30 delivery events per beacon) is the wall this PR removes,
-    so only the batched path is measured.  Spawning is off so the node
-    count stays fixed at the prepopulated fleet.
+    One run: at this N a per-object event heap (one timer + ~30 delivery
+    events per beacon) would be the wall the fleet tick removes.  Spawning
+    is off so the node count stays fixed at the prepopulated fleet.
     """
     spacing = 30.0
     lanes_per_direction = 2
@@ -285,7 +275,6 @@ def bench_world_scale(n_target, *, duration):
             inter_vehicle_space=spacing,
             spawn=False,
         ),
-        fleet_use_batched=True,
     )
     world = World(config, attacked=False)
     n_nodes = len(world.nodes)
@@ -367,11 +356,8 @@ def main(argv=None):
                 "is the apples-to-apples baseline; "
                 "'channel_grid_reference' is the checked-in "
                 "BENCH_channel.json capture and inherits cross-run "
-                "machine-load drift. World runs A/B the fleet_use_batched "
-                "knob on the fig-7 scenario; outcomes are equivalent but "
-                "not bit-identical (different beacon-jitter streams), so "
-                "frame counts differ by a few percent and no equality is "
-                "asserted."
+                "machine-load drift. World runs time the fig-7 scenario "
+                "on the fleet path, the World's only vehicle path."
             ),
         },
     }
@@ -381,9 +367,7 @@ def main(argv=None):
         500, 30.0, reps=reps, duration=e2e_duration
     )
     live_baseline = round(
-        bench_channel_end_to_end(
-            500, 30.0, use_grid=True, reps=reps, duration=e2e_duration
-        ),
+        bench_channel_end_to_end(500, 30.0, reps=reps, duration=e2e_duration),
         0,
     )
     dense = {
@@ -435,37 +419,23 @@ def main(argv=None):
         )
     report["fleet_beacon_scaling"] = scaling
 
-    # --- mobility step scaling (batched vs legacy refresh) -------------
+    # --- mobility step scaling ------------------------------------------
+    # Entries keep the "batched" key of the checked-in capture, which the
+    # perf gate reads.
     mobility = {"dt_s": 0.1, "by_n": {}}
     for n in sweep_ns:
-        entry = {
-            "batched": bench_mobility(
-                n, batched=True, reps=reps_for(n), steps=mobility_steps
-            ),
-            "legacy": bench_mobility(
-                n, batched=False, reps=reps_for(n), steps=mobility_steps
-            ),
+        mobility["by_n"][str(n)] = {
+            "batched": bench_mobility(n, reps=reps_for(n), steps=mobility_steps)
         }
-        entry["speedup"] = _speedup(
-            entry["legacy"]["step_us"], entry["batched"]["step_us"], "step_us"
-        )
-        mobility["by_n"][str(n)] = entry
     report["mobility_step_scaling"] = mobility
 
-    # --- full World runs (A/B: fleet_use_batched on/off) ---------------
-    worlds = {
+    # --- full World runs ------------------------------------------------
+    report["world_runs"] = {
         "scenario": "inter-area attacked, 30 m spacing, seed 7",
-        "batched": bench_world(batched=True, reps=reps, duration=world_duration),
-        "legacy": bench_world(batched=False, reps=reps, duration=world_duration),
+        "batched": bench_world(reps=reps, duration=world_duration),
     }
-    worlds["speedup"] = {
-        "wall_s": _speedup(
-            worlds["legacy"]["wall_s"], worlds["batched"]["wall_s"], "wall_s"
-        )
-    }
-    report["world_runs"] = worlds
 
-    # --- city-scale batched World --------------------------------------
+    # --- city-scale World ----------------------------------------------
     report["world_scale_run"] = bench_world_scale(
         scale_n, duration=scale_duration
     )
@@ -482,7 +452,7 @@ def main(argv=None):
             f"({dense['speedup_vs_channel_grid_live']}x live in-process); "
             f"per-beacon cost stays ~flat to N={biggest} "
             f"({by_n[biggest]['beacon_us_per_tx']} us/tx); a "
-            f"{scale['n_nodes']}-node batched World runs "
+            f"{scale['n_nodes']}-node World runs "
             f"{scale['duration_s']:.0f} sim-seconds in {scale['wall_s']}s wall "
             f"({scale['beacons_per_wall_s']:.0f} beacons/s)."
         ),

@@ -52,9 +52,7 @@ def test_channel_dense500_end_to_end_vs_baseline():
     reference = CHANNEL_BASE["dense_channel_microbenchmark"]["grid"][
         "end_to_end_tx_per_s"
     ]
-    measured = bench_channel.bench_end_to_end(
-        500, 30.0, use_grid=True, reps=2, duration=0.25
-    )
+    measured = bench_channel.bench_end_to_end(500, 30.0, reps=2, duration=0.25)
     floor = budget["dense500_end_to_end_min_ratio"] * reference
     assert measured >= floor, (
         f"dense-500 end-to-end throughput regressed: {measured:.0f} tx/s "
@@ -69,9 +67,7 @@ def test_channel_receiver_selection_scaling_vs_baseline():
     reference = CHANNEL_BASE["neighbor_query_scaling"]["by_n"]["2000"][
         "grid"
     ]["receivers_for_us"]
-    measured = bench_channel.bench_receivers_for(
-        2000, 300.0, use_grid=True, reps=2
-    )
+    measured = bench_channel.bench_receivers_for(2000, 300.0, reps=2)
     ceiling = budget["receivers_for_n2000_max_ratio"] * reference
     assert measured <= ceiling, (
         f"receiver selection at N=2000 regressed: {measured:.2f} us/call "
@@ -103,9 +99,7 @@ def test_fleet_mobility_step_vs_baseline():
     reference = FLEET_BASE["mobility_step_scaling"]["by_n"]["500"][
         "batched"
     ]["step_us"]
-    measured = bench_fleet.bench_mobility(500, batched=True, reps=2, steps=20)[
-        "step_us"
-    ]
+    measured = bench_fleet.bench_mobility(500, reps=2, steps=20)["step_us"]
     ceiling = budget["mobility_step_n500_max_ratio"] * reference
     assert measured <= ceiling, (
         f"batched mobility step at N=500 regressed: {measured:.1f} us "

@@ -49,17 +49,15 @@ def test_quick_harness_emits_valid_json_under_30s(tmp_path):
         assert section in report, f"missing section {section}"
 
     dense = report["dense_channel_microbenchmark"]
-    for mode in ("grid", "scan"):
-        for metric in (
-            "transmit_call_us",
-            "receivers_for_us",
-            "end_to_end_tx_per_s",
-        ):
-            assert dense[mode][metric] > 0
+    for metric in (
+        "transmit_call_us",
+        "receivers_for_us",
+        "end_to_end_tx_per_s",
+    ):
+        assert dense["grid"][metric] > 0
 
-    # grid and scan World runs must stay behaviorally identical
     for entry in report["world_runs"]["by_spacing"].values():
-        assert entry["grid"]["frames_sent"] == entry["scan"]["frames_sent"]
+        assert entry["grid"]["frames_sent"] > 0
 
 
 def test_quick_fleet_harness_emits_valid_json_under_60s(tmp_path):
@@ -124,14 +122,10 @@ def test_quick_fleet_harness_emits_valid_json_under_60s(tmp_path):
         assert entry["beacons_sent"] > 0
         assert entry["end_to_end_tx_per_s"] > 0
     for entry in report["mobility_step_scaling"]["by_n"].values():
-        assert entry["batched"]["n_vehicles"] == entry["legacy"]["n_vehicles"]
+        assert entry["batched"]["n_vehicles"] > 0
         assert entry["batched"]["step_us"] > 0
 
-    # The batched World must source comparable traffic to the legacy one
-    # (outcome-equivalence; exact counts differ across jitter streams).
-    worlds = report["world_runs"]
-    legacy_sent = worlds["legacy"]["frames_sent"]
-    assert abs(worlds["batched"]["frames_sent"] - legacy_sent) / legacy_sent < 0.2
+    assert report["world_runs"]["batched"]["frames_sent"] > 0
     scale = report["world_scale_run"]
     assert scale["n_nodes"] > 1000
     assert scale["beacons_sent"] > 0

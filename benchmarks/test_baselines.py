@@ -2,11 +2,13 @@
 
 
 from repro.experiments import ExperimentConfig, run_ab
+from repro.faults import FaultPlan
 
 
 def test_channel_loss_robustness(benchmark, bench_scale):
     """Both attacks keep working on a lossy (non-ideal) channel — the
-    paper's unit-disk model is not load-bearing for the conclusion."""
+    paper's unit-disk model is not load-bearing for the conclusion.  The
+    loss is the fault layer's i.i.d. link loss (``FaultPlan.lossy``)."""
 
     def sweep():
         results = {}
@@ -15,10 +17,10 @@ def test_channel_loss_robustness(benchmark, bench_scale):
                 duration=bench_scale["duration"],
                 seed=bench_scale["seed"],
                 attack_range=486.0,
-            ).with_(channel_loss_rate=loss)
+            ).with_(faults=FaultPlan.lossy(loss))
             intra = ExperimentConfig.intra_area_default(
                 duration=bench_scale["duration"], seed=bench_scale["seed"]
-            ).with_(channel_loss_rate=loss)
+            ).with_(faults=FaultPlan.lossy(loss))
             results[loss] = (
                 run_ab(inter, runs=bench_scale["runs"]).drop_rate(),
                 run_ab(intra, runs=bench_scale["runs"]).drop_rate(),

@@ -24,10 +24,10 @@ replay dedup window, duplicate-RHL records with the packet lifetime, and a
 periodic sweep (plus an insert-time cap) keeps a quiet detector's tables
 from retaining the whole run's history.
 
-Batched-fleet runs (``fleet_use_batched=True``) deliver fleet-to-fleet
-beacons as bulk ``(addr, pv)`` entries that never pass the radio handler;
-:meth:`MisbehaviorDetector.observe_bulk` covers that path so replayed and
-implausible beacons stay visible (``GeoNode.bulk_beacon_taps``).
+World runs deliver fleet-to-fleet beacons as bulk ``(addr, pv)`` entries
+that never pass the radio handler; :meth:`MisbehaviorDetector.observe_bulk`
+covers that path so replayed and implausible beacons stay visible
+(``GeoNode.bulk_beacon_taps``).
 """
 
 from __future__ import annotations

@@ -359,26 +359,12 @@ class ExperimentConfig:
     detection: DetectionConfig = field(default_factory=DetectionConfig)
     duration: float = 200.0
     bin_width: float = 5.0
+    #: Mobility step, which is also the fleet's beacon tick.
     mobility_dt: float = 0.1
-    #: Independent per-receiver frame-loss probability (0 = ideal channel,
-    #: the paper's setting); used by robustness ablations.
-    channel_loss_rate: float = 0.0
-    #: Use the grid-backed receiver lookup (False = linear-scan fallback,
-    #: kept for A/B benchmarking and equivalence tests).
-    channel_use_spatial_index: bool = True
-    #: Run vehicle beaconing/mobility through the struct-of-arrays fleet
-    #: (:mod:`repro.geonet.fleet`): one batched tick replaces N per-node
-    #: beacon timers and O(N) per-frame receiver scans.  False (default)
-    #: keeps the per-object path, bit-identical to the seed goldens; the
-    #: batched path is outcome-equivalent (same PDR/hop statistics within
-    #: sampling tolerance) but draws from its own ``fleet-beacon`` stream.
-    fleet_use_batched: bool = False
-    #: Batched beacon tick width (seconds); None uses ``mobility_dt``.
-    #: Only meaningful with ``fleet_use_batched=True``.
-    fleet_beacon_tick: Optional[float] = None
     #: Deterministic fault injection (link loss, churn, GPS error, beacon
-    #: timing).  The default zero plan installs nothing and changes nothing
-    #: — golden-verified bit-identity with a plan-less run.
+    #: timing); ``FaultPlan.lossy(x)`` is the i.i.d. frame-loss model.  The
+    #: default zero plan installs nothing and changes nothing —
+    #: golden-verified bit-identity with a plan-less run.
     faults: FaultPlan = field(default_factory=FaultPlan)
     #: Cadence (seconds) of the runtime invariant checker; None (default)
     #: disables it.  Enabling occupies event-queue slots, so it is outside
@@ -400,10 +386,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"mobility_dt must be positive, got {self.mobility_dt!r}"
             )
-        if not 0.0 <= self.channel_loss_rate < 1.0:
-            raise ConfigError(
-                f"channel_loss_rate must be in [0, 1), got {self.channel_loss_rate!r}"
-            )
         if (
             self.invariant_check_interval is not None
             and self.invariant_check_interval <= 0
@@ -411,11 +393,6 @@ class ExperimentConfig:
             raise ConfigError(
                 "invariant_check_interval must be positive (or None), got "
                 f"{self.invariant_check_interval!r}"
-            )
-        if self.fleet_beacon_tick is not None and self.fleet_beacon_tick <= 0:
-            raise ConfigError(
-                "fleet_beacon_tick must be positive (or None), got "
-                f"{self.fleet_beacon_tick!r}"
             )
 
     # ------------------------------------------------------------------

@@ -103,12 +103,7 @@ class World:
         self.sim = Simulator()
         self.streams = RandomStreams(self.seed)
         self.ca = CertificateAuthority()
-        self.channel = BroadcastChannel(
-            self.sim,
-            self.streams,
-            loss_rate=config.channel_loss_rate,
-            use_spatial_index=config.channel_use_spatial_index,
-        )
+        self.channel = BroadcastChannel(self.sim, self.streams)
         if ledger is not None:
             self.channel.on_unicast_lost.append(self._on_unicast_lost)
 
@@ -164,16 +159,12 @@ class World:
         self.road: Optional[RoadSegment] = None
         self.grid: Optional[GridRoadNetwork] = None
         self.shadowing: Optional[ManhattanShadowing] = None
-        # --- batched fleet (fleet_use_batched) -----------------------------
+        # --- vehicle fleet ------------------------------------------------
         # Built before the traffic so the spawn callbacks can claim slots.
-        # On this path vehicles carry no per-node BeaconService: one
-        # FleetBeaconScheduler tick beacons for everybody, and the mobility
-        # loop pushes positions into the channel grid in bulk instead of
-        # invalidating the whole cache.
-        self.fleet: Optional[FleetState] = None
-        self.fleet_scheduler: Optional[FleetBeaconScheduler] = None
-        if config.fleet_use_batched:
-            self.fleet = FleetState(self.channel)
+        # Vehicles carry no per-node BeaconService: one FleetBeaconScheduler
+        # tick per mobility step beacons for everybody, and the mobility
+        # loop pushes positions into the channel grid in bulk.
+        self.fleet = FleetState(self.channel)
         if self.urban:
             urban_cfg = config.urban
             self.grid = GridRoadNetwork(
@@ -239,33 +230,22 @@ class World:
                 runout=config.geonet.loct_ttl * 30.0,
                 fleet=self.fleet,
             )
-        if self.fleet is not None:
-            fleet = self.fleet
-            self.traffic.on_step.append(self._push_fleet_positions)
-            tick = (
-                config.mobility_dt
-                if config.fleet_beacon_tick is None
-                else config.fleet_beacon_tick
-            )
-            self.fleet_scheduler = FleetBeaconScheduler(
-                self.sim,
-                fleet,
-                self.channel,
-                self.streams.get_numpy("fleet-beacon"),
-                period=config.geonet.beacon_period,
-                jitter=config.geonet.beacon_jitter,
-                tick=tick,
-                make_beacon=self._make_fleet_beacon,
-                bulk_sink=self._fleet_beacon_sink,
-                member_active=_fleet_member_active,
-                extra_delay=(
-                    _member_extra_jitter
-                    if self.fault_injector is not None
-                    else None
-                ),
-            )
-        else:
-            self.traffic.on_step.append(self._invalidate_channel_positions)
+        self.traffic.on_step.append(self._push_fleet_positions)
+        self.fleet_scheduler = FleetBeaconScheduler(
+            self.sim,
+            self.fleet,
+            self.channel,
+            self.streams.get_numpy("fleet-beacon"),
+            period=config.geonet.beacon_period,
+            jitter=config.geonet.beacon_jitter,
+            tick=config.mobility_dt,
+            make_beacon=self._make_fleet_beacon,
+            bulk_sink=self._fleet_beacon_sink,
+            member_active=_fleet_member_active,
+            extra_delay=(
+                _member_extra_jitter if self.fault_injector is not None else None
+            ),
+        )
 
         # --- nodes --------------------------------------------------------
         self.nodes: Dict[int, GeoNode] = {}  # vehicle_id -> node
@@ -366,9 +346,6 @@ class World:
     def _push_fleet_positions(self, _now: float) -> None:
         self.fleet.push_positions_to_channel()
 
-    def _invalidate_channel_positions(self, _now: float) -> None:
-        self.channel.invalidate_positions()
-
     def _iter_all_nodes(self):
         return list(self.nodes.values()) + self.dest_nodes
 
@@ -387,29 +364,26 @@ class World:
             credentials=self.ca.enroll(f"veh-{seq}"),
             mobility=VehicleMobility(vehicle),
             tx_range=self.config.vehicle_range,
-            # The per-node stream stays on both paths: CBF timer draws come
-            # from it, and keeping the allocation identical preserves the
-            # legacy path's bit-identity.
+            # CBF timer draws come from the per-node stream.
             rng=self.streams.get(f"beacon:{seq}"),
-            # Batched mode: the FleetBeaconScheduler beacons for everybody.
-            beaconing=self.fleet is None,
+            # The FleetBeaconScheduler beacons for every vehicle.
+            beaconing=False,
             name=f"veh-{seq}",
             ledger=self.ledger,
         )
         node.router.on_deliver.append(self._on_deliver)
         self.nodes[vehicle.vehicle_id] = node
         self.node_by_addr[node.address] = node
-        if self.fleet is not None:
-            position = vehicle.position
-            vehicle.fleet_slot = self.fleet.add(
-                node,
-                node.iface,
-                x=position.x,
-                y=position.y,
-                speed=vehicle.speed,
-                heading=vehicle.heading,
-                tx_range=self.config.vehicle_range,
-            )
+        position = vehicle.position
+        vehicle.fleet_slot = self.fleet.add(
+            node,
+            node.iface,
+            x=position.x,
+            y=position.y,
+            speed=vehicle.speed,
+            heading=vehicle.heading,
+            tx_range=self.config.vehicle_range,
+        )
         if self.fault_injector is not None:
             # Vehicles only: destinations are surveyed roadside units
             # (no GPS error) on wired power (no churn).
@@ -428,7 +402,7 @@ class World:
                 self.detection.detach(node)
             if self.fault_injector is not None:
                 self.fault_injector.release(node)
-            if self.fleet is not None and vehicle.fleet_slot is not None:
+            if vehicle.fleet_slot is not None:
                 # Before shutdown(): unmarking the still-registered radio
                 # keeps the channel's fleet/non-fleet sets consistent.
                 self.fleet.remove(vehicle.fleet_slot)
@@ -437,15 +411,15 @@ class World:
             node.shutdown()
 
     # ------------------------------------------------------------------
-    # batched beaconing callbacks
+    # fleet beaconing callbacks
     # ------------------------------------------------------------------
     def _make_fleet_beacon(self, node: GeoNode, pv, now: float):
-        """Build one due member's beacon for the batched tick.
+        """Build one due member's beacon for the fleet tick.
 
         Mirrors :meth:`GeoNode.send_beacon`: the advertised PV passes
         through the fault layer's ``pv_fault`` transform, the body is
         signed once — and verified immediately, memoizing the verdict so
-        no receiver pays for re-verification (the per-object path memoizes
+        no receiver pays for re-verification (a per-frame receiver memoizes
         on first reception instead; same single verify call per beacon).
         DCC gating happens here too: a throttled member skips this cycle
         exactly as :meth:`GeoNode.send_beacon` would.
@@ -464,17 +438,16 @@ class World:
     def _fleet_beacon_sink(self, node: GeoNode, batch, now: float) -> int:
         """Deliver one receiver's beacon batch (fleet side of the tick).
 
-        A powered-off or shut-down radio hears nothing (its interface
-        would have left the channel on the per-object path); a live one
-        counts the whole batch as delivered — router-level rejection
-        (staleness) is not a channel event, exactly as with real frames.
+        A powered-off or shut-down radio hears nothing (its interface has
+        left the channel); a live one counts the whole batch as delivered —
+        router-level rejection (staleness) is not a channel event, exactly
+        as with real frames.
         """
         if node.is_shut_down or node.is_down:
             return 0
         # Passive monitors see the batch *before* the router, mirroring the
         # per-frame path where the detector interposes ahead of the handler
-        # — without this, batched fleet-to-fleet delivery bypasses every
-        # detector (the PR-9 blind-spot fix).
+        # — without this, fleet-to-fleet delivery bypasses every detector.
         if node.bulk_beacon_taps:
             for tap in node.bulk_beacon_taps:
                 tap(batch, now)

@@ -4,7 +4,8 @@ The injector owns the ``fault:*`` RNG streams and installs hooks only for
 the enabled dimensions:
 
 * **link loss** — a ``link_fault`` predicate on the broadcast channel,
-  consulted per candidate receiver after the channel's own fading draw;
+  consulted per receiver that range and obstructions let through (the
+  only frame-loss model in the simulator);
 * **churn** — exponential outage/reboot timers per adopted node, driving
   :meth:`GeoNode.go_down` / :meth:`GeoNode.come_up`;
 * **GPS error** — a per-node ``pv_fault`` transform applied to beacon

@@ -12,7 +12,7 @@ terminal outcome:
     waiting in the recheck loop;
 ``unreachable-next-hop``
     a forwarder transmitted the frame link-layer unicast but the addressee
-    was out of range (or faded) — the silent loss the interception attack
+    was out of range — the silent loss the interception attack
     manufactures;
 ``rhl-exhausted``
     the remaining hop limit reached zero before the destination;

@@ -26,9 +26,12 @@ The grid is maintained incrementally — interfaces are inserted/removed on
 register/unregister and *moved* (usually within their current cell) when
 :meth:`BroadcastChannel.invalidate_positions` marks the cache stale.
 Deliveries happen in interface *registration order* regardless of how the
-grid buckets candidates, which keeps RNG draw order — and therefore whole
-fixed-seed runs — identical to the plain linear-scan implementation
-(available as ``use_spatial_index=False`` for A/B benchmarking).
+grid buckets candidates, which keeps the RNG draw order — and therefore
+whole fixed-seed runs — independent of the grid's bucketing.
+
+The channel has no loss model of its own: i.i.d. and bursty link loss are
+fault-layer impairments (``FaultPlan.link``), applied through the
+:attr:`BroadcastChannel.link_fault` hook.
 """
 
 from __future__ import annotations
@@ -138,9 +141,7 @@ class ChannelStats:
 
     frames_sent: int = 0
     frames_delivered: int = 0
-    frames_faded: int = 0
-    #: Receptions eaten by the fault-injection ``link_fault`` hook (distinct
-    #: from ``frames_faded``, the channel's own fading model).
+    #: Receptions eaten by the fault-injection ``link_fault`` hook.
     frames_fault_dropped: int = 0
     unicast_lost: int = 0
     #: Candidate receivers examined across all transmits (the cost the
@@ -180,10 +181,11 @@ class ChannelStats:
 class BroadcastChannel:
     """The shared medium all radio interfaces are registered on.
 
-    Positions are cached (in the spatial grid, or in numpy arrays for the
-    linear-scan fallback) and refreshed when :meth:`invalidate_positions`
-    is called (the mobility loop calls it every step); since node positions
-    only change at mobility steps, the cache is exact.
+    Positions are cached in the spatial grid.  The fleet pushes its
+    members' positions after every mobility step
+    (:meth:`update_fleet_positions`); callers that move interfaces
+    themselves call :meth:`invalidate_positions` instead.  Since node
+    positions only change at those points, the cache is exact.
     """
 
     def __init__(
@@ -193,21 +195,14 @@ class BroadcastChannel:
         *,
         base_latency: float = 5e-4,
         latency_jitter: float = 2e-4,
-        loss_rate: float = 0.0,
-        use_spatial_index: bool = True,
         cell_size: Optional[float] = None,
     ):
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
         if cell_size is not None and cell_size <= 0:
             raise ValueError(f"cell_size must be positive, got {cell_size}")
         self._sim = sim
         self._rng = streams.get("channel")
-        self._loss_rng = streams.get("channel-loss")
         self.base_latency = base_latency
         self.latency_jitter = latency_jitter
-        #: Independent per-receiver frame-loss probability (fading model).
-        self.loss_rate = loss_rate
         self._interfaces: List[RadioInterface] = []
         self._index_of: Dict[int, int] = {}
         self._next_reg_order = 0
@@ -228,29 +223,25 @@ class BroadcastChannel:
         self._fleet_addrs: set = set()
         self._nonfleet: Dict[int, RadioInterface] = {}
         self._positions_dirty = True
-        self._use_grid = use_spatial_index
         self._cell_size = cell_size
         self._grid: Optional[SpatialGrid] = None
         #: link_range overrides by address; their max widens grid queries so
         #: a long-eared mast is found beyond the sender's own tx range.
         self._override_ranges: Dict[int, float] = {}
         self._max_override = 0.0
-        self._xs = np.empty(0)
-        self._ys = np.empty(0)
-        self._link_overrides = np.empty(0)
         self.stats = ChannelStats()
         #: Observability hooks fired when a unicast frame misses its
         #: addressee — ``(frame, why)`` with ``why`` one of
         #: ``"out-of-range"`` (addressee not among the receivers) or
-        #: ``"faded"`` (addressee drawn into the fading loss).  Purely
-        #: passive: the list is empty by default and callbacks must not
-        #: mutate protocol state.
+        #: ``"faulted"`` (addressee's copy dropped by :attr:`link_fault`).
+        #: Purely passive: the list is empty by default and callbacks must
+        #: not mutate protocol state.
         self.on_unicast_lost: List[Callable[[Frame, str], None]] = []
         #: Optional fault-injection predicate ``(sender, receiver, frame) ->
-        #: drop?`` consulted per candidate receiver after the fading draw.
-        #: None (the default) costs nothing on the hot path; installed by
-        #: :class:`~repro.faults.injector.FaultInjector` when the plan has
-        #: link impairments.  A dropped addressee fires ``on_unicast_lost``
+        #: drop?`` consulted per receiver that range and obstructions let
+        #: through.  None (the default) costs nothing on the hot path;
+        #: installed by :class:`~repro.faults.injector.FaultInjector` when
+        #: the plan has link impairments.  A dropped addressee fires ``on_unicast_lost``
         #: with ``why="faulted"``.
         self.link_fault: Optional[
             Callable[[RadioInterface, RadioInterface, Frame], bool]
@@ -345,7 +336,7 @@ class BroadcastChannel:
 
     def nonfleet_interfaces(self) -> List[RadioInterface]:
         """Registered interfaces outside the batched fleet, in registration
-        order (the delivery order the per-object path would use)."""
+        order (the delivery order :meth:`transmit` uses)."""
         return sorted(self._nonfleet.values(), key=lambda i: i._reg_order)
 
     def note_tx_batch(self, end_time: float, xs, ys, ranges) -> None:
@@ -361,7 +352,7 @@ class BroadcastChannel:
     def update_fleet_positions(self, items, xs, ys) -> None:
         """Bulk grid refresh for fleet interfaces from the SoA arrays.
 
-        Replaces :meth:`invalidate_positions` in batched mode: instead of
+        Replaces :meth:`invalidate_positions` for the fleet: instead of
         marking everything stale (and re-reading every ``get_position()``
         on the next query), the fleet's positions are pushed straight into
         the grid with :meth:`SpatialGrid.move_many`.  Non-fleet interfaces
@@ -370,7 +361,7 @@ class BroadcastChannel:
         is already stale or an item is missing from the grid (a powered-off
         radio mid-outage).
         """
-        if not self._use_grid or self._grid is None or self._positions_dirty:
+        if self._grid is None or self._positions_dirty:
             self._positions_dirty = True
             return
         try:
@@ -384,13 +375,13 @@ class BroadcastChannel:
     def refresh_interface_position(self, iface: RadioInterface) -> None:
         """Re-index one interface whose position changed (a mobile mast).
 
-        Single-item analogue of :meth:`update_fleet_positions`: in batched
-        mode the mobility step only moves *fleet* items, so a moving
+        Single-item analogue of :meth:`update_fleet_positions`: the
+        mobility step only moves *fleet* items, so a moving
         non-fleet interface must push its own position or its grid cell
         goes permanently stale.  Falls back to the lazy full refresh when
         the grid is absent, already dirty, or missing the item.
         """
-        if not self._use_grid or self._grid is None or self._positions_dirty:
+        if self._grid is None or self._positions_dirty:
             self._positions_dirty = True
             return
         pos = iface.get_position()
@@ -447,7 +438,7 @@ class BroadcastChannel:
         return blocked
 
     def invalidate_positions(self) -> None:
-        """Mark the cached position arrays stale (call after mobility steps)."""
+        """Mark the cached positions stale (call after moving interfaces)."""
         self._positions_dirty = True
 
     # ------------------------------------------------------------------
@@ -469,34 +460,21 @@ class BroadcastChannel:
         return best if best > 0 else _DEFAULT_CELL_SIZE
 
     def _refresh_positions(self) -> None:
-        if self._use_grid:
-            grid = self._grid
-            if grid is None:
-                grid = self._grid = SpatialGrid(
-                    self._cell_size
-                    if self._cell_size is not None
-                    else self._auto_cell_size()
-                )
-                for iface in self._interfaces:
-                    pos = iface.get_position()
-                    grid.insert(iface._grid_item, pos.x, pos.y)
-            else:
-                move = grid.move
-                for iface in self._interfaces:
-                    pos = iface.get_position()
-                    move(iface._grid_item, pos.x, pos.y)
-        else:
-            n = len(self._interfaces)
-            xs = np.empty(n)
-            ys = np.empty(n)
-            link = np.full(n, np.nan)
-            for i, iface in enumerate(self._interfaces):
+        grid = self._grid
+        if grid is None:
+            grid = self._grid = SpatialGrid(
+                self._cell_size
+                if self._cell_size is not None
+                else self._auto_cell_size()
+            )
+            for iface in self._interfaces:
                 pos = iface.get_position()
-                xs[i] = pos.x
-                ys[i] = pos.y
-                if iface.link_range is not None:
-                    link[i] = iface.link_range
-            self._xs, self._ys, self._link_overrides = xs, ys, link
+                grid.insert(iface._grid_item, pos.x, pos.y)
+        else:
+            move = grid.move
+            for iface in self._interfaces:
+                pos = iface.get_position()
+                move(iface._grid_item, pos.x, pos.y)
         self._positions_dirty = False
 
     # ------------------------------------------------------------------
@@ -547,21 +525,13 @@ class BroadcastChannel:
         base = self.base_latency
         jitter = self.latency_jitter
         rng_random = self._rng.random
-        loss_rate = self.loss_rate
-        loss_random = self._loss_rng.random
         link_fault = self.link_fault
         schedule_fire = self._sim.schedule_fire
         for iface in receivers:
-            if loss_rate > 0.0 and loss_random() < loss_rate:
-                self.stats.frames_faded += 1
-                # A faded addressee is the second silent-unicast-loss site.
-                if dest_addr is not None and iface.address == dest_addr:
-                    for hook in self.on_unicast_lost:
-                        hook(frame, "faded")
-                continue
             if link_fault is not None and link_fault(sender, iface, frame):
                 self.stats.frames_fault_dropped += 1
-                # An addressee eaten by the fault layer is the third one.
+                # An addressee eaten by the fault layer is the second
+                # silent-unicast-loss site.
                 if dest_addr is not None and iface.address == dest_addr:
                     for hook in self.on_unicast_lost:
                         hook(frame, "faulted")
@@ -573,30 +543,18 @@ class BroadcastChannel:
 
     def _candidates(self, position: Position, radius: float) -> List[tuple]:
         """``((reg_order, iface), dist_sq)`` for interfaces within ``radius``
-        — plus, in grid mode, any interface inside the widened override
-        search radius (callers re-check each candidate against its effective
-        reach).  The grid stores ``(reg_order, iface)`` items, so its raw
-        query output is returned as-is; sorting the list orders candidates
-        by registration sequence (``reg_order`` is unique, the interface is
-        never compared)."""
+        — plus any interface inside the widened override search radius
+        (callers re-check each candidate against its effective reach).  The
+        grid stores ``(reg_order, iface)`` items, so its raw query output is
+        returned as-is; sorting the list orders candidates by registration
+        sequence (``reg_order`` is unique, the interface is never
+        compared)."""
         if self._positions_dirty:
             self._refresh_positions()
         if not self._interfaces:
             return []
-        if self._use_grid:
-            search = radius if radius > self._max_override else self._max_override
-            return self._grid.query_disc(position.x, position.y, search)
-        dx = self._xs - position.x
-        dy = self._ys - position.y
-        dist_sq = dx * dx + dy * dy
-        hearable = dist_sq <= radius * radius
-        if self._override_ranges:
-            hearable |= dist_sq <= self._link_overrides * self._link_overrides
-        interfaces = self._interfaces
-        return [
-            (interfaces[i]._grid_item, dist_sq[i])
-            for i in np.flatnonzero(hearable)
-        ]
+        search = radius if radius > self._max_override else self._max_override
+        return self._grid.query_disc(position.x, position.y, search)
 
     def _receivers_for(
         self, frame: Frame, sender: RadioInterface

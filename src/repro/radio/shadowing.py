@@ -18,7 +18,7 @@ obstruction predicate for
 * otherwise the link is **blocked**.
 
 The model is deliberately binary (blocked or clear) so it composes with
-the channel's range/fading model instead of replacing it; Amador et al.
+the channel's range model (and the fault layer's link loss) instead of replacing it; Amador et al.
 (arXiv 2403.16237) use the same corridor-or-corner approximation for
 urban GeoNetworking studies.
 

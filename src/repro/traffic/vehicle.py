@@ -62,8 +62,8 @@ class Vehicle:
     #: When set, the vehicle ignores IDM and applies this fixed acceleration
     #: (used by the road-safety curve scenario's prescribed speed profiles).
     forced_acceleration: Optional[float] = None
-    #: Slot in the struct-of-arrays :class:`~repro.geonet.fleet.FleetState`
-    #: when the batched networking path is on; None on the per-object path.
+    #: Slot in the struct-of-arrays :class:`~repro.geonet.fleet.FleetState`;
+    #: None when the traffic runs without a fleet (no radios).
     fleet_slot: Optional[int] = None
 
     def __post_init__(self):

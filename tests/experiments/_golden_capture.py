@@ -6,8 +6,8 @@ Run manually (never by pytest) to regenerate the literals embedded in
     PYTHONPATH=src python tests/experiments/_golden_capture.py
 
 The digests are computed from full-precision outcome fields, so they only
-match if the channel refactor preserves the exact delivery order and RNG
-draw order of the original implementation.
+match if a change preserves the exact delivery order and RNG draw order of
+the run they were captured from.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import hashlib
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_single
+from repro.faults.plan import FaultPlan
 
 
 def outcome_digest(result) -> str:
@@ -56,7 +57,7 @@ def describe(label, config, attacked):
 def main():
     inter = ExperimentConfig.inter_area_default(duration=20.0, seed=7)
     intra = ExperimentConfig.intra_area_default(duration=20.0, seed=7)
-    lossy = inter.with_(channel_loss_rate=0.05)
+    lossy = inter.with_(faults=FaultPlan.lossy(0.05))
     print("GOLDEN = {")
     describe("inter-af", inter, False)
     describe("inter-atk", inter, True)

@@ -8,9 +8,10 @@ crash-recovery suite does) between an uninterrupted run and a run that
 was checkpointed mid-flight, persisted through a result store backend,
 restored and finished.
 
-Covered dimensions: the default highway scenario, the batched-fleet hot
-path combined with all four fault-injection dimensions, and the urban
-(Manhattan-grid + shadowing) scenario pack — on both store backends.
+Covered dimensions: the default highway scenario, the same scenario
+combined with all four fault-injection dimensions (``batched_faults``:
+fleet beacon tick plus link, churn, GPS and beacon-timing faults), and the
+urban (Manhattan-grid + shadowing) scenario pack — on both store backends.
 """
 
 import json
@@ -48,7 +49,6 @@ def _highway():
 
 def _batched_with_faults():
     return _highway().with_(
-        fleet_use_batched=True,
         faults=FaultPlan(
             link=LinkFaultPlan(loss_rate=0.05, burst_p=0.02, burst_r=0.3),
             churn=ChurnPlan(mean_uptime=4.0, mean_downtime=1.0),

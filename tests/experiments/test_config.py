@@ -110,7 +110,6 @@ def test_invalid_values_rejected():
         (lambda: ExperimentConfig(duration=-1.0), "duration"),
         (lambda: ExperimentConfig(bin_width=0.0), "bin_width"),
         (lambda: ExperimentConfig(mobility_dt=0.0), "mobility_dt"),
-        (lambda: ExperimentConfig(channel_loss_rate=1.0), "channel_loss_rate"),
         (
             lambda: ExperimentConfig(invariant_check_interval=0.0),
             "invariant_check_interval",

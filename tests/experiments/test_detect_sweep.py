@@ -208,9 +208,9 @@ class TestEndToEnd:
         assert result.extras["detect_first_detection_s"] == -1.0
 
     def test_batched_fleet_detectors_see_the_attack(self):
-        # Satellite fix: with fleet_use_batched=True fleet beacons bypass
-        # the radio handler; the bulk tap keeps the detectors observing.
-        config = detect_config().with_(fleet_use_batched=True)
+        # Fleet beacons bypass the radio handler; the bulk tap keeps the
+        # detectors observing.
+        config = detect_config()
         attacked = run_single(config, attacked=True)
         assert attacked.extras["detect_alerts_total"] > 0.0
         assert attacked.extras["detect_first_detection_s"] > 0.0

@@ -1,15 +1,12 @@
-"""A/B contract of the batched fleet path (``fleet_use_batched``).
+"""End-to-end checks of the World's vehicle fleet path.
 
-Two-sided contract, mirroring the spatial-index knob's:
-
-* ``fleet_use_batched=False`` (the default) is *bit-identical* to the
-  pre-refactor seed goldens — the batched machinery must be invisible
-  until opted into (its RNG stream is never touched on the legacy path).
-* ``fleet_use_batched=True`` is *outcome-equivalent*: same traffic, same
-  workload, same attack geometry, statistically indistinguishable beacon
-  coverage — so PDR, frame counts and the ledger's drop breakdown agree
-  within sampling tolerance even though the beacon jitter draws come from
-  a different (numpy) stream.
+Every vehicle beacons through :class:`~repro.geonet.fleet.
+FleetBeaconScheduler` and receives fleet beacons in bulk, while the
+attacker's mast and the static destinations receive real frames.  These
+checks pin what that path must keep doing on whole runs: the interception
+attack bites, the ledger accounts for every packet, the runtime invariant
+checker stays quiet, the GPS-fault hook sees fleet beacons, and the urban
+shadowing filter gives the same run vectorised as pair by pair.
 """
 
 from __future__ import annotations
@@ -17,64 +14,17 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_single
+from repro.experiments.runner import run_single, summarize_world
 from repro.experiments.world import World
 from repro.observability.ledger import PacketLedger
 from tests.experiments._golden_capture import outcome_digest
-from tests.experiments.test_seed_equivalence import GOLDEN
-
-
-@pytest.mark.slow
-def test_legacy_knob_is_bit_identical_to_seed_golden():
-    """Explicitly passing the default knob must reproduce the golden digest
-    captured before the fleet refactor existed."""
-    config = ExperimentConfig.inter_area_default(duration=20.0, seed=7).with_(
-        fleet_use_batched=False
-    )
-    result = run_single(config, attacked=False)
-    expected = GOLDEN["inter-af"]
-    assert outcome_digest(result) == expected["digest"]
-    assert result.overall_rate == expected["overall_rate"]
-    assert int(result.extras["frames_sent"]) == expected["frames_sent"]
-    assert int(result.extras["frames_delivered"]) == expected["frames_delivered"]
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("attacked", [False, True])
-def test_batched_path_is_outcome_equivalent(attacked):
-    """Batched vs per-object on the fig-7 scenario: same packets sourced,
-    PDR within sampling tolerance, beacon/frame volumes within a few %."""
-    config = ExperimentConfig.inter_area_default(duration=20.0, seed=7)
-    results = {}
-    for batched in (False, True):
-        cfg = config.with_(fleet_use_batched=batched)
-        results[batched] = run_single(cfg, attacked=attacked)
-    legacy, batched = results[False], results[True]
-    # The workload stream is untouched by the fleet path: the exact same
-    # packets are sourced at the exact same times.
-    assert batched.n_packets == legacy.n_packets
-    # PDR: different beacon jitter realisations can flip individual
-    # packets; allow two of the 19 to differ.
-    assert abs(batched.overall_rate - legacy.overall_rate) <= 2.0 / 19.0 + 1e-9
-    # Beacon coverage: same fleet, same cadence contract, so accepted
-    # beacon counts agree within a few percent.
-    legacy_acc = legacy.extras["stats_router_beacons_accepted"]
-    batched_acc = batched.extras["stats_router_beacons_accepted"]
-    assert batched_acc > 0
-    assert abs(batched_acc - legacy_acc) / legacy_acc < 0.05
-    for key in ("frames_sent", "frames_delivered"):
-        assert abs(batched.extras[key] - legacy.extras[key]) / legacy.extras[
-            key
-        ] < 0.05
 
 
 @pytest.mark.slow
 def test_batched_attack_still_bites():
-    """The inter-area interception must degrade the batched PDR like the
-    per-object one: the mast sniffs real frames off the batched tick."""
-    config = ExperimentConfig.inter_area_default(duration=20.0, seed=7).with_(
-        fleet_use_batched=True
-    )
+    """The inter-area interception must degrade the PDR: the mast sniffs
+    real frames off the fleet tick."""
+    config = ExperimentConfig.inter_area_default(duration=20.0, seed=7)
     attack_free = run_single(config, attacked=False)
     attacked = run_single(config, attacked=True)
     assert attacked.extras["frames_sniffed"] > 0
@@ -84,11 +34,9 @@ def test_batched_attack_still_bites():
 
 @pytest.mark.slow
 def test_batched_ledger_conservation():
-    """Drop-breakdown conservation on the batched path: every sourced
-    packet has exactly one terminal outcome in the ledger."""
-    config = ExperimentConfig.inter_area_default(duration=20.0, seed=7).with_(
-        fleet_use_batched=True
-    )
+    """Drop-breakdown conservation: every sourced packet has exactly one
+    terminal outcome in the ledger."""
+    config = ExperimentConfig.inter_area_default(duration=20.0, seed=7)
     ledger = PacketLedger()
     result = run_single(config, attacked=True, ledger=ledger)
     assert result.drop_breakdown is not None
@@ -99,10 +47,9 @@ def test_batched_ledger_conservation():
 
 
 def test_tiny_batched_world_smoke():
-    """Cheap non-slow sanity: a small batched world runs, beacons flow,
-    positions stay consistent under the runtime invariant checker."""
+    """Cheap non-slow sanity: a small world runs, beacons flow, positions
+    stay consistent under the runtime invariant checker."""
     config = ExperimentConfig.inter_area_default(duration=6.0, seed=3).with_(
-        fleet_use_batched=True,
         invariant_check_interval=1.0,
     )
     config = config.with_(
@@ -110,62 +57,63 @@ def test_tiny_batched_world_smoke():
     )
     world = World(config, attacked=False)
     world.run()
-    assert world.fleet is not None and len(world.fleet) > 0
-    assert world.fleet_scheduler is not None
+    assert len(world.fleet) > 0
     assert world.fleet_scheduler.beacons_sent > 0
     totals = world.protocol_stat_totals()
     assert totals["router_beacons_accepted"] > 0
     # The checker raises InvariantViolation on any inconsistency, so
-    # completed sweeps prove grid/LocT/queue consistency in batched mode.
+    # completed sweeps prove grid/LocT/queue consistency.
     assert world.invariant_checker is not None
     assert world.invariant_checker.checks_run > 0
 
 
 @pytest.mark.slow
 def test_batched_beacons_pass_through_gps_fault_hook():
-    """Regression for a suspected batched-path hole: fleet beacons must run
-    the fault layer's ``pv_fault`` transform exactly like per-node beacons
-    (``World._make_fleet_beacon`` applies it before signing).  Both paths
-    must report a comparable volume of faulted beacons."""
+    """Fleet beacons must run the fault layer's ``pv_fault`` transform
+    (``World._make_fleet_beacon`` applies it before signing)."""
     from repro.faults import GpsFaultPlan
     from repro.faults.plan import FaultPlan
 
     config = ExperimentConfig.inter_area_default(duration=20.0, seed=7).with_(
         faults=FaultPlan(gps=GpsFaultPlan(error_stddev=50.0))
     )
-    counts = {}
-    for batched in (False, True):
-        result = run_single(
-            config.with_(fleet_use_batched=batched), attacked=False
-        )
-        counts[batched] = result.extras["fault_gps_faulted_beacons"]
-    assert counts[False] > 0
-    assert counts[True] > 0
-    # Same beacon cadence contract, so the faulted-beacon volumes agree
-    # within a few percent (different jitter streams).
-    assert abs(counts[True] - counts[False]) / counts[False] < 0.10
+    result = run_single(config, attacked=False)
+    assert result.extras["fault_gps_faulted_beacons"] > 0
+
+
+class _PairByPair:
+    """An obstruction predicate without ``blocks_many``: forces
+    :meth:`BroadcastChannel.block_mask` onto its per-pair loop."""
+
+    def __init__(self, blocks):
+        self._blocks = blocks
+        self.blocked = 0
+
+    def __call__(self, a, b):
+        hit = self._blocks(a, b)
+        self.blocked += hit
+        return hit
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("attacked", [False, True])
 def test_batched_path_is_outcome_equivalent_with_obstructions(attacked):
-    """The urban scenario registers a shadowing obstruction, which routes
-    the batched tick through the vectorised ``Channel.block_mask`` filter
-    while the legacy path checks pairs one at a time — the two must stay
-    outcome-equivalent."""
+    """The urban scenario registers corner shadowing, which the fleet tick
+    evaluates vectorised (``blocks_many``) over all swept pairs.  The same
+    predicate evaluated pair by pair must give the bit-identical run."""
     config = ExperimentConfig.inter_area_default(duration=20.0, seed=7).urbanized(
         streets_x=3, streets_y=3, block_size=200.0, inter_vehicle_space=80.0
     )
-    results = {}
-    for batched in (False, True):
-        cfg = config.with_(fleet_use_batched=batched)
-        results[batched] = run_single(cfg, attacked=attacked)
-    legacy, batched = results[False], results[True]
-    assert batched.n_packets == legacy.n_packets
-    assert abs(batched.overall_rate - legacy.overall_rate) <= (
-        3.0 / max(legacy.n_packets, 1) + 1e-9
-    )
-    legacy_acc = legacy.extras["stats_router_beacons_accepted"]
-    batched_acc = batched.extras["stats_router_beacons_accepted"]
-    assert batched_acc > 0
-    assert abs(batched_acc - legacy_acc) / legacy_acc < 0.10
+    vectorised = run_single(config, attacked=attacked)
+
+    world = World(config, attacked=attacked)
+    pair_by_pair = _PairByPair(world.shadowing)
+    world.channel._obstructions[:] = [pair_by_pair]
+    world.run()
+    scalar = summarize_world(world)
+
+    assert pair_by_pair.blocked > 0
+    assert vectorised.extras["stats_router_beacons_accepted"] > 0
+    assert outcome_digest(scalar) == outcome_digest(vectorised)
+    for key in ("frames_sent", "frames_delivered", "unicast_lost"):
+        assert scalar.extras[key] == vectorised.extras[key]

@@ -5,10 +5,13 @@ import random
 import numpy as np
 import pytest
 
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
 from repro.geo.position import Position
 from repro.geonet.fleet import FleetBeaconScheduler, FleetState
 from repro.radio.channel import BroadcastChannel, RadioInterface
 from repro.radio.frames import Frame, FrameKind
+from repro.radio.shadowing import ManhattanShadowing
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 
@@ -136,6 +139,32 @@ def test_neighbor_pairs_matches_brute_force():
     assert got == want
     assert candidates >= len(want)
 
+    # The tick's obstruction filter: the vectorised mask over the swept
+    # pairs must keep exactly the pairs the scalar predicate lets through.
+    streets = (-500.0, -250.0, 0.0, 250.0, 500.0)
+    shadowing = ManhattanShadowing(
+        street_xs=streets, street_ys=streets, half_width=60.0, corner_clearance=80.0
+    )
+    channel.add_obstruction(shadowing)
+    tx = senders[sidx]
+    blocked = channel.block_mask(
+        fleet.x[tx], fleet.y[tx], fleet.x[rslots], fleet.y[rslots]
+    )
+    got_clear = {
+        (int(s), int(r))
+        for s, r, b in zip(tx.tolist(), rslots.tolist(), blocked.tolist())
+        if not b
+    }
+    want_clear = {
+        (s, r)
+        for s, r in want
+        if not shadowing(
+            Position(fleet.x[s], fleet.y[s]), Position(fleet.x[r], fleet.y[r])
+        )
+    }
+    assert got_clear == want_clear
+    assert 0 < len(want_clear) < len(want)
+
 
 def test_neighbor_pairs_empty_inputs():
     sim, channel, fleet, members = build_fleet([(0, 0)])
@@ -234,13 +263,42 @@ def test_loss_rate_fades_fleet_deliveries():
     ideal = sum(len(m.received) for m in members_ideal)
 
     sim, channel, fleet, members = build_fleet(positions)
-    channel.loss_rate = 0.5
+    FaultInjector(
+        FaultPlan.lossy(0.5), sim=sim, streams=RandomStreams(1), channel=channel
+    )
     make_scheduler(sim, fleet, channel)
     sim.run_until(10.0)
     lossy = sum(len(m.received) for m in members)
-    assert channel.stats.frames_faded > 0
+    assert channel.stats.frames_fault_dropped > 0
     assert lossy < ideal
     assert channel.stats.frames_delivered == lossy
+
+
+def test_blocked_links_never_reach_the_link_fault_hook():
+    """Obstructions drop a link before the fault layer sees it, for fleet
+    receivers and for real-frame (non-fleet) receivers alike: a blocked
+    link spends no fault-RNG draw and never counts as a fault drop."""
+    sim, channel, fleet, members = build_fleet([(0, 0), (100, 0)])
+    sniffed = []
+    mast = RadioInterface(
+        lambda: Position(50.0, -10.0), 10.0, link_range=400.0, promiscuous=True
+    )
+    mast.attach(sniffed.append)
+    channel.register(mast)
+    channel.add_obstruction(lambda a, b: True)
+    hook_calls = []
+
+    def link_fault(sender, receiver, frame):
+        hook_calls.append(receiver.address)
+        return False
+
+    channel.link_fault = link_fault
+    scheduler = make_scheduler(sim, fleet, channel)
+    sim.run_until(3.5)
+    assert scheduler.beacons_sent >= 2
+    assert hook_calls == []
+    assert sniffed == []
+    assert channel.stats.frames_delivered == 0
 
 
 def test_make_beacon_returning_none_suppresses():

@@ -1,7 +1,14 @@
-"""Tests for the optional frame-loss (fading) model."""
+"""Frame loss on the channel comes from the fault layer's link loss.
+
+The channel has no loss model of its own: ``FaultPlan.link.loss_rate``
+(installed by :class:`~repro.faults.injector.FaultInjector` as the
+channel's ``link_fault`` hook) is the one i.i.d. per-receiver loss draw.
+"""
 
 import pytest
 
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
 from repro.geo.position import Position
 from repro.radio.channel import BroadcastChannel, RadioInterface
 from repro.radio.frames import FrameKind
@@ -11,7 +18,11 @@ from repro.sim.random import RandomStreams
 
 def make_channel(loss_rate):
     sim = Simulator()
-    channel = BroadcastChannel(sim, RandomStreams(3), loss_rate=loss_rate)
+    streams = RandomStreams(3)
+    channel = BroadcastChannel(sim, streams)
+    plan = FaultPlan.lossy(loss_rate)
+    if not plan.is_zero:
+        FaultInjector(plan, sim=sim, streams=streams, channel=channel)
     return sim, channel
 
 
@@ -31,7 +42,8 @@ def test_zero_loss_delivers_everything():
         sender.send(FrameKind.BEACON, "x")
     sim.run_until(1.0)
     assert len(received) == 50
-    assert channel.stats.frames_faded == 0
+    assert channel.link_fault is None
+    assert channel.stats.frames_fault_dropped == 0
 
 
 def test_loss_rate_drops_roughly_that_fraction():
@@ -42,7 +54,7 @@ def test_loss_rate_drops_roughly_that_fraction():
         sender.send(FrameKind.BEACON, "x")
     sim.run_until(1.0)
     assert 250 < len(received) < 450  # ~350 expected
-    assert channel.stats.frames_faded == 500 - len(received)
+    assert channel.stats.frames_fault_dropped == 500 - len(received)
 
 
 def test_loss_is_per_receiver_independent():
@@ -85,17 +97,20 @@ def test_experiment_config_plumbs_loss_rate():
 
     config = ExperimentConfig.intra_area_default(duration=5.0)
     config = config.with_(
-        channel_loss_rate=0.2,
+        faults=FaultPlan.lossy(0.2),
         road=dataclasses.replace(config.road, length=600.0),
     )
     world = World(config, attacked=False, seed=1)
     world.run()
-    assert world.channel.loss_rate == 0.2
-    assert world.channel.stats.frames_faded > 0
+    assert world.fault_injector is not None
+    assert world.channel.link_fault is not None
+    dropped = world.channel.stats.frames_fault_dropped
+    assert dropped > 0
+    assert world.fault_injector.stats.link_fault_drops == dropped
 
 
 def test_invalid_config_loss_rate_rejected():
     from repro.experiments import ExperimentConfig
 
     with pytest.raises(ValueError):
-        ExperimentConfig.intra_area_default().with_(channel_loss_rate=1.5)
+        ExperimentConfig.intra_area_default().with_(faults=FaultPlan.lossy(1.5))

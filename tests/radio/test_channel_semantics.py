@@ -1,14 +1,24 @@
-"""Behavior tests for channel delivery semantics, run against both the
-spatial-grid receiver lookup and the linear-scan fallback.
+"""Behavior tests for channel delivery semantics.
 
-These pin the delivery rules the spatial-index refactor must preserve:
-unicast vs promiscuous overhearing, the asymmetric ``link_range`` override,
-obstruction predicates, loss-rate fading, delivery ordering, and the
+These pin the delivery rules of the grid-backed receiver lookup: unicast
+vs promiscuous overhearing, the asymmetric ``link_range`` override,
+obstruction predicates, link-loss hooks, delivery ordering, and the
 swap-remove membership bookkeeping.
+
+Every scenario runs twice.  ``grid`` runs the channel as it is; ``scan``
+runs it with every receiver set and neighbor query checked against
+:func:`reference_receivers` / :func:`reference_neighbors` — a brute-force
+linear scan over all registered interfaces that lives here, in the tests,
+as the reference model of the unit-disk rule.  A hypothesis property
+checks the same reference over random layouts.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
 from repro.geo.position import Position
 from repro.radio.channel import BroadcastChannel, RadioInterface
 from repro.radio.frames import FrameKind
@@ -16,17 +26,97 @@ from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 
 
-@pytest.fixture(params=[True, False], ids=["grid", "scan"])
-def use_grid(request):
+# ----------------------------------------------------------------------
+# brute-force reference model
+# ----------------------------------------------------------------------
+def reference_receivers(interfaces, frame, sender, is_blocked):
+    """Who hears ``frame``, by checking every interface in turn.
+
+    ``interfaces`` is in registration order; ``is_blocked(tx_position,
+    iface)`` is the obstruction check.  An interface hears the frame iff it
+    is not the sender, lies within the frame's range (or within its own
+    ``link_range`` override, which replaces the frame's range), is the
+    addressee or promiscuous for a unicast, and the link is not blocked.
+    """
+    tx = frame.tx_position
+    out = []
+    for iface in interfaces:
+        if iface is sender:
+            continue
+        pos = iface.get_position()
+        reach = frame.tx_range if iface.link_range is None else iface.link_range
+        dx = pos.x - tx.x
+        dy = pos.y - tx.y
+        if dx * dx + dy * dy > reach * reach:
+            continue
+        if (
+            frame.dest_addr is not None
+            and iface.address != frame.dest_addr
+            and not iface.promiscuous
+        ):
+            continue
+        if is_blocked(tx, iface):
+            continue
+        out.append(iface)
+    return out
+
+
+def reference_neighbors(interfaces, position, radius):
+    """Interfaces within ``radius`` of ``position``, by brute force."""
+    out = []
+    for iface in interfaces:
+        pos = iface.get_position()
+        dx = pos.x - position.x
+        dy = pos.y - position.y
+        if dx * dx + dy * dy <= radius * radius:
+            out.append(iface)
+    return out
+
+
+def check_against_reference(channel):
+    """Assert every receiver set and neighbor query of ``channel`` equals
+    the brute-force reference, for as long as the channel lives."""
+    receivers_for = channel._receivers_for
+    neighbors_within = channel.neighbors_within
+
+    def checked_receivers(frame, sender):
+        got = receivers_for(frame, sender)
+        want = reference_receivers(
+            channel.interfaces, frame, sender, channel.is_link_blocked
+        )
+        assert got == want
+        return got
+
+    def checked_neighbors(position, radius):
+        got = neighbors_within(position, radius)
+        assert got == reference_neighbors(channel.interfaces, position, radius)
+        return got
+
+    channel._receivers_for = checked_receivers
+    channel.neighbors_within = checked_neighbors
+
+
+@pytest.fixture(params=["grid", "scan"])
+def mode(request):
     return request.param
 
 
-def make_channel(use_grid, **kwargs):
+def make_channel(mode, **kwargs):
     sim = Simulator()
-    channel = BroadcastChannel(
-        sim, RandomStreams(1), use_spatial_index=use_grid, **kwargs
-    )
+    channel = BroadcastChannel(sim, RandomStreams(1), **kwargs)
+    if mode == "scan":
+        check_against_reference(channel)
     return sim, channel
+
+
+def make_lossy(sim, channel, loss_rate):
+    """Install the fault layer's i.i.d. link loss on ``channel``."""
+    FaultInjector(
+        FaultPlan.lossy(loss_rate),
+        sim=sim,
+        streams=RandomStreams(1),
+        channel=channel,
+    )
 
 
 def make_iface(channel, x, y=0.0, tx_range=100.0, **kwargs):
@@ -40,8 +130,8 @@ def make_iface(channel, x, y=0.0, tx_range=100.0, **kwargs):
 # ----------------------------------------------------------------------
 # unicast vs promiscuous overhearing
 # ----------------------------------------------------------------------
-def test_unicast_reaches_addressee_only(use_grid):
-    sim, channel = make_channel(use_grid)
+def test_unicast_reaches_addressee_only(mode):
+    sim, channel = make_channel(mode)
     sender, _ = make_iface(channel, 0)
     target, target_rx = make_iface(channel, 50)
     _other, other_rx = make_iface(channel, 60)
@@ -51,8 +141,8 @@ def test_unicast_reaches_addressee_only(use_grid):
     assert other_rx == []
 
 
-def test_promiscuous_overhears_unicast_but_range_still_applies(use_grid):
-    sim, channel = make_channel(use_grid)
+def test_promiscuous_overhears_unicast_but_range_still_applies(mode):
+    sim, channel = make_channel(mode)
     sender, _ = make_iface(channel, 0)
     target, target_rx = make_iface(channel, 50)
     _near_sniffer, near_sniffed = make_iface(channel, 20, promiscuous=True)
@@ -64,8 +154,8 @@ def test_promiscuous_overhears_unicast_but_range_still_applies(use_grid):
     assert far_sniffed == []  # promiscuity is not extra range
 
 
-def test_unicast_to_out_of_range_target_counted_lost(use_grid):
-    sim, channel = make_channel(use_grid)
+def test_unicast_to_out_of_range_target_counted_lost(mode):
+    sim, channel = make_channel(mode)
     sender, _ = make_iface(channel, 0, tx_range=100.0)
     _target, target_rx = make_iface(channel, 200)
     sender.send(FrameKind.GEO_UNICAST, "p", dest_addr=_target.address)
@@ -77,10 +167,10 @@ def test_unicast_to_out_of_range_target_counted_lost(use_grid):
 # ----------------------------------------------------------------------
 # link_range override asymmetry
 # ----------------------------------------------------------------------
-def test_mast_override_extends_reception_beyond_sender_range(use_grid):
+def test_mast_override_extends_reception_beyond_sender_range(mode):
     """A mast hears a weak sender far beyond the sender's tx range —
     the grid must find it outside the frame's own search radius."""
-    sim, channel = make_channel(use_grid)
+    sim, channel = make_channel(mode)
     sender, _ = make_iface(channel, 0, tx_range=100.0)
     _mast, mast_rx = make_iface(channel, 800, link_range=1000.0)
     sender.send(FrameKind.BEACON, "x")
@@ -88,9 +178,9 @@ def test_mast_override_extends_reception_beyond_sender_range(use_grid):
     assert len(mast_rx) == 1
 
 
-def test_weak_override_limits_reception_below_sender_range(use_grid):
+def test_weak_override_limits_reception_below_sender_range(mode):
     """The worst-NLoS attacker's short link applies toward it too."""
-    sim, channel = make_channel(use_grid)
+    sim, channel = make_channel(mode)
     sender, _ = make_iface(channel, 0, tx_range=486.0)
     _weak, weak_rx = make_iface(channel, 400, link_range=327.0)
     _vehicle, vehicle_rx = make_iface(channel, 400, tx_range=486.0)
@@ -100,9 +190,9 @@ def test_weak_override_limits_reception_below_sender_range(use_grid):
     assert len(vehicle_rx) == 1  # plain vehicle at same spot hears it
 
 
-def test_override_applies_per_receiver_not_globally(use_grid):
+def test_override_applies_per_receiver_not_globally(mode):
     """One mast must not widen anyone else's ears."""
-    sim, channel = make_channel(use_grid)
+    sim, channel = make_channel(mode)
     sender, _ = make_iface(channel, 0, tx_range=100.0)
     _mast, mast_rx = make_iface(channel, 900, link_range=1000.0)
     _vehicle, vehicle_rx = make_iface(channel, 150, tx_range=100.0)
@@ -112,10 +202,10 @@ def test_override_applies_per_receiver_not_globally(use_grid):
     assert vehicle_rx == []  # 150 > 100 and no override of its own
 
 
-def test_unregistering_mast_restores_narrow_search(use_grid):
+def test_unregistering_mast_restores_narrow_search(mode):
     """Removing the largest override must shrink the override bookkeeping
     (regression guard for the incremental max tracking)."""
-    sim, channel = make_channel(use_grid)
+    sim, channel = make_channel(mode)
     sender, _ = make_iface(channel, 0, tx_range=100.0)
     mast, mast_rx = make_iface(channel, 800, link_range=1000.0)
     small_mast, small_rx = make_iface(channel, 300, link_range=400.0)
@@ -130,8 +220,8 @@ def test_unregistering_mast_restores_narrow_search(use_grid):
 # ----------------------------------------------------------------------
 # obstruction predicates
 # ----------------------------------------------------------------------
-def test_obstruction_blocks_link_both_modes(use_grid):
-    sim, channel = make_channel(use_grid)
+def test_obstruction_blocks_link_both_modes(mode):
+    sim, channel = make_channel(mode)
     channel.add_obstruction(lambda a, b: (a.x - 50) * (b.x - 50) < 0)
     sender, _ = make_iface(channel, 0)
     _blocked, blocked_rx = make_iface(channel, 80)
@@ -142,8 +232,8 @@ def test_obstruction_blocks_link_both_modes(use_grid):
     assert len(same_rx) == 1
 
 
-def test_any_of_multiple_obstructions_blocks(use_grid):
-    sim, channel = make_channel(use_grid)
+def test_any_of_multiple_obstructions_blocks(mode):
+    sim, channel = make_channel(mode)
     channel.add_obstruction(lambda a, b: False)
     channel.add_obstruction(lambda a, b: abs(a.x - b.x) > 30)
     sender, _ = make_iface(channel, 0)
@@ -156,33 +246,37 @@ def test_any_of_multiple_obstructions_blocks(use_grid):
 
 
 # ----------------------------------------------------------------------
-# loss-rate fading
+# link loss (the fault layer's hook)
 # ----------------------------------------------------------------------
-def test_loss_rate_fades_some_deliveries(use_grid):
-    sim, channel = make_channel(use_grid, loss_rate=0.5)
+def test_loss_rate_fades_some_deliveries(mode):
+    sim, channel = make_channel(mode)
+    make_lossy(sim, channel, 0.5)
     sender, _ = make_iface(channel, 0)
     receivers = [make_iface(channel, 10 + i)[1] for i in range(40)]
     for _ in range(5):
         sender.send(FrameKind.BEACON, "x")
     sim.run_until(1.0)
     delivered = sum(len(rx) for rx in receivers)
-    assert channel.stats.frames_faded > 0
-    assert delivered + channel.stats.frames_faded == 200
+    dropped = channel.stats.frames_fault_dropped
+    assert dropped > 0
+    assert delivered + dropped == 200
     assert 0 < delivered < 200  # some lost, some through
 
 
 def test_loss_draws_are_deterministic_across_modes():
-    """Same seed ⇒ the exact same frames fade with grid and scan."""
+    """Same seed ⇒ the exact same frames are lost in both modes: the
+    reference check draws nothing."""
     outcomes = []
-    for use_grid in (True, False):
-        sim, channel = make_channel(use_grid, loss_rate=0.3)
+    for mode in ("grid", "scan"):
+        sim, channel = make_channel(mode)
+        make_lossy(sim, channel, 0.3)
         sender, _ = make_iface(channel, 0)
         receivers = [make_iface(channel, 5 * (i + 1))[1] for i in range(15)]
         for _ in range(10):
             sender.send(FrameKind.BEACON, "x")
         sim.run_until(1.0)
         outcomes.append(
-            (channel.stats.frames_faded, [len(rx) for rx in receivers])
+            (channel.stats.frames_fault_dropped, [len(rx) for rx in receivers])
         )
     assert outcomes[0] == outcomes[1]
 
@@ -190,10 +284,10 @@ def test_loss_draws_are_deterministic_across_modes():
 # ----------------------------------------------------------------------
 # ordering and membership bookkeeping
 # ----------------------------------------------------------------------
-def test_delivery_order_is_registration_order(use_grid):
+def test_delivery_order_is_registration_order(mode):
     """With zero jitter all deliveries share a timestamp, so the engine
     fires them in scheduling order — which must be registration order."""
-    sim, channel = make_channel(use_grid, latency_jitter=0.0)
+    sim, channel = make_channel(mode, latency_jitter=0.0)
     sender, _ = make_iface(channel, 0)
     order = []
     ifaces = []
@@ -208,10 +302,10 @@ def test_delivery_order_is_registration_order(use_grid):
     assert order == ["d", "a", "c", "b"]
 
 
-def test_delivery_order_survives_swap_remove(use_grid):
+def test_delivery_order_survives_swap_remove(mode):
     """unregister() swap-removes from the interface list; delivery order
     must still follow original registration order."""
-    sim, channel = make_channel(use_grid, latency_jitter=0.0)
+    sim, channel = make_channel(mode, latency_jitter=0.0)
     sender, _ = make_iface(channel, 0)
     order = []
 
@@ -229,8 +323,8 @@ def test_delivery_order_survives_swap_remove(use_grid):
     assert order == ["a", "c", "d", "e"]
 
 
-def test_interfaces_property_in_registration_order(use_grid):
-    _sim, channel = make_channel(use_grid)
+def test_interfaces_property_in_registration_order(mode):
+    _sim, channel = make_channel(mode)
     a, _ = make_iface(channel, 0)
     b, _ = make_iface(channel, 10)
     c, _ = make_iface(channel, 20)
@@ -240,8 +334,8 @@ def test_interfaces_property_in_registration_order(use_grid):
     assert channel.interfaces == (b, c, d)
 
 
-def test_reregistration_after_unregister(use_grid):
-    sim, channel = make_channel(use_grid)
+def test_reregistration_after_unregister(mode):
+    sim, channel = make_channel(mode)
     sender, _ = make_iface(channel, 0)
     iface, received = make_iface(channel, 10)
     channel.unregister(iface)
@@ -251,8 +345,8 @@ def test_reregistration_after_unregister(use_grid):
     assert len(received) == 1
 
 
-def test_unregister_twice_is_noop(use_grid):
-    _sim, channel = make_channel(use_grid)
+def test_unregister_twice_is_noop(mode):
+    _sim, channel = make_channel(mode)
     iface, _ = make_iface(channel, 0)
     channel.unregister(iface)
     channel.unregister(iface)  # must not raise
@@ -262,8 +356,8 @@ def test_unregister_twice_is_noop(use_grid):
 # ----------------------------------------------------------------------
 # grid-specific mechanics
 # ----------------------------------------------------------------------
-def test_moving_interface_is_retracked_after_invalidation(use_grid):
-    sim, channel = make_channel(use_grid)
+def test_moving_interface_is_retracked_after_invalidation(mode):
+    sim, channel = make_channel(mode)
     pos = {"x": 0.0}
     mover = RadioInterface(lambda: Position(pos["x"], 0.0), 100.0)
     mover_rx = []
@@ -281,10 +375,10 @@ def test_moving_interface_is_retracked_after_invalidation(use_grid):
     assert [f.payload for f in mover_rx] == ["two"]
 
 
-def test_per_frame_tx_range_beyond_cell_size(use_grid):
+def test_per_frame_tx_range_beyond_cell_size(mode):
     """A frame's tx_range may exceed the grid cell size; the multi-ring
     query keeps the result exact."""
-    sim, channel = make_channel(use_grid, cell_size=100.0)
+    sim, channel = make_channel(mode, cell_size=100.0)
     sender, _ = make_iface(channel, 0, tx_range=100.0)
     _far, far_rx = make_iface(channel, 1500.0)
     _beyond, beyond_rx = make_iface(channel, 2500.0)
@@ -294,17 +388,17 @@ def test_per_frame_tx_range_beyond_cell_size(use_grid):
     assert beyond_rx == []
 
 
-def test_neighbors_within_matches_geometry(use_grid):
-    _sim, channel = make_channel(use_grid)
+def test_neighbors_within_matches_geometry(mode):
+    _sim, channel = make_channel(mode)
     ifaces = [make_iface(channel, 100.0 * i)[0] for i in range(10)]
     got = channel.neighbors_within(Position(450.0, 0.0), 160.0)
     assert got == [ifaces[3], ifaces[4], ifaces[5], ifaces[6]]
 
 
-def test_neighbors_within_ignores_link_overrides(use_grid):
+def test_neighbors_within_ignores_link_overrides(mode):
     """neighbors_within is a pure geometric query: a mast's link_range
     must not inflate its distance-based membership."""
-    _sim, channel = make_channel(use_grid)
+    _sim, channel = make_channel(mode)
     make_iface(channel, 0)
     mast, _ = make_iface(channel, 500.0, link_range=5000.0)
     got = channel.neighbors_within(Position(0.0, 0.0), 100.0)
@@ -312,8 +406,8 @@ def test_neighbors_within_ignores_link_overrides(use_grid):
     assert len(got) == 1
 
 
-def test_stats_candidate_counter_advances(use_grid):
-    sim, channel = make_channel(use_grid)
+def test_stats_candidate_counter_advances(mode):
+    sim, channel = make_channel(mode)
     sender, _ = make_iface(channel, 0)
     make_iface(channel, 10)
     make_iface(channel, 20)
@@ -327,8 +421,8 @@ def test_stats_candidate_counter_advances(use_grid):
 # ----------------------------------------------------------------------
 # carrier sense (heap-based active transmission tracking)
 # ----------------------------------------------------------------------
-def test_medium_busy_during_and_idle_after_transmission(use_grid):
-    sim, channel = make_channel(use_grid)
+def test_medium_busy_during_and_idle_after_transmission(mode):
+    sim, channel = make_channel(mode)
     sender, _ = make_iface(channel, 0)
     sender.send(FrameKind.BEACON, "x")
     assert channel.medium_busy(Position(50.0, 0.0))
@@ -337,8 +431,8 @@ def test_medium_busy_during_and_idle_after_transmission(use_grid):
     assert not channel.medium_busy(Position(50.0, 0.0))
 
 
-def test_medium_busy_expires_staggered_transmissions_in_order(use_grid):
-    sim, channel = make_channel(use_grid)
+def test_medium_busy_expires_staggered_transmissions_in_order(mode):
+    sim, channel = make_channel(mode)
     a, _ = make_iface(channel, 0)
     b, _ = make_iface(channel, 10)
     # Two staggered transmissions; the heap must expire them independently.
@@ -351,3 +445,90 @@ def test_medium_busy_expires_staggered_transmissions_in_order(use_grid):
     sim.run_until(0.01)
     assert not channel.medium_busy(Position(5.0, 0.0))
     assert channel._active_tx == []  # heap fully drained
+
+
+# ----------------------------------------------------------------------
+# the grid against the brute-force reference, over random layouts
+# ----------------------------------------------------------------------
+_coord = st.floats(0.0, 1200.0, allow_nan=False)
+_iface_spec = st.tuples(
+    _coord,
+    _coord,
+    st.floats(10.0, 400.0),  # tx_range
+    st.one_of(st.none(), st.floats(1.0, 900.0)),  # link_range override
+    st.booleans(),  # promiscuous
+)
+
+
+def _wall(x0):
+    """An obstruction: a vertical wall at ``x = x0`` blocks crossing links."""
+    return lambda a, b: (a.x - x0) * (b.x - x0) < 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    specs=st.lists(_iface_spec, min_size=1, max_size=25),
+    walls=st.lists(_coord, max_size=2),
+    cell_size=st.one_of(st.none(), st.floats(40.0, 600.0)),
+    removed=st.sets(st.integers(0, 24), max_size=5),
+    frames=st.lists(
+        st.tuples(
+            st.integers(0, 24),  # sender index
+            st.one_of(st.none(), st.floats(1.0, 1500.0)),  # per-frame range
+            st.one_of(st.none(), st.integers(0, 24)),  # addressee index
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_receivers_match_brute_force_reference(
+    specs, walls, cell_size, removed, frames
+):
+    sim = Simulator()
+    channel = BroadcastChannel(
+        sim, RandomStreams(1), latency_jitter=0.0, cell_size=cell_size
+    )
+    obstructions = [_wall(x0) for x0 in walls]
+    for blocks in obstructions:
+        channel.add_obstruction(blocks)
+    ifaces = []
+    log = []
+    for x, y, tx_range, link_range, promiscuous in specs:
+        iface = RadioInterface(
+            lambda p=Position(x, y): p,
+            tx_range,
+            link_range=link_range,
+            promiscuous=promiscuous,
+        )
+        iface.attach(lambda frame, iface=iface: log.append((iface, frame)))
+        channel.register(iface)
+        ifaces.append(iface)
+    # Swap-removes reorder the channel's interface list; the reference
+    # still walks registration order.
+    for k in sorted(removed):
+        if k < len(ifaces):
+            channel.unregister(ifaces[k])
+    live = [iface for iface in ifaces if iface.channel is channel]
+    assert list(channel.interfaces) == live
+    if not live:
+        return
+
+    def is_blocked(tx, iface):
+        rx = iface.get_position()
+        return any(blocks(tx, rx) for blocks in obstructions)
+
+    for s_idx, tx_range, dest_idx in frames:
+        sender = live[s_idx % len(live)]
+        dest = None if dest_idx is None else ifaces[dest_idx % len(ifaces)].address
+        frame = sender.send(
+            FrameKind.BEACON, "x", dest_addr=dest, tx_range=tx_range
+        )
+        want = reference_receivers(live, frame, sender, is_blocked)
+        assert channel._receivers_for(frame, sender) == want
+        sim.run_until(sim.now + 1.0)
+        assert [iface for iface, f in log if f is frame] == want
+        radius = frame.tx_range
+        assert channel.neighbors_within(
+            frame.tx_position, radius
+        ) == reference_neighbors(live, frame.tx_position, radius)
+    assert channel.stats.frames_sent == len(frames)
