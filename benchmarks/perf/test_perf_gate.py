@@ -123,7 +123,8 @@ def test_checkpoint_overhead_at_default_interval(tmp_path):
         save_checkpoint,
     )
     from repro.experiments.config import ExperimentConfig
-    from repro.experiments.store import ResultStore, RunKey
+    from repro.experiments.sqlite_store import SqliteResultStore
+    from repro.experiments.store import RunKey
     from repro.experiments.world import World
 
     interval = DEFAULT_CHECKPOINT_INTERVAL
@@ -138,7 +139,7 @@ def test_checkpoint_overhead_at_default_interval(tmp_path):
     world.run(duration=interval)
     wall_per_interval = time.perf_counter() - t0
 
-    store = ResultStore(tmp_path / "results")
+    store = SqliteResultStore(tmp_path / "results.sqlite")
     key = RunKey(
         target="perf-gate",
         config_hash=config_hash(config),

@@ -1,37 +1,26 @@
-"""The fault-tolerant campaign orchestrator.
+"""Campaign planning, execution of one run, and assembly from the store.
 
 A *campaign* regenerates a list of paper targets (``fig7a`` … ``overhead``)
-on top of the persistent :mod:`~repro.experiments.store`:
+on top of the persistent result store:
 
 1. **Plan** — every target is expanded into its individual simulation runs
    (:class:`RunSpec`\\ s), by replaying the figure's own scenario
    enumeration with a recording runner.  A/B figure targets expand to one
    spec per ``(config, attacked, seed)``; whole-run targets (tables,
    Fig 12/13, overhead) expand to a single spec.
-2. **Execute** — specs already in the store are skipped (``resume``); the
-   rest fan out over a ``multiprocessing`` pool via ``imap_unordered``.
-   Each worker enforces a per-run timeout with ``SIGALRM`` and converts any
-   exception into a structured error result, a parent-side watchdog
-   terminates and rebuilds the pool when a worker dies or hangs without
-   reporting, and every failing run is retried a bounded number of times
-   before being recorded as a ``failure`` in the store — one dead worker
-   never kills the campaign.  Progress and an ETA go to stderr after every
-   completed run.
+2. **Execute** — :func:`repro.experiments.service.scheduler.run_service_campaign`
+   skips the specs already stored and hands the rest to N leased worker
+   processes, each of which runs :func:`execute_spec` per job.
 3. **Assemble** — each figure function runs again with a *store-backed*
    runner that feeds it the precomputed
    :class:`~repro.experiments.runner.RunResult`\\ s, so the rendered output
    is identical to a fresh in-memory run at the same seeds.
 
-The checked-in ``run_remaining*.sh`` restart scripts this replaces
-re-executed every already-finished run after a crash; with the store, a
-re-issued campaign costs only the missing runs.
+A re-issued campaign therefore costs only the runs that are missing.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import sys
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -53,14 +42,10 @@ from repro.experiments.urban import urban_sweep
 from repro.experiments.runner import (
     AbResult,
     RunResult,
-    alarm_deadline,
     expand_jobs,
     run_single,
 )
-from repro.experiments.runner import RunTimeout  # noqa: F401 - re-export;
-# historic home of the class (pre-service revisions raised it from here).
 from repro.experiments.store import (
-    ResultStore,
     ResultStoreBase,
     RunKey,
     config_hash,
@@ -332,13 +317,14 @@ def plan_campaign(
 def execute_spec(spec: RunSpec, checkpoints: Optional[Tuple[Any, float]] = None) -> Any:
     """Execute one spec in the current process.
 
-    Module-level so pool workers resolve it by name — tests may substitute
-    it (via fork inheritance) to inject crashes, hangs and counters.
+    Module-level so service workers resolve it by name at every job —
+    tests may substitute it (via fork inheritance) to inject crashes,
+    hangs and counters.
 
     Id counters are reset first, so the produced record is bit-identical
-    whether this runs in a fresh pool process or as the N-th job of a
-    long-lived service worker.  (A checkpoint restore reinstates the
-    counters *after* the reset, continuing the original process's ids.)
+    whether this is a worker's first job or its N-th.  (A checkpoint
+    restore reinstates the counters *after* the reset, continuing the
+    original process's ids.)
 
     ``checkpoints`` — an optional ``(store, interval)`` pair.  When given,
     ``ab`` specs execute through
@@ -368,24 +354,8 @@ def execute_spec(spec: RunSpec, checkpoints: Optional[Tuple[Any, float]] = None)
     return run_single(spec.config, attacked=spec.attacked, seed=spec.seed)
 
 
-def _pool_worker(payload: Tuple[int, RunSpec, Optional[float]]) -> Tuple[int, str, Any]:
-    """Run one spec with crash isolation and an in-process alarm timeout.
-
-    Always returns ``(index, "ok"|"error", payload)`` — any exception (and
-    the SIGALRM-driven timeout) is converted into an ``"error"`` result, so
-    a Python-level failure never poisons the pool.  A hard crash (worker
-    process death) returns nothing; the parent's watchdog handles that.
-    """
-    index, spec, timeout = payload
-    try:
-        with alarm_deadline(timeout):
-            return (index, "ok", execute_spec(spec))
-    except BaseException as exc:  # crash isolation: report, don't raise
-        return (index, "error", f"{type(exc).__name__}: {exc}")
-
-
 # ----------------------------------------------------------------------
-# parent side: fan-out with retry and crash isolation
+# the report
 # ----------------------------------------------------------------------
 @dataclass
 class CampaignReport:
@@ -401,6 +371,9 @@ class CampaignReport:
     errors: Dict[str, str] = field(default_factory=dict)
     #: target -> coverage note for artefacts assembled from a partial store
     partial_targets: Dict[str, str] = field(default_factory=dict)
+    workers: int = 0
+    #: workers started again after one exited before the queue drained
+    respawned: int = 0
 
     @property
     def ok(self) -> bool:
@@ -414,144 +387,18 @@ class CampaignReport:
         )
 
 
-def _log(stream, message: str) -> None:
-    if stream is not None:
-        print(f"[campaign] {message}", file=stream, flush=True)
-
-
-def _store_result(store: ResultStore, spec: RunSpec, result: Any) -> None:
+def _store_result(store: ResultStoreBase, spec: RunSpec, result: Any) -> None:
     if spec.kind == "text":
         store.put_text(spec.key, result, params=dict(spec.params or ()))
     else:
         store.put_run(spec.key, result, config=spec.config)
 
 
-def _execute_specs(
-    specs: List[RunSpec],
-    *,
-    store: ResultStore,
-    processes: int,
-    timeout: Optional[float],
-    retries: int,
-    report: CampaignReport,
-    log_stream,
-) -> None:
-    """Fan specs out over a pool; retry bounded; record terminal failures.
-
-    Work proceeds in rounds.  Within a round every still-pending spec is
-    submitted through ``imap_unordered``; results are collected with a
-    watchdog timeout, so a worker that dies without reporting (segfault,
-    ``os._exit``) or hangs past the per-run budget only costs the round —
-    the pool is terminated and the unreported specs are retried in the
-    next round.  A spec that fails ``retries + 1`` times is recorded as a
-    ``failure`` in the store and the campaign moves on.
-    """
-    max_attempts = retries + 1
-    pending: Dict[int, RunSpec] = dict(enumerate(specs))
-    attempts: Dict[int, int] = {idx: 0 for idx in pending}
-    total_planned = report.planned
-    started = time.time()
-
-    def _progress(prefix: str) -> str:
-        done = report.executed + report.skipped + len(report.failed)
-        elapsed = time.time() - started
-        remaining = max(total_planned - done, 0)
-        per_run = elapsed / max(report.executed, 1)
-        eta = per_run * remaining
-        return (
-            f"{prefix} [{done}/{total_planned} done, "
-            f"{len(report.failed)} failed, elapsed {elapsed:.0f}s, "
-            f"eta {eta:.0f}s]"
-        )
-
-    def _fail(idx: int, spec: RunSpec, error: str) -> None:
-        store.put_failure(spec.key, error)
-        report.failed.append((spec, error))
-        _log(log_stream, _progress(f"FAILED {spec.describe()}: {error}"))
-
-    while pending:
-        batch = sorted(pending.items())
-        payloads = [(idx, spec, timeout) for idx, spec in batch]
-        # imap_unordered: results arrive as runs finish; maxtasksperchild=1
-        # gives every run a fresh process (no leaked state across sims).
-        pool = multiprocessing.Pool(
-            processes=max(1, min(processes, len(batch))), maxtasksperchild=1
-        )
-        round_received = 0
-        try:
-            iterator = pool.imap_unordered(_pool_worker, payloads)
-            for _ in range(len(batch)):
-                run_started = time.time()
-                try:
-                    if timeout is not None and timeout > 0:
-                        # Grace over the in-worker alarm so the structured
-                        # timeout error normally wins; the watchdog only
-                        # fires for workers that died or wedged outright.
-                        index, status, payload = iterator.next(timeout + 5.0)
-                    else:
-                        index, status, payload = iterator.next()
-                except multiprocessing.TimeoutError:
-                    _log(
-                        log_stream,
-                        "watchdog: no result within budget — terminating "
-                        "pool and retrying outstanding runs",
-                    )
-                    break
-                except StopIteration:  # pragma: no cover - defensive
-                    break
-                round_received += 1
-                spec = pending[index]
-                if status == "ok":
-                    del pending[index]
-                    _store_result(store, spec, payload)
-                    report.executed += 1
-                    _log(
-                        log_stream,
-                        _progress(
-                            f"ok {spec.describe()} "
-                            f"({time.time() - run_started:.1f}s)"
-                        ),
-                    )
-                else:
-                    attempts[index] += 1
-                    if attempts[index] >= max_attempts:
-                        del pending[index]
-                        _fail(index, spec, payload)
-                    else:
-                        report.retried += 1
-                        _log(
-                            log_stream,
-                            f"retry {spec.describe()} "
-                            f"(attempt {attempts[index]}/{max_attempts}): "
-                            f"{payload}",
-                        )
-        finally:
-            pool.terminate()
-            pool.join()
-        if round_received == len(batch):
-            continue  # clean round; loop exits when pending is empty
-        # Specs submitted but never reported: a worker died or hung.
-        for index, spec in batch:
-            if index not in pending:
-                continue
-            attempts[index] += 1
-            if attempts[index] >= max_attempts:
-                del pending[index]
-                _fail(index, spec, "worker died or timed out without reporting")
-            else:
-                report.retried += 1
-        if pending:
-            _log(
-                log_stream,
-                f"round closed with {len(pending)} runs still pending",
-            )
-
-
 # ----------------------------------------------------------------------
 # assembly: figures from precomputed store results
 # ----------------------------------------------------------------------
 def store_runner(
-    store: "ResultStore", target: str, *, partial: bool = False, coverage=None
+    store: ResultStoreBase, target: str, *, partial: bool = False, coverage=None
 ):
     """An AbRunner that assembles AbResults from stored RunResults.
 
@@ -601,7 +448,7 @@ def store_runner(
 
 def assemble_target(
     target: str,
-    store: "ResultStore",
+    store: ResultStoreBase,
     *,
     runs: int,
     duration: float,
@@ -611,8 +458,7 @@ def assemble_target(
     """Render a target's artefact purely from stored results.
 
     Raises :class:`MissingRunError` when a required run is absent (e.g.
-    recorded as failed) — re-issue the campaign with ``--resume`` to fill
-    the gaps.  With ``partial=True`` an A/B target renders from the
+    recorded as failed) — re-issue the campaign to fill the gaps.  With ``partial=True`` an A/B target renders from the
     stored subset instead and the return value becomes ``(text, note)``
     where ``note`` states the coverage (``"partial: 17/48 runs
     stored"``); a target with *zero* stored runs still raises.
@@ -646,87 +492,3 @@ def assemble_target(
     if stored < planned:
         text = f"{text}\n  note: {note}"
     return text, note
-
-
-# ----------------------------------------------------------------------
-# the campaign driver
-# ----------------------------------------------------------------------
-def run_campaign(
-    targets: Sequence[str],
-    *,
-    store: Optional[ResultStoreBase] = None,
-    runs: int = 3,
-    duration: float = 200.0,
-    seed: int = 1,
-    processes: int = 1,
-    timeout: Optional[float] = None,
-    retries: int = 1,
-    resume: bool = False,
-    partial: bool = False,
-    log_stream=sys.stderr,
-) -> CampaignReport:
-    """Plan, execute and assemble a full campaign.
-
-    With ``resume=True`` runs already in the store are skipped; failures
-    recorded by earlier campaigns are always retried.  The report carries
-    the rendered artefact of every target whose runs all succeeded
-    (``outputs``) and an error note for the rest (``errors``).  With
-    ``partial=True`` a target with missing runs renders from the stored
-    subset instead (coverage note in ``partial_targets``) — the same
-    streaming-aggregation path the lease scheduler offers.
-    """
-    if retries < 0:
-        raise CampaignError("retries must be >= 0")
-    store = store if store is not None else ResultStore()
-    started = time.time()
-    target_list = resolve_targets(targets)
-    specs = plan_campaign(target_list, runs=runs, duration=duration, seed=seed)
-    report = CampaignReport(planned=len(specs))
-
-    to_run: List[RunSpec] = []
-    for spec in specs:
-        if resume and store.has(spec.key):
-            report.skipped += 1
-        else:
-            to_run.append(spec)
-    _log(
-        log_stream,
-        f"{len(specs)} runs planned for {len(target_list)} targets "
-        f"({report.skipped} already stored, {len(to_run)} to execute, "
-        f"processes={processes}, timeout="
-        f"{'off' if not timeout else f'{timeout:.0f}s'}, retries={retries})",
-    )
-    if to_run:
-        _execute_specs(
-            to_run,
-            store=store,
-            processes=processes,
-            timeout=timeout,
-            retries=retries,
-            report=report,
-            log_stream=log_stream,
-        )
-
-    for target in target_list:
-        try:
-            report.outputs[target] = assemble_target(
-                target, store, runs=runs, duration=duration, seed=seed
-            )
-        except MissingRunError as exc:
-            if partial:
-                try:
-                    text, note = assemble_target(
-                        target, store, runs=runs, duration=duration,
-                        seed=seed, partial=True,
-                    )
-                    report.outputs[target] = text
-                    report.partial_targets[target] = note
-                    _log(log_stream, f"assembled {target} partially ({note})")
-                    continue
-                except MissingRunError:
-                    pass
-            report.errors[target] = str(exc)
-            _log(log_stream, f"cannot assemble {target}: {exc}")
-    report.wall_time_s = time.time() - started
-    _log(log_stream, report.summary())
-    return report

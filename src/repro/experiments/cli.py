@@ -5,23 +5,20 @@ Examples::
     repro-experiments table1
     repro-experiments fig7a --runs 3 --duration 100 --processes 8
     repro-experiments fig7a --save --results-dir results --processes 8
-    repro-experiments campaign all --resume --processes 8 --timeout 900
-    repro-experiments campaign fig7 fig9 fig14a --resume
-    repro-experiments campaign all --backend sqlite --workers 4 --status-port 8642
-    repro-experiments status all --backend sqlite
+    repro-experiments campaign all --processes 8 --timeout 900
+    repro-experiments campaign fig7 fig9 fig14a --status-port 8642
+    repro-experiments status all
     repro-experiments explain inter-area --runs 2 --duration 100
     repro-experiments faults --runs 2 --duration 100 --processes 8
 
-``campaign`` is the fault-tolerant way to regenerate many artefacts: every
-individual simulation run lands in the persistent result store as it
-finishes, so an interrupted campaign re-issued with ``--resume`` executes
-only the missing runs (this replaces the old ``run_remaining*.sh``
-restart scripts, which re-ran everything).  ``--save`` on a single target
-routes it through the same store.  ``--backend sqlite`` keeps the records
-in one WAL database instead of one file per run, and ``--workers N``
-switches to the lease-based service scheduler: N independent worker
-processes that heartbeat their jobs and survive SIGKILL at any point
-(``status`` / ``--status-port`` expose live progress counters).
+``campaign`` is the fault-tolerant way to regenerate many artefacts: it
+runs the lease service with ``--processes N`` independent worker
+processes that heartbeat their jobs and survive SIGKILL at any point.
+Every simulation run lands in ``<results-dir>/results.sqlite`` as it
+finishes, so a re-issued campaign executes only the runs that are
+missing or failed.  ``--save`` on a single target routes it through the
+same service and store; ``status`` / ``--status-port`` expose live
+progress counters.
 
 ``explain`` runs seed-paired A/B simulations with the packet-lifecycle
 ledger enabled and reports where every application packet died — the
@@ -36,7 +33,7 @@ attack success and delivery ratio hold up off the ideal channel.
 store-backed resume semantics::
 
     repro-experiments urban --runs 2 --duration 100 --processes 8
-    repro-experiments campaign urban --resume --processes 8
+    repro-experiments campaign urban --processes 8
 """
 
 from __future__ import annotations
@@ -44,13 +41,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 from typing import List, Optional
 
-from repro.experiments.campaign import (
-    CampaignError,
-    TARGET_ALIASES,
-    run_campaign,
-)
+from repro.experiments.campaign import CampaignError, TARGET_ALIASES
 from repro.experiments.figures import (
     fig7,
     fig8,
@@ -61,11 +55,7 @@ from repro.experiments.figures import (
     fig14,
     tables,
 )
-from repro.experiments.store import (
-    DEFAULT_RESULTS_DIR,
-    STORE_BACKENDS,
-    open_store,
-)
+from repro.experiments.store import DEFAULT_RESULTS_DIR
 
 #: Targets that are single whole runs: per-run fan-out flags do not apply
 #: (warned about on stderr instead of silently ignored).
@@ -73,13 +63,11 @@ _SINGLE_RUN_TARGETS = ("table1", "table2", "fig12a", "fig12b", "fig13")
 
 #: (flag, namespace attribute, default) of every flag that only changes
 #: how *many parallel runs* execute — meaningless for a single
-#: deterministic run, whichever scheduler is in use.  The scheduler flags
-#: (``--workers``, ``--lease-ttl``, ``--heartbeat``) are warned about
-#: exactly like the historical ``--runs``/``--processes``.
+#: deterministic run.  The lease flags (``--lease-ttl``, ``--heartbeat``)
+#: are warned about exactly like ``--runs``/``--processes``.
 _FANOUT_FLAGS = (
     ("--runs", "runs", 3),
     ("--processes", "processes", 1),
-    ("--workers", "workers", 0),
     ("--lease-ttl", "lease_ttl", 60.0),
     ("--heartbeat", "heartbeat", None),
 )
@@ -179,74 +167,67 @@ def _run_target(name: str, args: argparse.Namespace) -> None:
     print(f"[{name} done in {time.time() - started:.1f}s]", file=sys.stderr)
 
 
-def _open_store(args: argparse.Namespace):
+def _campaign_store(args: argparse.Namespace):
+    from repro.experiments.sqlite_store import DB_NAME, SqliteResultStore
+
     try:
-        return open_store(
-            args.results_dir, backend=getattr(args, "backend", "json")
-        )
+        return SqliteResultStore(Path(args.results_dir) / DB_NAME)
     except Exception as exc:
         raise SystemExit(f"cannot open result store: {exc}")
 
 
+def _worker_settings(args: argparse.Namespace):
+    """The service's WorkerSettings from the command line's flags; exits
+    with the reason when a flag is out of range."""
+    from repro.experiments.service.scheduler import WorkerSettings
+
+    port = getattr(args, "status_port", None)
+    if port is not None and not 0 <= port <= 65535:
+        raise SystemExit("--status-port must be in [0, 65535]")
+    try:
+        return WorkerSettings(
+            lease_ttl=getattr(args, "lease_ttl", 60.0),
+            heartbeat_interval=getattr(args, "heartbeat", None),
+            timeout=getattr(args, "timeout", None),
+            max_attempts=getattr(args, "retries", 1) + 1,
+            checkpoint_interval=getattr(args, "checkpoint_interval", None),
+        )
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+
+
 def _run_saved(targets: List[str], args: argparse.Namespace) -> int:
-    """Route targets through the store (``--save`` / ``campaign``).
+    """Route targets through the service (``--save`` / ``campaign``).
 
-    Stored runs are reused, missing ones are executed and stored, and the
-    artefacts are assembled from the store.  Exit status is non-zero when
-    any run stayed failed or any artefact could not be assembled.
-
-    ``--workers N`` switches from the classic in-process pool to the
-    lease-based service scheduler: N independent worker processes against
-    the shared store, each surviving SIGKILL at any point.
+    ``--processes N`` independent worker processes execute the runs that
+    are not stored yet, each surviving SIGKILL at any point, and the
+    artefacts are assembled from the store.  Exit status is non-zero
+    when any run stayed failed or any artefact could not be assembled.
     """
-    store = _open_store(args)
+    from repro.experiments.service.scheduler import run_service_campaign
+
+    settings = _worker_settings(args)
+    store = _campaign_store(args)
     for name in targets:
         _warn_ignored_flags(name, args)
-    workers = getattr(args, "workers", 0)
     try:
-        if workers:
-            from repro.experiments.service.scheduler import run_service_campaign
-
-            if not getattr(args, "resume", True):
-                print(
-                    "warning: the lease scheduler always resumes from the "
-                    "store; ignoring --no-resume",
-                    file=sys.stderr,
-                )
-            report = run_service_campaign(
-                targets,
-                store=store,
-                workers=workers,
-                runs=args.runs,
-                duration=args.duration,
-                seed=args.seed,
-                timeout=args.timeout,
-                retries=args.retries,
-                lease_ttl=getattr(args, "lease_ttl", None),
-                heartbeat_interval=getattr(args, "heartbeat", None),
-                checkpoint_interval=getattr(args, "checkpoint_interval", None),
-                status_port=getattr(args, "status_port", None),
-                partial=getattr(args, "partial", False),
-                log_stream=sys.stderr,
-            )
-        else:
-            report = run_campaign(
-                targets,
-                store=store,
-                runs=args.runs,
-                duration=args.duration,
-                seed=args.seed,
-                processes=args.processes,
-                timeout=args.timeout,
-                retries=args.retries,
-                resume=args.resume,
-                partial=getattr(args, "partial", False),
-            )
+        report = run_service_campaign(
+            targets,
+            store=store,
+            workers=args.processes,
+            runs=args.runs,
+            duration=args.duration,
+            seed=args.seed,
+            settings=settings,
+            status_port=getattr(args, "status_port", None),
+            partial=getattr(args, "partial", False),
+            log_stream=sys.stderr,
+        )
     except (CampaignError, ValueError) as exc:
         raise SystemExit(str(exc))
     for name, text in report.outputs.items():
         _emit(text)
-    for name, note in getattr(report, "partial_targets", {}).items():
+    for name, note in report.partial_targets.items():
         print(f"note: {name}: {note}", file=sys.stderr)
     for name, error in report.errors.items():
         print(f"error: {name}: {error}", file=sys.stderr)
@@ -288,21 +269,18 @@ def _add_common_args(parser: argparse.ArgumentParser) -> None:
         "--duration", type=float, default=200.0, help="simulated seconds per run"
     )
     parser.add_argument(
-        "--processes", type=int, default=1, help="worker processes for runs"
+        "--processes",
+        type=int,
+        default=1,
+        help="worker processes for runs (store-backed commands: lease "
+        "service workers)",
     )
     parser.add_argument("--seed", type=int, default=1, help="base random seed")
     parser.add_argument(
         "--results-dir",
         default=DEFAULT_RESULTS_DIR,
-        help="persistent result store root (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=list(STORE_BACKENDS),
-        default="json",
-        help="result store backend: 'json' (one file per run, the "
-        "default) or 'sqlite' (one WAL database, for multi-worker "
-        "campaigns); records are interchangeable run for run",
+        help="directory of the result store, results.sqlite "
+        "(default: %(default)s)",
     )
 
 
@@ -371,11 +349,6 @@ def _build_campaign_parser() -> argparse.ArgumentParser:
     )
     _add_common_args(parser)
     parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip runs already in the store (recorded failures are retried)",
-    )
-    parser.add_argument(
         "--timeout",
         type=float,
         default=None,
@@ -393,16 +366,7 @@ def _build_campaign_parser() -> argparse.ArgumentParser:
 
 
 def _add_scheduler_args(parser: argparse.ArgumentParser) -> None:
-    """The lease-scheduler flags (campaign and sweep subcommands)."""
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="run via the lease scheduler with N independent worker "
-        "processes instead of the in-process pool (default: 0 = pool); "
-        "workers survive SIGKILL — the campaign resumes around them",
-    )
+    """The lease-service flags (campaign and sweep subcommands)."""
     parser.add_argument(
         "--lease-ttl",
         type=float,
@@ -444,53 +408,11 @@ def _add_scheduler_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _validate_scheduler_args(args: argparse.Namespace) -> None:
-    if getattr(args, "workers", 0) < 0:
-        raise SystemExit("--workers must be >= 0")
-    if getattr(args, "lease_ttl", 60.0) <= 0:
-        raise SystemExit("--lease-ttl must be > 0")
-    heartbeat = getattr(args, "heartbeat", None)
-    if heartbeat is not None and not 0 < heartbeat < args.lease_ttl:
-        raise SystemExit("--heartbeat must be in (0, --lease-ttl)")
-    port = getattr(args, "status_port", None)
-    if port is not None and not 0 <= port <= 65535:
-        raise SystemExit("--status-port must be in [0, 65535]")
-    checkpoint_interval = getattr(args, "checkpoint_interval", None)
-    if checkpoint_interval is not None and checkpoint_interval <= 0:
-        raise SystemExit("--checkpoint-interval must be > 0")
-    if getattr(args, "workers", 0) == 0:
-        # The pool path accepts but never reads the scheduler knobs; say
-        # so instead of silently swallowing them (mirrors the single-run
-        # target warnings).
-        ignored = [
-            f"{flag} {getattr(args, attr)}"
-            for flag, attr, default in (
-                ("--lease-ttl", "lease_ttl", 60.0),
-                ("--heartbeat", "heartbeat", None),
-                ("--status-port", "status_port", None),
-                ("--checkpoint-interval", "checkpoint_interval", None),
-            )
-            if getattr(args, attr, default) != default
-        ]
-        if ignored:
-            print(
-                f"warning: {' and '.join(ignored)} only apply to the lease "
-                "scheduler; pass --workers N to enable it",
-                file=sys.stderr,
-            )
-
-
 def _build_sweep_parser(name: str, description: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=f"repro-experiments {name}", description=description
     )
     _add_common_args(parser)
-    parser.add_argument(
-        "--no-resume",
-        dest="resume",
-        action="store_false",
-        help="re-execute runs even when they are already in the store",
-    )
     parser.add_argument(
         "--timeout",
         type=float,
@@ -546,20 +468,20 @@ def _run_status(args: argparse.Namespace) -> int:
     import json
 
     from repro.experiments.campaign import plan_campaign
-    from repro.experiments.service.leases import queue_for_store
+    from repro.experiments.service.leases import LeaseQueue
     from repro.experiments.service.status import StatusServer, progress_snapshot
 
-    store = _open_store(args)
+    store = _campaign_store(args)
     try:
         specs = plan_campaign(
             args.targets, runs=args.runs, duration=args.duration, seed=args.seed
         )
     except CampaignError as exc:
         raise SystemExit(str(exc))
-    # Read-only peek at the lease queue (if the store has one) so the
-    # report includes live workers, per-job checkpoint progress and
-    # last-heartbeat ages alongside the store counters.
-    queue = queue_for_store(store)
+    # Read-only peek at the lease queue so the report includes live
+    # workers, per-job checkpoint progress and last-heartbeat ages
+    # alongside the store counters.
+    queue = LeaseQueue(store)
     lease_ttl = getattr(args, "lease_ttl", 60.0)
     if args.serve is None:
         print(
@@ -598,8 +520,8 @@ def _build_target_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description="Regenerate tables/figures of the DSN'23 GeoNetworking "
-        "attack paper.  Use the 'campaign' subcommand for fault-tolerant "
-        "multi-target runs with resume.",
+        "attack paper.  Use the 'campaign' subcommand for fault-tolerant, "
+        "resumable multi-target runs.",
     )
     parser.add_argument(
         "target",
@@ -620,7 +542,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "campaign":
         args = _build_campaign_parser().parse_args(argv[1:])
-        _validate_scheduler_args(args)
         return _run_saved(args.targets, args)
     if argv and argv[0] == "explain":
         return _run_explain(_build_explain_parser().parse_args(argv[1:]))
@@ -634,7 +555,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "Sweep the inter-area attack over a frame-loss x node-churn "
             "impairment grid (store-backed and resumable).",
         ).parse_args(argv[1:])
-        _validate_scheduler_args(args)
         return _run_saved(["faults"], args)
     if argv and argv[0] == "urban":
         # Same store-backed pattern as 'faults': the 2x2x2-per-attack grid
@@ -644,7 +564,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "Sweep both attacks over {highway, urban} x {DCC off, on} x "
             "{CBF, S-FoT+} (store-backed and resumable).",
         ).parse_args(argv[1:])
-        _validate_scheduler_args(args)
         return _run_saved(["urban"], args)
     if argv and argv[0] == "detect":
         # Store-backed like 'faults'/'urban': the {variant} x {impairment}
@@ -655,7 +574,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "coordinated, mobile, adaptive} attackers x {clean, impaired} "
             "x {highway, urban} (store-backed and resumable).",
         ).parse_args(argv[1:])
-        _validate_scheduler_args(args)
         return _run_saved(["detect"], args)
     args = _build_target_parser().parse_args(argv)
     if args.target == "campaign":
@@ -667,10 +585,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.target == "status":
         raise SystemExit("usage: repro-experiments status <targets...>")
     if args.save:
-        # Single-target save behaves like a one-target resuming campaign.
-        args.resume = True
-        args.timeout = None
-        args.retries = 1
+        # Single-target save behaves like a one-target campaign.
         targets = ALL_TARGETS if args.target == "all" else [args.target]
         return _run_saved(targets, args)
     targets = ALL_TARGETS if args.target == "all" else [args.target]

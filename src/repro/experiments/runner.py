@@ -38,9 +38,8 @@ def alarm_deadline(timeout: Optional[float]) -> Iterator[None]:
     wall-clock seconds (``SIGALRM``-based, single-threaded runs only).
 
     ``None``/``0`` disables the guard, as does a platform without
-    ``SIGALRM``.  Shared by the campaign pool worker and the service
-    scheduler's lease workers so both enforce per-run budgets the same
-    way; the previous alarm handler is restored on exit.
+    ``SIGALRM``.  The service scheduler's lease workers enforce per-run
+    budgets with it; the previous alarm handler is restored on exit.
     """
     if not timeout or timeout <= 0 or not hasattr(signal, "SIGALRM"):
         yield
@@ -176,8 +175,8 @@ def expand_jobs(
     """The individual runs an A/B setting needs, in deterministic order.
 
     Shared by :func:`run_ab` (in-memory execution) and the campaign
-    orchestrator (store lookup + pool fan-out), so both agree exactly on
-    which ``(config, attacked, seed)`` runs make up a setting.
+    planner and assembler (store keys), so both agree exactly on which
+    ``(config, attacked, seed)`` runs make up a setting.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")

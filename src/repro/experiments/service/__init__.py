@@ -1,28 +1,22 @@
-"""The distributed campaign service layer.
+"""The campaign service: how every store-backed campaign executes.
 
-Splits the PR 2 single-process campaign runner into store-agnostic parts
-that scale to million-run sweeps:
-
-* :mod:`~repro.experiments.service.leases` — the lease-based job queue:
-  a pure state machine (pending → leased → done/failed with TTL expiry
-  and bounded attempts) plus two persistent queue implementations, one
-  per store backend (flock-serialised file queue, transactional SQLite
-  queue).
+* :mod:`~repro.experiments.service.leases` — the lease-based job queue
+  in the result store's SQLite database (pending → leased → done/failed
+  with TTL expiry and bounded attempts), plus the pure state machine it
+  is checked against.
 * :mod:`~repro.experiments.service.scheduler` — worker processes that
   lease jobs, heartbeat while simulating, and survive being SIGKILLed at
-  any point; plus :func:`run_service_campaign`, the multi-worker
-  counterpart of :func:`~repro.experiments.campaign.run_campaign`.
+  any point; plus :func:`run_service_campaign`, which plans a campaign,
+  supervises N local workers and assembles the artefacts.
 * :mod:`~repro.experiments.service.status` — a read-only stdlib HTTP
   endpoint serving live campaign progress counters.
 """
 
 from repro.experiments.service.leases import (
-    FileLeaseQueue,
     JobState,
     Lease,
     LeaseQueue,
     LeaseStateMachine,
-    SqliteLeaseQueue,
 )
 from repro.experiments.service.scheduler import (
     WorkerSettings,
@@ -32,12 +26,10 @@ from repro.experiments.service.scheduler import (
 from repro.experiments.service.status import StatusServer, progress_snapshot
 
 __all__ = [
-    "FileLeaseQueue",
     "JobState",
     "Lease",
     "LeaseQueue",
     "LeaseStateMachine",
-    "SqliteLeaseQueue",
     "StatusServer",
     "WorkerSettings",
     "progress_snapshot",

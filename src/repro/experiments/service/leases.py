@@ -1,37 +1,31 @@
-"""The lease-based job queue behind the distributed campaign scheduler.
+"""The lease-based job queue behind the campaign service.
 
 The queue holds one *job* per planned campaign run (keyed by the run's
-store path, ``target/config-hash/s<seed>-<af|atk>``).  Workers *lease* a
+store key, ``target/config-hash/s<seed>-<af|atk>``).  Workers *lease* a
 job for a TTL, *heartbeat* to keep the lease while the simulation runs,
 and either *complete* or *fail* it.  A worker that dies silently — power
 loss, OOM kill, SIGKILL — simply stops heartbeating: its lease expires
 and the job returns to the queue for any other worker, which is the whole
 crash-recovery story.  Attempts are counted per lease, so a job that
 keeps killing its workers ends ``failed`` after ``max_attempts`` instead
-of looping forever (the PR 2 watchdog's bounded retry, generalised).
+of looping forever.
 
-The transition rules live in one pure, clock-free class —
-:class:`LeaseStateMachine` — which the property-based suite
-(``tests/properties/test_lease_properties.py``) drives through arbitrary
-event interleavings.  The two persistent queues wrap that machine in a
-durable medium:
+:class:`LeaseQueue` keeps the queue in the ``jobs`` table of the result
+store's own SQLite database, every operation one ``BEGIN IMMEDIATE``
+transaction.  Because it shares the store's connection, a worker commits
+"result stored + lease completed" atomically.
 
-* :class:`FileLeaseQueue` — queue state in one atomically-rewritten JSON
-  file, with every operation serialised by an ``flock`` on a sidecar lock
-  file.  Pairs with the per-file JSON result store.
-* :class:`SqliteLeaseQueue` — queue state in the ``jobs`` table of the
-  SQLite result store's own database, every operation one ``BEGIN
-  IMMEDIATE`` transaction.  Because it shares the store's connection, a
-  worker can commit "result stored + lease completed" atomically.
+:class:`LeaseStateMachine` is the same protocol as a pure, clock-free
+reference model: the property-based suite
+(``tests/properties/test_lease_properties.py``) drives it through
+arbitrary event interleavings, and drives the queue and the machine side
+by side to check that they agree.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Dict, Iterable, Optional
 
 
@@ -75,7 +69,8 @@ class LeaseStateMachine:
 
     * every job is in exactly one of the four states;
     * at most one worker holds a live (unexpired) lease on a job;
-    * ``done`` and ``failed`` are terminal — no transition leaves them;
+    * ``done`` and ``failed`` are terminal — no transition leaves them
+      (only a later campaign's :meth:`LeaseQueue.seed` re-arms a job);
     * operations by a worker whose lease has expired or was re-granted
       are rejected (returned ``False``), never half-applied.
     """
@@ -106,19 +101,17 @@ class LeaseStateMachine:
         """Grant the first leasable job to ``worker``; None when drained.
 
         Leasable: ``pending``, or ``leased`` with an expired deadline (the
-        crashed-worker path).  Expired jobs whose attempts are exhausted
-        flip to ``failed`` here rather than being granted again.
+        crashed-worker path).  First, *every* expired job whose attempts
+        are exhausted flips to ``failed`` — not only those sorting before
+        the granted job — so which jobs turn failed never depends on
+        job-id order (the same sweep :class:`LeaseQueue` runs in SQL).
         """
+        for job in self._jobs.values():
+            if self._expired(job, now) and job.attempts >= self.max_attempts:
+                self._fail_terminal(job, "lease expired; attempts exhausted")
         for job_id in sorted(self._jobs):
             job = self._jobs[job_id]
-            if self._expired(job, now):
-                if job.attempts >= self.max_attempts:
-                    self._fail_terminal(job, "lease expired; attempts exhausted")
-                    continue
-                job.state = JobState.PENDING
-                job.worker = None
-                job.deadline = None
-            if job.state != JobState.PENDING:
+            if job.state != JobState.PENDING and not self._expired(job, now):
                 continue
             job.state = JobState.LEASED
             job.worker = worker
@@ -222,7 +215,7 @@ class LeaseStateMachine:
             and not self._expired(job, now)
         }
 
-    # -- (de)serialisation ---------------------------------------------
+    # -- snapshot -------------------------------------------------------
     def to_dict(self) -> Dict[str, Dict]:
         return {
             job_id: {
@@ -235,186 +228,20 @@ class LeaseStateMachine:
             for job_id, job in self._jobs.items()
         }
 
-    @classmethod
-    def from_dict(
-        cls, data: Dict[str, Dict], *, max_attempts: int
-    ) -> "LeaseStateMachine":
-        machine = cls(max_attempts=max_attempts)
-        for job_id, fields in data.items():
-            machine._jobs[job_id] = _Job(
-                state=fields["state"],
-                worker=fields.get("worker"),
-                deadline=fields.get("deadline"),
-                attempts=int(fields.get("attempts", 0)),
-                error=fields.get("error"),
-            )
-        return machine
-
 
 # ----------------------------------------------------------------------
-# persistent queues
+# the persistent queue
 # ----------------------------------------------------------------------
 class LeaseQueue:
-    """The durable queue contract shared by both backends.
-
-    All methods are safe to call from independent processes; ``clock`` is
-    injectable for tests but must be a wall clock in production — lease
-    deadlines are compared across processes.
-    """
-
-    def __init__(self, *, max_attempts: int = 3, clock: Callable[[], float] = time.time):
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        self.max_attempts = max_attempts
-        self.clock = clock
-
-    def seed(self, job_ids: Iterable[str]) -> int:
-        """Register jobs as pending; existing jobs are left untouched.
-        Returns how many were newly added."""
-        raise NotImplementedError
-
-    def lease(self, worker: str, *, ttl: float) -> Optional[Lease]:
-        raise NotImplementedError
-
-    def heartbeat(self, worker: str, job_id: str, *, ttl: float) -> bool:
-        raise NotImplementedError
-
-    def complete(self, worker: str, job_id: str) -> bool:
-        raise NotImplementedError
-
-    def fail(self, worker: str, job_id: str, error: str) -> Optional[str]:
-        raise NotImplementedError
-
-    def counts(self) -> Dict[str, int]:
-        raise NotImplementedError
-
-    def all_terminal(self) -> bool:
-        counts = self.counts()
-        return counts[JobState.PENDING] == 0 and counts[JobState.LEASED] == 0
-
-    def errors(self) -> Dict[str, str]:
-        raise NotImplementedError
-
-    def deadlines(self) -> Dict[str, float]:
-        """``{job_id: lease deadline}`` of the live leases — the status
-        surface turns these into last-heartbeat ages."""
-        raise NotImplementedError
-
-
-class FileLeaseQueue(LeaseQueue):
-    """Queue state in one JSON file, every operation under an ``flock``.
-
-    Queue operations are per *job* (a few per simulation run), not per
-    record, so a single exclusive lock is plenty — simplicity and
-    crash-safety over throughput.  The state file is rewritten atomically
-    (temp + ``os.replace``), so a worker killed mid-operation leaves the
-    previous consistent state behind and merely loses its own transition.
-    """
-
-    STATE_NAME = "queue.json"
-    LOCK_NAME = "queue.lock"
-
-    def __init__(
-        self,
-        root: "str | os.PathLike[str]",
-        *,
-        max_attempts: int = 3,
-        clock: Callable[[], float] = time.time,
-    ):
-        super().__init__(max_attempts=max_attempts, clock=clock)
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._state_path = self.root / self.STATE_NAME
-        self._lock_path = self.root / self.LOCK_NAME
-
-    def _locked(self):
-        import fcntl
-        from contextlib import contextmanager
-
-        @contextmanager
-        def guard():
-            fd = os.open(self._lock_path, os.O_CREAT | os.O_RDWR, 0o644)
-            try:
-                fcntl.flock(fd, fcntl.LOCK_EX)
-                yield
-            finally:
-                os.close(fd)  # closing releases the flock
-
-        return guard()
-
-    def _load(self) -> LeaseStateMachine:
-        try:
-            with open(self._state_path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            data = {}
-        return LeaseStateMachine.from_dict(data, max_attempts=self.max_attempts)
-
-    def _save(self, machine: LeaseStateMachine) -> None:
-        import tempfile
-
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=self.STATE_NAME + ".", suffix=".tmp", dir=self.root
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(machine.to_dict(), handle, separators=(",", ":"))
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, self._state_path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-
-    def _transact(self, fn):
-        with self._locked():
-            machine = self._load()
-            result = fn(machine)
-            self._save(machine)
-            return result
-
-    # -- queue ops ------------------------------------------------------
-    def seed(self, job_ids: Iterable[str]) -> int:
-        ids = list(job_ids)
-        return self._transact(lambda m: sum(1 for j in ids if m.add(j)))
-
-    def lease(self, worker: str, *, ttl: float) -> Optional[Lease]:
-        now = self.clock()
-        return self._transact(lambda m: m.lease(worker, now, ttl))
-
-    def heartbeat(self, worker: str, job_id: str, *, ttl: float) -> bool:
-        now = self.clock()
-        return self._transact(lambda m: m.heartbeat(worker, job_id, now, ttl))
-
-    def complete(self, worker: str, job_id: str) -> bool:
-        return self._transact(lambda m: m.complete(worker, job_id))
-
-    def fail(self, worker: str, job_id: str, error: str) -> Optional[str]:
-        return self._transact(lambda m: m.fail(worker, job_id, error))
-
-    def counts(self) -> Dict[str, int]:
-        with self._locked():
-            return self._load().counts(self.clock())
-
-    def errors(self) -> Dict[str, str]:
-        with self._locked():
-            return self._load().errors()
-
-    def deadlines(self) -> Dict[str, float]:
-        with self._locked():
-            return self._load().deadlines(self.clock())
-
-
-class SqliteLeaseQueue(LeaseQueue):
-    """Queue state in the SQLite store's ``jobs`` table.
+    """Queue state in the SQLite result store's ``jobs`` table.
 
     Shares the :class:`~repro.experiments.sqlite_store.SqliteResultStore`
     connection, so calls made inside ``store.batch()`` join the store's
     transaction — that is how a worker persists its result and completes
-    its lease in one atomic commit.
+    its lease in one atomic commit.  All methods are safe to call from
+    independent processes; ``clock`` is injectable for tests but must be
+    a wall clock in production — lease deadlines are compared across
+    processes.
     """
 
     def __init__(
@@ -424,26 +251,49 @@ class SqliteLeaseQueue(LeaseQueue):
         max_attempts: int = 3,
         clock: Callable[[], float] = time.time,
     ):
-        super().__init__(max_attempts=max_attempts, clock=clock)
+        if max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
         self.store = store
+        self.max_attempts = max_attempts
+        self.clock = clock
 
     # -- queue ops ------------------------------------------------------
     def seed(self, job_ids: Iterable[str]) -> int:
-        added = 0
+        """Arm jobs as pending; returns how many were armed.
+
+        New jobs are added.  A job an earlier campaign left terminal
+        (``failed``, or ``done`` although the caller found no stored
+        result) or holding an expired lease is re-armed with no attempts
+        and no error.  Pending jobs and live leases are left alone, so
+        campaigns sharing one store cooperate.
+        """
+        now = self.clock()
+        armed = 0
         with self.store._txn() as conn:
             for job_id in job_ids:
                 cursor = conn.execute(
-                    "INSERT OR IGNORE INTO jobs (job_id, state, attempts) "
-                    "VALUES (?, ?, 0)",
-                    (job_id, JobState.PENDING),
+                    "INSERT INTO jobs (job_id, state, attempts) "
+                    "VALUES (?, ?, 0) "
+                    "ON CONFLICT (job_id) DO UPDATE SET state=excluded.state, "
+                    "worker=NULL, deadline=NULL, attempts=0, error=NULL "
+                    "WHERE state IN (?, ?) OR (state=? AND deadline<=?)",
+                    (
+                        job_id,
+                        JobState.PENDING,
+                        JobState.DONE,
+                        JobState.FAILED,
+                        JobState.LEASED,
+                        now,
+                    ),
                 )
-                added += cursor.rowcount
-        return added
+                armed += cursor.rowcount
+        return armed
 
     def lease(self, worker: str, *, ttl: float) -> Optional[Lease]:
         now = self.clock()
         with self.store._txn() as conn:
-            # Expired leases out of attempts turn failed in the same sweep.
+            # Every expired lease out of attempts turns failed first, so
+            # the sweep never depends on which job the grant picks.
             conn.execute(
                 "UPDATE jobs SET state=?, worker=NULL, deadline=NULL, "
                 "error='lease expired; attempts exhausted' "
@@ -519,6 +369,19 @@ class SqliteLeaseQueue(LeaseQueue):
             result[str(state)] = result.get(str(state), 0) + int(n)
         return result
 
+    def all_terminal(self) -> bool:
+        """True when no job is pending or holds a live lease."""
+        counts = self.counts()
+        return counts[JobState.PENDING] == 0 and counts[JobState.LEASED] == 0
+
+    def retried(self, job_ids: Iterable[str]) -> int:
+        """Attempts beyond each job's first, summed over ``job_ids``."""
+        wanted = set(job_ids)
+        rows = self.store._conn().execute(
+            "SELECT job_id, attempts FROM jobs WHERE attempts>1"
+        ).fetchall()
+        return sum(int(n) - 1 for job_id, n in rows if job_id in wanted)
+
     def errors(self) -> Dict[str, str]:
         rows = self.store._conn().execute(
             "SELECT job_id, error FROM jobs WHERE state=?",
@@ -537,45 +400,6 @@ class SqliteLeaseQueue(LeaseQueue):
 
 
 def job_id_for(key) -> str:
-    """The queue job id of a store key: its store path, minus ``.json``."""
-    stem = key.filename
-    if stem.endswith(".json"):
-        stem = stem[: -len(".json")]
-    return f"{key.target}/{key.config_hash}/{stem}"
-
-
-def queue_for_store(
-    store,
-    *,
-    max_attempts: int = 3,
-    clock: Callable[[], float] = time.time,
-) -> LeaseQueue:
-    """The matching lease queue for a result store backend.
-
-    SQLite stores get the transactional in-database queue; everything
-    else gets a :class:`FileLeaseQueue` in a ``_queue/`` directory beside
-    the store's records.
-    """
-    from repro.experiments.sqlite_store import SqliteResultStore
-    from repro.experiments.store import ResultStore
-
-    if isinstance(store, SqliteResultStore):
-        return SqliteLeaseQueue(store, max_attempts=max_attempts, clock=clock)
-    if isinstance(store, ResultStore):
-        return FileLeaseQueue(
-            Path(store.root) / "_queue", max_attempts=max_attempts, clock=clock
-        )
-    raise TypeError(f"no lease queue for store type {type(store).__name__}")
-
-
-# Re-exported for convenience in tests and the scheduler.
-__all__ = [
-    "FileLeaseQueue",
-    "JobState",
-    "Lease",
-    "LeaseQueue",
-    "LeaseStateMachine",
-    "SqliteLeaseQueue",
-    "job_id_for",
-    "queue_for_store",
-]
+    """The queue job id of a store key."""
+    mode = "atk" if key.attacked else "af"
+    return f"{key.target}/{key.config_hash}/s{key.seed}-{mode}"

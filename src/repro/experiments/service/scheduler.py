@@ -1,42 +1,36 @@
-"""Leased multi-worker campaign execution.
+"""Leased multi-worker campaign execution — the one campaign executor.
 
-:func:`run_service_campaign` is the scale-out counterpart of
-:func:`~repro.experiments.campaign.run_campaign`: instead of one parent
-feeding a ``multiprocessing`` pool, N *independent* worker processes pull
-jobs from a shared lease queue and write results to a shared store.  The
-workers coordinate through the queue alone — no pipes, no shared memory —
-so any of them can be SIGKILLed, OOM-killed or power-cycled at any
-instant and the campaign still completes:
+:func:`run_service_campaign` runs N *independent* worker processes that
+pull jobs from the lease queue in the store's SQLite database and write
+results to the same store.  The workers coordinate through the queue
+alone — no pipes, no shared memory — so any of them can be SIGKILLed,
+OOM-killed or power-cycled at any instant and the campaign still
+completes:
 
 * killed **mid-run**: the lease stops being heartbeaten, expires after
   its TTL, and another worker re-leases and re-executes the job (runs are
-  deterministic, so the re-execution writes the identical record);
-* killed **mid-commit**: the SQLite backend commits "result + lease
-  completion" as one transaction (neither or both); the JSON backend
-  writes the record first, atomically, so the worst case is a stored
-  result with a dangling lease — the next leaseholder sees the record
-  already present and completes the job *without re-running it*;
+  deterministic, so the re-execution writes the identical record; with
+  checkpointing on, it resumes from the newest checkpoint);
+* killed **mid-commit**: "result + lease completion + checkpoint GC"
+  commit as one transaction, so either all of it lands or none does;
 * killed **between jobs**: nothing was held; the parent respawns the
   worker (bounded) or the remaining workers drain the queue.
 
-Attempts are bounded per job (the PR 2 watchdog's bounded retry,
-generalised): a job whose workers keep dying turns terminally ``failed``
-and is recorded in the store as a ``failure`` record, retried by the next
-campaign.
+Attempts are bounded per job: a job whose workers keep failing or dying
+turns terminally ``failed`` and is recorded in the store as a
+``failure``, which the next campaign retries.
 
 Workers are spawned with the ``fork`` start method so tests can
-substitute :func:`repro.experiments.campaign.execute_spec` in the parent
-(the same crash-injection idiom the pool tests use).
+substitute :func:`repro.experiments.campaign.execute_spec` in the parent.
 """
 
 from __future__ import annotations
 
-import inspect
 import multiprocessing
 import os
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.campaign import (
@@ -49,13 +43,8 @@ from repro.experiments.campaign import (
     resolve_targets,
 )
 from repro.experiments.runner import RunTimeout, alarm_deadline
-from repro.experiments.service.leases import (
-    JobState,
-    LeaseQueue,
-    job_id_for,
-    queue_for_store,
-)
-from repro.experiments.store import ResultStoreBase
+from repro.experiments.service.leases import JobState, LeaseQueue, job_id_for
+from repro.experiments.sqlite_store import SqliteResultStore
 
 
 @dataclass(frozen=True)
@@ -136,7 +125,7 @@ class _Heartbeat:
 
 def worker_loop(
     worker_id: str,
-    store: ResultStoreBase,
+    store: SqliteResultStore,
     queue: LeaseQueue,
     specs_by_job: Dict[str, RunSpec],
     settings: WorkerSettings,
@@ -174,26 +163,17 @@ def worker_loop(
             completed += 1
             _wlog(log_stream, worker_id, f"adopted stored {spec.describe()}")
             continue
-        # Checkpointing rides an optional kwarg so fork-inherited test
-        # substitutes of execute_spec (single-argument crash injectors)
-        # keep working unmodified.
-        exec_kwargs = {}
-        if settings.checkpoint_interval is not None:
-            try:
-                parameters = inspect.signature(
-                    campaign_mod.execute_spec
-                ).parameters
-            except (TypeError, ValueError):  # pragma: no cover - defensive
-                parameters = {}
-            if "checkpoints" in parameters:
-                exec_kwargs["checkpoints"] = (
-                    store,
-                    settings.checkpoint_interval,
-                )
+        checkpoints = (
+            None
+            if settings.checkpoint_interval is None
+            else (store, settings.checkpoint_interval)
+        )
         with _Heartbeat(queue, worker_id, lease.job_id, settings) as heartbeat:
             try:
                 with alarm_deadline(settings.timeout):
-                    result = campaign_mod.execute_spec(spec, **exec_kwargs)
+                    result = campaign_mod.execute_spec(
+                        spec, checkpoints=checkpoints
+                    )
             except BaseException as exc:
                 error = f"{type(exc).__name__}: {exc}"
                 state = queue.fail(worker_id, lease.job_id, error)
@@ -217,10 +197,9 @@ def worker_loop(
                 store.delete_checkpoint(spec.key)
             _wlog(log_stream, worker_id, f"lost lease on {spec.describe()}")
             continue
-        # Persist + complete atomically where the backend can (SQLite:
-        # one transaction; JSON: atomic record write, then completion).
-        # The run's checkpoint is garbage-collected in the same commit —
-        # completed runs never leave checkpoint debris behind.
+        # Persist + complete in one transaction.  The run's checkpoint is
+        # garbage-collected in the same commit — completed runs never
+        # leave checkpoint debris behind.
         with store.batch():
             _store_result(store, spec, result)
             store.delete_checkpoint(spec.key)
@@ -242,7 +221,7 @@ def _wlog(stream, worker_id: str, message: str) -> None:
 
 def _worker_entry(
     worker_id: str,
-    store: ResultStoreBase,
+    store: SqliteResultStore,
     queue: LeaseQueue,
     specs_by_job: Dict[str, RunSpec],
     settings: WorkerSettings,
@@ -262,7 +241,7 @@ def _worker_entry(
 
 def spawn_worker(
     worker_id: str,
-    store: ResultStoreBase,
+    store: SqliteResultStore,
     queue: LeaseQueue,
     specs_by_job: Dict[str, RunSpec],
     settings: WorkerSettings,
@@ -286,69 +265,45 @@ def spawn_worker(
     return process
 
 
-@dataclass
-class ServiceReport(CampaignReport):
-    """A campaign report plus service-layer counters."""
-
-    workers: int = 0
-    respawned: int = 0
-    partial_targets: Dict[str, str] = field(default_factory=dict)
-
-
 def run_service_campaign(
     targets: Sequence[str],
     *,
-    store: ResultStoreBase,
+    store: SqliteResultStore,
     workers: int = 2,
     runs: int = 3,
     duration: float = 200.0,
     seed: int = 1,
     settings: Optional[WorkerSettings] = None,
-    retries: Optional[int] = None,
-    timeout: Optional[float] = None,
-    lease_ttl: Optional[float] = None,
-    heartbeat_interval: Optional[float] = None,
-    checkpoint_interval: Optional[float] = None,
     status_port: Optional[int] = None,
     partial: bool = False,
-    respawn_budget: Optional[int] = None,
     log_stream=None,
-) -> ServiceReport:
+) -> CampaignReport:
     """Run a campaign with N leased worker processes against one store.
 
-    Always resume-semantics: runs already in the store are skipped —
-    that is the service's reason to exist.  With ``status_port`` a
-    read-only HTTP endpoint serves live progress counters for the
-    campaign's duration (port 0 picks a free port).  With ``partial``,
-    targets whose runs are incomplete render from whatever is stored
-    (flagged with a coverage note) instead of erroring.
+    Always resume-semantics: runs already in the store are skipped, and
+    every other planned run is (re-)armed in the queue — including runs
+    an earlier campaign left failed.  With ``status_port`` a read-only
+    HTTP endpoint serves live progress counters for the campaign's
+    duration (port 0 picks a free port).  With ``partial``, targets whose
+    runs are incomplete render from whatever is stored (flagged with a
+    coverage note) instead of erroring.
 
     The parent is a supervisor, not a scheduler: it seeds the queue,
-    keeps ``workers`` processes alive (respawning dead ones within
-    ``respawn_budget``), and assembles artefacts at the end.  All actual
-    scheduling happens in the queue's lease transitions.
+    keeps ``workers`` processes alive (respawning dead ones, at most
+    ``workers * max_attempts`` times), and assembles artefacts at the
+    end.  All actual scheduling happens in the queue's lease transitions.
     """
     from repro.experiments.service.status import StatusServer, progress_snapshot
 
     if workers < 1:
         raise ValueError("workers must be >= 1")
     settings = settings or WorkerSettings()
-    if lease_ttl is not None:
-        settings = replace(settings, lease_ttl=lease_ttl)
-    if heartbeat_interval is not None:
-        settings = replace(settings, heartbeat_interval=heartbeat_interval)
-    if timeout is not None:
-        settings = replace(settings, timeout=timeout)
-    if retries is not None:
-        settings = replace(settings, max_attempts=retries + 1)
-    if checkpoint_interval is not None:
-        settings = replace(settings, checkpoint_interval=checkpoint_interval)
 
     started = time.time()
     target_list = resolve_targets(targets)
     specs = plan_campaign(target_list, runs=runs, duration=duration, seed=seed)
     specs_by_job = {job_id_for(spec.key): spec for spec in specs}
-    report = ServiceReport(planned=len(specs), workers=workers)
+    report = CampaignReport(planned=len(specs), workers=workers)
 
     to_run: List[RunSpec] = []
     for spec in specs:
@@ -356,9 +311,10 @@ def run_service_campaign(
             report.skipped += 1
         else:
             to_run.append(spec)
+    to_run_jobs = [job_id_for(spec.key) for spec in to_run]
 
-    queue = queue_for_store(store, max_attempts=settings.max_attempts)
-    queue.seed(job_id_for(spec.key) for spec in to_run)
+    queue = LeaseQueue(store, max_attempts=settings.max_attempts)
+    queue.seed(to_run_jobs)
     _log(
         log_stream,
         f"{len(specs)} runs planned for {len(target_list)} targets "
@@ -379,11 +335,7 @@ def run_service_campaign(
         status_server.start()
         _log(log_stream, f"status endpoint on http://127.0.0.1:{status_server.port}/status")
 
-    budget = (
-        respawn_budget
-        if respawn_budget is not None
-        else workers * settings.max_attempts
-    )
+    budget = workers * settings.max_attempts
     procs: Dict[str, multiprocessing.Process] = {}
     try:
         if to_run:
@@ -433,16 +385,17 @@ def run_service_campaign(
             status_server.stop()
 
     # Fold queue outcomes into the report and the store's failure records.
+    # The store is the ground truth: a job whose result is stored (a late
+    # completion the queue rejected, or a stale failed row) has not
+    # failed, and its record must never be overwritten by a failure.
     for job_id, error in queue.errors().items():
         spec = specs_by_job.get(job_id)
-        if spec is None:
+        if spec is None or store.has(spec.key):
             continue
         report.failed.append((spec, error))
-        if store.get_failure(spec.key) is None:
-            store.put_failure(spec.key, error)
-    report.executed = sum(
-        1 for spec in to_run if store.has(spec.key)
-    )
+        store.put_failure(spec.key, error)
+    report.executed = sum(1 for spec in to_run if store.has(spec.key))
+    report.retried = queue.retried(to_run_jobs)
 
     for target in target_list:
         try:
@@ -478,7 +431,6 @@ def _log(stream, message: str) -> None:
 # a run exceeds its budget); re-exported for callers.
 __all__ = [
     "RunTimeout",
-    "ServiceReport",
     "WorkerSettings",
     "run_service_campaign",
     "spawn_worker",

@@ -1,30 +1,36 @@
-"""SQLite result-store backend: one WAL-mode database instead of 10^6 files.
+"""The result store: one WAL-mode SQLite database per campaign directory.
 
-Records are byte-identical to the JSON backend's — the same schema-versioned
-dict, serialised as canonical JSON into a ``payload`` column keyed by
-``(target, config_hash, seed, attacked)`` — so the two backends are
-interchangeable run for run (the store contract tests pin this parity).
-What changes is the medium:
+Each record is the schema-versioned dict of
+:class:`~repro.experiments.store.ResultStoreBase`, serialised as compact
+JSON into a ``payload`` column keyed by ``(target, config_hash, seed,
+attacked)``.  The same database holds the lease queue's ``jobs`` table
+(:mod:`repro.experiments.service.leases`) and the run checkpoints:
 
 * **WAL mode** — readers never block writers; independent worker
   processes append concurrently through their own connections, serialised
   only at commit (``busy_timeout`` absorbs contention instead of erroring).
 * **Batched atomic appends** — :meth:`SqliteResultStore.batch` coalesces
   every write inside the block into one transaction.  The lease queue
-  (:mod:`repro.experiments.service.leases`) rides the same connection, so
-  a worker can persist a result *and* complete its lease atomically: a
-  SIGKILL mid-commit leaves either both or neither, never a half state.
-* **Quarantine parity** — a row whose payload no longer parses is moved
-  to a ``quarantine`` table (evidence preserved, key reads as absent and
-  is rewritable), mirroring the JSON backend's ``*.json.corrupt`` rename.
+  rides the same connection, so a worker persists its result, completes
+  its lease and drops the run's checkpoint in one commit: a SIGKILL
+  mid-commit leaves either all or none of it, never a half state.
+* **Quarantine** — a row whose payload no longer parses is moved to a
+  ``quarantine`` table (evidence preserved, key reads as absent and is
+  rewritable).
 * **Schema versioning** — rows from an incompatible ``schema`` read as
-  absent but stay in place, exactly like the JSON backend.
+  absent but stay in place as version-skew evidence.
+
+The records are plain JSON text, so the stdlib ``sqlite3`` shell reads
+them without this package::
+
+    sqlite3 results/results.sqlite \
+        "SELECT target, seed, attacked, kind FROM records"
 
 Connections are per-thread and per-process: a store object that crosses
-a ``fork`` (the campaign pool, service workers) transparently reopens
-its connection in the child, and every thread (status-endpoint handlers,
-lease heartbeats) gets its own connection — SQLite connections must not
-be shared across forks or threads.
+a ``fork`` (the service workers) transparently reopens its connection in
+the child, and every thread (status-endpoint handlers, lease heartbeats)
+gets its own connection — SQLite connections must not be shared across
+forks or threads.
 """
 
 from __future__ import annotations
@@ -47,6 +53,9 @@ from repro.experiments.store import (
 #: Bumped when the *database* layout (tables/columns) changes incompatibly.
 #: Independent of the record SCHEMA_VERSION, which versions payload dicts.
 DB_FORMAT_VERSION = 1
+
+#: The database file a campaign keeps in its results directory.
+DB_NAME = "results.sqlite"
 
 _CREATE_SQL = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -231,9 +240,9 @@ class SqliteResultStore(ResultStoreBase):
 
     def get_record(self, key: RunKey) -> Optional[Dict[str, Any]]:
         """The raw record for ``key``; None if absent, quarantined, or from
-        an incompatible schema version (kept in place, like the JSON
-        backend).  An unparseable payload is moved to the ``quarantine``
-        table so the key reads as absent and is re-run on resume."""
+        an incompatible schema version (kept in place).  An unparseable
+        payload is moved to the ``quarantine`` table so the key reads as
+        absent and is re-run by the next campaign."""
         row = self._conn().execute(
             "SELECT schema, payload FROM records "
             "WHERE target=? AND config_hash=? AND seed=? AND attacked=?",
@@ -285,6 +294,12 @@ class SqliteResultStore(ResultStoreBase):
         )
 
     # -- checkpoints -----------------------------------------------------
+    # Checkpoints live apart from run records: one envelope per key,
+    # overwritten in place, invisible to ``iter_keys``/``has``/``count``
+    # and deleted when the run commits.  An envelope that does not parse
+    # is quarantined here; one that parses but fails validation is
+    # quarantined by the resume layer via ``quarantine_checkpoint`` —
+    # either way the run restarts from scratch.
     def put_checkpoint(self, key: RunKey, envelope: Dict[str, Any]) -> RunKey:
         payload = json.dumps(envelope, separators=(",", ":"))
         try:
@@ -404,10 +419,3 @@ class SqliteResultStore(ResultStoreBase):
         return int(
             self._conn().execute("SELECT COUNT(*) FROM records").fetchone()[0]
         )
-
-    def kind_counts(self) -> Dict[str, int]:
-        """``{kind: row count}`` in one query (status-endpoint helper)."""
-        rows = self._conn().execute(
-            "SELECT kind, COUNT(*) FROM records GROUP BY kind"
-        ).fetchall()
-        return {str(kind): int(n) for kind, n in rows}

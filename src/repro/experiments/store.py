@@ -1,24 +1,17 @@
-"""The persistent result store for experiment campaigns.
+"""The record format of the persistent result store.
 
 Every simulated run is identified by a :class:`RunKey` — ``(target,
-config-hash, seed, attacked)``.  Storage is pluggable behind
-:class:`ResultStoreBase` (see :func:`open_store`): the default JSON
-backend below keeps one file per run and stays bit-identical to the
-historical layout; :class:`~repro.experiments.sqlite_store.SqliteResultStore`
-keeps the same records as rows of one WAL-mode database for
-campaign-scale fan-out.  In the JSON backend each run is one file under
-the store root (``results/`` by default)::
-
-    results/<target>/<config-hash>/s<seed>-<atk|af>.json
+config-hash, seed, attacked)`` — and persisted as one schema-versioned
+record in the campaign's SQLite database
+(:class:`~repro.experiments.sqlite_store.SqliteResultStore`,
+``results/results.sqlite`` by default).
 
 The config hash is content-addressed: a SHA-256 over the canonical JSON
 serialisation of the full :class:`~repro.experiments.config.ExperimentConfig`
 (nested dataclasses, enums and the radio technology included), so two runs
-share a file if and only if they simulate the identical scenario.  Writes
-are atomic (temp file + ``os.replace``) — a campaign killed mid-write never
-leaves a truncated record behind — and every record carries a schema
-version; records written by an incompatible schema are treated as absent
-and re-run rather than mis-parsed.
+share a record if and only if they simulate the identical scenario.  Every
+record carries a schema version; records written by an incompatible schema
+are treated as absent and re-run rather than mis-parsed.
 
 Three record kinds exist:
 
@@ -26,8 +19,8 @@ Three record kinds exist:
   figure substrate);
 * ``text`` — a rendered artefact for targets that are not A/B sweeps
   (tables, Fig 12/13, the overhead report);
-* ``failure`` — a run that exhausted its retries; kept for forensics,
-  reported by the campaign, and retried on the next ``--resume``.
+* ``failure`` — a run that exhausted its attempts; kept for forensics,
+  reported by the campaign, and retried by the next campaign.
 """
 
 from __future__ import annotations
@@ -36,24 +29,17 @@ import dataclasses
 import enum
 import hashlib
 import json
-import os
-import tempfile
-from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Optional
 
 from repro.experiments.metrics import BinnedRates, PacketOutcome
 from repro.experiments.runner import RunResult
 
-#: Bumped whenever the on-disk record layout changes incompatibly.
+#: Bumped whenever the stored record layout changes incompatibly.
 SCHEMA_VERSION = 1
 
-#: Default store root, relative to the working directory.
+#: Default store directory, relative to the working directory.
 DEFAULT_RESULTS_DIR = "results"
-
-#: Subdirectory (JSON backend) holding checkpoint envelopes for a config.
-CHECKPOINT_DIRNAME = "_ckpt"
 
 
 class StoreError(RuntimeError):
@@ -107,10 +93,6 @@ class RunKey:
     def __post_init__(self):
         if not self.target or "/" in self.target:
             raise StoreError(f"invalid target name {self.target!r}")
-
-    @property
-    def filename(self) -> str:
-        return f"s{self.seed}-{'atk' if self.attacked else 'af'}.json"
 
     @staticmethod
     def for_config(
@@ -201,70 +183,21 @@ def run_result_from_dict(data: Dict[str, Any]) -> RunResult:
 
 
 # ----------------------------------------------------------------------
-# the backend contract
+# the record format
 # ----------------------------------------------------------------------
 class ResultStoreBase:
-    """The store contract every result backend implements.
+    """The record kinds and their schema-versioned dict format.
 
-    A backend persists schema-versioned record dicts keyed by
-    :class:`RunKey` and guarantees, whatever the medium:
+    The medium (:class:`~repro.experiments.sqlite_store.SqliteResultStore`)
+    supplies ``_write_record`` and ``get_record``; everything built on
+    them — which fields a ``run``, ``text`` or ``failure`` record carries,
+    and which kinds count as done — lives here.
 
-    * **atomic writes** — a writer killed mid-record never leaves a
-      half-written record visible to readers;
-    * **schema versioning** — a record whose ``schema`` differs from
-      :data:`SCHEMA_VERSION` reads as absent (re-run, never mis-parsed)
-      but is left in place as version-skew evidence;
-    * **quarantine** — a record that exists but cannot be parsed is moved
-      aside (readable as absent, rewritable, evidence preserved);
-    * **concurrent writers** — independent processes may write disjoint
-      (or even identical) keys simultaneously without corrupting records.
-
-    Subclasses implement the raw-record primitives (:meth:`_write_record`,
-    :meth:`get_record`, :meth:`iter_keys`, :meth:`quarantine_count`); the
-    record-kind API (``put_run``/``get_run``/…) is shared so every backend
-    produces byte-identical record dicts — the parity the contract test
-    suite (``tests/experiments/test_store_contract.py``) pins.
-
-    The shared contract is deliberately append/overwrite-only: campaign
-    runs are deterministic, so re-executing a key overwrites it with the
-    identical record and every write is idempotent.
+    Writes are deliberately overwrite-only: campaign runs are
+    deterministic, so re-executing a key overwrites it with the identical
+    record and every write is idempotent.
     """
 
-    # -- primitives (backend-specific) ----------------------------------
-    def _write_record(self, key: RunKey, record: Dict[str, Any]) -> Any:
-        raise NotImplementedError
-
-    def get_record(self, key: RunKey) -> Optional[Dict[str, Any]]:
-        """The raw record for ``key``; None if absent, quarantined, or
-        from an incompatible schema version."""
-        raise NotImplementedError
-
-    def iter_keys(self) -> Iterator[RunKey]:
-        """Every key with any record (including failures), sorted."""
-        raise NotImplementedError
-
-    def quarantine_count(self) -> int:
-        """How many corrupt records have been moved aside."""
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        """One-line backend identification for logs and status output."""
-        return type(self).__name__
-
-    # -- batched appends ------------------------------------------------
-    @contextmanager
-    def batch(self) -> Iterator["ResultStoreBase"]:
-        """Group writes into one atomic append where the backend can.
-
-        The JSON backend is per-file atomic already, so this is a no-op
-        there; the SQLite backend coalesces everything written inside the
-        ``with`` block into a single transaction — either all records land
-        or none do (the mid-commit crash guarantee the recovery tests
-        exercise).
-        """
-        yield self
-
-    # -- shared record-kind API -----------------------------------------
     def _base_record(self, key: RunKey, kind: str) -> Dict[str, Any]:
         return {
             "schema": SCHEMA_VERSION,
@@ -307,7 +240,7 @@ class ResultStoreBase:
         return record["text"]
 
     def put_failure(self, key: RunKey, error: str) -> Any:
-        """Record a run that exhausted its retries (retried on resume)."""
+        """Record a run that exhausted its attempts (retried next campaign)."""
         record = self._base_record(key, "failure")
         record["error"] = error
         return self._write_record(key, record)
@@ -322,250 +255,3 @@ class ResultStoreBase:
         """Whether a *successful* (run or text) record exists for ``key``."""
         record = self.get_record(key)
         return record is not None and record.get("kind") in ("run", "text")
-
-    def count(self) -> int:
-        return sum(1 for _ in self.iter_keys())
-
-    # -- checkpoints -----------------------------------------------------
-    # Checkpoints live in a separate namespace from run records: one
-    # envelope per key, overwritten in place (the newest checkpoint is the
-    # only one kept), invisible to ``iter_keys``/``has``/``count`` and
-    # garbage-collected when the run completes.  An envelope that cannot
-    # even be parsed is quarantined by ``get_checkpoint`` itself; one that
-    # parses but fails validation (version skew, digest mismatch) is
-    # quarantined by the *resume* layer via ``quarantine_checkpoint`` —
-    # either way the key reads as checkpoint-less and the run restarts
-    # from scratch.
-
-    def put_checkpoint(self, key: RunKey, envelope: Dict[str, Any]) -> Any:
-        """Persist the (single) checkpoint envelope for ``key``."""
-        raise NotImplementedError
-
-    def get_checkpoint(self, key: RunKey) -> Optional[Dict[str, Any]]:
-        """The stored checkpoint envelope, or None; quarantines garbage."""
-        raise NotImplementedError
-
-    def delete_checkpoint(self, key: RunKey) -> None:
-        """Drop the checkpoint for ``key`` (no-op when absent)."""
-        raise NotImplementedError
-
-    def quarantine_checkpoint(self, key: RunKey, reason: str) -> None:
-        """Move an invalid checkpoint aside (evidence kept, key reads
-        checkpoint-less); best-effort, never raises."""
-        raise NotImplementedError
-
-    def checkpoint_quarantine_count(self) -> int:
-        """How many invalid checkpoints have been moved aside."""
-        raise NotImplementedError
-
-    def checkpoint_sim_time(self, key: RunKey) -> Optional[float]:
-        """The stored checkpoint's simulation time, or None.
-
-        Status/monitoring helper — backends may answer from metadata
-        without materialising the payload."""
-        envelope = self.get_checkpoint(key)
-        if envelope is None:
-            return None
-        try:
-            return float(envelope["sim_time"])
-        except (KeyError, TypeError, ValueError):
-            return None
-
-
-# ----------------------------------------------------------------------
-# the JSON backend (the default)
-# ----------------------------------------------------------------------
-class ResultStore(ResultStoreBase):
-    """A directory of atomically-written, schema-versioned run records."""
-
-    def __init__(self, root: "str | os.PathLike[str]" = DEFAULT_RESULTS_DIR):
-        self.root = Path(root)
-
-    def describe(self) -> str:
-        return f"json:{self.root}"
-
-    # -- paths ----------------------------------------------------------
-    def path_for(self, key: RunKey) -> Path:
-        return self.root / key.target / key.config_hash / key.filename
-
-    def checkpoint_path_for(self, key: RunKey) -> Path:
-        """Checkpoint envelopes live under ``<hash>/_ckpt/`` so the run
-        record globs (``s*-*.json`` one level up) never see them."""
-        return (
-            self.root
-            / key.target
-            / key.config_hash
-            / CHECKPOINT_DIRNAME
-            / key.filename
-        )
-
-    # -- raw records ----------------------------------------------------
-    def _write_record(self, key: RunKey, record: Dict[str, Any]) -> Path:
-        """Atomically write ``record`` for ``key`` (temp file + replace)."""
-        return self._atomic_write(self.path_for(key), record)
-
-    def _atomic_write(self, path: Path, record: Dict[str, Any]) -> Path:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=path.name + ".", suffix=".tmp", dir=path.parent
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(record, handle, separators=(",", ":"))
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return path
-
-    def get_record(self, key: RunKey) -> Optional[Dict[str, Any]]:
-        """The raw record for ``key``; None if absent, unreadable, or from
-        an incompatible schema version (such records are re-run, never
-        mis-parsed).
-
-        A record that exists but cannot be parsed (truncated write on a
-        crashed filesystem, manual tampering) is *quarantined* — renamed to
-        ``<name>.json.corrupt`` so the evidence survives for forensics
-        while ``has()`` turns False and the next ``--resume`` re-executes
-        the run instead of failing on it forever."""
-        path = self.path_for(key)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                record = json.load(handle)
-        except OSError:
-            return None
-        except json.JSONDecodeError:
-            self._quarantine(path)
-            return None
-        if not isinstance(record, dict):
-            self._quarantine(path)
-            return None
-        if record.get("schema") != SCHEMA_VERSION:
-            return None
-        return record
-
-    def _quarantine(self, path: Path) -> None:
-        """Move a corrupt record aside (``.corrupt`` suffix keeps it out of
-        ``iter_keys``'s ``*.json`` glob); best-effort, never raises."""
-        try:
-            os.replace(path, path.with_name(path.name + ".corrupt"))
-        except OSError:
-            pass
-
-    def quarantine_count(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*/*/*.json.corrupt"))
-
-    # -- checkpoints -----------------------------------------------------
-    def put_checkpoint(self, key: RunKey, envelope: Dict[str, Any]) -> Path:
-        return self._atomic_write(self.checkpoint_path_for(key), envelope)
-
-    def get_checkpoint(self, key: RunKey) -> Optional[Dict[str, Any]]:
-        path = self.checkpoint_path_for(key)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                envelope = json.load(handle)
-        except OSError:
-            return None
-        except json.JSONDecodeError:
-            self._quarantine(path)
-            return None
-        if not isinstance(envelope, dict):
-            self._quarantine(path)
-            return None
-        return envelope
-
-    def delete_checkpoint(self, key: RunKey) -> None:
-        try:
-            os.unlink(self.checkpoint_path_for(key))
-        except OSError:
-            pass
-
-    def quarantine_checkpoint(self, key: RunKey, reason: str) -> None:
-        # The rename preserves the evidence; the reason lands in a tiny
-        # sidecar next to it (best-effort, like the rename itself).
-        path = self.checkpoint_path_for(key)
-        self._quarantine(path)
-        try:
-            corrupt = path.with_name(path.name + ".corrupt")
-            if corrupt.exists():
-                corrupt.with_name(corrupt.name + ".reason").write_text(
-                    reason, encoding="utf-8"
-                )
-        except OSError:
-            pass
-
-    def checkpoint_quarantine_count(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(
-            1
-            for _ in self.root.glob(
-                f"*/*/{CHECKPOINT_DIRNAME}/*.json.corrupt"
-            )
-        )
-
-    # -- queries --------------------------------------------------------
-    def iter_keys(self) -> Iterator[RunKey]:
-        """Every key with any record on disk (including failures)."""
-        if not self.root.is_dir():
-            return
-        for target_dir in sorted(p for p in self.root.iterdir() if p.is_dir()):
-            for hash_dir in sorted(
-                p for p in target_dir.iterdir() if p.is_dir()
-            ):
-                for path in sorted(hash_dir.glob("s*-*.json")):
-                    stem = path.stem  # s<seed>-<atk|af>
-                    try:
-                        seed_txt, kind_txt = stem[1:].rsplit("-", 1)
-                        yield RunKey(
-                            target=target_dir.name,
-                            config_hash=hash_dir.name,
-                            seed=int(seed_txt),
-                            attacked=(kind_txt == "atk"),
-                        )
-                    except (ValueError, StoreError):
-                        continue
-
-
-# ----------------------------------------------------------------------
-# backend selection
-# ----------------------------------------------------------------------
-#: Known backend names for :func:`open_store` and the CLI ``--backend``.
-STORE_BACKENDS = ("json", "sqlite")
-
-#: Filename used when a SQLite store is addressed by a directory root.
-SQLITE_DB_NAME = "results.sqlite"
-
-
-def open_store(
-    root: "str | os.PathLike[str]" = DEFAULT_RESULTS_DIR,
-    *,
-    backend: str = "json",
-) -> ResultStoreBase:
-    """Open a result store of the requested backend.
-
-    ``backend="json"`` (the default, bit-identical to the historical
-    layout) treats ``root`` as the store directory.  ``backend="sqlite"``
-    opens one WAL-mode database file: ``root`` itself when it names a
-    ``*.sqlite`` / ``*.db`` file, else ``root/results.sqlite`` so JSON and
-    SQLite campaigns can share a results directory side by side.
-    """
-    if backend == "json":
-        return ResultStore(root)
-    if backend == "sqlite":
-        from repro.experiments.sqlite_store import SqliteResultStore
-
-        path = Path(root)
-        if path.suffix not in (".sqlite", ".db"):
-            path = path / SQLITE_DB_NAME
-        return SqliteResultStore(path)
-    raise StoreError(
-        f"unknown store backend {backend!r} (known: {', '.join(STORE_BACKENDS)})"
-    )

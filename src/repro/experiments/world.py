@@ -58,10 +58,9 @@ def reset_id_counters() -> None:
     to back numbers them differently from a freshly forked worker — the
     ids are pure labels (they never influence behaviour), but they are
     recorded in the store (``packet_id``), where they would break the
-    bit-identity of records across execution strategies.  The campaign
-    pool sidesteps this with one process per run
-    (``maxtasksperchild=1``); the lease-service workers, which execute
-    many runs per process, call this before each run instead."""
+    bit-identity of records across worker counts.  The lease-service
+    workers, which execute many runs per process, call this before each
+    run."""
     from repro.radio.channel import reset_addresses
     from repro.radio.frames import reset_frame_ids
     from repro.traffic.grid import reset_grid_vehicle_ids

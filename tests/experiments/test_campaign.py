@@ -1,9 +1,11 @@
-"""Tests for the fault-tolerant campaign orchestrator.
+"""Tests for campaign planning, execution and store-backed assembly.
 
-The pool workers are forked (Linux default start method), so patching
-``campaign.execute_spec`` in the parent before ``run_campaign`` spawns the
-pool substitutes the workers' behaviour too — that is how crashes, hangs
-and execution counters are injected without touching the orchestrator.
+Campaigns run through the lease service, whose workers are forked, so
+patching ``campaign.execute_spec`` in the parent before
+``run_service_campaign`` spawns them substitutes the workers' behaviour
+too — that is how crashes, hangs and execution counters are injected
+without touching the service.  Substitutes take the ``checkpoints``
+keyword the workers always pass.
 """
 
 import os
@@ -17,14 +19,25 @@ from repro.experiments.campaign import (
     assemble_target,
     plan_campaign,
     resolve_targets,
-    run_campaign,
 )
 from repro.experiments.figures import fig7
 from repro.experiments.metrics import BinnedRates
 from repro.experiments.runner import RunResult
-from repro.experiments.store import ResultStore
+from repro.experiments.service.leases import job_id_for
+from repro.experiments.service.scheduler import (
+    WorkerSettings,
+    run_service_campaign,
+)
+from repro.experiments.sqlite_store import SqliteResultStore
 
 KW = dict(runs=1, duration=6.0, seed=1)
+
+#: Fast service knobs: leases expire quickly, workers poll eagerly.
+FAST = WorkerSettings(lease_ttl=1.0, heartbeat_interval=0.3, poll_interval=0.05)
+
+
+def make_store(tmp_path):
+    return SqliteResultStore(tmp_path / "results.sqlite")
 
 
 def fake_result(spec):
@@ -45,9 +58,9 @@ def fake_result(spec):
 def recording_execute(log_path):
     """An execute_spec substitute that appends every executed key to a file."""
 
-    def execute(spec):
+    def execute(spec, checkpoints=None):
         with open(log_path, "a", encoding="utf-8") as handle:
-            handle.write(f"{spec.key.filename}:{spec.key.config_hash}\n")
+            handle.write(f"{job_id_for(spec.key)}\n")
         if spec.kind == "text":
             return f"text artefact for {spec.target}"
         return fake_result(spec)
@@ -96,103 +109,74 @@ def test_resolve_targets_expands_aliases_and_rejects_unknown():
 def test_resume_executes_only_missing_runs(tmp_path, monkeypatch):
     log_path = str(tmp_path / "executed.log")
     monkeypatch.setattr(campaign, "execute_spec", recording_execute(log_path))
-    store = ResultStore(tmp_path / "results")
+    store = make_store(tmp_path)
 
     specs = plan_campaign(["fig7a"], **KW)
     prestored = specs[: len(specs) // 2]
     for spec in prestored:
         store.put_run(spec.key, fake_result(spec), config=spec.config)
 
-    report = run_campaign(
-        ["fig7a"], store=store, resume=True, processes=2, log_stream=None, **KW
+    report = run_service_campaign(
+        ["fig7a"], store=store, workers=2, settings=FAST, **KW
     )
     assert report.skipped == len(prestored)
     assert report.executed == len(specs) - len(prestored)
     assert report.ok
     executed = executed_keys(log_path)
     assert len(executed) == len(specs) - len(prestored)
-    prestored_ids = {f"{s.key.filename}:{s.key.config_hash}" for s in prestored}
-    assert not prestored_ids & set(executed)
+    assert not {job_id_for(s.key) for s in prestored} & set(executed)
 
-    # Second resume: the store is complete, nothing runs at all.
+    # Second campaign: the store is complete, nothing runs at all.
     os.unlink(log_path)
-    report2 = run_campaign(
-        ["fig7a"], store=store, resume=True, processes=2, log_stream=None, **KW
+    report2 = run_service_campaign(
+        ["fig7a"], store=store, workers=2, settings=FAST, **KW
     )
     assert report2.executed == 0
     assert report2.skipped == len(specs)
     assert executed_keys(log_path) == []
 
 
-def test_without_resume_stored_runs_are_re_executed(tmp_path, monkeypatch):
-    log_path = str(tmp_path / "executed.log")
-    monkeypatch.setattr(campaign, "execute_spec", recording_execute(log_path))
-    store = ResultStore(tmp_path / "results")
-    specs = plan_campaign(["fig12a"], **KW)
-    for spec in specs:
-        store.put_text(spec.key, "stale")
-    report = run_campaign(
-        ["fig12a"], store=store, resume=False, log_stream=None, **KW
-    )
-    assert report.executed == len(specs)
-    assert store.get_text(specs[0].key) != "stale"
-
-
 # ----------------------------------------------------------------------
 # crash isolation / retry
 # ----------------------------------------------------------------------
-def crashing_execute(log_path, crash_key_filename):
-    """Counts executions; hard-kills the worker for one particular spec."""
-
-    def execute(spec):
-        with open(log_path, "a", encoding="utf-8") as handle:
-            handle.write(f"{spec.key.filename}:{spec.key.config_hash}\n")
-        if spec.key.filename == crash_key_filename and spec.attacked:
-            os._exit(13)  # simulated segfault: no result, no cleanup
-        if spec.kind == "text":
-            return "text"
-        return fake_result(spec)
-
-    return execute
-
-
 def test_crashing_worker_is_retried_then_recorded_failed(tmp_path, monkeypatch):
+    """A worker that exits hard (no result, no cleanup) loses its lease;
+    the job is retried by a respawned worker, then recorded failed."""
     log_path = str(tmp_path / "executed.log")
-    store = ResultStore(tmp_path / "results")
+    store = make_store(tmp_path)
     specs = plan_campaign(["fig7a"], **KW)
     crash_spec = next(s for s in specs if s.attacked)
-    monkeypatch.setattr(
-        campaign,
-        "execute_spec",
-        crashing_execute(log_path, crash_spec.key.filename),
-    )
 
-    report = run_campaign(
+    def crashing_execute(spec, checkpoints=None):
+        with open(log_path, "a", encoding="utf-8") as handle:
+            handle.write(f"{job_id_for(spec.key)}\n")
+        if spec.key == crash_spec.key:
+            os._exit(13)  # simulated segfault
+        return fake_result(spec)
+
+    monkeypatch.setattr(campaign, "execute_spec", crashing_execute)
+    report = run_service_campaign(
         ["fig7a"],
         store=store,
-        resume=True,
-        processes=2,
-        timeout=1.0,  # short watchdog so the dead worker costs little
-        retries=1,
-        log_stream=None,
+        workers=2,
+        settings=WorkerSettings(
+            lease_ttl=1.0, heartbeat_interval=0.3, poll_interval=0.05,
+            max_attempts=2,
+        ),
         **KW,
     )
     # The campaign survived the dead workers and completed everything else.
     assert not report.ok
-    crashed = [s for s, _err in report.failed]
-    assert all(s.attacked for s in crashed)
-    healthy = [s for s in specs if s.key.filename != crash_spec.key.filename
-               or not s.attacked]
-    for spec in healthy:
-        assert store.has(spec.key), spec.describe()
-    # Every crashed spec was attempted retries+1 times, then recorded failed.
-    for spec in crashed:
-        assert store.get_failure(spec.key) is not None
-        assert not store.has(spec.key)
-    crash_ids = {f"{s.key.filename}:{s.key.config_hash}" for s in crashed}
-    executed = executed_keys(log_path)
-    for crash_id in crash_ids:
-        assert executed.count(crash_id) == 2  # initial attempt + 1 retry
+    assert [s.key for s, _err in report.failed] == [crash_spec.key]
+    assert report.respawned >= 2
+    for spec in specs:
+        if spec.key != crash_spec.key:
+            assert store.has(spec.key), spec.describe()
+    # The crashed spec was attempted max_attempts times, then recorded failed.
+    assert store.get_failure(crash_spec.key) is not None
+    assert not store.has(crash_spec.key)
+    assert executed_keys(log_path).count(job_id_for(crash_spec.key)) == 2
+    assert report.retried == 1
     # The figure cannot assemble while runs are missing...
     assert "fig7a" in report.errors
     with pytest.raises(MissingRunError):
@@ -200,23 +184,22 @@ def test_crashing_worker_is_retried_then_recorded_failed(tmp_path, monkeypatch):
 
 
 def test_raising_worker_is_retried_in_process(tmp_path, monkeypatch):
-    """A Python-level exception is caught in the worker (no pool teardown)."""
+    """A Python-level exception is caught in the worker, which fails the
+    attempt and leases the job again; the report counts the retry."""
     attempts_path = str(tmp_path / "attempts.log")
 
-    def flaky_execute(spec):
+    def flaky_execute(spec, checkpoints=None):
         with open(attempts_path, "a", encoding="utf-8") as handle:
             handle.write("x")
         # Fail the first attempt of everything, succeed afterwards.
         if os.path.getsize(attempts_path) <= 1:
             raise ValueError("transient failure")
-        if spec.kind == "text":
-            return "text"
-        return fake_result(spec)
+        return "text"
 
     monkeypatch.setattr(campaign, "execute_spec", flaky_execute)
-    store = ResultStore(tmp_path / "results")
-    report = run_campaign(
-        ["fig12a"], store=store, resume=True, retries=2, log_stream=None, **KW
+    report = run_service_campaign(
+        ["fig12a"], store=make_store(tmp_path), workers=1, settings=FAST,
+        **KW,
     )
     assert report.ok
     assert report.retried == 1
@@ -224,21 +207,21 @@ def test_raising_worker_is_retried_in_process(tmp_path, monkeypatch):
 
 
 def test_timed_out_run_is_recorded_failed(tmp_path, monkeypatch):
-    def sleepy_execute(spec):
+    def sleepy_execute(spec, checkpoints=None):
         import time
 
         time.sleep(30.0)
         return None  # pragma: no cover - killed by the alarm first
 
     monkeypatch.setattr(campaign, "execute_spec", sleepy_execute)
-    store = ResultStore(tmp_path / "results")
-    report = run_campaign(
+    store = make_store(tmp_path)
+    report = run_service_campaign(
         ["fig12a"],
         store=store,
-        resume=True,
-        timeout=0.3,
-        retries=1,
-        log_stream=None,
+        workers=1,
+        settings=WorkerSettings(
+            lease_ttl=5.0, poll_interval=0.05, timeout=0.3, max_attempts=2
+        ),
         **KW,
     )
     assert not report.ok
@@ -252,9 +235,9 @@ def test_timed_out_run_is_recorded_failed(tmp_path, monkeypatch):
 # store-backed assembly == fresh in-memory run
 # ----------------------------------------------------------------------
 def test_store_backed_output_identical_to_fresh_run(tmp_path):
-    store = ResultStore(tmp_path / "results")
-    report = run_campaign(
-        ["fig7a"], store=store, resume=True, processes=2, log_stream=None, **KW
+    store = make_store(tmp_path)
+    report = run_service_campaign(
+        ["fig7a"], store=store, workers=2, settings=FAST, **KW
     )
     assert report.ok
     fresh = fig7.fig7a(runs=1, duration=6.0, processes=1, seed=1).format()

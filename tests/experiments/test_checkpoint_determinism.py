@@ -5,13 +5,13 @@ uninterrupted run*.  Every test here compares the full serialized
 RunResult (per-packet outcomes, binned rates, every ``extras`` counter —
 only the two wall-clock perf counters masked, exactly as the existing
 crash-recovery suite does) between an uninterrupted run and a run that
-was checkpointed mid-flight, persisted through a result store backend,
+was checkpointed mid-flight, persisted through the result store,
 restored and finished.
 
 Covered dimensions: the default highway scenario, the same scenario
 combined with all four fault-injection dimensions (``batched_faults``:
 fleet beacon tick plus link, churn, GPS and beacon-timing faults), and the
-urban (Manhattan-grid + shadowing) scenario pack — on both store backends.
+urban (Manhattan-grid + shadowing) scenario pack.
 """
 
 import json
@@ -28,7 +28,8 @@ from repro.experiments.checkpointing import (
 )
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_single, summarize_world
-from repro.experiments.store import RunKey, config_hash, jsonable, open_store
+from repro.experiments.sqlite_store import SqliteResultStore
+from repro.experiments.store import RunKey, config_hash, jsonable
 from repro.experiments.world import World, reset_id_counters
 from repro.faults import (
     BeaconTimingPlan,
@@ -38,6 +39,7 @@ from repro.faults import (
     LinkFaultPlan,
 )
 from repro.sim.checkpoint import CHECKPOINT_VERSION, decode_envelope
+from tests.experiments.test_store import RESULTS_LAYOUTS, results_dir
 
 DURATION = 6.0
 SEED = 3
@@ -95,9 +97,11 @@ def baseline_for(config) -> str:
     return masked(run_single(config, attacked=True, seed=SEED))
 
 
-@pytest.fixture(params=["json", "sqlite"])
+@pytest.fixture(params=RESULTS_LAYOUTS)
 def store(request, tmp_path):
-    return open_store(tmp_path / "results", backend=request.param)
+    keys = [key_for(make()) for make in CONFIGS.values()]
+    with results_dir(tmp_path, request.param, keys) as path:
+        yield SqliteResultStore(path)
 
 
 @pytest.fixture(autouse=True)

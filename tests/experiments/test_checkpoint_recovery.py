@@ -12,43 +12,32 @@ seams in :mod:`repro.experiments.checkpointing`
 processes inherit across ``fork``.
 """
 
-import json
 import os
 import signal
 
 from repro.experiments import checkpointing
-from repro.experiments.campaign import plan_campaign, run_campaign
+from repro.experiments.campaign import plan_campaign
+from repro.experiments.service.leases import job_id_for
 from repro.experiments.service.scheduler import (
     WorkerSettings,
     run_service_campaign,
 )
 from repro.experiments.service.status import progress_snapshot
-from repro.experiments.store import ResultStore, open_store
+from repro.experiments.sqlite_store import SqliteResultStore
+from tests.experiments.test_crash_recovery import (
+    KW,
+    assert_stores_match,
+    reference_campaign,
+)
 
-KW = dict(runs=1, duration=6.0, seed=1)
 CHECKPOINT_INTERVAL = 2.0
-
-
-def canonical(record):
-    """Mask the wall-clock perf counters, then require bitwise identity
-    (same idiom as ``test_crash_recovery``)."""
-    extras = record["result"]["extras"]
-    for counter in ("wall_time_s", "events_per_wall_sec"):
-        assert counter in extras
-        extras[counter] = 0.0
-    return json.dumps(record, sort_keys=True)
 
 
 def test_sigkilled_worker_resumes_from_checkpoint_bit_identically(
     tmp_path, monkeypatch
 ):
-    # Uninterrupted baseline: plain single-process campaign, JSON store.
-    json_store = ResultStore(tmp_path / "json")
-    reference = run_campaign(
-        ["fig7a"], store=json_store, resume=True, processes=1,
-        log_stream=None, **KW,
-    )
-    assert reference.ok
+    # Uninterrupted baseline: one worker, no checkpoints, its own store.
+    reference_store, reference = reference_campaign(tmp_path)
 
     specs = plan_campaign(["fig7a"], **KW)
     crash_spec = next(s for s in specs if s.attacked)
@@ -67,21 +56,23 @@ def test_sigkilled_worker_resumes_from_checkpoint_bit_identically(
 
     def record_resume(key, sim_time):
         with open(resume_log, "a", encoding="utf-8") as handle:
-            handle.write(f"{key.filename}:{sim_time}\n")
+            handle.write(f"{job_id_for(key)}:{sim_time}\n")
 
     monkeypatch.setattr(
         checkpointing, "_post_checkpoint_hook", kill_after_first_checkpoint
     )
     monkeypatch.setattr(checkpointing, "_on_resume_hook", record_resume)
 
-    sqlite_store = open_store(tmp_path / "sqlite", backend="sqlite")
+    store = SqliteResultStore(tmp_path / "results.sqlite")
     report = run_service_campaign(
         ["fig7a"],
-        store=sqlite_store,
+        store=store,
         workers=2,
-        checkpoint_interval=CHECKPOINT_INTERVAL,
         settings=WorkerSettings(
-            lease_ttl=2.0, heartbeat_interval=0.5, poll_interval=0.05
+            lease_ttl=2.0,
+            heartbeat_interval=0.5,
+            poll_interval=0.05,
+            checkpoint_interval=CHECKPOINT_INTERVAL,
         ),
         log_stream=None,
         **KW,
@@ -104,29 +95,17 @@ def test_sigkilled_worker_resumes_from_checkpoint_bit_identically(
     assert all(t > 0.0 for t in resumes)
 
     # Byte-identical records vs the uninterrupted baseline.
-    json_keys = sorted(
-        json_store.iter_keys(),
-        key=lambda k: (k.target, k.config_hash, k.seed, k.attacked),
-    )
-    sqlite_keys = sorted(
-        sqlite_store.iter_keys(),
-        key=lambda k: (k.target, k.config_hash, k.seed, k.attacked),
-    )
-    assert json_keys == sqlite_keys and len(json_keys) == len(specs)
-    for k in json_keys:
-        assert canonical(json_store.get_record(k)) == canonical(
-            sqlite_store.get_record(k)
-        )
+    assert_stores_match(reference_store, store, len(specs))
     assert report.outputs["fig7a"] == reference.outputs["fig7a"]
 
     # Completed runs garbage-collect their checkpoints; nothing was
     # quarantined along the way.
     for spec in specs:
-        assert sqlite_store.checkpoint_sim_time(spec.key) is None
-    assert sqlite_store.checkpoint_quarantine_count() == 0
+        assert store.checkpoint_sim_time(spec.key) is None
+    assert store.checkpoint_quarantine_count() == 0
 
     # And the status surface reports the finished campaign cleanly.
-    snapshot = progress_snapshot(sqlite_store, specs)
+    snapshot = progress_snapshot(store, specs)
     assert snapshot["percent"] == 100.0
     assert snapshot["jobs"] == []
     assert snapshot["checkpoints_quarantined"] == 0

@@ -7,14 +7,14 @@ kill points, both exercised here with real SIGKILLs:
 * **mid-run** — the lease stops being heartbeaten, expires, and another
   worker re-leases and re-executes the job (runs are deterministic, so
   the re-execution writes the identical record, never a duplicate);
-* **mid-commit** — SQLite commits result + lease completion as one
-  transaction (neither or both survive); the JSON backend persists the
-  record first, so the next leaseholder *adopts* the stored result
-  without re-running it.
+* **mid-commit** — result and lease completion commit as one
+  transaction (neither or both survive); a result stored under a lease
+  that was never completed is *adopted* by the next leaseholder without
+  re-running it.
 
 The acceptance test at the bottom pins the end-to-end claim: a 2-worker
-SQLite campaign with one worker killed mid-campaign resumes to per-run
-records bit-identical to an uninterrupted single-worker JSON campaign.
+campaign with one worker killed mid-campaign resumes to per-run records
+bit-identical to an uninterrupted single-worker reference campaign.
 """
 
 import json
@@ -25,20 +25,21 @@ import time
 import pytest
 
 from repro.experiments import campaign
-from repro.experiments.campaign import plan_campaign, run_campaign
-from repro.experiments.service.leases import job_id_for, queue_for_store
+from repro.experiments.campaign import plan_campaign
+from repro.experiments.service.leases import LeaseQueue, job_id_for
 from repro.experiments.service.scheduler import (
     WorkerSettings,
     run_service_campaign,
     worker_loop,
 )
-from repro.experiments.store import ResultStore, open_store
+from repro.experiments.sqlite_store import SqliteResultStore
 from tests.experiments.test_campaign import (
     KW,
     executed_keys,
     fake_result,
     recording_execute,
 )
+from tests.experiments.test_store import RESULTS_LAYOUTS, results_dir
 
 #: Fast scheduler knobs: leases expire quickly, workers poll eagerly.
 FAST = WorkerSettings(
@@ -46,9 +47,11 @@ FAST = WorkerSettings(
 )
 
 
-@pytest.fixture(params=["json", "sqlite"])
+@pytest.fixture(params=RESULTS_LAYOUTS)
 def store(request, tmp_path):
-    return open_store(tmp_path / "results", backend=request.param)
+    keys = [s.key for s in plan_campaign(["fig7a", "fig12a"], **KW)]
+    with results_dir(tmp_path, request.param, keys) as path:
+        yield SqliteResultStore(path)
 
 
 class FakeClock:
@@ -64,7 +67,7 @@ class FakeClock:
 # ----------------------------------------------------------------------
 def test_expired_lease_returns_to_queue(store):
     clock = FakeClock()
-    queue = queue_for_store(store, max_attempts=3, clock=clock)
+    queue = LeaseQueue(store, max_attempts=3, clock=clock)
     assert queue.seed(["job-a"]) == 1
     first = queue.lease("w1", ttl=5.0)
     assert first.job_id == "job-a" and first.attempt == 1
@@ -83,7 +86,7 @@ def test_expired_lease_returns_to_queue(store):
 
 def test_heartbeat_keeps_a_lease_alive(store):
     clock = FakeClock()
-    queue = queue_for_store(store, clock=clock)
+    queue = LeaseQueue(store, clock=clock)
     queue.seed(["job-a"])
     queue.lease("w1", ttl=5.0)
     clock.t = 4.0
@@ -97,7 +100,7 @@ def test_heartbeat_keeps_a_lease_alive(store):
 
 def test_job_exhausting_attempts_turns_failed(store):
     clock = FakeClock()
-    queue = queue_for_store(store, max_attempts=2, clock=clock)
+    queue = LeaseQueue(store, max_attempts=2, clock=clock)
     queue.seed(["job-a"])
     for attempt in (1, 2):
         lease = queue.lease(f"w{attempt}", ttl=1.0)
@@ -112,21 +115,17 @@ def test_job_exhausting_attempts_turns_failed(store):
 # ----------------------------------------------------------------------
 # SIGKILL mid-run: the job is re-leased and re-executed
 # ----------------------------------------------------------------------
-def kill_once_execute(log_path, sentinel, crash_filename):
+def kill_once_execute(log_path, sentinel, crash_key):
     """Records executions; SIGKILLs its own worker process the first time
     it sees the crash spec (the sentinel file keeps it to one kill)."""
 
-    def execute(spec):
-        if (
-            spec.key.filename == crash_filename
-            and spec.attacked
-            and not os.path.exists(sentinel)
-        ):
+    def execute(spec, checkpoints=None):
+        if spec.key == crash_key and not os.path.exists(sentinel):
             with open(sentinel, "w", encoding="utf-8"):
                 pass
             os.kill(os.getpid(), signal.SIGKILL)
         with open(log_path, "a", encoding="utf-8") as handle:
-            handle.write(f"{spec.key.filename}:{spec.key.config_hash}\n")
+            handle.write(f"{job_id_for(spec.key)}\n")
         if spec.kind == "text":
             return f"text artefact for {spec.target}"
         return fake_result(spec)
@@ -144,7 +143,7 @@ def test_worker_killed_mid_run_job_completes_elsewhere(
     monkeypatch.setattr(
         campaign,
         "execute_spec",
-        kill_once_execute(log_path, sentinel, crash_spec.key.filename),
+        kill_once_execute(log_path, sentinel, crash_spec.key),
     )
     report = run_service_campaign(
         ["fig7a"], store=store, workers=2, settings=FAST, log_stream=None, **KW
@@ -159,9 +158,7 @@ def test_worker_killed_mid_run_job_completes_elsewhere(
     # (the killed attempt died before logging, so even the crash spec
     # appears once — its successful retry)
     executed = executed_keys(log_path)
-    assert sorted(executed) == sorted(
-        f"{s.key.filename}:{s.key.config_hash}" for s in specs
-    )
+    assert sorted(executed) == sorted(job_id_for(s.key) for s in specs)
     assert "fig7a" in report.outputs
 
 
@@ -175,11 +172,11 @@ def test_worker_dying_every_attempt_records_terminal_failure(
     specs = plan_campaign(["fig7a"], **KW)
     crash_spec = next(s for s in specs if s.attacked)
 
-    def always_kill(spec):
+    def always_kill(spec, checkpoints=None):
         if spec.key == crash_spec.key:
             os.kill(os.getpid(), signal.SIGKILL)
         with open(log_path, "a", encoding="utf-8") as handle:
-            handle.write(f"{spec.key.filename}:{spec.key.config_hash}\n")
+            handle.write(f"{job_id_for(spec.key)}\n")
         if spec.kind == "text":
             return "text"
         return fake_result(spec)
@@ -189,8 +186,10 @@ def test_worker_dying_every_attempt_records_terminal_failure(
         ["fig7a"],
         store=store,
         workers=2,
-        retries=1,  # max_attempts = 2
-        settings=FAST,
+        settings=WorkerSettings(
+            lease_ttl=1.0, heartbeat_interval=0.3, poll_interval=0.05,
+            max_attempts=2,
+        ),
         log_stream=None,
         **KW,
     )
@@ -210,19 +209,18 @@ def test_worker_dying_every_attempt_records_terminal_failure(
 def test_stored_result_with_dangling_lease_is_adopted_not_rerun(
     store, tmp_path, monkeypatch
 ):
-    """The JSON backend's mid-commit crash state: the record landed
-    atomically but the worker died before completing its lease.  The next
+    """A stored result under a lease that was never completed (e.g. a
+    lease seeded over an already-populated store, or a holder whose
+    completion was rejected after its result committed).  The next
     leaseholder must adopt the stored result — zero re-execution, zero
-    duplicates.  (SQLite can never reach this state — result and
-    completion commit atomically — but adoption must work there too,
-    e.g. for leases seeded over an already-populated store.)"""
+    duplicates."""
     log_path = str(tmp_path / "executed.log")
     monkeypatch.setattr(campaign, "execute_spec", recording_execute(log_path))
     specs = plan_campaign(["fig7a"], **KW)
     specs_by_job = {job_id_for(s.key): s for s in specs}
     # leases grant jobs in sorted id order: the first is predictable
     crashed_spec = specs_by_job[sorted(specs_by_job)[0]]
-    queue = queue_for_store(store)
+    queue = LeaseQueue(store)
     queue.seed(specs_by_job)
     # reproduce the dead worker: lease held, result persisted, no complete
     lease = queue.lease("dead-worker", ttl=0.3)
@@ -234,18 +232,17 @@ def test_stored_result_with_dangling_lease_is_adopted_not_rerun(
     assert queue.all_terminal()
     assert queue.counts()["done"] == len(specs)
     # the crashed spec was adopted, never re-executed
-    crashed_id = f"{crashed_spec.key.filename}:{crashed_spec.key.config_hash}"
     executed = executed_keys(log_path)
-    assert crashed_id not in executed
+    assert job_id_for(crashed_spec.key) not in executed
     assert len(executed) == len(specs) - 1
 
 
 def test_sqlite_result_and_lease_completion_commit_atomically(tmp_path):
-    """The SQLite mid-commit guarantee itself: a worker dying inside the
+    """The mid-commit guarantee itself: a worker dying inside the
     result+complete transaction leaves *neither* — no stored record with
     a done lease, no done lease without a record."""
-    store = open_store(tmp_path, backend="sqlite")
-    queue = queue_for_store(store)
+    store = SqliteResultStore(tmp_path / "results.sqlite")
+    queue = LeaseQueue(store)
     specs = plan_campaign(["fig12a"], **KW)
     spec = specs[0]
     queue.seed([job_id_for(spec.key)])
@@ -270,39 +267,65 @@ def test_sqlite_result_and_lease_completion_commit_atomically(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# acceptance: interrupted sqlite service == uninterrupted json campaign
+# acceptance: interrupted service == uninterrupted reference campaign
 # ----------------------------------------------------------------------
-def test_interrupted_sqlite_service_matches_uninterrupted_json_campaign(
+def canonical(record):
+    """Simulations are deterministic; the only nondeterminism in a record
+    is how long the run took on the host.  Mask the two wall-clock perf
+    counters, then require bitwise identity."""
+    extras = record["result"]["extras"]
+    for counter in ("wall_time_s", "events_per_wall_sec"):
+        assert counter in extras
+        extras[counter] = 0.0
+    return json.dumps(record, sort_keys=True)
+
+
+def assert_stores_match(reference, store, n_records):
+    """Bit-identical per-run records, key for key."""
+    keys = list(reference.iter_keys())
+    assert keys == list(store.iter_keys()) and len(keys) == n_records
+    for k in keys:
+        assert canonical(reference.get_record(k)) == canonical(
+            store.get_record(k)
+        )
+
+
+def reference_campaign(tmp_path):
+    """An uninterrupted one-worker campaign on its own store."""
+    store = SqliteResultStore(tmp_path / "reference.sqlite")
+    report = run_service_campaign(
+        ["fig7a"], store=store, workers=1, log_stream=None, **KW
+    )
+    assert report.ok
+    return store, report
+
+
+def test_interrupted_service_matches_uninterrupted_reference(
     tmp_path, monkeypatch
 ):
-    """The PR's acceptance bar, with real simulations: a seeded fig7a
-    campaign through the SQLite backend with 2 workers, one SIGKILLed
-    mid-campaign, resumes to the same figure-input results as an
-    uninterrupted single-worker JSON-backend campaign — bit-identical
-    per-run records and identical assembled output."""
-    json_store = ResultStore(tmp_path / "json")
-    reference = run_campaign(
-        ["fig7a"], store=json_store, resume=True, processes=1,
-        log_stream=None, **KW,
-    )
-    assert reference.ok
+    """The acceptance bar, with real simulations: a seeded fig7a
+    campaign with 2 workers, one SIGKILLed mid-campaign, resumes to the
+    same figure-input results as an uninterrupted single-worker
+    campaign — bit-identical per-run records and identical assembled
+    output."""
+    reference_store, reference = reference_campaign(tmp_path)
 
     specs = plan_campaign(["fig7a"], **KW)
     crash_spec = next(s for s in specs if s.attacked)
     sentinel = tmp_path / "killed"
     real_execute = campaign.execute_spec
 
-    def kill_once_then_real(spec):
+    def kill_once_then_real(spec, checkpoints=None):
         if spec.key == crash_spec.key and not sentinel.exists():
             sentinel.write_text("x")
             os.kill(os.getpid(), signal.SIGKILL)
-        return real_execute(spec)
+        return real_execute(spec, checkpoints=checkpoints)
 
     monkeypatch.setattr(campaign, "execute_spec", kill_once_then_real)
-    sqlite_store = open_store(tmp_path / "sqlite", backend="sqlite")
+    store = SqliteResultStore(tmp_path / "results.sqlite")
     report = run_service_campaign(
         ["fig7a"],
-        store=sqlite_store,
+        store=store,
         workers=2,
         settings=WorkerSettings(
             lease_ttl=2.0, heartbeat_interval=0.5, poll_interval=0.05
@@ -313,29 +336,5 @@ def test_interrupted_sqlite_service_matches_uninterrupted_json_campaign(
     assert sentinel.exists()  # one worker really died mid-campaign
     assert report.ok
     assert report.executed == len(specs)
-
-    json_keys = sorted(
-        json_store.iter_keys(),
-        key=lambda k: (k.target, k.config_hash, k.seed, k.attacked),
-    )
-    sqlite_keys = sorted(
-        sqlite_store.iter_keys(),
-        key=lambda k: (k.target, k.config_hash, k.seed, k.attacked),
-    )
-    assert json_keys == sqlite_keys and len(json_keys) == len(specs)
-
-    def canonical(record):
-        # Simulations are deterministic; the only nondeterminism in a
-        # record is how long the run took on the host.  Mask the two
-        # wall-clock perf counters, then require bitwise identity.
-        extras = record["result"]["extras"]
-        for counter in ("wall_time_s", "events_per_wall_sec"):
-            assert counter in extras
-            extras[counter] = 0.0
-        return json.dumps(record, sort_keys=True)
-
-    for k in json_keys:  # bit-identical per-run records
-        assert canonical(json_store.get_record(k)) == canonical(
-            sqlite_store.get_record(k)
-        )
+    assert_stores_match(reference_store, store, len(specs))
     assert report.outputs["fig7a"] == reference.outputs["fig7a"]

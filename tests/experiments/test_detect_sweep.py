@@ -12,6 +12,7 @@ from repro.experiments.detect import DetectCell, detect_sweep
 from repro.experiments.metrics import BinnedRates
 from repro.experiments.runner import AbResult, RunResult, run_single
 from repro.faults.plan import FaultPlan, GpsFaultPlan
+from tests.experiments.test_store import RESULTS_LAYOUTS, results_dir
 
 SMALL_URBAN = dict(
     streets_x=3, streets_y=3, block_size=200.0, inter_vehicle_space=80.0
@@ -242,27 +243,29 @@ class TestEndToEnd:
 # ----------------------------------------------------------------------
 class TestCampaignTarget:
     @pytest.mark.slow
-    @pytest.mark.parametrize("backend", ["json", "sqlite"])
+    @pytest.mark.parametrize("layout", RESULTS_LAYOUTS)
     def test_detect_through_store_backed_campaign(
-        self, monkeypatch, tmp_path, backend
+        self, monkeypatch, tmp_path, layout
     ):
-        from repro.experiments.campaign import run_campaign
-        from repro.experiments.store import open_store
+        from repro.experiments.campaign import plan_campaign
+        from repro.experiments.service.scheduler import run_service_campaign
+        from repro.experiments.sqlite_store import SqliteResultStore
 
         shrink(monkeypatch, variants=("single", "adaptive"))
-        store = open_store(tmp_path / "results", backend=backend)
-        report = run_campaign(
-            ["detect"], store=store, runs=1, duration=10.0, seed=2,
-            resume=True, log_stream=None,
-        )
-        assert report.ok
-        assert report.executed == 4  # 2 cells x (af + atk)
-        assert "detect:" in report.outputs["detect"]
-        # Resume: the artefact reassembles from the store alone.
-        again = run_campaign(
-            ["detect"], store=store, runs=1, duration=10.0, seed=2,
-            resume=True, log_stream=None,
-        )
-        assert again.executed == 0
-        assert again.skipped == report.executed
-        assert again.outputs["detect"] == report.outputs["detect"]
+        plan = dict(runs=1, duration=10.0, seed=2)
+        keys = [s.key for s in plan_campaign(["detect"], **plan)]
+        with results_dir(tmp_path, layout, keys) as path:
+            store = SqliteResultStore(path)
+            report = run_service_campaign(
+                ["detect"], store=store, workers=1, **plan
+            )
+            assert report.ok
+            assert report.executed == 4  # 2 cells x (af + atk)
+            assert "detect:" in report.outputs["detect"]
+            # Resume: the artefact reassembles from the store alone.
+            again = run_service_campaign(
+                ["detect"], store=store, workers=1, **plan
+            )
+            assert again.executed == 0
+            assert again.skipped == report.executed
+            assert again.outputs["detect"] == report.outputs["detect"]

@@ -16,27 +16,30 @@ import pytest
 
 from repro.experiments import campaign, cli
 from repro.experiments.campaign import MissingRunError, assemble_target, plan_campaign
-from repro.experiments.service.leases import job_id_for, queue_for_store
+from repro.experiments.service.leases import LeaseQueue, job_id_for
 from repro.experiments.service.scheduler import (
     WorkerSettings,
     run_service_campaign,
     worker_loop,
 )
 from repro.experiments.service.status import StatusServer, progress_snapshot
-from repro.experiments.store import open_store
+from repro.experiments.sqlite_store import DB_NAME, SqliteResultStore
 from tests.experiments.test_campaign import (
     KW,
     executed_keys,
     fake_result,
     recording_execute,
 )
+from tests.experiments.test_store import RESULTS_LAYOUTS, results_dir
 
 FAST = WorkerSettings(lease_ttl=5.0, heartbeat_interval=0.5, poll_interval=0.05)
 
 
-@pytest.fixture(params=["json", "sqlite"])
+@pytest.fixture(params=RESULTS_LAYOUTS)
 def store(request, tmp_path):
-    return open_store(tmp_path / "results", backend=request.param)
+    keys = [s.key for s in plan_campaign(["fig7a"], **KW)]
+    with results_dir(tmp_path, request.param, keys) as path:
+        yield SqliteResultStore(path)
 
 
 # ----------------------------------------------------------------------
@@ -63,7 +66,7 @@ def test_worker_loop_drains_the_queue(store, tmp_path, monkeypatch):
     monkeypatch.setattr(campaign, "execute_spec", recording_execute(log_path))
     specs = plan_campaign(["fig7a"], **KW)
     specs_by_job = {job_id_for(s.key): s for s in specs}
-    queue = queue_for_store(store)
+    queue = LeaseQueue(store)
     queue.seed(specs_by_job)
     completed = worker_loop("w1", store, queue, specs_by_job, FAST)
     assert completed == len(specs)
@@ -75,7 +78,7 @@ def test_worker_loop_drains_the_queue(store, tmp_path, monkeypatch):
 
 
 def test_worker_loop_fails_unknown_jobs(store):
-    queue = queue_for_store(store)
+    queue = LeaseQueue(store)
     queue.seed(["not-a-planned-job"])
     completed = worker_loop("w1", store, queue, {}, FAST)
     assert completed == 0
@@ -88,14 +91,14 @@ def test_worker_loop_retries_then_records_terminal_failure(
 ):
     attempts = []
 
-    def always_raise(spec):
+    def always_raise(spec, checkpoints=None):
         attempts.append(spec.key)
         raise ValueError("deterministic failure")
 
     monkeypatch.setattr(campaign, "execute_spec", always_raise)
     specs = plan_campaign(["fig12a"], **KW)
     specs_by_job = {job_id_for(s.key): s for s in specs}
-    queue = queue_for_store(store, max_attempts=2)
+    queue = LeaseQueue(store, max_attempts=2)
     queue.seed(specs_by_job)
     settings = WorkerSettings(
         lease_ttl=5.0, poll_interval=0.05, max_attempts=2
@@ -142,6 +145,55 @@ def test_service_campaign_rejects_bad_workers(store):
         run_service_campaign(["fig12a"], store=store, workers=0, **KW)
 
 
+def test_failed_queue_row_never_overwrites_a_stored_result(store):
+    """The store is the ground truth: a job the queue lists as failed
+    while its result is stored (a stale row from an earlier campaign, or
+    a late completion the queue rejected) is neither reported failed nor
+    overwritten by a failure record."""
+    spec = plan_campaign(["fig12a"], **KW)[0]
+    queue = LeaseQueue(store, max_attempts=1)
+    queue.seed([job_id_for(spec.key)])
+    lease = queue.lease("w1", ttl=30.0)
+    assert queue.fail("w1", lease.job_id, "boom") == "failed"
+    store.put_text(spec.key, "stored artefact")
+
+    report = run_service_campaign(
+        ["fig12a"], store=store, workers=1, settings=FAST, **KW
+    )
+    assert report.skipped == 1
+    assert report.failed == []
+    assert report.ok
+    assert store.get_text(spec.key) == "stored artefact"
+    assert report.outputs["fig12a"] == "stored artefact"
+
+
+def test_reissued_campaign_retries_earlier_failures(store, tmp_path, monkeypatch):
+    """A job an earlier campaign left failed is re-armed by the next one
+    on the same store, and runs again."""
+
+    def always_raise(spec, checkpoints=None):
+        raise ValueError("broken build")
+
+    monkeypatch.setattr(campaign, "execute_spec", always_raise)
+    settings = WorkerSettings(lease_ttl=5.0, poll_interval=0.05, max_attempts=1)
+    first = run_service_campaign(
+        ["fig12a"], store=store, workers=1, settings=settings, **KW
+    )
+    assert len(first.failed) == 1
+    key = first.failed[0][0].key
+    assert store.get_failure(key) is not None
+
+    log_path = str(tmp_path / "executed.log")
+    monkeypatch.setattr(campaign, "execute_spec", recording_execute(log_path))
+    second = run_service_campaign(
+        ["fig12a"], store=store, workers=1, settings=settings, **KW
+    )
+    assert second.ok
+    assert second.executed == 1
+    assert executed_keys(log_path) == [job_id_for(key)]
+    assert store.get_text(key) == "text artefact for fig12a"
+
+
 def test_service_campaign_partial_renders_with_coverage_note(
     store, monkeypatch
 ):
@@ -150,14 +202,14 @@ def test_service_campaign_partial_renders_with_coverage_note(
     specs = plan_campaign(["fig7a"], **KW)
     bad_key = next(s for s in specs if s.attacked).key
 
-    def flaky(spec):
+    def flaky(spec, checkpoints=None):
         if spec.key == bad_key:
             raise ValueError("this run never succeeds")
         return fake_result(spec)
 
     monkeypatch.setattr(campaign, "execute_spec", flaky)
     report = run_service_campaign(
-        ["fig7a"], store=store, workers=1, retries=0, partial=True,
+        ["fig7a"], store=store, workers=1, partial=True,
         settings=WorkerSettings(
             lease_ttl=5.0, poll_interval=0.05, max_attempts=1
         ),
@@ -173,24 +225,29 @@ def test_service_campaign_partial_renders_with_coverage_note(
 
 
 def test_pool_campaign_partial_renders_with_coverage_note(store, monkeypatch):
-    """`--partial` works identically on the classic pool path: a target
-    with a terminally-failing run renders from the stored subset with the
-    same coverage note the lease scheduler produces."""
+    """``--partial`` works the same with a pool of worker processes
+    (``--processes 2``): the failing run is reported once, and the
+    target renders from the stored subset with the coverage note."""
     specs = plan_campaign(["fig7a"], **KW)
     bad_key = next(s for s in specs if s.attacked).key
 
-    def flaky(spec):
+    def flaky(spec, checkpoints=None):
         if spec.key == bad_key:
             raise ValueError("this run never succeeds")
         return fake_result(spec)
 
     monkeypatch.setattr(campaign, "execute_spec", flaky)
-    report = campaign.run_campaign(
-        ["fig7a"], store=store, processes=1, retries=0, partial=True,
+    report = run_service_campaign(
+        ["fig7a"], store=store, workers=2, partial=True,
+        settings=WorkerSettings(
+            lease_ttl=5.0, poll_interval=0.05, max_attempts=1
+        ),
         log_stream=None, **KW,
     )
+    assert report.workers == 2
     assert not report.ok
     assert [s.key for s, _ in report.failed] == [bad_key]
+    assert report.executed == len(specs) - 1
     assert "fig7a" in report.outputs
     assert report.partial_targets["fig7a"].startswith("partial:")
     assert "note: partial:" in report.outputs["fig7a"]
@@ -246,7 +303,7 @@ def test_progress_snapshot_counts(store):
     assert snapshot["remaining"] == len(specs) - len(half)
     assert snapshot["quarantined"] == 0
     assert store.describe() == snapshot["backend"]
-    queue = queue_for_store(store)
+    queue = LeaseQueue(store)
     queue.seed([job_id_for(s.key) for s in specs])
     with_queue = progress_snapshot(store, specs, queue=queue)
     assert with_queue["queue"]["pending"] == len(specs)
@@ -270,76 +327,71 @@ def test_status_server_serves_snapshot_and_health(store):
 
 
 # ----------------------------------------------------------------------
-# CLI: scheduler flags are warned about and validated consistently
+# CLI: service flags are warned about and validated consistently
 # ----------------------------------------------------------------------
 def _args(**overrides):
     defaults = dict(
         runs=3, processes=1, duration=200.0, seed=1,
-        workers=0, lease_ttl=60.0, heartbeat=None, status_port=None,
-        partial=False,
+        lease_ttl=60.0, heartbeat=None, status_port=None, timeout=None,
+        retries=1, checkpoint_interval=None, partial=False,
     )
     defaults.update(overrides)
     return argparse.Namespace(**defaults)
 
 
 def test_single_run_target_warns_on_scheduler_flags(capsys):
-    """The satellite fix: scheduler flags on a single deterministic run
-    warn exactly like the historical --runs/--processes instead of being
-    silently swallowed."""
-    cli._warn_ignored_flags("table1", _args(workers=4, lease_ttl=5.0))
+    """Service flags on a single deterministic run warn exactly like
+    --runs/--processes instead of being silently swallowed."""
+    cli._warn_ignored_flags("table1", _args(processes=4, lease_ttl=5.0))
     err = capsys.readouterr().err
-    assert "--workers 4" in err and "--lease-ttl 5.0" in err
+    assert "--processes 4" in err and "--lease-ttl 5.0" in err
     assert "no effect" in err
     # and still nothing when every fan-out flag is at its default
     cli._warn_ignored_flags("table1", _args())
     assert capsys.readouterr().err == ""
     # multi-run targets accept the flags silently (they do apply)
-    cli._warn_ignored_flags("fig7a", _args(workers=4))
-    assert capsys.readouterr().err == ""
-
-
-def test_scheduler_flags_without_workers_warn(capsys):
-    cli._validate_scheduler_args(_args(lease_ttl=5.0, status_port=0))
-    err = capsys.readouterr().err
-    assert "--lease-ttl 5.0" in err and "--status-port 0" in err
-    assert "--workers" in err
-    cli._validate_scheduler_args(_args(workers=2, lease_ttl=5.0))
+    cli._warn_ignored_flags("fig7a", _args(processes=4))
     assert capsys.readouterr().err == ""
 
 
 def test_scheduler_flag_ranges_are_validated():
     with pytest.raises(SystemExit):
-        cli._validate_scheduler_args(_args(workers=-1))
+        cli._worker_settings(_args(lease_ttl=0.0))
     with pytest.raises(SystemExit):
-        cli._validate_scheduler_args(_args(lease_ttl=0.0))
+        cli._worker_settings(_args(lease_ttl=10.0, heartbeat=10.0))
     with pytest.raises(SystemExit):
-        cli._validate_scheduler_args(_args(workers=2, lease_ttl=10.0, heartbeat=10.0))
+        cli._worker_settings(_args(status_port=70000))
     with pytest.raises(SystemExit):
-        cli._validate_scheduler_args(_args(status_port=70000))
+        cli._worker_settings(_args(retries=-1))
+    with pytest.raises(SystemExit):
+        cli._worker_settings(_args(checkpoint_interval=0.0))
+    settings = cli._worker_settings(_args(retries=2, timeout=9.0))
+    assert settings.max_attempts == 3 and settings.timeout == 9.0
 
 
 def test_cli_campaign_via_lease_scheduler(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(
         campaign, "execute_spec", recording_execute(str(tmp_path / "log"))
     )
-    code = cli.main(
-        [
-            "campaign", "fig12a",
-            "--backend", "sqlite",
-            "--workers", "1",
-            "--results-dir", str(tmp_path / "results"),
-            "--runs", "1", "--duration", "6.0",
-        ]
-    )
+    argv = [
+        "campaign", "fig12a",
+        "--processes", "1",
+        "--results-dir", str(tmp_path / "results"),
+        "--runs", "1", "--duration", "6.0",
+    ]
+    assert cli.main(argv) == 0
     captured = capsys.readouterr()
-    assert code == 0
     assert "text artefact for fig12a" in captured.out
-    store = open_store(tmp_path / "results", backend="sqlite")
+    store = SqliteResultStore(tmp_path / "results" / DB_NAME)
     assert store.count() == 1
+    # a re-issued campaign executes nothing
+    assert cli.main(argv) == 0
+    assert "0 executed" in capsys.readouterr().err
+    assert len(executed_keys(str(tmp_path / "log"))) == 1
 
 
 def test_cli_status_reports_progress(tmp_path, monkeypatch, capsys):
-    store = open_store(tmp_path / "results", backend="json")
+    store = SqliteResultStore(tmp_path / "results" / DB_NAME)
     specs = plan_campaign(["fig12a"], **KW)
     store.put_text(specs[0].key, "artefact")
     code = cli.main(

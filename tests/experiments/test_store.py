@@ -1,15 +1,23 @@
-"""Tests for the persistent result store."""
+"""Tests for the result store's record format and its SQLite medium.
+
+Out-of-band tampering (corrupting a payload, forging a schema version)
+goes straight to the database through the helpers below, as does
+:func:`results_dir`, which the store-backed suites use to open their
+store in a results directory the removed per-file JSON store wrote into.
+"""
 
 import dataclasses
 import json
+from contextlib import contextmanager
 
 import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.metrics import BinnedRates, PacketOutcome
 from repro.experiments.runner import RunResult
+from repro.experiments.sqlite_store import DB_NAME, SqliteResultStore
 from repro.experiments.store import (
-    ResultStore,
+    SCHEMA_VERSION,
     RunKey,
     StoreError,
     canonical_json,
@@ -58,6 +66,125 @@ def key(target="figX", seed=7, attacked=True):
     return RunKey(target=target, config_hash="ab12", seed=seed, attacked=attacked)
 
 
+def make_store(tmp_path):
+    return SqliteResultStore(tmp_path / "results.sqlite")
+
+
+def _where(k):
+    return (
+        "target=? AND config_hash=? AND seed=? AND attacked=?",
+        (k.target, k.config_hash, k.seed, int(k.attacked)),
+    )
+
+
+def set_payload(store, k, payload):
+    """Overwrite ``k``'s stored payload text, out of band."""
+    where, params = _where(k)
+    store._conn().execute(
+        f"UPDATE records SET payload=? WHERE {where}", (payload,) + params
+    )
+
+
+def set_schema(store, k, version):
+    """Forge ``k``'s record schema version, out of band."""
+    where, params = _where(k)
+    row = store._conn().execute(
+        f"SELECT payload FROM records WHERE {where}", params
+    ).fetchone()
+    record = json.loads(row[0])
+    record["schema"] = version
+    store._conn().execute(
+        f"UPDATE records SET payload=?, schema=? WHERE {where}",
+        (json.dumps(record), version) + params,
+    )
+
+
+def raw_row(store, table, k):
+    """``k``'s uninterpreted row in ``table``, or None."""
+    where, params = _where(k)
+    return store._conn().execute(
+        f"SELECT payload FROM {table} WHERE {where}", params
+    ).fetchone()
+
+
+# ----------------------------------------------------------------------
+# results directories left by the removed per-file JSON store
+# ----------------------------------------------------------------------
+#: The results-directory layouts the store-backed suites open their store
+#: in.  "sqlite" is a fresh directory; "json" is one the removed per-file
+#: JSON store wrote into.  Its files are not migrated (runs are
+#: deterministic, so re-running regenerates them): the store must neither
+#: read them nor touch them.
+RESULTS_LAYOUTS = ["json", "sqlite"]
+
+#: The keys the contract suites write, read and count.
+CONTRACT_KEYS = (
+    key(),
+    key(seed=99),
+    key(attacked=False),
+    key(target="table1", attacked=False),
+)
+
+
+def plant_json_store(root, keys):
+    """Write the files the JSON store kept for ``keys`` under ``root``.
+
+    Per key: the run record ``<target>/<hash>/s<seed>-<atk|af>.json``, a
+    checkpoint sidecar under ``_ckpt/`` and a quarantined ``.corrupt``
+    checkpoint with its ``.reason``.  Returns ``{path: bytes}``.
+    """
+    files = {}
+    for k in keys:
+        folder = root / k.target / k.config_hash
+        name = f"s{k.seed}-{'atk' if k.attacked else 'af'}.json"
+        record = {
+            "schema": SCHEMA_VERSION,
+            "kind": "run",
+            "target": k.target,
+            "config_hash": k.config_hash,
+            "seed": k.seed,
+            "attacked": k.attacked,
+            "result": run_result_to_dict(sample_result(k.seed, k.attacked)),
+        }
+        files[folder / name] = canonical_json(record).encode()
+        files[folder / "_ckpt" / name] = b'{"format": "zlib-1+b64"}'
+        files[folder / "_ckpt" / (name + ".corrupt")] = b"\x00garbage"
+        files[folder / "_ckpt" / (name + ".corrupt.reason")] = b"bad digest"
+    for path, data in files.items():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    return files
+
+
+@contextmanager
+def results_dir(tmp_path, layout, keys=CONTRACT_KEYS):
+    """Yield the database path of a results directory in ``layout``.
+
+    For "json" the directory first gets the JSON store's files for
+    ``keys`` (as successful runs, so a store or scheduler that read them
+    would skip work it must do); on exit each must be byte-identical.
+    """
+    root = tmp_path / "results"
+    root.mkdir()
+    planted = plant_json_store(root, keys) if layout == "json" else {}
+    yield root / DB_NAME
+    for path, data in planted.items():
+        assert path.read_bytes() == data, f"{path} was modified"
+
+
+def test_store_ignores_json_store_files(tmp_path):
+    with results_dir(tmp_path, "json") as path:
+        store = SqliteResultStore(path)
+        assert store.count() == 0
+        assert list(store.iter_keys()) == []
+        for k in CONTRACT_KEYS:
+            assert not store.has(k)
+            assert store.get_run(k) is None
+            assert store.get_checkpoint(k) is None
+        assert store.quarantine_count() == 0
+        assert store.checkpoint_quarantine_count() == 0
+
+
 # ----------------------------------------------------------------------
 # serialisation
 # ----------------------------------------------------------------------
@@ -99,7 +226,7 @@ def test_jsonable_rejects_unserialisable():
 # store behaviour
 # ----------------------------------------------------------------------
 def test_put_get_run(tmp_path):
-    store = ResultStore(tmp_path)
+    store = make_store(tmp_path)
     result = sample_result()
     store.put_run(key(), result)
     assert store.get_run(key()) == result
@@ -107,26 +234,23 @@ def test_put_get_run(tmp_path):
 
 
 def test_get_run_missing_is_none(tmp_path):
-    store = ResultStore(tmp_path)
+    store = make_store(tmp_path)
     assert store.get_run(key()) is None
     assert not store.has(key())
 
 
 def test_schema_mismatch_treated_as_absent(tmp_path):
-    store = ResultStore(tmp_path)
+    store = make_store(tmp_path)
     store.put_run(key(), sample_result())
-    path = store.path_for(key())
-    record = json.loads(path.read_text())
-    record["schema"] = 999
-    path.write_text(json.dumps(record))
+    set_schema(store, key(), 999)
     assert store.get_run(key()) is None
     assert not store.has(key())
 
 
 def test_corrupt_record_treated_as_absent(tmp_path):
-    store = ResultStore(tmp_path)
+    store = make_store(tmp_path)
     store.put_run(key(), sample_result())
-    store.path_for(key()).write_text("{truncated")
+    set_payload(store, key(), "{truncated")
     assert store.get_run(key()) is None
 
 
@@ -134,35 +258,32 @@ def test_corrupt_record_treated_as_absent(tmp_path):
 # quarantine of unparseable records
 # ----------------------------------------------------------------------
 def test_corrupt_record_is_quarantined_not_reread_forever(tmp_path):
-    store = ResultStore(tmp_path)
+    store = make_store(tmp_path)
     store.put_run(key(), sample_result())
-    path = store.path_for(key())
-    path.write_text("{truncated")
+    set_payload(store, key(), "{truncated")
     assert store.get_record(key()) is None
-    # evidence preserved under <name>.json.corrupt, original gone
-    quarantined = path.with_name(path.name + ".corrupt")
-    assert not path.exists()
-    assert quarantined.read_text() == "{truncated"
-    # the key now reads as absent everywhere: resume re-runs it
+    # evidence preserved in the quarantine table, the record row gone
+    assert raw_row(store, "records", key()) is None
+    assert raw_row(store, "quarantine", key()) == ("{truncated",)
+    # the key now reads as absent everywhere: the next campaign re-runs it
     assert not store.has(key())
     assert store.get_run(key()) is None
     assert list(store.iter_keys()) == []
 
 
 def test_non_dict_record_is_quarantined(tmp_path):
-    store = ResultStore(tmp_path)
+    store = make_store(tmp_path)
     store.put_run(key(), sample_result())
-    path = store.path_for(key())
-    path.write_text("[1, 2, 3]")  # valid JSON, wrong shape
+    set_payload(store, key(), "[1, 2, 3]")  # valid JSON, wrong shape
     assert store.get_record(key()) is None
-    assert not path.exists()
-    assert path.with_name(path.name + ".corrupt").exists()
+    assert raw_row(store, "records", key()) is None
+    assert store.quarantine_count() == 1
 
 
 def test_quarantined_key_is_rewritable(tmp_path):
-    store = ResultStore(tmp_path)
+    store = make_store(tmp_path)
     store.put_run(key(), sample_result())
-    store.path_for(key()).write_text("garbage")
+    set_payload(store, key(), "garbage")
     assert not store.has(key())
     store.put_run(key(), sample_result())  # the re-run lands normally
     assert store.has(key())
@@ -170,37 +291,25 @@ def test_quarantined_key_is_rewritable(tmp_path):
 
 
 def test_missing_file_is_not_quarantined(tmp_path):
-    store = ResultStore(tmp_path)
+    """A key that was never written is absent, not corrupt."""
+    store = make_store(tmp_path)
     assert store.get_record(key()) is None
-    parent = store.path_for(key()).parent
-    assert not parent.exists() or list(parent.iterdir()) == []
+    assert store.quarantine_count() == 0
 
 
 def test_schema_mismatch_is_not_quarantined(tmp_path):
     """An incompatible-but-valid record is evidence of a version skew, not
     corruption: it stays in place (absent to readers) for inspection."""
-    store = ResultStore(tmp_path)
+    store = make_store(tmp_path)
     store.put_run(key(), sample_result())
-    path = store.path_for(key())
-    record = json.loads(path.read_text())
-    record["schema"] = 999
-    path.write_text(json.dumps(record))
+    set_schema(store, key(), 999)
     assert store.get_record(key()) is None
-    assert path.exists()
-    assert not path.with_name(path.name + ".corrupt").exists()
-
-
-def test_write_is_atomic_no_temp_left_behind(tmp_path):
-    store = ResultStore(tmp_path)
-    store.put_run(key(), sample_result())
-    store.put_run(key(), sample_result(seed=7))  # overwrite in place
-    leftovers = [p for p in store.path_for(key()).parent.iterdir()
-                 if p.suffix == ".tmp"]
-    assert leftovers == []
+    assert raw_row(store, "records", key()) is not None
+    assert store.quarantine_count() == 0
 
 
 def test_text_records(tmp_path):
-    store = ResultStore(tmp_path)
+    store = make_store(tmp_path)
     k = key(target="table1", attacked=False)
     store.put_text(k, "rendered artefact", params={"seed": 1})
     assert store.get_text(k) == "rendered artefact"
@@ -209,15 +318,15 @@ def test_text_records(tmp_path):
 
 
 def test_failure_records_do_not_count_as_done(tmp_path):
-    store = ResultStore(tmp_path)
+    store = make_store(tmp_path)
     store.put_failure(key(), "worker crashed")
     assert store.get_failure(key()) == "worker crashed"
-    assert not store.has(key())  # failures are retried on resume
+    assert not store.has(key())  # failures are retried by the next campaign
     assert store.get_run(key()) is None
 
 
 def test_success_overwrites_failure(tmp_path):
-    store = ResultStore(tmp_path)
+    store = make_store(tmp_path)
     store.put_failure(key(), "boom")
     store.put_run(key(), sample_result())
     assert store.has(key())
@@ -225,7 +334,7 @@ def test_success_overwrites_failure(tmp_path):
 
 
 def test_iter_keys_and_count(tmp_path):
-    store = ResultStore(tmp_path)
+    store = make_store(tmp_path)
     keys = [
         key(target="a", seed=1, attacked=False),
         key(target="a", seed=1, attacked=True),
@@ -269,7 +378,7 @@ def test_missing_drop_breakdown_reads_as_none():
 
 
 def test_store_round_trips_drop_breakdown(tmp_path):
-    store = ResultStore(tmp_path)
+    store = make_store(tmp_path)
     result = sample_result()
     result.drop_breakdown = {"delivered": 3}
     store.put_run(key(), result)

@@ -1,108 +1,44 @@
-"""The shared store-backend contract, run against every backend.
+"""The result-store contract, pinned through the public store API.
 
-Every test in this module executes once per backend (JSON files, SQLite
-database) through the ``backend`` fixture: the two must behave
-identically through the :class:`~repro.experiments.store.ResultStoreBase`
-API, down to producing byte-identical record dicts, because campaigns
-switch between them with a flag.  Backend-specific tampering (corrupting
-a record, forging a schema version) goes through the harness so each
-test states *what* is broken, not *how* that backend breaks.
+Atomic writes, schema versioning, quarantine, batched appends and
+concurrent writers from independent processes — the guarantees every
+campaign relies on.  Out-of-band tampering (corrupting a record, forging
+a schema version) goes through the helpers of ``test_store``.
 """
 
-import json
 import multiprocessing
 
 import pytest
 
 from repro.experiments.sqlite_store import SqliteResultStore
-from repro.experiments.store import (
-    ResultStore,
-    RunKey,
-    SCHEMA_VERSION,
-    SQLITE_DB_NAME,
-    StoreError,
-    open_store,
+from repro.experiments.store import RunKey, SCHEMA_VERSION
+from tests.experiments.test_store import (
+    RESULTS_LAYOUTS,
+    key,
+    raw_row,
+    results_dir,
+    sample_result,
+    set_payload,
+    set_schema,
 )
-from tests.experiments.test_store import key, sample_result
 
 
-class BackendHarness:
-    """One backend under contract test, plus its tampering hooks."""
+class Backend:
+    """The store under contract test: opens (and reopens) one database."""
 
-    def __init__(self, name, root):
-        self.name = name
-        self.root = root
+    name = "sqlite"
+
+    def __init__(self, path):
+        self.path = path
 
     def open(self):
-        return open_store(self.root, backend=self.name)
-
-    def corrupt(self, store, k):
-        """Make ``k``'s stored record unparseable, out of band."""
-        raise NotImplementedError
-
-    def set_schema(self, store, k, version):
-        """Forge ``k``'s record schema version, out of band."""
-        raise NotImplementedError
-
-    def raw_present(self, store, k):
-        """Whether ``k`` still has an (uninterpreted) record in place."""
-        raise NotImplementedError
+        return SqliteResultStore(self.path)
 
 
-class JsonHarness(BackendHarness):
-    def corrupt(self, store, k):
-        store.path_for(k).write_text("{truncated")
-
-    def set_schema(self, store, k, version):
-        path = store.path_for(k)
-        record = json.loads(path.read_text())
-        record["schema"] = version
-        path.write_text(json.dumps(record))
-
-    def raw_present(self, store, k):
-        return store.path_for(k).exists()
-
-
-class SqliteHarness(BackendHarness):
-    @staticmethod
-    def _where(k):
-        return (
-            "target=? AND config_hash=? AND seed=? AND attacked=?",
-            (k.target, k.config_hash, k.seed, int(k.attacked)),
-        )
-
-    def corrupt(self, store, k):
-        where, params = self._where(k)
-        store._conn().execute(
-            f"UPDATE records SET payload='{{truncated' WHERE {where}", params
-        )
-
-    def set_schema(self, store, k, version):
-        where, params = self._where(k)
-        row = store._conn().execute(
-            f"SELECT payload FROM records WHERE {where}", params
-        ).fetchone()
-        record = json.loads(row[0])
-        record["schema"] = version
-        store._conn().execute(
-            f"UPDATE records SET payload=?, schema=? WHERE {where}",
-            (json.dumps(record), version) + params,
-        )
-
-    def raw_present(self, store, k):
-        where, params = self._where(k)
-        return (
-            store._conn()
-            .execute(f"SELECT 1 FROM records WHERE {where}", params)
-            .fetchone()
-            is not None
-        )
-
-
-@pytest.fixture(params=["json", "sqlite"])
+@pytest.fixture(params=RESULTS_LAYOUTS)
 def backend(request, tmp_path):
-    harness_cls = {"json": JsonHarness, "sqlite": SqliteHarness}[request.param]
-    return harness_cls(request.param, tmp_path / request.param)
+    with results_dir(tmp_path, request.param) as path:
+        yield Backend(path)
 
 
 # ----------------------------------------------------------------------
@@ -179,13 +115,13 @@ def test_resume_skip_via_has(backend):
 def test_schema_mismatch_reads_absent_but_stays_in_place(backend):
     store = backend.open()
     store.put_run(key(), sample_result())
-    backend.set_schema(store, key(), SCHEMA_VERSION + 998)
+    set_schema(store, key(), SCHEMA_VERSION + 998)
     assert store.get_record(key()) is None
     assert store.get_run(key()) is None
     assert not store.has(key())
     # version skew is evidence, not corruption: no quarantine, row stays
     assert store.quarantine_count() == 0
-    assert backend.raw_present(store, key())
+    assert raw_row(store, "records", key()) is not None
 
 
 # ----------------------------------------------------------------------
@@ -194,7 +130,7 @@ def test_schema_mismatch_reads_absent_but_stays_in_place(backend):
 def test_corrupt_record_is_quarantined(backend):
     store = backend.open()
     store.put_run(key(), sample_result())
-    backend.corrupt(store, key())
+    set_payload(store, key(), "{truncated")
     assert store.get_record(key()) is None
     assert not store.has(key())
     assert store.quarantine_count() == 1
@@ -205,7 +141,7 @@ def test_corrupt_record_is_quarantined(backend):
 def test_quarantined_key_is_rewritable(backend):
     store = backend.open()
     store.put_run(key(), sample_result())
-    backend.corrupt(store, key())
+    set_payload(store, key(), "{truncated")
     assert not store.has(key())
     store.put_run(key(), sample_result())  # the re-run lands normally
     assert store.has(key())
@@ -228,8 +164,8 @@ def test_batch_writes_are_visible_after_the_block(backend):
 # ----------------------------------------------------------------------
 # concurrent writers
 # ----------------------------------------------------------------------
-def _writer_process(backend_name, root, worker, per_worker):
-    store = open_store(root, backend=backend_name)
+def _writer_process(path, worker, per_worker):
+    store = SqliteResultStore(path)
     for n in range(per_worker):
         k = RunKey(
             target=f"w{worker}", config_hash="ab12", seed=n, attacked=False
@@ -247,7 +183,7 @@ def test_concurrent_writers_do_not_corrupt_records(backend):
     procs = [
         ctx.Process(
             target=_writer_process,
-            args=(backend.name, backend.root, w, per_worker),
+            args=(backend.path, w, per_worker),
         )
         for w in range(workers)
     ]
@@ -269,51 +205,14 @@ def test_concurrent_writers_do_not_corrupt_records(backend):
     assert store.get_run(shared) == sample_result(seed=0, attacked=False)
 
 
-# ----------------------------------------------------------------------
-# cross-backend parity
-# ----------------------------------------------------------------------
-def test_backends_produce_byte_identical_records(tmp_path):
-    json_store = open_store(tmp_path / "json", backend="json")
-    sqlite_store = open_store(tmp_path / "sqlite", backend="sqlite")
-    result = sample_result()
-    for store in (json_store, sqlite_store):
-        store.put_run(key(), result, config={"duration": 6.0})
-        store.put_text(key(target="table1", attacked=False), "artefact")
-        store.put_failure(key(seed=9), "boom")
-    for k in (key(), key(target="table1", attacked=False), key(seed=9)):
-        json_record = json_store.get_record(k)
-        sqlite_record = sqlite_store.get_record(k)
-        assert json.dumps(json_record, sort_keys=True) == json.dumps(
-            sqlite_record, sort_keys=True
-        )
-    assert list(json_store.iter_keys()) == list(sqlite_store.iter_keys())
-
-
-# ----------------------------------------------------------------------
-# open_store routing
-# ----------------------------------------------------------------------
-def test_open_store_routes_backends(tmp_path):
-    assert isinstance(open_store(tmp_path, backend="json"), ResultStore)
-    store = open_store(tmp_path, backend="sqlite")
-    assert isinstance(store, SqliteResultStore)
-    # a directory root gets the default database name under it
-    assert store.path == tmp_path / SQLITE_DB_NAME
-    # an explicit database filename is honoured as-is
-    explicit = open_store(tmp_path / "mine.sqlite", backend="sqlite")
-    assert explicit.path == tmp_path / "mine.sqlite"
-    with pytest.raises(StoreError):
-        open_store(tmp_path, backend="parquet")
-
-
 def test_describe_names_the_backend(backend):
     assert backend.name in backend.open().describe()
 
 
 def test_sqlite_batch_rolls_back_atomically(tmp_path):
-    """Nothing written inside a failed batch block survives (the SQLite
-    half of the mid-commit guarantee; the JSON backend has no multi-write
-    transaction to roll back)."""
-    store = open_store(tmp_path, backend="sqlite")
+    """Nothing written inside a failed batch block survives (the store
+    half of the mid-commit guarantee)."""
+    store = SqliteResultStore(tmp_path / "results.sqlite")
     store.put_run(key(seed=1), sample_result(seed=1))
     with pytest.raises(RuntimeError, match="boom"):
         with store.batch():

@@ -141,24 +141,19 @@ class TestUrbanSweep:
         self, monkeypatch, tmp_path
     ):
         from repro.experiments import urban
-        from repro.experiments.campaign import run_campaign
-        from repro.experiments.store import ResultStore
+        from repro.experiments.service.scheduler import run_service_campaign
+        from repro.experiments.sqlite_store import SqliteResultStore
 
         self._shrink(monkeypatch)
-        store = ResultStore(tmp_path)
-        report = run_campaign(
-            ["urban"], store=store, runs=1, duration=10.0, seed=2,
-            resume=True, log_stream=None,
-        )
+        store = SqliteResultStore(tmp_path / "results.sqlite")
+        kw = dict(runs=1, duration=10.0, seed=2, workers=1)
+        report = run_service_campaign(["urban"], store=store, **kw)
         assert report.ok
         assert report.executed == 4  # 2 cells x (af + atk)
         assert "urban" in report.outputs["urban"]
         # Resume: nothing left to execute, the artefact assembles from
         # the store alone.
-        again = run_campaign(
-            ["urban"], store=store, runs=1, duration=10.0, seed=2,
-            resume=True, log_stream=None,
-        )
+        again = run_service_campaign(["urban"], store=store, **kw)
         assert again.executed == 0
         assert again.skipped == report.executed
         assert again.outputs["urban"] == report.outputs["urban"]

@@ -155,35 +155,18 @@ def test_fault_sweep_renders_the_impairment_grid(monkeypatch):
 @pytest.mark.slow
 def test_fault_sweep_through_the_store_backed_campaign(monkeypatch, tmp_path):
     from repro.experiments import impairments
-    from repro.experiments.campaign import run_campaign
-    from repro.experiments.store import ResultStore
+    from repro.experiments.service.scheduler import run_service_campaign
+    from repro.experiments.sqlite_store import SqliteResultStore
 
     monkeypatch.setattr(impairments, "LOSS_LEVELS", (0.0,))
     monkeypatch.setattr(impairments, "CHURN_LEVELS", (("heavy", 15.0),))
-    store = ResultStore(tmp_path)
-    report = run_campaign(
-        ["faults"],
-        store=store,
-        runs=1,
-        duration=8.0,
-        seed=2,
-        processes=1,
-        resume=True,
-        log_stream=None,
-    )
+    store = SqliteResultStore(tmp_path / "results.sqlite")
+    kw = dict(runs=1, duration=8.0, seed=2, workers=1)
+    report = run_service_campaign(["faults"], store=store, **kw)
     assert report.ok
     assert "faults" in report.outputs
     assert "churn=heavy" in report.outputs["faults"]
     # the sweep's runs landed in the store: a re-issue is free
-    again = run_campaign(
-        ["faults"],
-        store=store,
-        runs=1,
-        duration=8.0,
-        seed=2,
-        processes=1,
-        resume=True,
-        log_stream=None,
-    )
+    again = run_service_campaign(["faults"], store=store, **kw)
     assert again.skipped == again.planned
     assert again.executed == 0

@@ -14,12 +14,25 @@ after *every* event:
 
 and, after quiescence (draining the queue with expired-lease takeover),
 every job ends in a terminal state.
+
+The machine is also the reference model of the persistent
+:class:`~repro.experiments.service.leases.LeaseQueue`: the same event
+interleavings drive both, with an injected clock, and every transition
+must return the same value.
 """
 
-from hypothesis import given, settings
+import tempfile
+from pathlib import Path
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.service.leases import JobState, LeaseStateMachine
+from repro.experiments.service.leases import (
+    JobState,
+    LeaseQueue,
+    LeaseStateMachine,
+)
+from repro.experiments.sqlite_store import SqliteResultStore
 
 MAX_ATTEMPTS = 3
 WORKERS = ("w0", "w1", "w2")
@@ -54,6 +67,16 @@ def job_name(index):
     return f"job-{index}"
 
 
+def pick_target(machine, job_ids, worker, job_index, now):
+    """The job a non-lease event acts on: one ``worker`` holds, if any,
+    else the event's arbitrary job."""
+    target = job_ids[job_index]
+    held = [j for j in job_ids if machine.holder_of(j, now) == worker]
+    if held and target not in held:
+        target = held[0]
+    return target
+
+
 def apply_events(machine, job_ids, events):
     """Replay ``events``, asserting the invariants after every single one.
 
@@ -66,11 +89,7 @@ def apply_events(machine, job_ids, events):
     terminal_seen = {}
     for op, worker, job_index, dt, ttl in events:
         now += dt
-        target = job_ids[job_index]
-        if op != "lease":
-            held = [j for j in job_ids if machine.holder_of(j, now) == worker]
-            if held and target not in held:
-                target = held[0]
+        target = pick_target(machine, job_ids, worker, job_index, now)
         if op == "lease":
             previous_holder = {
                 j: machine.holder_of(j, now) for j in job_ids
@@ -163,23 +182,57 @@ class TestLeaseStateMachineProperties:
 
     @settings(max_examples=200, deadline=None)
     @given(scenarios())
-    def test_serialisation_round_trip_preserves_state(self, scenario):
+    # b (job-1) on its last attempt expires while a (job-0) is pending
+    # again; the next lease must sweep b to failed before granting a.
+    @example(
+        (
+            2,
+            [
+                ("lease", "w0", 0, 0.0, 4.0),
+                ("lease", "w1", 1, 0.0, 0.1),
+                ("lease", "w1", 1, 0.1, 0.1),
+                ("lease", "w1", 1, 0.1, 0.1),
+                ("fail", "w0", 0, 0.1, 0.1),
+                ("lease", "w2", 0, 0.0, 1.0),
+                ("complete", "w1", 1, 0.0, 1.0),
+            ],
+        )
+    )
+    def test_queue_agrees_with_the_reference_machine(self, scenario):
         n_jobs, events = scenario
-        machine = LeaseStateMachine(max_attempts=MAX_ATTEMPTS)
         job_ids = [job_name(i) for i in range(n_jobs)]
+        machine = LeaseStateMachine(max_attempts=MAX_ATTEMPTS)
         for job_id in job_ids:
             machine.add(job_id)
-        now = apply_events(machine, job_ids, events)
-        clone = LeaseStateMachine.from_dict(
-            machine.to_dict(), max_attempts=MAX_ATTEMPTS
-        )
-        assert clone.to_dict() == machine.to_dict()
-        assert clone.counts(now) == machine.counts(now)
-        for job_id in job_ids:
-            assert clone.state_of(job_id) == machine.state_of(job_id)
-            assert clone.holder_of(job_id, now) == machine.holder_of(
-                job_id, now
+        now = 0.0
+        with tempfile.TemporaryDirectory() as root:
+            store = SqliteResultStore(Path(root) / "results.sqlite")
+            queue = LeaseQueue(
+                store, max_attempts=MAX_ATTEMPTS, clock=lambda: now
             )
+            assert queue.seed(job_ids) == n_jobs
+            for op, worker, job_index, dt, ttl in events:
+                now += dt
+                target = pick_target(machine, job_ids, worker, job_index, now)
+                if op == "lease":
+                    lease = machine.lease(worker, now, ttl)
+                    assert queue.lease(worker, ttl=ttl) == lease
+                    if lease is None:
+                        assert queue.counts() == machine.counts(now)
+                        assert queue.errors() == machine.errors()
+                elif op == "heartbeat":
+                    assert queue.heartbeat(
+                        worker, target, ttl=ttl
+                    ) == machine.heartbeat(worker, target, now, ttl)
+                elif op == "complete":
+                    assert queue.complete(worker, target) == machine.complete(
+                        worker, target
+                    )
+                elif op == "fail":
+                    assert queue.fail(
+                        worker, target, "injected failure"
+                    ) == machine.fail(worker, target, "injected failure")
+            store.close()
 
     @settings(max_examples=100, deadline=None)
     @given(
