@@ -7,8 +7,10 @@ laptop check and a full paper-scale regeneration:
 * ``REPRO_BENCH_DURATION`` — simulated seconds per run (default 40; the
   paper uses 200);
 * ``REPRO_BENCH_RUNS`` — A/B runs per setting (default 1; the paper uses
-  100);
-* ``REPRO_BENCH_PROCESSES`` — worker processes (default 1).
+  100).
+
+Runs execute serially in-process; parallel paper-scale regeneration is
+``repro-experiments campaign``.
 
 Measured drop rates and reception levels are attached to each benchmark's
 ``extra_info`` so the JSON output doubles as an experiment record.
@@ -34,7 +36,6 @@ def bench_scale():
     return {
         "duration": _env_float("REPRO_BENCH_DURATION", 40.0),
         "runs": _env_int("REPRO_BENCH_RUNS", 1),
-        "processes": _env_int("REPRO_BENCH_PROCESSES", 1),
         "seed": _env_int("REPRO_BENCH_SEED", 1),
     }
 

@@ -10,7 +10,7 @@ from repro.experiments import ExperimentConfig, run_ab
 
 
 def _kw(bench_scale):
-    return dict(runs=bench_scale["runs"], processes=bench_scale["processes"])
+    return dict(runs=bench_scale["runs"])
 
 
 def _duration(bench_scale):

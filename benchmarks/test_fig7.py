@@ -14,7 +14,6 @@ def _kw(bench_scale):
     return dict(
         runs=bench_scale["runs"],
         duration=bench_scale["duration"],
-        processes=bench_scale["processes"],
         seed=bench_scale["seed"],
     )
 

@@ -70,8 +70,8 @@ class MissingRunError(CampaignError):
 # ----------------------------------------------------------------------
 # target registry
 # ----------------------------------------------------------------------
-#: A/B figure targets: name -> builder accepting (runs, duration,
-#: processes, seed, runner) and returning an object with ``.format()``.
+#: A/B figure targets: name -> builder accepting (runs, duration, seed,
+#: runner) and returning an object with ``.format()``.
 AB_TARGETS: Dict[str, Callable[..., Any]] = {
     "fig7a": fig7.fig7a,
     "fig7b": fig7.fig7b,
@@ -275,9 +275,7 @@ def plan_target(
         raise CampaignError(f"unknown campaign target {target!r}")
     specs: List[RunSpec] = []
 
-    def recording_runner(
-        config: ExperimentConfig, *, runs: int, processes: int = 1
-    ) -> AbResult:
+    def recording_runner(config: ExperimentConfig, *, runs: int) -> AbResult:
         for cfg, attacked, run_seed in expand_jobs(config, runs):
             specs.append(
                 RunSpec(
@@ -291,8 +289,7 @@ def plan_target(
         return _placeholder_ab(config, runs)
 
     AB_TARGETS[target](
-        runs=runs, duration=duration, processes=1, seed=seed,
-        runner=recording_runner,
+        runs=runs, duration=duration, seed=seed, runner=recording_runner
     )
     return specs
 
@@ -410,9 +407,7 @@ def store_runner(
     (a 2-item list) accumulates ``[stored, planned]`` run counts.
     """
 
-    def runner(
-        config: ExperimentConfig, *, runs: int, processes: int = 1
-    ) -> AbResult:
+    def runner(config: ExperimentConfig, *, runs: int) -> AbResult:
         by_seed: Dict[int, Dict[bool, Optional[RunResult]]] = {}
         attacks_planned = False
         planned = 0
@@ -475,7 +470,6 @@ def assemble_target(
     artefact = AB_TARGETS[target](
         runs=runs,
         duration=duration,
-        processes=1,
         seed=seed,
         runner=store_runner(store, target, partial=partial, coverage=coverage),
     )

@@ -11,55 +11,51 @@ Examples::
     repro-experiments explain inter-area --runs 2 --duration 100
     repro-experiments faults --runs 2 --duration 100 --processes 8
 
-``campaign`` is the fault-tolerant way to regenerate many artefacts: it
-runs the lease service with ``--processes N`` independent worker
-processes that heartbeat their jobs and survive SIGKILL at any point.
-Every simulation run lands in ``<results-dir>/results.sqlite`` as it
-finishes, so a re-issued campaign executes only the runs that are
-missing or failed.  ``--save`` on a single target routes it through the
-same service and store; ``status`` / ``--status-port`` expose live
-progress counters.
+Every target runs the same way: its runs are planned, executed by the
+lease service with ``--processes N`` independent worker processes that
+heartbeat their jobs and survive SIGKILL at any point, and the artefact
+is assembled from the result store.  ``campaign`` (and ``--save`` on a
+single target) uses ``<results-dir>/results.sqlite``: every run lands
+there as it finishes, so a re-issued campaign executes only the runs that
+are missing or failed.  A plain target uses a throwaway store in a
+temporary directory instead, so it neither reads nor keeps stored
+results.  ``status`` / ``--status-port`` expose live progress counters.
 
 ``explain`` runs seed-paired A/B simulations with the packet-lifecycle
 ledger enabled and reports where every application packet died — the
 terminal-outcome breakdown behind the figures' aggregate drop rates.
 
-``faults`` sweeps the inter-area attack over a frame-loss × node-churn
-impairment grid (store-backed, resumable like a campaign) and reports how
-attack success and delivery ratio hold up off the ideal channel.
-
-``urban`` sweeps both attacks over {highway, urban Manhattan grid} ×
-{DCC off, on} × {CBF, S-FoT+} — the urban scenario pack — with the same
-store-backed resume semantics::
-
-    repro-experiments urban --runs 2 --duration 100 --processes 8
-    repro-experiments campaign urban --processes 8
+``faults``, ``urban`` and ``detect`` are the store-backed sweeps:
+``faults <flags>`` is exactly ``campaign faults <flags>``.  ``faults``
+sweeps the inter-area attack over a frame-loss × node-churn impairment
+grid and reports how attack success and delivery ratio hold up off the
+ideal channel; ``urban`` sweeps both attacks over {highway, urban
+Manhattan grid} × {DCC off, on} × {CBF, S-FoT+}; ``detect`` scores the
+online misbehavior detector over attacker variants × impairments ×
+scenarios.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 import time
 from pathlib import Path
 from typing import List, Optional
 
-from repro.experiments.campaign import CampaignError, TARGET_ALIASES
-from repro.experiments.figures import (
-    fig7,
-    fig8,
-    fig9,
-    fig10,
-    fig12,
-    fig13,
-    fig14,
-    tables,
+from repro.experiments.campaign import (
+    CAMPAIGN_TARGETS,
+    TARGET_ALIASES,
+    TEXT_TARGETS,
+    CampaignError,
+    resolve_targets,
 )
 from repro.experiments.store import DEFAULT_RESULTS_DIR
 
-#: Targets that are single whole runs: per-run fan-out flags do not apply
-#: (warned about on stderr instead of silently ignored).
-_SINGLE_RUN_TARGETS = ("table1", "table2", "fig12a", "fig12b", "fig13")
+#: Store-backed sweeps: ``faults <flags>`` is exactly ``campaign faults
+#: <flags>``, so a re-issued sweep only costs the missing runs.
+_SWEEP_COMMANDS = ("faults", "urban", "detect")
 
 #: (flag, namespace attribute, default) of every flag that only changes
 #: how *many parallel runs* execute — meaningless for a single
@@ -78,93 +74,26 @@ def _emit(text: str) -> None:
     print()
 
 
-def _warn_ignored_flags(name: str, args: argparse.Namespace) -> None:
-    """Flag combinations that look meaningful but are not for ``name``."""
-    if name not in _SINGLE_RUN_TARGETS:
+def _warn_ignored_flags(targets: List[str], args: argparse.Namespace) -> None:
+    """Flag combinations that look meaningful but are not, because every
+    one of the (resolved) ``targets`` is a single whole run
+    (:data:`~repro.experiments.campaign.TEXT_TARGETS`)."""
+    if any(name not in TEXT_TARGETS for name in targets):
         return
     ignored = []
     for flag, attr, default in _FANOUT_FLAGS:
         value = getattr(args, attr, default)
         if value != default:
             ignored.append(f"{flag} {value}")
-    if name == "fig13" and args.duration != 200.0:
+    if targets == ["fig13"] and args.duration != 200.0:
         ignored.append(f"--duration {args.duration}")
     if ignored:
         verb = "has" if len(ignored) == 1 else "have"
         print(
-            f"warning: {name} is a single deterministic run; "
-            f"{' and '.join(ignored)} {verb} no effect on it",
+            f"warning: single deterministic runs only ({', '.join(targets)}); "
+            f"{' and '.join(ignored)} {verb} no effect",
             file=sys.stderr,
         )
-
-
-def _run_target(name: str, args: argparse.Namespace) -> None:
-    kw = dict(
-        runs=args.runs,
-        duration=args.duration,
-        processes=args.processes,
-        seed=args.seed,
-    )
-    started = time.time()
-    _warn_ignored_flags(name, args)
-    if name == "table1":
-        _emit(tables.table1())
-    elif name == "table2":
-        _emit(tables.table2())
-    elif name in ("fig7a", "fig7b", "fig7c", "fig7d", "fig7e"):
-        _emit(getattr(fig7, name)(**kw).format())
-    elif name == "fig7":
-        for panel, result in fig7.figure7(**kw).items():
-            _emit(result.format())
-    elif name == "fig8":
-        _emit(fig8.figure8(**kw).format())
-    elif name in ("fig9a", "fig9b", "fig9c", "fig9d", "fig9e"):
-        _emit(getattr(fig9, name)(**kw).format())
-    elif name == "fig9":
-        for panel, result in fig9.figure9(**kw).items():
-            _emit(result.format())
-    elif name == "fig9-tuning":
-        _emit(fig9.attack_range_tuning(**kw).format())
-    elif name == "fig9-source-location":
-        _emit(fig9.source_location_study(**kw).format())
-    elif name == "fig10":
-        _emit(fig10.figure10(**kw).format())
-    elif name == "fig12a":
-        _emit(fig12.fig12a(duration=args.duration, seed=args.seed).format())
-    elif name == "fig12b":
-        _emit(fig12.fig12b(duration=args.duration, seed=args.seed).format())
-    elif name == "fig13":
-        _emit(fig13.fig13(seed=args.seed).format())
-    elif name == "fig14a":
-        _emit(fig14.fig14a(**kw).format())
-    elif name == "fig14b":
-        _emit(fig14.fig14b(**kw).format())
-    elif name == "faults":
-        from repro.experiments.impairments import fault_sweep
-
-        _emit(fault_sweep(**kw).format())
-    elif name == "urban":
-        from repro.experiments.urban import urban_sweep
-
-        _emit(urban_sweep(**kw).format())
-    elif name == "detect":
-        from repro.experiments.detect import detect_sweep
-
-        _emit(detect_sweep(**kw).format())
-    elif name == "overhead":
-        from repro.experiments.config import ExperimentConfig
-        from repro.experiments.overhead import format_analysis
-        from repro.experiments.world import World
-
-        config = ExperimentConfig.inter_area_default(
-            duration=args.duration, seed=args.seed
-        )
-        world = World(config, attacked=False, seed=args.seed)
-        world.run()
-        _emit(format_analysis(world.channel.stats, duration=args.duration))
-    else:
-        raise SystemExit(f"unknown target {name!r}")
-    print(f"[{name} done in {time.time() - started:.1f}s]", file=sys.stderr)
 
 
 def _campaign_store(args: argparse.Namespace):
@@ -197,7 +126,7 @@ def _worker_settings(args: argparse.Namespace):
 
 
 def _run_saved(targets: List[str], args: argparse.Namespace) -> int:
-    """Route targets through the service (``--save`` / ``campaign``).
+    """Run targets through the lease service on ``--results-dir``'s store.
 
     ``--processes N`` independent worker processes execute the runs that
     are not stored yet, each surviving SIGKILL at any point, and the
@@ -207,9 +136,11 @@ def _run_saved(targets: List[str], args: argparse.Namespace) -> int:
     from repro.experiments.service.scheduler import run_service_campaign
 
     settings = _worker_settings(args)
+    try:
+        _warn_ignored_flags(resolve_targets(targets), args)
+    except CampaignError as exc:
+        raise SystemExit(str(exc))
     store = _campaign_store(args)
-    for name in targets:
-        _warn_ignored_flags(name, args)
     try:
         report = run_service_campaign(
             targets,
@@ -234,35 +165,6 @@ def _run_saved(targets: List[str], args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-ALL_TARGETS = [
-    "table1",
-    "table2",
-    "fig7a",
-    "fig7b",
-    "fig7c",
-    "fig7d",
-    "fig7e",
-    "fig8",
-    "fig9a",
-    "fig9b",
-    "fig9c",
-    "fig9d",
-    "fig9e",
-    "fig9-tuning",
-    "fig9-source-location",
-    "fig10",
-    "fig12a",
-    "fig12b",
-    "fig13",
-    "fig14a",
-    "fig14b",
-    "overhead",
-    "faults",
-    "urban",
-    "detect",
-]
-
-
 def _add_common_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--runs", type=int, default=3, help="A/B runs per setting")
     parser.add_argument(
@@ -272,8 +174,7 @@ def _add_common_args(parser: argparse.ArgumentParser) -> None:
         "--processes",
         type=int,
         default=1,
-        help="worker processes for runs (store-backed commands: lease "
-        "service workers)",
+        help="lease service worker processes that execute the runs",
     )
     parser.add_argument("--seed", type=int, default=1, help="base random seed")
     parser.add_argument(
@@ -366,7 +267,7 @@ def _build_campaign_parser() -> argparse.ArgumentParser:
 
 
 def _add_scheduler_args(parser: argparse.ArgumentParser) -> None:
-    """The lease-service flags (campaign and sweep subcommands)."""
+    """The lease-service flags of the campaign subcommand."""
     parser.add_argument(
         "--lease-ttl",
         type=float,
@@ -406,28 +307,6 @@ def _add_scheduler_args(parser: argparse.ArgumentParser) -> None:
         help="assemble targets from whatever runs are stored (with a "
         "coverage note) instead of erroring on missing runs",
     )
-
-
-def _build_sweep_parser(name: str, description: str) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog=f"repro-experiments {name}", description=description
-    )
-    _add_common_args(parser)
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="S",
-        help="per-run timeout in seconds (default: none)",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=1,
-        help="retries per run before recording a failure (default: %(default)s)",
-    )
-    _add_scheduler_args(parser)
-    return parser
 
 
 def _build_status_parser() -> argparse.ArgumentParser:
@@ -525,21 +404,25 @@ def _build_target_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "target",
-        choices=ALL_TARGETS + ["all", "fig7", "fig9", "campaign", "explain", "status"],
+        choices=CAMPAIGN_TARGETS
+        + list(TARGET_ALIASES)
+        + ["campaign", "explain", "status"],
         help="which artefact to regenerate ('all' runs every one)",
     )
     _add_common_args(parser)
     parser.add_argument(
         "--save",
         action="store_true",
-        help="route through the result store: reuse stored runs, store new "
-        "ones, assemble the artefact from the store",
+        help="keep the runs in --results-dir's store: reuse stored runs, "
+        "store new ones (default: a throwaway store, deleted on exit)",
     )
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    if argv and argv[0] in _SWEEP_COMMANDS:
+        argv = ["campaign"] + argv
     if argv and argv[0] == "campaign":
         args = _build_campaign_parser().parse_args(argv[1:])
         return _run_saved(args.targets, args)
@@ -547,34 +430,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_explain(_build_explain_parser().parse_args(argv[1:]))
     if argv and argv[0] == "status":
         return _run_status(_build_status_parser().parse_args(argv[1:]))
-    if argv and argv[0] == "faults":
-        # Store-backed by design: the 9-cell x N-run grid is expensive, so
-        # a re-issued sweep only costs the missing runs.
-        args = _build_sweep_parser(
-            "faults",
-            "Sweep the inter-area attack over a frame-loss x node-churn "
-            "impairment grid (store-backed and resumable).",
-        ).parse_args(argv[1:])
-        return _run_saved(["faults"], args)
-    if argv and argv[0] == "urban":
-        # Same store-backed pattern as 'faults': the 2x2x2-per-attack grid
-        # resumes from wherever a previous sweep stopped.
-        args = _build_sweep_parser(
-            "urban",
-            "Sweep both attacks over {highway, urban} x {DCC off, on} x "
-            "{CBF, S-FoT+} (store-backed and resumable).",
-        ).parse_args(argv[1:])
-        return _run_saved(["urban"], args)
-    if argv and argv[0] == "detect":
-        # Store-backed like 'faults'/'urban': the {variant} x {impairment}
-        # x {scenario} detection grid resumes from the store.
-        args = _build_sweep_parser(
-            "detect",
-            "Score the online misbehavior detector over {single, "
-            "coordinated, mobile, adaptive} attackers x {clean, impaired} "
-            "x {highway, urban} (store-backed and resumable).",
-        ).parse_args(argv[1:])
-        return _run_saved(["detect"], args)
     args = _build_target_parser().parse_args(argv)
     if args.target == "campaign":
         raise SystemExit("usage: repro-experiments campaign <targets...>")
@@ -585,13 +440,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.target == "status":
         raise SystemExit("usage: repro-experiments status <targets...>")
     if args.save:
-        # Single-target save behaves like a one-target campaign.
-        targets = ALL_TARGETS if args.target == "all" else [args.target]
-        return _run_saved(targets, args)
-    targets = ALL_TARGETS if args.target == "all" else [args.target]
-    for name in targets:
-        _run_target(name, args)
-    return 0
+        return _run_saved([args.target], args)
+    # A plain run reads and keeps no stored results: the same service runs
+    # on a fresh store that is deleted with its directory on exit.
+    with tempfile.TemporaryDirectory(prefix="repro-experiments-") as scratch:
+        args.results_dir = scratch
+        return _run_saved([args.target], args)
 
 
 if __name__ == "__main__":

@@ -180,7 +180,6 @@ def detect_sweep(
     *,
     runs: int = 3,
     duration: float = 200.0,
-    processes: int = 1,
     seed: int = 1,
     runner: AbRunner = run_ab,
 ) -> DetectSweepResult:
@@ -197,7 +196,7 @@ def detect_sweep(
                     faults=plan,
                     label=f"{scenario}-{variant}-{label}",
                 )
-                result = runner(config, runs=runs, processes=processes)
+                result = runner(config, runs=runs)
                 cells.append(
                     DetectCell(
                         scenario=scenario,

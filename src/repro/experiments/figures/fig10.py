@@ -54,7 +54,6 @@ def figure10(
     *,
     runs: int = 3,
     duration: float = 200.0,
-    processes: int = 1,
     seed: int = 1,
     runner: AbRunner = run_ab,
 ) -> FigureResult:
@@ -66,7 +65,7 @@ def figure10(
     for label, config in _scenarios(duration, seed).items():
         result.add(
             label,
-            runner(config.with_(label=label), runs=runs, processes=processes),
+            runner(config.with_(label=label), runs=runs),
         )
     result.notes.append(
         cumulative_table("Fig10", result.series, bin_width=5.0)

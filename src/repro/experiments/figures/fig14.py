@@ -68,7 +68,6 @@ def fig14a(
     *,
     runs: int = 3,
     duration: float = 200.0,
-    processes: int = 1,
     seed: int = 1,
     threshold: Optional[float] = None,
     runner: AbRunner = run_ab,
@@ -91,14 +90,12 @@ def fig14a(
         unmitigated = runner(
             base.with_(attack=attack, label=f"{label}-plain"),
             runs=runs,
-            processes=processes,
         )
         mitigated = runner(
             base.with_(
                 attack=attack, geonet=mitigated_geonet, label=f"{label}-check"
             ),
             runs=runs,
-            processes=processes,
         )
         series.append(
             MitigationSeries(label=label, unmitigated=unmitigated, mitigated=mitigated)
@@ -122,7 +119,6 @@ def fig14b(
     *,
     runs: int = 3,
     duration: float = 200.0,
-    processes: int = 1,
     seed: int = 1,
     threshold: int = 3,
     runner: AbRunner = run_ab,
@@ -143,14 +139,12 @@ def fig14b(
         unmitigated = runner(
             base.with_(attack=attack, label=f"{label}-plain"),
             runs=runs,
-            processes=processes,
         )
         mitigated = runner(
             base.with_(
                 attack=attack, geonet=mitigated_geonet, label=f"{label}-rhl"
             ),
             runs=runs,
-            processes=processes,
         )
         series.append(
             MitigationSeries(label=label, unmitigated=unmitigated, mitigated=mitigated)

@@ -13,15 +13,16 @@ Five panels sweep one parameter each against the paper's defaults
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import FigureResult
 from repro.experiments.runner import AbResult, run_ab
 
-#: A runner executes one A/B setting.  The default is the in-memory
-#: :func:`~repro.experiments.runner.run_ab`; the campaign orchestrator
-#: injects a store-backed runner that assembles precomputed
+#: A runner executes one A/B setting, called as ``runner(config, *, runs)``.
+#: The default is the in-memory :func:`~repro.experiments.runner.run_ab`;
+#: the campaign planner injects a recording runner and the assembler a
+#: store-backed one that feeds precomputed
 #: :class:`~repro.experiments.runner.RunResult`\ s instead of simulating.
 AbRunner = Callable[..., AbResult]
 from repro.radio.technology import DSRC, RadioTechnology, RangeClass
@@ -47,7 +48,6 @@ def _sweep_ranges(
     *,
     runs: int,
     duration: float,
-    processes: int,
     seed: int,
     runner: AbRunner = run_ab,
 ) -> FigureResult:
@@ -63,7 +63,7 @@ def _sweep_ranges(
             ),
             label=f"{technology.name}-{label}",
         )
-        result.add(label, runner(config, runs=runs, processes=processes))
+        result.add(label, runner(config, runs=runs))
     return result
 
 
@@ -71,7 +71,6 @@ def fig7a(
     *,
     runs: int = 3,
     duration: float = 200.0,
-    processes: int = 1,
     seed: int = 1,
     runner: AbRunner = run_ab,
 ) -> FigureResult:
@@ -81,7 +80,6 @@ def fig7a(
         DSRC,
         runs=runs,
         duration=duration,
-        processes=processes,
         seed=seed,
         runner=runner,
     )
@@ -91,7 +89,6 @@ def fig7b(
     *,
     runs: int = 3,
     duration: float = 200.0,
-    processes: int = 1,
     seed: int = 1,
     runner: AbRunner = run_ab,
 ) -> FigureResult:
@@ -103,7 +100,6 @@ def fig7b(
         CV2X,
         runs=runs,
         duration=duration,
-        processes=processes,
         seed=seed,
         runner=runner,
     )
@@ -113,7 +109,6 @@ def fig7c(
     *,
     runs: int = 3,
     duration: float = 200.0,
-    processes: int = 1,
     seed: int = 1,
     runner: AbRunner = run_ab,
 ) -> FigureResult:
@@ -127,7 +122,7 @@ def fig7c(
             geonet=dataclasses.replace(base.geonet, loct_ttl=ttl),
             label=f"ttl{ttl:.0f}",
         )
-        result.add(f"ttl={ttl:.0f}s", runner(config, runs=runs, processes=processes))
+        result.add(f"ttl={ttl:.0f}s", runner(config, runs=runs))
     # The paper's extra series: a median-NLoS attacker still intercepts
     # almost everything even at the shortest TTL.
     config = base.with_(
@@ -135,7 +130,7 @@ def fig7c(
         attack=dataclasses.replace(base.attack, attack_range=DSRC.nlos_median_m),
         label="ttl5-mN",
     )
-    result.add("ttl=5s,mN", runner(config, runs=runs, processes=processes))
+    result.add("ttl=5s,mN", runner(config, runs=runs))
     return result
 
 
@@ -143,7 +138,6 @@ def fig7d(
     *,
     runs: int = 3,
     duration: float = 200.0,
-    processes: int = 1,
     seed: int = 1,
     runner: AbRunner = run_ab,
 ) -> FigureResult:
@@ -157,7 +151,7 @@ def fig7d(
             road=dataclasses.replace(base.road, inter_vehicle_space=spacing),
             label=f"i{spacing:.0f}",
         )
-        result.add(f"i={spacing:.0f}m", runner(config, runs=runs, processes=processes))
+        result.add(f"i={spacing:.0f}m", runner(config, runs=runs))
     return result
 
 
@@ -165,7 +159,6 @@ def fig7e(
     *,
     runs: int = 3,
     duration: float = 200.0,
-    processes: int = 1,
     seed: int = 1,
     runner: AbRunner = run_ab,
 ) -> FigureResult:
@@ -181,30 +174,7 @@ def fig7e(
         )
         result.add(
             f"{directions} direction(s)",
-            runner(config, runs=runs, processes=processes),
+            runner(config, runs=runs),
         )
     return result
 
-
-def figure7(
-    *,
-    runs: int = 3,
-    duration: float = 200.0,
-    processes: int = 1,
-    seed: int = 1,
-    panels: Optional[str] = None,
-    runner: AbRunner = run_ab,
-) -> dict:
-    """Run all (or selected) panels; returns {panel: FigureResult}."""
-    drivers = {"a": fig7a, "b": fig7b, "c": fig7c, "d": fig7d, "e": fig7e}
-    wanted = panels or "abcde"
-    return {
-        panel: drivers[panel](
-            runs=runs,
-            duration=duration,
-            processes=processes,
-            seed=seed,
-            runner=runner,
-        )
-        for panel in wanted
-    }

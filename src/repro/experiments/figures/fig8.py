@@ -58,7 +58,6 @@ def figure8(
     *,
     runs: int = 3,
     duration: float = 200.0,
-    processes: int = 1,
     seed: int = 1,
     runner: AbRunner = run_ab,
 ) -> FigureResult:
@@ -70,7 +69,7 @@ def figure8(
     for label, config in _scenarios(duration, seed).items():
         result.add(
             label,
-            runner(config.with_(label=label), runs=runs, processes=processes),
+            runner(config.with_(label=label), runs=runs),
         )
     result.notes.append(
         cumulative_table("Fig8", result.series, bin_width=5.0)

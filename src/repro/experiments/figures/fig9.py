@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures.fig7 import AbRunner
@@ -46,7 +46,6 @@ def _sweep_ranges(
     *,
     runs: int,
     duration: float,
-    processes: int,
     seed: int,
     runner: AbRunner = run_ab,
 ) -> FigureResult:
@@ -62,7 +61,7 @@ def _sweep_ranges(
             ),
             label=f"{technology.name}-{label}",
         )
-        result.add(label, runner(config, runs=runs, processes=processes))
+        result.add(label, runner(config, runs=runs))
     return result
 
 
@@ -70,7 +69,6 @@ def fig9a(
     *,
     runs: int = 3,
     duration: float = 200.0,
-    processes: int = 1,
     seed: int = 1,
     runner: AbRunner = run_ab,
 ) -> FigureResult:
@@ -80,7 +78,6 @@ def fig9a(
         DSRC,
         runs=runs,
         duration=duration,
-        processes=processes,
         seed=seed,
         runner=runner,
     )
@@ -90,7 +87,6 @@ def fig9b(
     *,
     runs: int = 3,
     duration: float = 200.0,
-    processes: int = 1,
     seed: int = 1,
     runner: AbRunner = run_ab,
 ) -> FigureResult:
@@ -100,7 +96,6 @@ def fig9b(
         CV2X,
         runs=runs,
         duration=duration,
-        processes=processes,
         seed=seed,
         runner=runner,
     )
@@ -110,7 +105,6 @@ def fig9c(
     *,
     runs: int = 3,
     duration: float = 200.0,
-    processes: int = 1,
     seed: int = 1,
     runner: AbRunner = run_ab,
 ) -> FigureResult:
@@ -124,7 +118,7 @@ def fig9c(
             geonet=dataclasses.replace(base.geonet, loct_ttl=ttl),
             label=f"ttl{ttl:.0f}",
         )
-        result.add(f"ttl={ttl:.0f}s", runner(config, runs=runs, processes=processes))
+        result.add(f"ttl={ttl:.0f}s", runner(config, runs=runs))
     return result
 
 
@@ -132,7 +126,6 @@ def fig9d(
     *,
     runs: int = 3,
     duration: float = 200.0,
-    processes: int = 1,
     seed: int = 1,
     runner: AbRunner = run_ab,
 ) -> FigureResult:
@@ -146,7 +139,7 @@ def fig9d(
             road=dataclasses.replace(base.road, inter_vehicle_space=spacing),
             label=f"i{spacing:.0f}",
         )
-        result.add(f"i={spacing:.0f}m", runner(config, runs=runs, processes=processes))
+        result.add(f"i={spacing:.0f}m", runner(config, runs=runs))
     return result
 
 
@@ -154,7 +147,6 @@ def fig9e(
     *,
     runs: int = 3,
     duration: float = 200.0,
-    processes: int = 1,
     seed: int = 1,
     runner: AbRunner = run_ab,
 ) -> FigureResult:
@@ -170,7 +162,7 @@ def fig9e(
         )
         result.add(
             f"{directions} direction(s)",
-            runner(config, runs=runs, processes=processes),
+            runner(config, runs=runs),
         )
     return result
 
@@ -180,7 +172,6 @@ def attack_range_tuning(
     ranges=(400.0, 450.0, 500.0, 550.0, 600.0, 700.0),
     runs: int = 3,
     duration: float = 200.0,
-    processes: int = 1,
     seed: int = 1,
     runner: AbRunner = run_ab,
 ) -> FigureResult:
@@ -196,7 +187,7 @@ def attack_range_tuning(
         )
         result.add(
             f"range={attack_range:.0f}m",
-            runner(config, runs=runs, processes=processes),
+            runner(config, runs=runs),
         )
     return result
 
@@ -237,7 +228,6 @@ def source_location_study(
     attack_range: float = 500.0,
     runs: int = 3,
     duration: float = 200.0,
-    processes: int = 1,
     seed: int = 1,
     runner: AbRunner = run_ab,
 ) -> SourceLocationStudy:
@@ -268,7 +258,7 @@ def source_location_study(
                 )
                 yield af_out.in_fully_covered_area, drop
 
-    ab = runner(config, runs=runs, processes=processes)
+    ab = runner(config, runs=runs)
     for inside, drop in paired_drops(ab):
         (inside_drops if inside else outside_drops).append(drop)
 
@@ -282,7 +272,7 @@ def source_location_study(
             ),
             label=f"src-loc-fca-{attack_range:.0f}",
         )
-        fca_ab = runner(fca_config, runs=runs, processes=processes)
+        fca_ab = runner(fca_config, runs=runs)
         for inside, drop in paired_drops(fca_ab):
             if inside:
                 inside_drops.append(drop)
@@ -308,26 +298,3 @@ def source_location_study(
         outside_packets=len(outside_drops),
     )
 
-
-def figure9(
-    *,
-    runs: int = 3,
-    duration: float = 200.0,
-    processes: int = 1,
-    seed: int = 1,
-    panels: Optional[str] = None,
-    runner: AbRunner = run_ab,
-) -> Dict[str, FigureResult]:
-    """Run all (or selected) panels; returns {panel: FigureResult}."""
-    drivers = {"a": fig9a, "b": fig9b, "c": fig9c, "d": fig9d, "e": fig9e}
-    wanted = panels or "abcde"
-    return {
-        panel: drivers[panel](
-            runs=runs,
-            duration=duration,
-            processes=processes,
-            seed=seed,
-            runner=runner,
-        )
-        for panel in wanted
-    }

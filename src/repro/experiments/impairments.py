@@ -89,7 +89,6 @@ def fault_sweep(
     *,
     runs: int = 3,
     duration: float = 200.0,
-    processes: int = 1,
     seed: int = 1,
     runner: AbRunner = run_ab,
 ) -> ImpairmentSweepResult:
@@ -108,7 +107,7 @@ def fault_sweep(
                 faults=plan,
                 label=f"loss{loss:.0%}-churn-{churn_label}",
             )
-            result = runner(config, runs=runs, processes=processes)
+            result = runner(config, runs=runs)
             cells.append(
                 ImpairmentCell(
                     loss_rate=loss,

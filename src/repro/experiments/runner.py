@@ -2,14 +2,14 @@
 
 Each *setting* is simulated as seed-paired attack-free (A) and attacked (B)
 runs; γ/λ are computed from the mean per-bin reception rates exactly as the
-paper defines (§IV-A).  ``processes > 1`` fans runs out over a
-multiprocessing pool — every run is an isolated World, so this is safe.
+paper defines (§IV-A).  :func:`run_ab` executes a setting's runs serially
+in the current process; parallel execution is the campaign lease service's
+job (:mod:`repro.experiments.service.scheduler`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import signal
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -160,18 +160,11 @@ def summarize_world(world: World) -> RunResult:
     )
 
 
-def _run_worker(args) -> RunResult:
-    config, attacked, seed = args
-    return run_single(config, attacked=attacked, seed=seed)
-
-
 #: One unit of simulation work: (config, attacked, seed).
 RunJob = Tuple[ExperimentConfig, bool, int]
 
 
-def expand_jobs(
-    config: ExperimentConfig, runs: int, *, base_seed: Optional[int] = None
-) -> List[RunJob]:
+def expand_jobs(config: ExperimentConfig, runs: int) -> List[RunJob]:
     """The individual runs an A/B setting needs, in deterministic order.
 
     Shared by :func:`run_ab` (in-memory execution) and the campaign
@@ -180,10 +173,9 @@ def expand_jobs(
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    base = config.seed if base_seed is None else base_seed
     jobs: List[RunJob] = []
     for k in range(runs):
-        seed = base + k
+        seed = config.seed + k
         jobs.append((config, False, seed))
         if config.attack.kind is not AttackKind.NONE:
             jobs.append((config, True, seed))
@@ -263,24 +255,16 @@ def _overall(runs: Sequence[RunResult]) -> float:
     return sum(r.overall_rate * r.n_packets for r in runs) / total
 
 
-def run_ab(
-    config: ExperimentConfig,
-    *,
-    runs: int = 3,
-    base_seed: Optional[int] = None,
-    processes: int = 1,
-) -> AbResult:
+def run_ab(config: ExperimentConfig, *, runs: int = 3) -> AbResult:
     """Run seed-paired A/B simulations for one setting.
 
     The attack-free twin of each attacked run uses the same seed, so the
     traffic and the workload are identical packet-for-packet.
     """
-    jobs = expand_jobs(config, runs, base_seed=base_seed)
-    if processes > 1 and len(jobs) > 1:
-        with multiprocessing.Pool(processes=min(processes, len(jobs))) as pool:
-            results = pool.map(_run_worker, jobs)
-    else:
-        results = [_run_worker(job) for job in jobs]
+    results = [
+        run_single(cfg, attacked=attacked, seed=seed)
+        for cfg, attacked, seed in expand_jobs(config, runs)
+    ]
     af_runs = [r for r in results if not r.attacked]
     atk_runs = [r for r in results if r.attacked]
     return AbResult(config=config, af_runs=af_runs, atk_runs=atk_runs)

@@ -115,7 +115,6 @@ def urban_sweep(
     *,
     runs: int = 3,
     duration: float = 200.0,
-    processes: int = 1,
     seed: int = 1,
     runner: AbRunner = run_ab,
 ) -> UrbanSweepResult:
@@ -143,7 +142,7 @@ def urban_sweep(
                             f"dcc{'on' if dcc else 'off'}-{forwarder}"
                         ),
                     )
-                    result = runner(config, runs=runs, processes=processes)
+                    result = runner(config, runs=runs)
                     cells.append(
                         UrbanCell(
                             attack=attack,

@@ -240,7 +240,7 @@ def test_store_backed_output_identical_to_fresh_run(tmp_path):
         ["fig7a"], store=store, workers=2, settings=FAST, **KW
     )
     assert report.ok
-    fresh = fig7.fig7a(runs=1, duration=6.0, processes=1, seed=1).format()
+    fresh = fig7.fig7a(runs=1, duration=6.0, seed=1).format()
     assert report.outputs["fig7a"] == fresh
     # And assembling again later (fresh process, store only) matches too.
     assert assemble_target(

@@ -125,7 +125,7 @@ class TestSweepAssembly:
         )
         seen = []
 
-        def runner(config, *, runs, processes):
+        def runner(config, *, runs):
             seen.append(config)
             detected = -1.0 if config.attack.variant == "adaptive" else 5.0
             return fake_ab(
@@ -152,7 +152,7 @@ class TestSweepAssembly:
     def test_urban_cells_use_the_urban_scenario(self, monkeypatch):
         shrink(monkeypatch, scenarios=("urban",))
 
-        def runner(config, *, runs, processes):
+        def runner(config, *, runs):
             assert config.scenario == "urban"
             return fake_ab(config, [fake_run(attacked=False)],
                            [fake_run(attacked=True)])

@@ -3,7 +3,7 @@
 
 from repro.experiments.figures import fig7, fig9, fig14
 
-KW = dict(runs=1, duration=6.0, processes=1, seed=1)
+KW = dict(runs=1, duration=6.0, seed=1)
 
 
 def test_fig7a_structure():
@@ -22,9 +22,9 @@ def test_fig7c_includes_extra_mn_series():
 
 
 def test_fig7_panel_selection():
-    results = fig7.figure7(panels="e", **KW)
-    assert set(results) == {"e"}
-    labels = [s.label for s in results["e"].series]
+    result = fig7.fig7e(**KW)
+    assert result.figure_id == "Fig7e"
+    labels = [s.label for s in result.series]
     assert labels == ["1 direction(s)", "2 direction(s)"]
 
 
@@ -35,7 +35,7 @@ def test_fig9a_structure():
 
 def test_fig9_source_location_study_shapes():
     study = fig9.source_location_study(
-        attack_range=500.0, runs=1, duration=6.0, processes=1, seed=1
+        attack_range=500.0, runs=1, duration=6.0, seed=1
     )
     assert study.fully_covered_interval == (1986.0, 2014.0)
     assert study.inside_packets + study.outside_packets > 0
@@ -45,7 +45,7 @@ def test_fig9_source_location_study_shapes():
 
 def test_fig9_attack_range_tuning_labels():
     result = fig9.attack_range_tuning(
-        ranges=(450.0, 500.0), runs=1, duration=6.0, processes=1, seed=1
+        ranges=(450.0, 500.0), runs=1, duration=6.0, seed=1
     )
     assert [s.label for s in result.series] == ["range=450m", "range=500m"]
 

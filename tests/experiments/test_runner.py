@@ -64,18 +64,6 @@ def test_ab_result_summary_is_readable():
     assert "af=" in text and "atk=" in text
 
 
-def test_multiprocess_matches_sequential():
-    config = tiny_config()
-    seq = run_ab(config, runs=2, processes=1)
-    par = run_ab(config, runs=2, processes=4)
-    assert [r.overall_rate for r in seq.af_runs] == [
-        r.overall_rate for r in par.af_runs
-    ]
-    assert [r.overall_rate for r in seq.atk_runs] == [
-        r.overall_rate for r in par.atk_runs
-    ]
-
-
 def test_invalid_runs_rejected():
     with pytest.raises(ValueError):
         run_ab(tiny_config(), runs=0)

@@ -339,19 +339,77 @@ def _args(**overrides):
     return argparse.Namespace(**defaults)
 
 
-def test_single_run_target_warns_on_scheduler_flags(capsys):
+def test_single_runs_warn_on_scheduler_flags(capsys):
     """Service flags on a single deterministic run warn exactly like
     --runs/--processes instead of being silently swallowed."""
-    cli._warn_ignored_flags("table1", _args(processes=4, lease_ttl=5.0))
+    cli._warn_ignored_flags(["table1"], _args(processes=4, lease_ttl=5.0))
     err = capsys.readouterr().err
     assert "--processes 4" in err and "--lease-ttl 5.0" in err
     assert "no effect" in err
+    # overhead is one world run too
+    cli._warn_ignored_flags(["overhead"], _args(runs=2))
+    err = capsys.readouterr().err
+    assert "overhead" in err and "--runs 2" in err and "no effect" in err
+    # a campaign of single runs only is warned about once
+    cli._warn_ignored_flags(["fig12a", "table1"], _args(runs=2))
+    err = capsys.readouterr().err
+    assert err.count("no effect") == 1 and "fig12a, table1" in err
     # and still nothing when every fan-out flag is at its default
-    cli._warn_ignored_flags("table1", _args())
+    cli._warn_ignored_flags(["table1"], _args())
     assert capsys.readouterr().err == ""
     # multi-run targets accept the flags silently (they do apply)
-    cli._warn_ignored_flags("fig7a", _args(processes=4))
+    cli._warn_ignored_flags(["fig7a"], _args(processes=4))
     assert capsys.readouterr().err == ""
+    cli._warn_ignored_flags(["fig12a", "fig7a"], _args(processes=4))
+    assert capsys.readouterr().err == ""
+
+
+def test_mixed_campaign_does_not_warn_about_flags_it_uses(
+    tmp_path, monkeypatch, capsys
+):
+    """--runs/--processes drive a campaign with any multi-run target, so
+    its single-run targets must not claim the flags have no effect."""
+    monkeypatch.setattr(
+        campaign, "execute_spec", recording_execute(str(tmp_path / "log"))
+    )
+    argv = [
+        "campaign", "fig12a", "table1", "fig7a",
+        "--processes", "2", "--runs", "1", "--duration", "6.0",
+        "--results-dir", str(tmp_path / "results"),
+    ]
+    assert cli.main(argv) == 0
+    assert "no effect" not in capsys.readouterr().err
+
+
+def test_plain_target_is_fresh_identical_and_leaves_nothing(
+    tmp_path, monkeypatch, capsys
+):
+    """A target without --save runs through the service on a throwaway
+    store: same stdout as the figure function, no stored result read, and
+    nothing left in --results-dir or the temporary directory."""
+    from repro.experiments.figures import fig7
+
+    results = tmp_path / "results"
+    planted = SqliteResultStore(results / DB_NAME)
+    spec = plan_campaign(["fig7a"], runs=1, duration=6.0, seed=1)[0]
+    planted.put_run(spec.key, fake_result(spec), config=spec.config)
+    planted.close()
+    before = sorted(p.name for p in results.iterdir())
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr("tempfile.tempdir", str(scratch))
+
+    code = cli.main([
+        "fig7a", "--runs", "1", "--duration", "6.0", "--processes", "2",
+        "--results-dir", str(results),
+    ])
+
+    assert code == 0
+    fresh = fig7.fig7a(runs=1, duration=6.0, seed=1).format()
+    assert capsys.readouterr().out == fresh + "\n\n"
+    assert sorted(p.name for p in results.iterdir()) == before
+    assert SqliteResultStore(results / DB_NAME).count() == 1
+    assert list(scratch.iterdir()) == []
 
 
 def test_scheduler_flag_ranges_are_validated():
