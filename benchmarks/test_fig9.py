@@ -69,11 +69,10 @@ def test_fig9e(benchmark, bench_scale):
     assert max(drops) - min(drops) < 0.2
 
 
-def test_attack_range_tuning(benchmark, bench_scale):
+def test_attack_range_tuning(benchmark, bench_scale, monkeypatch):
+    monkeypatch.setattr(fig9, "TUNING_RANGES", (400.0, 500.0, 700.0))
     result = benchmark.pedantic(
-        lambda: fig9.attack_range_tuning(
-            ranges=(400.0, 500.0, 700.0), **_kw(bench_scale)
-        ),
+        lambda: fig9.attack_range_tuning(**_kw(bench_scale)),
         rounds=1,
         iterations=1,
     )
@@ -84,9 +83,7 @@ def test_attack_range_tuning(benchmark, bench_scale):
 
 def test_source_location_study(benchmark, bench_scale):
     study = benchmark.pedantic(
-        lambda: fig9.source_location_study(
-            attack_range=500.0, **_kw(bench_scale)
-        ),
+        lambda: fig9.source_location_study(**_kw(bench_scale)),
         rounds=1,
         iterations=1,
     )

@@ -4,17 +4,18 @@ A *campaign* regenerates a list of paper targets (``fig7a`` … ``overhead``)
 on top of the persistent result store:
 
 1. **Plan** — every target is expanded into its individual simulation runs
-   (:class:`RunSpec`\\ s), by replaying the figure's own scenario
-   enumeration with a recording runner.  A/B figure targets expand to one
-   spec per ``(config, attacked, seed)``; whole-run targets (tables,
-   Fig 12/13, overhead) expand to a single spec.
+   (:class:`RunSpec`\\ s).  An A/B target's settings
+   (:class:`~repro.experiments.sweep.AbTarget`) expand to one spec per
+   ``(config, attacked, seed)``; whole-run targets (tables, Fig 12/13,
+   overhead) expand to a single spec.
 2. **Execute** — :func:`repro.experiments.service.scheduler.run_service_campaign`
    skips the specs already stored and hands the rest to N leased worker
    processes, each of which runs :func:`execute_spec` per job.
-3. **Assemble** — each figure function runs again with a *store-backed*
-   runner that feeds it the precomputed
-   :class:`~repro.experiments.runner.RunResult`\\ s, so the rendered output
-   is identical to a fresh in-memory run at the same seeds.
+3. **Assemble** — each A/B target renders from a *store-backed* ``ab``
+   that builds every setting's
+   :class:`~repro.experiments.runner.AbResult` from the stored
+   :class:`~repro.experiments.runner.RunResult`\\ s, so the rendered
+   output is identical to a fresh in-memory run at the same seeds.
 
 A re-issued campaign therefore costs only the runs that are missing.
 """
@@ -22,7 +23,7 @@ A re-issued campaign therefore costs only the runs that are missing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import (
@@ -37,7 +38,6 @@ from repro.experiments.figures import (
 )
 from repro.experiments.detect import detect_sweep
 from repro.experiments.impairments import fault_sweep
-from repro.experiments.metrics import BinnedRates
 from repro.experiments.urban import urban_sweep
 from repro.experiments.runner import (
     AbResult,
@@ -45,6 +45,7 @@ from repro.experiments.runner import (
     expand_jobs,
     run_single,
 )
+from repro.experiments.sweep import AbTarget
 from repro.experiments.store import (
     ResultStoreBase,
     RunKey,
@@ -70,9 +71,33 @@ class MissingRunError(CampaignError):
 # ----------------------------------------------------------------------
 # target registry
 # ----------------------------------------------------------------------
-#: A/B figure targets: name -> builder accepting (runs, duration, seed,
-#: runner) and returning an object with ``.format()``.
-AB_TARGETS: Dict[str, Callable[..., Any]] = {
+def _overhead_text(params: Dict[str, Any]) -> str:
+    from repro.experiments.overhead import format_analysis
+    from repro.experiments.world import World
+
+    config = ExperimentConfig.inter_area_default(
+        duration=params["duration"], seed=params["seed"]
+    )
+    world = World(config, attacked=False, seed=params["seed"])
+    world.run()
+    return format_analysis(world.channel.stats, duration=params["duration"])
+
+
+def _fig12_params(runs: int, duration: float, seed: int) -> Dict[str, Any]:
+    return {"duration": duration, "seed": seed, "spawn_gap": fig12.DEFAULT_SPAWN_GAP}
+
+
+#: A whole-run target: (param builder, renderer).  The param dict is both
+#: the worker's input and the content hashed into the store key.
+TextTarget = Tuple[
+    Callable[[int, float, int], Dict[str, Any]], Callable[[Dict[str, Any]], str]
+]
+
+#: Every atomic campaign target, in canonical (run_remaining-superset)
+#: order: A/B targets (settings plus renderer) and whole-run targets.
+TARGETS: Dict[str, Union[AbTarget, TextTarget]] = {
+    "table1": (lambda runs, duration, seed: {}, lambda p: tables.table1()),
+    "table2": (lambda runs, duration, seed: {}, lambda p: tables.table2()),
     "fig7a": fig7.fig7a,
     "fig7b": fig7.fig7b,
     "fig7c": fig7.fig7c,
@@ -87,95 +112,35 @@ AB_TARGETS: Dict[str, Callable[..., Any]] = {
     "fig9-tuning": fig9.attack_range_tuning,
     "fig9-source-location": fig9.source_location_study,
     "fig10": fig10.figure10,
-    "fig14a": fig14.fig14a,
-    "fig14b": fig14.fig14b,
-    "faults": fault_sweep,
-    "urban": urban_sweep,
-    "detect": detect_sweep,
-}
-
-
-def _overhead_text(params: Dict[str, Any]) -> str:
-    from repro.experiments.overhead import format_analysis
-    from repro.experiments.world import World
-
-    config = ExperimentConfig.inter_area_default(
-        duration=params["duration"], seed=params["seed"]
-    )
-    world = World(config, attacked=False, seed=params["seed"])
-    world.run()
-    return format_analysis(world.channel.stats, duration=params["duration"])
-
-
-#: Whole-run targets: name -> (param builder, renderer).  The param dict is
-#: both the worker's input and the content hashed into the store key.
-TEXT_TARGETS: Dict[
-    str,
-    Tuple[Callable[..., Dict[str, Any]], Callable[[Dict[str, Any]], str]],
-] = {
-    "table1": (lambda runs, duration, seed: {}, lambda p: tables.table1()),
-    "table2": (lambda runs, duration, seed: {}, lambda p: tables.table2()),
-    "fig12a": (
-        lambda runs, duration, seed: {
-            "duration": duration,
-            "seed": seed,
-            "spawn_gap": fig12.DEFAULT_SPAWN_GAP,
-        },
-        lambda p: fig12.fig12a(
-            duration=p["duration"], seed=p["seed"], spawn_gap=p["spawn_gap"]
-        ).format(),
-    ),
-    "fig12b": (
-        lambda runs, duration, seed: {
-            "duration": duration,
-            "seed": seed,
-            "spawn_gap": fig12.DEFAULT_SPAWN_GAP,
-        },
-        lambda p: fig12.fig12b(
-            duration=p["duration"], seed=p["seed"], spawn_gap=p["spawn_gap"]
-        ).format(),
-    ),
+    "fig12a": (_fig12_params, lambda p: fig12.fig12a(**p).format()),
+    "fig12b": (_fig12_params, lambda p: fig12.fig12b(**p).format()),
     "fig13": (
         lambda runs, duration, seed: {
             "duration": fig13.DEFAULT_DURATION,
             "seed": seed,
         },
-        lambda p: fig13.fig13(seed=p["seed"], duration=p["duration"]).format(),
+        lambda p: fig13.fig13(**p).format(),
     ),
+    "fig14a": fig14.fig14a,
+    "fig14b": fig14.fig14b,
     "overhead": (
         lambda runs, duration, seed: {"duration": duration, "seed": seed},
         _overhead_text,
     ),
+    "faults": fault_sweep,
+    "urban": urban_sweep,
+    "detect": detect_sweep,
 }
 
-#: Every atomic campaign target, in canonical (run_remaining-superset) order.
-CAMPAIGN_TARGETS: List[str] = [
-    "table1",
-    "table2",
-    "fig7a",
-    "fig7b",
-    "fig7c",
-    "fig7d",
-    "fig7e",
-    "fig8",
-    "fig9a",
-    "fig9b",
-    "fig9c",
-    "fig9d",
-    "fig9e",
-    "fig9-tuning",
-    "fig9-source-location",
-    "fig10",
-    "fig12a",
-    "fig12b",
-    "fig13",
-    "fig14a",
-    "fig14b",
-    "overhead",
-    "faults",
-    "urban",
-    "detect",
-]
+AB_TARGETS: Dict[str, AbTarget] = {
+    name: target for name, target in TARGETS.items() if isinstance(target, AbTarget)
+}
+TEXT_TARGETS: Dict[str, TextTarget] = {
+    name: target
+    for name, target in TARGETS.items()
+    if not isinstance(target, AbTarget)
+}
+CAMPAIGN_TARGETS: List[str] = list(TARGETS)
 
 #: CLI conveniences: aggregate names expanded to atomic targets.
 TARGET_ALIASES: Dict[str, List[str]] = {
@@ -191,7 +156,7 @@ def resolve_targets(names: Sequence[str]) -> List[str]:
     for name in names:
         expansion = TARGET_ALIASES.get(name, [name])
         for target in expansion:
-            if target not in AB_TARGETS and target not in TEXT_TARGETS:
+            if target not in TARGETS:
                 known = ", ".join(CAMPAIGN_TARGETS + sorted(TARGET_ALIASES))
                 raise CampaignError(
                     f"unknown campaign target {name!r} (known: {known})"
@@ -236,25 +201,6 @@ class RunSpec:
         return f"{self.target}{label} s{self.seed}{mode}"
 
 
-def _placeholder_ab(config: ExperimentConfig, runs: int) -> AbResult:
-    """A structurally-valid empty AbResult for the planning pass."""
-    empty = lambda seed, attacked: RunResult(  # noqa: E731
-        seed=seed,
-        attacked=attacked,
-        binned=BinnedRates(bin_width=config.bin_width, rates=[]),
-        overall_rate=0.0,
-        n_packets=0,
-        outcomes=[],
-        extras={},
-    )
-    jobs = expand_jobs(config, runs)
-    return AbResult(
-        config=config,
-        af_runs=[empty(s, False) for _c, atk, s in jobs if not atk],
-        atk_runs=[empty(s, True) for _c, atk, s in jobs if atk],
-    )
-
-
 def plan_target(
     target: str, *, runs: int, duration: float, seed: int
 ) -> List[RunSpec]:
@@ -273,25 +219,17 @@ def plan_target(
         ]
     if target not in AB_TARGETS:
         raise CampaignError(f"unknown campaign target {target!r}")
-    specs: List[RunSpec] = []
-
-    def recording_runner(config: ExperimentConfig, *, runs: int) -> AbResult:
-        for cfg, attacked, run_seed in expand_jobs(config, runs):
-            specs.append(
-                RunSpec(
-                    target=target,
-                    kind="ab",
-                    seed=run_seed,
-                    attacked=attacked,
-                    config=cfg,
-                )
-            )
-        return _placeholder_ab(config, runs)
-
-    AB_TARGETS[target](
-        runs=runs, duration=duration, seed=seed, runner=recording_runner
-    )
-    return specs
+    return [
+        RunSpec(
+            target=target,
+            kind="ab",
+            seed=run_seed,
+            attacked=attacked,
+            config=cfg,
+        )
+        for _key, config in AB_TARGETS[target].settings(duration, seed)
+        for cfg, attacked, run_seed in expand_jobs(config, runs)
+    ]
 
 
 def plan_campaign(
@@ -394,10 +332,15 @@ def _store_result(store: ResultStoreBase, spec: RunSpec, result: Any) -> None:
 # ----------------------------------------------------------------------
 # assembly: figures from precomputed store results
 # ----------------------------------------------------------------------
-def store_runner(
-    store: ResultStoreBase, target: str, *, partial: bool = False, coverage=None
-):
-    """An AbRunner that assembles AbResults from stored RunResults.
+def store_ab(
+    store: ResultStoreBase,
+    target: str,
+    *,
+    runs: int,
+    partial: bool = False,
+    coverage=None,
+) -> Callable[[ExperimentConfig], AbResult]:
+    """An ``ab(config)`` that assembles AbResults from stored RunResults.
 
     With ``partial=True`` missing runs are skipped instead of raising, so
     figures render from whatever fraction of the campaign is stored — the
@@ -407,38 +350,29 @@ def store_runner(
     (a 2-item list) accumulates ``[stored, planned]`` run counts.
     """
 
-    def runner(config: ExperimentConfig, *, runs: int) -> AbResult:
-        by_seed: Dict[int, Dict[bool, Optional[RunResult]]] = {}
-        attacks_planned = False
-        planned = 0
-        for cfg, attacked, seed in expand_jobs(config, runs):
+    def ab(config: ExperimentConfig) -> AbResult:
+        jobs = expand_jobs(config, runs)
+        stored: Dict[Tuple[int, bool], RunResult] = {}
+        for cfg, attacked, seed in jobs:
             key = RunKey.for_config(target, cfg, seed=seed, attacked=attacked)
             result = store.get_run(key)
-            planned += 1
-            attacks_planned = attacks_planned or attacked
-            if result is None and not partial:
+            if result is not None:
+                stored[seed, attacked] = result
+            elif not partial:
                 raise MissingRunError(key)
-            by_seed.setdefault(seed, {})[attacked] = result
-        af_runs: List[RunResult] = []
-        atk_runs: List[RunResult] = []
-        stored = 0
-        for seed in sorted(by_seed):
-            pair = by_seed[seed]
-            stored += sum(1 for r in pair.values() if r is not None)
-            complete = pair.get(False) is not None and (
-                not attacks_planned or pair.get(True) is not None
-            )
-            if not complete:
-                continue
-            af_runs.append(pair[False])
-            if attacks_planned:
-                atk_runs.append(pair[True])
+        sides = {attacked for _cfg, attacked, _seed in jobs}
+        seeds = sorted({seed for _cfg, _attacked, seed in jobs})
+        complete = [s for s in seeds if all((s, side) in stored for side in sides)]
         if coverage is not None:
-            coverage[0] += stored
-            coverage[1] += planned
-        return AbResult(config=config, af_runs=af_runs, atk_runs=atk_runs)
+            coverage[0] += len(stored)
+            coverage[1] += len(jobs)
+        return AbResult(
+            config=config,
+            af_runs=[stored[seed, False] for seed in complete],
+            atk_runs=[stored[seed, True] for seed in complete if True in sides],
+        )
 
-    return runner
+    return ab
 
 
 def assemble_target(
@@ -467,11 +401,10 @@ def assemble_target(
     if target not in AB_TARGETS:
         raise CampaignError(f"unknown campaign target {target!r}")
     coverage = [0, 0]
-    artefact = AB_TARGETS[target](
-        runs=runs,
+    artefact = AB_TARGETS[target].evaluate(
+        store_ab(store, target, runs=runs, partial=partial, coverage=coverage),
         duration=duration,
         seed=seed,
-        runner=store_runner(store, target, partial=partial, coverage=coverage),
     )
     if not partial:
         return artefact.format()

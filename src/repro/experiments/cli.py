@@ -74,6 +74,16 @@ def _emit(text: str) -> None:
     print()
 
 
+def _ignores_duration(target: str, args: argparse.Namespace) -> bool:
+    """Whether a whole-run target's params, and so its run, are the same
+    at ``--duration`` as at the default (e.g. a table, or fig13's fixed
+    curve scenario)."""
+    build_params, _render = TEXT_TARGETS[target]
+    return build_params(args.runs, args.duration, args.seed) == build_params(
+        args.runs, 200.0, args.seed
+    )
+
+
 def _warn_ignored_flags(targets: List[str], args: argparse.Namespace) -> None:
     """Flag combinations that look meaningful but are not, because every
     one of the (resolved) ``targets`` is a single whole run
@@ -85,7 +95,9 @@ def _warn_ignored_flags(targets: List[str], args: argparse.Namespace) -> None:
         value = getattr(args, attr, default)
         if value != default:
             ignored.append(f"{flag} {value}")
-    if targets == ["fig13"] and args.duration != 200.0:
+    if args.duration != 200.0 and all(
+        _ignores_duration(name, args) for name in targets
+    ):
         ignored.append(f"--duration {args.duration}")
     if ignored:
         verb = "has" if len(ignored) == 1 else "have"

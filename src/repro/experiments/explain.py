@@ -17,27 +17,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import (
     dominant_loss,
     drop_breakdown_table,
     fmt_pct,
 )
 from repro.experiments.runner import RunResult, run_single
+from repro.experiments.sweep import attack_base
 from repro.observability.ledger import PacketLedger, reasons
 
 #: The scenarios ``explain`` knows how to build.
 EXPLAIN_TARGETS = ("inter-area", "intra-area")
-
-
-def _config_for(target: str, *, duration: float, seed: int) -> ExperimentConfig:
-    if target == "inter-area":
-        return ExperimentConfig.inter_area_default(duration=duration, seed=seed)
-    if target == "intra-area":
-        return ExperimentConfig.intra_area_default(duration=duration, seed=seed)
-    raise ValueError(
-        f"unknown explain target {target!r}; expected one of {EXPLAIN_TARGETS}"
-    )
 
 
 @dataclass
@@ -142,7 +132,7 @@ def explain(
     want_journeys = journeys > 0
     for k in range(runs):
         run_seed = seed + k
-        config = _config_for(target, duration=duration, seed=run_seed)
+        config = attack_base(target, duration=duration, seed=run_seed)
         for attacked, results, ledgers in (
             (False, af_runs, af_ledgers),
             (True, atk_runs, atk_ledgers),

@@ -1,12 +1,14 @@
 """One driver module per paper artefact (tables, figures, text studies).
 
-Every artefact function takes ``runs`` / ``duration`` / ``seed`` knobs so
-the same code scales from a quick laptop check to the paper's full
-100-run, 200 s configuration, and returns a structured result whose
-``format()`` output matches the rows/series the paper reports.  A/B figures also take a
-``runner``: :func:`~repro.experiments.runner.run_ab` executes serially
-in-process, and the campaign planner and assembler inject their own
-(parallel execution is the lease service's, via ``repro-experiments``).
+Every artefact takes ``runs`` / ``duration`` / ``seed`` knobs so the same
+code scales from a quick laptop check to the paper's full 100-run, 200 s
+configuration, and returns a structured result whose ``format()`` output
+matches the rows/series the paper reports.  A/B figures are
+:class:`~repro.experiments.sweep.AbTarget`\\ s, mostly built by
+:mod:`~repro.experiments.figures.panels`: calling one simulates its
+settings serially in memory, and the campaign planner and assembler use
+the same settings for store keys and store-backed rendering (parallel
+execution is the lease service's, via ``repro-experiments``).
 """
 
 from repro.experiments.figures import (  # noqa: F401

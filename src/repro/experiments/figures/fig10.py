@@ -8,66 +8,36 @@ factor impacting the attack effectiveness."
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.figures.fig7 import AbRunner
-from repro.experiments.reporting import FigureResult, cumulative_table
-from repro.experiments.runner import run_ab
+from repro.experiments.figures.panels import (
+    cumulative_figure,
+    road_directions,
+    spacing,
+    ttl,
+    with_range,
+)
 from repro.radio.technology import DSRC
 
 
-def _scenarios(duration: float, seed: int) -> Dict[str, ExperimentConfig]:
-    base = ExperimentConfig.intra_area_default(duration=duration, seed=seed)
-    mN = DSRC.nlos_median_m
+def _scenarios(base: ExperimentConfig) -> Dict[str, ExperimentConfig]:
+    mN = with_range(base, DSRC.nlos_median_m)
     return {
-        "wN_dflt": base.with_(
-            attack=dataclasses.replace(base.attack, attack_range=DSRC.nlos_worst_m)
-        ),
-        "mN_dflt": base.with_(
-            attack=dataclasses.replace(base.attack, attack_range=mN)
-        ),
-        "mL_dflt": base.with_(
-            attack=dataclasses.replace(base.attack, attack_range=DSRC.los_median_m)
-        ),
-        "mN_ttl5": base.with_(
-            attack=dataclasses.replace(base.attack, attack_range=mN),
-            geonet=dataclasses.replace(base.geonet, loct_ttl=5.0),
-        ),
-        "mN_i100": base.with_(
-            attack=dataclasses.replace(base.attack, attack_range=mN),
-            road=dataclasses.replace(base.road, inter_vehicle_space=100.0),
-        ),
-        "mN_i300": base.with_(
-            attack=dataclasses.replace(base.attack, attack_range=mN),
-            road=dataclasses.replace(base.road, inter_vehicle_space=300.0),
-        ),
-        "mN_2dir": base.with_(
-            attack=dataclasses.replace(base.attack, attack_range=mN),
-            road=dataclasses.replace(base.road, directions=2),
-        ),
+        "wN_dflt": with_range(base, DSRC.nlos_worst_m),
+        "mN_dflt": mN,
+        "mL_dflt": with_range(base, DSRC.los_median_m),
+        "mN_ttl5": ttl(mN, 5.0),
+        "mN_i100": spacing(mN, 100.0),
+        "mN_i300": spacing(mN, 300.0),
+        "mN_2dir": road_directions(mN, 2),
     }
 
 
-def figure10(
-    *,
-    runs: int = 3,
-    duration: float = 200.0,
-    seed: int = 1,
-    runner: AbRunner = run_ab,
-) -> FigureResult:
-    """Cumulative blockage rates for all DSRC intra-area scenarios."""
-    result = FigureResult(
-        figure_id="Fig10",
-        title="accumulated intra-area blockage rate over time (DSRC)",
-    )
-    for label, config in _scenarios(duration, seed).items():
-        result.add(
-            label,
-            runner(config.with_(label=label), runs=runs),
-        )
-    result.notes.append(
-        cumulative_table("Fig10", result.series, bin_width=5.0)
-    )
-    return result
+#: Cumulative blockage rates for all DSRC intra-area scenarios.
+figure10 = cumulative_figure(
+    "Fig10",
+    "accumulated intra-area blockage rate over time (DSRC)",
+    "intra-area",
+    _scenarios,
+)

@@ -12,21 +12,31 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List
 
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.figures.fig7 import AbRunner
-from repro.experiments.runner import AbResult, run_ab
-from repro.radio.technology import DSRC, RangeClass
+from repro.experiments.figures.panels import RANGE_LABELS, on_attack, with_range
+from repro.experiments.reporting import FigureResult, FigureSeries
+from repro.experiments.runner import AbResult
+from repro.experiments.sweep import AbTarget
+from repro.geonet.config import GeoNetConfig
+from repro.radio.technology import DSRC
+
+#: Fig 14a's plausibility threshold: the DSRC NLoS-median range (486 m).
+PLAUSIBILITY_THRESHOLD = DSRC.nlos_median_m
+
+#: Fig 14b's RHL-drop threshold.
+RHL_DROP_THRESHOLD = 3
 
 
 @dataclass
-class MitigationSeries:
-    """One attack range: unmitigated vs mitigated A/B results."""
+class MitigationSeries(FigureSeries):
+    """One attack range: the mitigated A/B result and its unmitigated twin."""
 
-    label: str
     unmitigated: AbResult
-    mitigated: AbResult
+
+    @property
+    def mitigated(self) -> AbResult:
+        return self.result
 
     @property
     def improvement(self) -> float:
@@ -42,117 +52,77 @@ class MitigationSeries:
         )
 
 
-@dataclass
-class MitigationFigure:
-    """All series of Fig 14a or Fig 14b."""
+def _plain_vs_mitigated(
+    figure_id: str,
+    title: str,
+    attack: str,
+    ranges: tuple,
+    check: str,
+    mitigate: Callable[[GeoNetConfig], GeoNetConfig],
+    notes: Callable[[List[MitigationSeries]], List[str]],
+) -> AbTarget:
+    """Each attack range of ``ranges`` without and with the mitigation
+    (``mitigate`` turns the check on in the attack's default GeoNet
+    config; ``check`` labels the mitigated settings)."""
 
-    figure_id: str
-    title: str
-    series: List[MitigationSeries]
-    notes: List[str]
+    def levels(base):
+        mitigated = mitigate(base.geonet)
+        pairs = []
+        for label, range_class in ranges:
+            config = with_range(base, DSRC.range_for(range_class))
+            pairs.append(((label, "plain"), config.with_(label=f"{label}-plain")))
+            pairs.append(
+                (
+                    (label, check),
+                    config.with_(geonet=mitigated, label=f"{label}-{check}"),
+                )
+            )
+        return pairs
 
-    def get(self, label: str) -> MitigationSeries:
-        for entry in self.series:
-            if entry.label == label:
-                return entry
-        raise KeyError(label)
+    def render(results) -> FigureResult:
+        series = [
+            MitigationSeries(label=key[0], result=checked, unmitigated=plain)
+            for (key, plain), (_key, checked) in zip(results[::2], results[1::2])
+        ]
+        return FigureResult(figure_id, title, series, notes(series))
 
-    def format(self) -> str:
-        lines = [f"{self.figure_id}: {self.title}"]
-        lines.extend(entry.row() for entry in self.series)
-        lines.extend(f"  note: {note}" for note in self.notes)
-        return "\n".join(lines)
+    return on_attack(attack, levels, render)
 
 
-def fig14a(
-    *,
-    runs: int = 3,
-    duration: float = 200.0,
-    seed: int = 1,
-    threshold: Optional[float] = None,
-    runner: AbRunner = run_ab,
-) -> MitigationFigure:
-    """GF plausibility check vs the inter-area attack (DSRC)."""
-    base = ExperimentConfig.inter_area_default(duration=duration, seed=seed)
-    check_threshold = DSRC.nlos_median_m if threshold is None else threshold
-    mitigated_geonet = dataclasses.replace(
-        base.geonet, plausibility_check=True, plausibility_threshold=check_threshold
-    )
-    series: List[MitigationSeries] = []
-    for label, range_class in (
-        ("wN", RangeClass.NLOS_WORST),
-        ("mN", RangeClass.NLOS_MEDIAN),
-        ("mL", RangeClass.LOS_MEDIAN),
-    ):
-        attack = dataclasses.replace(
-            base.attack, attack_range=DSRC.range_for(range_class)
-        )
-        unmitigated = runner(
-            base.with_(attack=attack, label=f"{label}-plain"),
-            runs=runs,
-        )
-        mitigated = runner(
-            base.with_(
-                attack=attack, geonet=mitigated_geonet, label=f"{label}-check"
-            ),
-            runs=runs,
-        )
-        series.append(
-            MitigationSeries(label=label, unmitigated=unmitigated, mitigated=mitigated)
-        )
+def _fig14a_notes(series: List[MitigationSeries]) -> List[str]:
     af_with_check = series[0].mitigated.af_overall
     af_plain = series[0].unmitigated.af_overall
-    notes = [
+    return [
         f"attack-free reception without check: {af_plain:.1%}; "
         f"with check: {af_with_check:.1%} "
         f"(paper: ~54% -> 94.3%)"
     ]
-    return MitigationFigure(
-        figure_id="Fig14a",
-        title="GF plausibility check vs inter-area interception (DSRC)",
-        series=series,
-        notes=notes,
-    )
 
 
-def fig14b(
-    *,
-    runs: int = 3,
-    duration: float = 200.0,
-    seed: int = 1,
-    threshold: int = 3,
-    runner: AbRunner = run_ab,
-) -> MitigationFigure:
-    """CBF RHL-drop check vs the intra-area attack (DSRC)."""
-    base = ExperimentConfig.intra_area_default(duration=duration, seed=seed)
-    mitigated_geonet = dataclasses.replace(
-        base.geonet, rhl_check=True, rhl_drop_threshold=threshold
-    )
-    series: List[MitigationSeries] = []
-    for label, range_class in (
-        ("wN", RangeClass.NLOS_WORST),
-        ("mN", RangeClass.NLOS_MEDIAN),
-    ):
-        attack = dataclasses.replace(
-            base.attack, attack_range=DSRC.range_for(range_class)
-        )
-        unmitigated = runner(
-            base.with_(attack=attack, label=f"{label}-plain"),
-            runs=runs,
-        )
-        mitigated = runner(
-            base.with_(
-                attack=attack, geonet=mitigated_geonet, label=f"{label}-rhl"
-            ),
-            runs=runs,
-        )
-        series.append(
-            MitigationSeries(label=label, unmitigated=unmitigated, mitigated=mitigated)
-        )
-    notes = ["paper: the RHL check restores attack-free reception rates"]
-    return MitigationFigure(
-        figure_id="Fig14b",
-        title="CBF RHL-drop check vs intra-area blockage (DSRC)",
-        series=series,
-        notes=notes,
-    )
+#: GF plausibility check vs the inter-area attack (DSRC).
+fig14a = _plain_vs_mitigated(
+    "Fig14a",
+    "GF plausibility check vs inter-area interception (DSRC)",
+    "inter-area",
+    RANGE_LABELS,
+    "check",
+    lambda geonet: dataclasses.replace(
+        geonet,
+        plausibility_check=True,
+        plausibility_threshold=PLAUSIBILITY_THRESHOLD,
+    ),
+    _fig14a_notes,
+)
+
+#: CBF RHL-drop check vs the intra-area attack (DSRC).
+fig14b = _plain_vs_mitigated(
+    "Fig14b",
+    "CBF RHL-drop check vs intra-area blockage (DSRC)",
+    "intra-area",
+    RANGE_LABELS[:2],
+    "rhl",
+    lambda geonet: dataclasses.replace(
+        geonet, rhl_check=True, rhl_drop_threshold=RHL_DROP_THRESHOLD
+    ),
+    lambda series: ["paper: the RHL check restores attack-free reception rates"],
+)

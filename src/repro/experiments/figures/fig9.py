@@ -19,177 +19,32 @@ import dataclasses
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.figures.fig7 import AbRunner
-from repro.experiments.reporting import FigureResult
-from repro.experiments.runner import run_ab
-from repro.radio.technology import CV2X, DSRC, RadioTechnology, RangeClass
+from repro.experiments.figures.panels import attack_panels, on_attack, with_range
+from repro.experiments.sweep import figure
 
-RANGE_LABELS = (
-    ("wN", RangeClass.NLOS_WORST),
-    ("mN", RangeClass.NLOS_MEDIAN),
-    ("mL", RangeClass.LOS_MEDIAN),
+#: Attack ranges of the §IV-A tuning study around the 500 m optimum.
+TUNING_RANGES = (400.0, 450.0, 500.0, 550.0, 600.0, 700.0)
+
+#: Attack range of the source-location study: the 500 m optimum, just
+#: above the 486 m DSRC vehicle range.
+SOURCE_ATTACK_RANGE = 500.0
+
+fig9a, fig9b, fig9c, fig9d, fig9e = attack_panels("Fig9", "intra-area", "mN")
+
+
+def _tuning(base):
+    return [
+        (f"range={r:.0f}m", with_range(base, r, label=f"r{r:.0f}"))
+        for r in TUNING_RANGES
+    ]
+
+
+#: §IV-A text: tune the attack range around the 500 m optimum.
+attack_range_tuning = on_attack(
+    "intra-area",
+    _tuning,
+    figure("Fig9-tuning", "intra-area attack range tuning (DSRC)"),
 )
-
-
-def _base(
-    technology: RadioTechnology, duration: float, seed: int
-) -> ExperimentConfig:
-    return ExperimentConfig.intra_area_default(
-        technology=technology, duration=duration, seed=seed
-    )
-
-
-def _sweep_ranges(
-    figure_id: str,
-    technology: RadioTechnology,
-    *,
-    runs: int,
-    duration: float,
-    seed: int,
-    runner: AbRunner = run_ab,
-) -> FigureResult:
-    result = FigureResult(
-        figure_id=figure_id,
-        title=f"intra-area attack vs attack range ({technology.name})",
-    )
-    base = _base(technology, duration, seed)
-    for label, range_class in RANGE_LABELS:
-        config = base.with_(
-            attack=dataclasses.replace(
-                base.attack, attack_range=technology.range_for(range_class)
-            ),
-            label=f"{technology.name}-{label}",
-        )
-        result.add(label, runner(config, runs=runs))
-    return result
-
-
-def fig9a(
-    *,
-    runs: int = 3,
-    duration: float = 200.0,
-    seed: int = 1,
-    runner: AbRunner = run_ab,
-) -> FigureResult:
-    """Attack ranges with DSRC."""
-    return _sweep_ranges(
-        "Fig9a",
-        DSRC,
-        runs=runs,
-        duration=duration,
-        seed=seed,
-        runner=runner,
-    )
-
-
-def fig9b(
-    *,
-    runs: int = 3,
-    duration: float = 200.0,
-    seed: int = 1,
-    runner: AbRunner = run_ab,
-) -> FigureResult:
-    """Attack ranges with C-V2X."""
-    return _sweep_ranges(
-        "Fig9b",
-        CV2X,
-        runs=runs,
-        duration=duration,
-        seed=seed,
-        runner=runner,
-    )
-
-
-def fig9c(
-    *,
-    runs: int = 3,
-    duration: float = 200.0,
-    seed: int = 1,
-    runner: AbRunner = run_ab,
-) -> FigureResult:
-    """LocTE TTL sweep — CBF does not consult the LocT, so λ stays flat."""
-    result = FigureResult(
-        figure_id="Fig9c", title="intra-area attack vs LocTE TTL (DSRC, mN)"
-    )
-    base = _base(DSRC, duration, seed)
-    for ttl in (20.0, 10.0, 5.0):
-        config = base.with_(
-            geonet=dataclasses.replace(base.geonet, loct_ttl=ttl),
-            label=f"ttl{ttl:.0f}",
-        )
-        result.add(f"ttl={ttl:.0f}s", runner(config, runs=runs))
-    return result
-
-
-def fig9d(
-    *,
-    runs: int = 3,
-    duration: float = 200.0,
-    seed: int = 1,
-    runner: AbRunner = run_ab,
-) -> FigureResult:
-    """Inter-vehicle space sweep (DSRC, median-NLoS attacker)."""
-    result = FigureResult(
-        figure_id="Fig9d", title="intra-area attack vs inter-vehicle space (DSRC, mN)"
-    )
-    base = _base(DSRC, duration, seed)
-    for spacing in (30.0, 100.0, 300.0):
-        config = base.with_(
-            road=dataclasses.replace(base.road, inter_vehicle_space=spacing),
-            label=f"i{spacing:.0f}",
-        )
-        result.add(f"i={spacing:.0f}m", runner(config, runs=runs))
-    return result
-
-
-def fig9e(
-    *,
-    runs: int = 3,
-    duration: float = 200.0,
-    seed: int = 1,
-    runner: AbRunner = run_ab,
-) -> FigureResult:
-    """Single- vs two-direction road (DSRC, median-NLoS attacker)."""
-    result = FigureResult(
-        figure_id="Fig9e", title="intra-area attack vs road directions (DSRC, mN)"
-    )
-    base = _base(DSRC, duration, seed)
-    for directions in (1, 2):
-        config = base.with_(
-            road=dataclasses.replace(base.road, directions=directions),
-            label=f"dir{directions}",
-        )
-        result.add(
-            f"{directions} direction(s)",
-            runner(config, runs=runs),
-        )
-    return result
-
-
-def attack_range_tuning(
-    *,
-    ranges=(400.0, 450.0, 500.0, 550.0, 600.0, 700.0),
-    runs: int = 3,
-    duration: float = 200.0,
-    seed: int = 1,
-    runner: AbRunner = run_ab,
-) -> FigureResult:
-    """§IV-A text: tune the attack range around the 500 m optimum."""
-    result = FigureResult(
-        figure_id="Fig9-tuning", title="intra-area attack range tuning (DSRC)"
-    )
-    base = _base(DSRC, duration, seed)
-    for attack_range in ranges:
-        config = base.with_(
-            attack=dataclasses.replace(base.attack, attack_range=attack_range),
-            label=f"r{attack_range:.0f}",
-        )
-        result.add(
-            f"range={attack_range:.0f}m",
-            runner(config, runs=runs),
-        )
-    return result
 
 
 @dataclass
@@ -223,46 +78,19 @@ class SourceLocationStudy:
         )
 
 
-def source_location_study(
-    *,
-    attack_range: float = 500.0,
-    runs: int = 3,
-    duration: float = 200.0,
-    seed: int = 1,
-    runner: AbRunner = run_ab,
-) -> SourceLocationStudy:
-    """Compare blockage for sources inside vs outside the fully covered area.
+def _source_levels(base):
+    """The study's setting, plus one with sources restricted to the fully
+    covered area.
 
-    Outcomes of the seed-paired A and B runs are matched by generation order
-    (the workload is identical by construction), so blockage is computed
-    packet-by-packet.  Because the fully covered area is only ~28 m of a
-    4 km road, a second run restricts packet sources to that interval so the
-    "inside" estimate has samples (uniform source selection would land
-    there a couple of times per hundred packets at best).
+    That area is only ~28 m of a 4 km road, so uniform source selection
+    would land there a couple of times per hundred packets at best; the
+    second setting gives the "inside" estimate its samples.
     """
-    base = _base(DSRC, duration, seed)
-    config = base.with_(
-        attack=dataclasses.replace(base.attack, attack_range=attack_range),
-        label=f"src-loc-{attack_range:.0f}",
+    config = with_range(
+        base, SOURCE_ATTACK_RANGE, label=f"src-loc-{SOURCE_ATTACK_RANGE:.0f}"
     )
-    inside_drops: List[float] = []
-    outside_drops: List[float] = []
-
-    def paired_drops(ab_result):
-        for af_run, atk_run in zip(ab_result.af_runs, ab_result.atk_runs):
-            for af_out, atk_out in zip(af_run.outcomes, atk_run.outcomes):
-                drop = (
-                    (af_out.success - atk_out.success) / af_out.success
-                    if af_out.success > 0
-                    else 0.0
-                )
-                yield af_out.in_fully_covered_area, drop
-
-    ab = runner(config, runs=runs)
-    for inside, drop in paired_drops(ab):
-        (inside_drops if inside else outside_drops).append(drop)
-
-    surplus = attack_range - config.vehicle_range
+    settings = [("all", config)]
+    surplus = SOURCE_ATTACK_RANGE - config.vehicle_range
     if surplus > 0:
         fca_config = config.with_(
             workload=dataclasses.replace(
@@ -270,20 +98,47 @@ def source_location_study(
                 source_xmin=config.attacker_x - surplus,
                 source_xmax=config.attacker_x + surplus,
             ),
-            label=f"src-loc-fca-{attack_range:.0f}",
+            label=f"src-loc-fca-{SOURCE_ATTACK_RANGE:.0f}",
         )
-        fca_ab = runner(fca_config, runs=runs)
-        for inside, drop in paired_drops(fca_ab):
-            if inside:
-                inside_drops.append(drop)
-    world_cfg = config
+        settings.append(("fca", fca_config))
+    return settings
+
+
+def _paired_drops(ab_result):
+    """(source inside the fully covered area, drop) per packet.
+
+    Outcomes of the seed-paired A and B runs are matched by generation
+    order (the workload is identical by construction), so blockage is
+    computed packet-by-packet.
+    """
+    for af_run, atk_run in zip(ab_result.af_runs, ab_result.atk_runs):
+        for af_out, atk_out in zip(af_run.outcomes, atk_run.outcomes):
+            drop = (
+                (af_out.success - atk_out.success) / af_out.success
+                if af_out.success > 0
+                else 0.0
+            )
+            yield af_out.in_fully_covered_area, drop
+
+
+def _source_render(results) -> SourceLocationStudy:
     from repro.core.vulnerability import VulnerabilityModel
 
+    inside_drops: List[float] = []
+    outside_drops: List[float] = []
+    for key, ab in results:
+        for inside, drop in _paired_drops(ab):
+            if inside:
+                inside_drops.append(drop)
+            elif key == "all":
+                outside_drops.append(drop)
+    config = results[0][1].config
+    attack_range = config.attack.attack_range
     model = VulnerabilityModel(
-        attacker_x=world_cfg.attacker_x,
+        attacker_x=config.attacker_x,
         attack_range=attack_range,
-        vehicle_range=world_cfg.vehicle_range,
-        road_length=world_cfg.road.length,
+        vehicle_range=config.vehicle_range,
+        road_length=config.road.length,
     )
     return SourceLocationStudy(
         attack_range=attack_range,
@@ -298,3 +153,6 @@ def source_location_study(
         outside_packets=len(outside_drops),
     )
 
+
+#: §IV-A text: blockage for sources inside vs outside the fully covered area.
+source_location_study = on_attack("intra-area", _source_levels, _source_render)

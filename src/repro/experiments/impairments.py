@@ -8,19 +8,18 @@ delivery ratio degrade.  The point of the sweep is robustness of the
 *conclusion*: interception should remain the dominant loss cause even when
 the environment itself starts eating packets.
 
-Levels are module constants so tests can shrink the grid by monkeypatching
-(worker processes inherit the patched values through fork).
+Levels are module constants so tests can shrink the grid by
+monkeypatching: the sweep's settings read them when the campaign is
+planned, and workers run the planned specs (see
+:func:`repro.experiments.service.scheduler.run_service_campaign`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.figures.fig7 import AbRunner
-from repro.experiments.reporting import fmt_pct
-from repro.experiments.runner import AbResult, run_ab
+from repro.experiments.reporting import FigureResult, FigureSeries, fmt_pct
+from repro.experiments.sweep import AbTarget, attack_base, figure, grid
 from repro.faults.plan import ChurnPlan, FaultPlan, LinkFaultPlan
 
 #: Per-link i.i.d. frame-loss probabilities swept (0 = the paper's ideal
@@ -38,82 +37,47 @@ CHURN_LEVELS: Tuple[Tuple[str, float], ...] = (
 MEAN_DOWNTIME = 8.0
 
 
-@dataclass
-class ImpairmentCell:
-    """One (loss rate, churn level) grid point."""
+def _settings(duration: float, seed: int):
+    base = attack_base("inter-area", duration=duration, seed=seed)
+    uptimes = dict(CHURN_LEVELS)
 
-    loss_rate: float
-    churn_label: str
-    mean_uptime: float
-    result: AbResult
-
-    def row(self) -> str:
-        r = self.result
-        drop = r.drop_rate()
-        return (
-            f"  loss={self.loss_rate:4.0%} churn={self.churn_label:<6} "
-            f"af={fmt_pct(r.af_overall)}  atk={fmt_pct(r.atk_overall)}  "
-            f"drop={fmt_pct(drop)} (abs {fmt_pct(r.drop_rate(relative=False))})"
+    def cell(loss: float, churn: str):
+        plan = FaultPlan(
+            link=LinkFaultPlan(loss_rate=loss),
+            churn=ChurnPlan(mean_uptime=uptimes[churn], mean_downtime=MEAN_DOWNTIME),
         )
+        return base.with_(faults=plan, label=f"loss{loss:.0%}-churn-{churn}")
+
+    return grid(cell, LOSS_LEVELS, [label for label, _uptime in CHURN_LEVELS])
 
 
-@dataclass
-class ImpairmentSweepResult:
-    """The full loss × churn grid of A/B comparisons."""
-
-    cells: List[ImpairmentCell]
-
-    def get(self, loss_rate: float, churn_label: str) -> ImpairmentCell:
-        for cell in self.cells:
-            if cell.loss_rate == loss_rate and cell.churn_label == churn_label:
-                return cell
-        raise KeyError((loss_rate, churn_label))
-
-    def format(self) -> str:
-        lines = [
-            "faults: inter-area interception under channel loss x node churn",
-            f"  (mean outage {MEAN_DOWNTIME:.0f}s; loss is per-link i.i.d.)",
-        ]
-        lines.extend(cell.row() for cell in self.cells)
-        reference = self.cells[0] if self.cells else None
-        if reference is not None and reference.loss_rate == 0.0:
-            drop = reference.result.drop_rate()
-            lines.append(
-                "  note: the loss=0/churn=none cell reproduces the paper's "
-                f"ideal-environment drop rate ({fmt_pct(drop).strip()})"
-            )
-        return "\n".join(lines)
+def _rows(series: List[FigureSeries]) -> List[str]:
+    return [
+        f"  loss={entry.label[0]:4.0%} churn={entry.label[1]:<6} "
+        f"{entry.comparison()}"
+        for entry in series
+    ]
 
 
-def fault_sweep(
-    *,
-    runs: int = 3,
-    duration: float = 200.0,
-    seed: int = 1,
-    runner: AbRunner = run_ab,
-) -> ImpairmentSweepResult:
-    """Sweep the inter-area attack over :data:`LOSS_LEVELS` × :data:`CHURN_LEVELS`."""
-    base = ExperimentConfig.inter_area_default(duration=duration, seed=seed)
-    cells: List[ImpairmentCell] = []
-    for loss in LOSS_LEVELS:
-        for churn_label, mean_uptime in CHURN_LEVELS:
-            plan = FaultPlan(
-                link=LinkFaultPlan(loss_rate=loss),
-                churn=ChurnPlan(
-                    mean_uptime=mean_uptime, mean_downtime=MEAN_DOWNTIME
-                ),
-            )
-            config = base.with_(
-                faults=plan,
-                label=f"loss{loss:.0%}-churn-{churn_label}",
-            )
-            result = runner(config, runs=runs)
-            cells.append(
-                ImpairmentCell(
-                    loss_rate=loss,
-                    churn_label=churn_label,
-                    mean_uptime=mean_uptime,
-                    result=result,
-                )
-            )
-    return ImpairmentSweepResult(cells=cells)
+def _notes(series: List[FigureSeries]) -> List[str]:
+    if not series or series[0].label[0] != 0.0:
+        return []
+    return [
+        "the loss=0/churn=none cell reproduces the paper's "
+        f"ideal-environment drop rate ({fmt_pct(series[0].drop).strip()})"
+    ]
+
+
+def _render(results) -> FigureResult:
+    return figure(
+        "faults",
+        "inter-area interception under channel loss x node churn",
+        legend=f"  (mean outage {MEAN_DOWNTIME:.0f}s; loss is per-link i.i.d.)",
+        rows=_rows,
+        notes=_notes,
+    )(results)
+
+
+#: The inter-area attack over :data:`LOSS_LEVELS` × :data:`CHURN_LEVELS`,
+#: keyed ``(loss rate, churn label)``.
+fault_sweep = AbTarget(_settings, _render)

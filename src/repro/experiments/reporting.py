@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, Hashable, List, Optional, Sequence
 
 from repro.experiments.runner import AbResult, RunResult
 from repro.observability.ledger import OUTCOMES, reasons
@@ -55,7 +55,7 @@ def detection_table(
     """Precision/recall/detection-latency table for the ``detect`` sweep.
 
     ``rows`` is ``(label, metrics)`` with the metric dict produced by
-    :meth:`repro.experiments.detect.DetectCell.metrics`; latency is shown
+    :func:`repro.experiments.detect.cell_metrics`; latency is shown
     in seconds (n/a when nothing was detected), the FP column quantifies
     the attack-free alert volume under the cell's impairments.
     """
@@ -218,9 +218,12 @@ class PerfSnapshot:
 
 @dataclass
 class FigureSeries:
-    """One line of a figure: a labelled A/B comparison."""
+    """One line of a figure: a labelled A/B comparison.
 
-    label: str
+    The label is a series name, or the tuple of levels of a sweep cell.
+    """
+
+    label: Hashable
     result: AbResult
 
     @property
@@ -231,30 +234,41 @@ class FigureSeries:
     def drop_abs(self) -> Optional[float]:
         return self.result.drop_rate(relative=False)
 
-    def row(self) -> str:
+    def comparison(self) -> str:
+        """The reception and drop columns shared by every A/B row."""
         r = self.result
         return (
-            f"  {self.label:<22} af={fmt_pct(r.af_overall)}  "
-            f"atk={fmt_pct(r.atk_overall)}  drop={fmt_pct(self.drop)} "
-            f"(abs {fmt_pct(self.drop_abs)})"
+            f"af={fmt_pct(r.af_overall)}  atk={fmt_pct(r.atk_overall)}  "
+            f"drop={fmt_pct(self.drop)} (abs {fmt_pct(self.drop_abs)})"
         )
+
+    def row(self) -> str:
+        return f"  {self.label:<22} {self.comparison()}"
 
 
 @dataclass
 class FigureResult:
-    """All series of one paper figure, plus context."""
+    """All series of one paper figure, plus context.
+
+    ``legend`` is an optional line under the title; ``rows`` optionally
+    renders the series' lines instead of :meth:`FigureSeries.row`.
+    """
 
     figure_id: str
     title: str
     series: List[FigureSeries] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
+    legend: Optional[str] = None
+    rows: Optional[Callable[[List[FigureSeries]], List[str]]] = None
 
-    def add(self, label: str, result: AbResult) -> FigureSeries:
+    def add(self, label: Hashable, result: AbResult) -> FigureSeries:
         entry = FigureSeries(label=label, result=result)
         self.series.append(entry)
         return entry
 
-    def get(self, label: str) -> FigureSeries:
+    def get(self, *levels: Hashable) -> FigureSeries:
+        """The series labelled ``levels`` (one name, or a sweep cell's levels)."""
+        label = levels[0] if len(levels) == 1 else levels
         for entry in self.series:
             if entry.label == label:
                 return entry
@@ -262,7 +276,12 @@ class FigureResult:
 
     def format(self) -> str:
         lines = [f"{self.figure_id}: {self.title}"]
-        lines.extend(entry.row() for entry in self.series)
+        if self.legend is not None:
+            lines.append(self.legend)
+        if self.rows is not None:
+            lines.extend(self.rows(self.series))
+        else:
+            lines.extend(entry.row() for entry in self.series)
         lines.extend(f"  note: {note}" for note in self.notes)
         return "\n".join(lines)
 

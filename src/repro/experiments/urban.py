@@ -14,20 +14,20 @@ mitigation-relevant grid: {highway, urban Manhattan grid} × {DCC off, on}
 * does S-FoT+'s duplicate-count cancellation actually resist the
   single-replay CBF suppression that powers the intra-area attack.
 
-Levels are module constants so tests can shrink the grid by monkeypatching
-(worker processes inherit the patched values through fork), and
+Levels are module constants so tests can shrink the grid by
+monkeypatching: the sweep's settings read them when the campaign is
+planned, and workers run the planned specs (see
+:func:`repro.experiments.service.scheduler.run_service_campaign`).
 :data:`URBAN_OVERRIDES` lets tests swap in a small grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Any, Dict, List, Tuple
 
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.figures.fig7 import AbRunner
-from repro.experiments.reporting import fmt_pct
-from repro.experiments.runner import AbResult, run_ab
+from repro.experiments.reporting import FigureSeries
+from repro.experiments.sweep import AbTarget, attack_base, figure, grid
 
 #: Attacks swept (each with its paper-default workload and attacker).
 ATTACKS: Tuple[str, ...] = ("inter-area", "intra-area")
@@ -47,109 +47,50 @@ FORWARDERS: Tuple[str, ...] = ("cbf", "sfot+")
 URBAN_OVERRIDES: Dict[str, Any] = {}
 
 
-@dataclass
-class UrbanCell:
-    """One (attack, scenario, dcc, forwarder) grid point."""
-
-    attack: str
-    scenario: str
-    dcc: bool
-    forwarder: str
-    result: AbResult
-
-    def row(self) -> str:
-        r = self.result
-        return (
-            f"  {self.attack:<10} {self.scenario:<7} "
-            f"dcc={'on ' if self.dcc else 'off'} fwd={self.forwarder:<5} "
-            f"af={fmt_pct(r.af_overall)}  atk={fmt_pct(r.atk_overall)}  "
-            f"drop={fmt_pct(r.drop_rate())} "
-            f"(abs {fmt_pct(r.drop_rate(relative=False))})"
+def _settings(duration: float, seed: int):
+    def cell(attack: str, scenario: str, dcc: bool, forwarder: str):
+        config = attack_base(attack, duration=duration, seed=seed)
+        if scenario == "urban":
+            config = config.urbanized(**URBAN_OVERRIDES)
+        return config.with_(
+            geonet=replace(config.geonet, dcc_enabled=dcc, cbf_variant=forwarder),
+            label=f"{attack}-{scenario}-dcc{'on' if dcc else 'off'}-{forwarder}",
         )
 
+    return grid(cell, ATTACKS, SCENARIOS, DCC_LEVELS, FORWARDERS)
 
-@dataclass
-class UrbanSweepResult:
-    """The full attack × scenario × DCC × forwarder grid."""
 
-    cells: List[UrbanCell]
+def _rows(series: List[FigureSeries]) -> List[str]:
+    rows = []
+    for entry in series:
+        attack, scenario, dcc, forwarder = entry.label
+        rows.append(
+            f"  {attack:<10} {scenario:<7} "
+            f"dcc={'on ' if dcc else 'off'} fwd={forwarder:<5} "
+            f"{entry.comparison()}"
+        )
+    return rows
 
-    def get(
-        self, attack: str, scenario: str, dcc: bool, forwarder: str
-    ) -> UrbanCell:
-        for cell in self.cells:
-            if (
-                cell.attack == attack
-                and cell.scenario == scenario
-                and cell.dcc == dcc
-                and cell.forwarder == forwarder
-            ):
-                return cell
-        raise KeyError((attack, scenario, dcc, forwarder))
 
-    def format(self) -> str:
-        lines = [
-            "urban: attack effectiveness across scenario x DCC x forwarder",
-            "  (af = attack-free success, atk = attacked, drop = relative "
-            "attack-induced loss)",
+def _notes(series: List[FigureSeries]) -> List[str]:
+    # (scenario, dcc, forwarder) of the paper's setting
+    if any(entry.label[1:] == ("highway", False, "cbf") for entry in series):
+        return [
+            "the highway/dcc=off/cbf rows reproduce the paper's baseline setting"
         ]
-        lines.extend(cell.row() for cell in self.cells)
-        if any(
-            c.scenario == "highway" and not c.dcc and c.forwarder == "cbf"
-            for c in self.cells
-        ):
-            lines.append(
-                "  note: the highway/dcc=off/cbf rows reproduce the paper's "
-                "baseline setting"
-            )
-        return "\n".join(lines)
+    return []
 
 
-def _base_config(attack: str, *, duration: float, seed: int) -> ExperimentConfig:
-    if attack == "inter-area":
-        return ExperimentConfig.inter_area_default(duration=duration, seed=seed)
-    return ExperimentConfig.intra_area_default(duration=duration, seed=seed)
-
-
-def urban_sweep(
-    *,
-    runs: int = 3,
-    duration: float = 200.0,
-    seed: int = 1,
-    runner: AbRunner = run_ab,
-) -> UrbanSweepResult:
-    """Sweep both attacks over :data:`SCENARIOS` × :data:`DCC_LEVELS` ×
-    :data:`FORWARDERS`."""
-    cells: List[UrbanCell] = []
-    for attack in ATTACKS:
-        base = _base_config(attack, duration=duration, seed=seed)
-        for scenario in SCENARIOS:
-            scen_cfg = (
-                base.urbanized(**URBAN_OVERRIDES)
-                if scenario == "urban"
-                else base
-            )
-            for dcc in DCC_LEVELS:
-                for forwarder in FORWARDERS:
-                    config = scen_cfg.with_(
-                        geonet=replace(
-                            scen_cfg.geonet,
-                            dcc_enabled=dcc,
-                            cbf_variant=forwarder,
-                        ),
-                        label=(
-                            f"{attack}-{scenario}-"
-                            f"dcc{'on' if dcc else 'off'}-{forwarder}"
-                        ),
-                    )
-                    result = runner(config, runs=runs)
-                    cells.append(
-                        UrbanCell(
-                            attack=attack,
-                            scenario=scenario,
-                            dcc=dcc,
-                            forwarder=forwarder,
-                            result=result,
-                        )
-                    )
-    return UrbanSweepResult(cells=cells)
+#: Both attacks over :data:`SCENARIOS` × :data:`DCC_LEVELS` ×
+#: :data:`FORWARDERS`, keyed ``(attack, scenario, dcc, forwarder)``.
+urban_sweep = AbTarget(
+    _settings,
+    figure(
+        "urban",
+        "attack effectiveness across scenario x DCC x forwarder",
+        legend="  (af = attack-free success, atk = attacked, drop = relative "
+        "attack-induced loss)",
+        rows=_rows,
+        notes=_notes,
+    ),
+)

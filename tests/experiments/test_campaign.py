@@ -8,6 +8,7 @@ without touching the service.  Substitutes take the ``checkpoints``
 keyword the workers always pass.
 """
 
+import hashlib
 import os
 
 import pytest
@@ -21,14 +22,15 @@ from repro.experiments.campaign import (
     resolve_targets,
 )
 from repro.experiments.figures import fig7
-from repro.experiments.metrics import BinnedRates
-from repro.experiments.runner import RunResult
+from repro.experiments.metrics import BinnedRates, PacketOutcome
+from repro.experiments.runner import AbResult, RunResult, expand_jobs
 from repro.experiments.service.leases import job_id_for
 from repro.experiments.service.scheduler import (
     WorkerSettings,
     run_service_campaign,
 )
 from repro.experiments.sqlite_store import SqliteResultStore
+from repro.experiments.store import RunKey
 
 KW = dict(runs=1, duration=6.0, seed=1)
 
@@ -101,6 +103,90 @@ def test_resolve_targets_expands_aliases_and_rejects_unknown():
     assert resolve_targets(["fig7"])[:2] == ["fig7a", "fig7b"]
     with pytest.raises(CampaignError):
         resolve_targets(["fig99"])
+
+
+def test_plan_keys_of_existing_stores_are_pinned():
+    """Campaigns already on disk were stored under these keys: a change to
+    a target's settings, their labels or their order orphans them."""
+    specs = plan_campaign(
+        campaign.CAMPAIGN_TARGETS, runs=2, duration=10.0, seed=1
+    )
+    keys = "\n".join(
+        f"{s.target} {s.key.config_hash} {s.seed} {int(s.attacked)}"
+        for s in specs
+    )
+    assert len(specs) == 418
+    assert hashlib.sha256(keys.encode()).hexdigest() == (
+        "974f3c8686fdeaf06c94054efd5bf64a7fc6d72cf65ca6615cf0a278757d2a12"
+    )
+
+
+def synthetic_result(spec):
+    """A RunResult whose numbers vary with the run's key, so every
+    series, table and note of an artefact renders distinct values."""
+    salt = int(spec.key.config_hash[:6], 16) + 7 * spec.seed
+    rate = 0.2 + (salt % 60) / 100.0 - (0.15 if spec.attacked else 0.0)
+    outcomes = [
+        PacketOutcome(
+            packet_id=(spec.seed, i),
+            send_time=float(i),
+            source_x=1990.0 + i,
+            direction=1,
+            success=(salt + i) % 5 / 4.0,
+            in_fully_covered_area=i % 2 == 0,
+        )
+        for i in range(4)
+    ]
+    return RunResult(
+        seed=spec.seed,
+        attacked=spec.attacked,
+        binned=BinnedRates(
+            bin_width=spec.config.bin_width, rates=[rate, None, rate / 2]
+        ),
+        overall_rate=rate,
+        n_packets=10 + salt % 7,
+        outcomes=outcomes,
+        extras={
+            "detect_first_detection_s": float(salt % 3) - 1.0,
+            "detect_windows_flagged": float(salt % 2),
+            "detect_windows_total": 8.0,
+            "detect_alerts_total": float(salt % 11),
+            "replays_sent": float(salt % 13),
+        },
+    )
+
+
+@pytest.mark.parametrize("target", list(campaign.AB_TARGETS))
+def test_plan_and_assembly_agree(target, tmp_path):
+    """Assembly reads exactly the runs the planner planned: a store holding
+    synthetic results under the planned keys renders like the target fed
+    the same results directly, and lacks nothing without one of them."""
+    plan = dict(runs=2, duration=10.0, seed=1)
+    specs = campaign.plan_target(target, **plan)
+    results = {spec.key: synthetic_result(spec) for spec in specs}
+
+    def ab(config):
+        runs = [
+            results[RunKey.for_config(target, cfg, seed=s, attacked=a)]
+            for cfg, a, s in expand_jobs(config, plan["runs"])
+        ]
+        return AbResult(
+            config=config,
+            af_runs=[r for r in runs if not r.attacked],
+            atk_runs=[r for r in runs if r.attacked],
+        )
+
+    expected = campaign.AB_TARGETS[target].evaluate(
+        ab, duration=plan["duration"], seed=plan["seed"]
+    ).format()
+    store = make_store(tmp_path)
+    *present, absent = specs
+    for spec in present:
+        campaign._store_result(store, spec, results[spec.key])
+    with pytest.raises(MissingRunError):
+        assemble_target(target, store, **plan)
+    campaign._store_result(store, absent, results[absent.key])
+    assert assemble_target(target, store, **plan) == expected
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from repro.experiments import detect
 from repro.experiments.config import DetectionConfig, ExperimentConfig
-from repro.experiments.detect import DetectCell, detect_sweep
+from repro.experiments.detect import cell_metrics, detect_sweep
 from repro.experiments.metrics import BinnedRates
 from repro.experiments.runner import AbResult, RunResult, run_single
 from repro.faults.plan import FaultPlan, GpsFaultPlan
@@ -61,10 +61,7 @@ def fake_ab(config, af_runs, atk_runs):
 class TestCellMetrics:
     def cell(self, af_runs, atk_runs):
         config = ExperimentConfig.inter_area_default(duration=10.0)
-        return DetectCell(
-            scenario="highway", variant="single", impairment="clean",
-            result=fake_ab(config, af_runs, atk_runs),
-        )
+        return fake_ab(config, af_runs, atk_runs)
 
     def test_recall_latency_precision_from_extras(self):
         cell = self.cell(
@@ -76,7 +73,7 @@ class TestCellMetrics:
                          alerts=12.0, replays=90.0),
             ],
         )
-        metrics = cell.metrics()
+        metrics = cell_metrics(cell)
         assert metrics["recall"] == pytest.approx(1.0)
         assert metrics["latency"] == pytest.approx(10.0)
         assert metrics["precision"] == pytest.approx(1.0)
@@ -94,7 +91,7 @@ class TestCellMetrics:
                          alerts=50.0),
             ],
         )
-        metrics = cell.metrics()
+        metrics = cell_metrics(cell)
         assert metrics["precision"] == pytest.approx(0.5)
         assert metrics["fp_window_rate"] == pytest.approx(2.0 / 16.0)
         assert metrics["fp_alerts"] == pytest.approx(30.0)
@@ -104,14 +101,14 @@ class TestCellMetrics:
             af_runs=[fake_run(attacked=False)],
             atk_runs=[fake_run(attacked=True)],
         )
-        metrics = cell.metrics()
+        metrics = cell_metrics(cell)
         assert metrics["recall"] == 0.0
         assert metrics["latency"] is None
         assert metrics["precision"] is None
 
 
 # ----------------------------------------------------------------------
-# sweep assembly (injected runner: no simulation)
+# sweep assembly (injected ab: no simulation)
 # ----------------------------------------------------------------------
 class TestSweepAssembly:
     def test_grid_covers_the_threat_matrix(self, monkeypatch):
@@ -125,7 +122,7 @@ class TestSweepAssembly:
         )
         seen = []
 
-        def runner(config, *, runs):
+        def ab(config):
             seen.append(config)
             detected = -1.0 if config.attack.variant == "adaptive" else 5.0
             return fake_ab(
@@ -135,11 +132,11 @@ class TestSweepAssembly:
                                    flagged=1.0 if detected > 0 else 0.0)],
             )
 
-        sweep = detect_sweep(runs=1, duration=10.0, runner=runner)
-        assert len(sweep.cells) == 4
-        assert {c.config.attack.variant for c in map(
-            lambda cell: cell.result, sweep.cells
-        )} == {"single", "adaptive"}
+        sweep = detect_sweep.evaluate(ab, duration=10.0, seed=1)
+        assert len(sweep.series) == 4
+        assert {
+            entry.result.config.attack.variant for entry in sweep.series
+        } == {"single", "adaptive"}
         assert all(c.detection.enabled for c in seen)
         assert all(c.faults is not None for c in seen)
         cell = sweep.get("highway", "adaptive", "impaired")
@@ -152,14 +149,16 @@ class TestSweepAssembly:
     def test_urban_cells_use_the_urban_scenario(self, monkeypatch):
         shrink(monkeypatch, scenarios=("urban",))
 
-        def runner(config, *, runs):
+        def ab(config):
             assert config.scenario == "urban"
             return fake_ab(config, [fake_run(attacked=False)],
                            [fake_run(attacked=True)])
 
-        sweep = detect_sweep(runs=1, duration=10.0, runner=runner)
-        assert len(sweep.cells) == 1
-        assert sweep.cells[0].label == "urban/single/clean"
+        sweep = detect_sweep.evaluate(ab, duration=10.0, seed=1)
+        assert [entry.label for entry in sweep.series] == [
+            ("urban", "single", "clean")
+        ]
+        assert "urban/single/clean" in sweep.format()
 
 
 # ----------------------------------------------------------------------

@@ -34,19 +34,16 @@ def test_fig9a_structure():
 
 
 def test_fig9_source_location_study_shapes():
-    study = fig9.source_location_study(
-        attack_range=500.0, runs=1, duration=6.0, seed=1
-    )
+    study = fig9.source_location_study(runs=1, duration=6.0, seed=1)
     assert study.fully_covered_interval == (1986.0, 2014.0)
     assert study.inside_packets + study.outside_packets > 0
     text = study.format()
     assert "fully covered area" in text
 
 
-def test_fig9_attack_range_tuning_labels():
-    result = fig9.attack_range_tuning(
-        ranges=(450.0, 500.0), runs=1, duration=6.0, seed=1
-    )
+def test_fig9_attack_range_tuning_labels(monkeypatch):
+    monkeypatch.setattr(fig9, "TUNING_RANGES", (450.0, 500.0))
+    result = fig9.attack_range_tuning(runs=1, duration=6.0, seed=1)
     assert [s.label for s in result.series] == ["range=450m", "range=500m"]
 
 

@@ -364,6 +364,18 @@ def test_single_runs_warn_on_scheduler_flags(capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_duration_warns_only_where_it_changes_nothing(capsys):
+    """--duration has no effect on a table or on fig13's fixed curve
+    scenario, alone or together; it does on fig12a and on A/B targets."""
+    for targets in (["table1"], ["fig13"], ["fig13", "table1"]):
+        cli._warn_ignored_flags(targets, _args(duration=5.0))
+        err = capsys.readouterr().err
+        assert "--duration 5.0 has no effect" in err, targets
+    for targets in (["fig12a"], ["fig13", "fig12a"], ["table1", "fig7a"]):
+        cli._warn_ignored_flags(targets, _args(duration=5.0))
+        assert capsys.readouterr().err == "", targets
+
+
 def test_mixed_campaign_does_not_warn_about_flags_it_uses(
     tmp_path, monkeypatch, capsys
 ):

@@ -128,7 +128,10 @@ class TestUrbanSweep:
 
         self._shrink(monkeypatch)
         sweep = urban.urban_sweep(runs=1, duration=10.0, seed=2)
-        assert len(sweep.cells) == 2
+        assert [entry.label for entry in sweep.series] == [
+            ("inter-area", "highway", False, "sfot+"),
+            ("inter-area", "urban", False, "sfot+"),
+        ]
         text = sweep.format()
         assert "scenario x DCC x forwarder" in text
         assert "urban" in text and "highway" in text

@@ -140,7 +140,9 @@ def test_fault_sweep_renders_the_impairment_grid(monkeypatch):
         impairments, "CHURN_LEVELS", (("none", 0.0), ("heavy", 15.0))
     )
     sweep = impairments.fault_sweep(runs=1, duration=8.0, seed=2)
-    assert len(sweep.cells) == 4
+    assert [entry.label for entry in sweep.series] == [
+        (0.0, "none"), (0.0, "heavy"), (0.2, "none"), (0.2, "heavy"),
+    ]
     text = sweep.format()
     assert "loss x node churn" in text
     assert "churn=heavy" in text
