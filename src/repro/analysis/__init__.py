@@ -13,11 +13,8 @@ from repro.analysis.stats import (
     sample_std,
 )
 from repro.analysis.textplot import series_table, sparkline
-from repro.analysis.trace import ChannelTracer, TraceRecord
 
 __all__ = [
-    "ChannelTracer",
-    "TraceRecord",
     "confidence_interval",
     "mean",
     "paired_difference_interval",

@@ -45,7 +45,7 @@ from repro.experiments.config import (
 )
 from repro.experiments.world import World
 from repro.geo.position import Position
-from repro.geonet.node import GeoNode, StaticMobility
+from repro.geonet.node import GeoNode
 from repro.radio.technology import DSRC
 from repro.sim.process import every
 from repro.traffic.hazard import HazardEvent
@@ -159,15 +159,8 @@ class _ImpactScenario:
         )
         # The stopped vehicle at the event site reports the hazard.
         east_lane_y = world.road.eastbound_lanes[0].y
-        self.reporter = GeoNode(
-            sim=world.sim,
-            channel=world.channel,
-            config=world.config.geonet,
-            credentials=world.ca.enroll("hazard-reporter"),
-            mobility=StaticMobility(Position(HAZARD_X - 5.0, east_lane_y)),
-            tx_range=world.config.vehicle_range,
-            rng=world.streams.get("beacon:reporter"),
-            name="hazard-reporter",
+        self.reporter = world.add_roadside_node(
+            "reporter", Position(HAZARD_X - 5.0, east_lane_y)
         )
         if self.case == "1":
             # The west destination node doubles as the entrance gate: it
@@ -176,16 +169,8 @@ class _ImpactScenario:
                 node for node in world.dest_nodes if node.name == "dest-west"
             )
         else:
-            width = world.road.total_width
-            self.gate = GeoNode(
-                sim=world.sim,
-                channel=world.channel,
-                config=world.config.geonet,
-                credentials=world.ca.enroll("entrance-gate"),
-                mobility=StaticMobility(Position(2.0, width / 2)),
-                tx_range=world.config.vehicle_range,
-                rng=world.streams.get("beacon:gate"),
-                name="entrance-gate",
+            self.gate = world.add_roadside_node(
+                "gate", Position(2.0, world.road.total_width / 2)
             )
         self.gate.router.on_deliver.append(self._on_gate_delivery)
         every(

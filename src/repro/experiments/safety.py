@@ -15,8 +15,12 @@ change warning:
   at sight distance around the bend, and the emergency braking (after a
   human reaction delay) is too late.
 
-The module records the speed profiles the paper plots in Fig 13 and whether
-a collision occurred.
+The curve runs as a :class:`~repro.experiments.world.World` scenario (see
+:func:`curve_config`): V1 and V2 are fleet vehicles with forced
+accelerations, the RSU is a roadside node, and the attacker is the world's
+own intra-area blocker, so checkpoints, the invariant checker, the ledger
+and faults apply as to any other run.  The module records the speed
+profiles the paper plots in Fig 13 and whether a collision occurred.
 """
 
 from __future__ import annotations
@@ -24,19 +28,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.core.attacks import IntraAreaBlocker
+from repro.experiments.config import (
+    AttackConfig,
+    AttackKind,
+    ExperimentConfig,
+    RoadConfig,
+    WorkloadConfig,
+    WorkloadKind,
+)
+from repro.experiments.world import World
 from repro.geo.areas import RectangularArea
 from repro.geo.position import Position
 from repro.geonet.config import GeoNetConfig
-from repro.geonet.node import GeoNode, StaticMobility, VehicleMobility
-from repro.radio.channel import BroadcastChannel
+from repro.geonet.node import GeoNode
 from repro.radio.technology import DSRC
-from repro.security.ca import CertificateAuthority
-from repro.sim.engine import Simulator
-from repro.sim.random import RandomStreams
-from repro.traffic.idm import IdmParameters
-from repro.traffic.road import RoadSegment
-from repro.traffic.simulation import TrafficSimulation
 from repro.traffic.vehicle import Vehicle
 
 APEX_X = 600.0
@@ -92,57 +97,43 @@ class SafetyRun:
         return f"{'attacked' if self.attacked else 'attack-free'}: {warned}; {outcome}"
 
 
+def curve_config(*, seed: int = 1, duration: float = 40.0) -> ExperimentConfig:
+    """The blind-curve world: a 1 200 m two-way road with one lane each way.
+
+    The road starts empty (the scenario adds V1 and V2 itself) and the
+    attack is the targeted intra-area blocker (Spot 2): RHL unmodified,
+    replaying at 5 m from a mast one metre beside the RSU at the apex.
+    """
+    return ExperimentConfig(
+        road=RoadConfig(
+            length=1200.0,
+            lanes_per_direction=1,
+            directions=2,
+            prepopulate=False,
+            spawn=False,
+        ),
+        geonet=GeoNetConfig(dist_max=DSRC.max_range_m),
+        workload=WorkloadConfig(kind=WorkloadKind.INTRA_AREA),
+        attack=AttackConfig(
+            kind=AttackKind.INTRA_AREA,
+            x=APEX_X,
+            y_offset=31.0,
+            attack_range=300.0,
+            rewrite_rhl=False,  # the Spot-2 targeted variant
+            replay_range=5.0,  # reaches only the RSU one metre away
+        ),
+        duration=duration,
+        seed=seed,
+        label="fig13",
+    )
+
+
 class _CurveScenario:
-    """The scripted controller for V1, V2 and the RSU."""
+    """Installs terrain, V1, V2 and the RSU in a world, and scripts V1/V2."""
 
-    def __init__(self, *, attacked: bool, seed: int):
-        self.run = SafetyRun(attacked=attacked)
-        self.sim = Simulator()
-        self.streams = RandomStreams(seed)
-        self.channel = BroadcastChannel(self.sim, self.streams)
-        self.ca = CertificateAuthority()
-        self.road = RoadSegment(
-            length=1200.0, lanes_per_direction=1, lane_width=5.0, directions=2
-        )
-        self.traffic = TrafficSimulation(self.road, IdmParameters(), dt=0.1)
-        self.traffic.on_step.append(self._control)
-        self.traffic.on_step.append(self._invalidate_channel_positions)
-        # The terrain blocks links between the two approaches; anything
-        # mounted high (RSU at y=30, attacker mast at y=31) is exempt, and
-        # vehicles close to one another around the bend can still hear
-        # (and see) each other.
-        self.channel.add_obstruction(self._terrain_blocks)
-
-        east_lane = self.road.eastbound_lanes[0]
-        west_lane = self.road.westbound_lanes[0]
-        self.v1 = Vehicle(lane=east_lane, x=V1_START_X, speed=V1_SPEED)
-        self.v2 = Vehicle(lane=west_lane, x=V2_START_X, speed=V2_SPEED)
-        self.v1.forced_acceleration = APPROACH_DECEL
-        self.v2.forced_acceleration = APPROACH_DECEL
-        self.traffic.add_vehicle(self.v1)
-        self.traffic.add_vehicle(self.v2)
-
-        config = GeoNetConfig(dist_max=DSRC.max_range_m)
+    def __init__(self, run: SafetyRun):
+        self.run = run
         self.area = RectangularArea(0.0, 1200.0, 0.0, 40.0)
-        self.n1 = self._make_node("v1", VehicleMobility(self.v1), config)
-        self.n2 = self._make_node("v2", VehicleMobility(self.v2), config)
-        self.rsu = self._make_node(
-            "rsu", StaticMobility(Position(APEX_X, 30.0)), config
-        )
-        self.n2.router.on_deliver.append(self._v2_deliver)
-
-        self.attacker: Optional[IntraAreaBlocker] = None
-        if attacked:
-            self.attacker = IntraAreaBlocker(
-                sim=self.sim,
-                channel=self.channel,
-                streams=self.streams,
-                position=Position(APEX_X, 31.0),
-                attack_range=300.0,
-                rewrite_rhl=False,  # the Spot-2 targeted variant
-                replay_range=5.0,  # reaches only the RSU one metre away
-            )
-
         # scripted state
         self._v1_detected = False
         self._v1_in_opposite_lane = False
@@ -151,19 +142,27 @@ class _CurveScenario:
         self._v2_emergency_at: Optional[float] = None
         self._v1_emergency_at: Optional[float] = None
 
-    # ------------------------------------------------------------------
-    def _make_node(self, name: str, mobility, config: GeoNetConfig) -> GeoNode:
-        return GeoNode(
-            sim=self.sim,
-            channel=self.channel,
-            config=config,
-            credentials=self.ca.enroll(name),
-            mobility=mobility,
-            tx_range=DSRC.vehicle_range_m,
-            rng=self.streams.get(f"beacon:{name}"),
-            name=name,
+    def build(self, world: World) -> None:
+        # The terrain blocks links between the two approaches; anything
+        # mounted high (RSU at y=30, attacker mast at y=31) is exempt, and
+        # vehicles close to one another around the bend can still hear
+        # (and see) each other.
+        world.channel.add_obstruction(self._terrain_blocks)
+        self.v1 = Vehicle(
+            lane=world.road.eastbound_lanes[0], x=V1_START_X, speed=V1_SPEED
         )
+        self.v2 = Vehicle(
+            lane=world.road.westbound_lanes[0], x=V2_START_X, speed=V2_SPEED
+        )
+        for vehicle in (self.v1, self.v2):
+            vehicle.forced_acceleration = APPROACH_DECEL
+            world.traffic.add_vehicle(vehicle)
+        self.n1 = world.nodes[self.v1.vehicle_id]
+        world.nodes[self.v2.vehicle_id].router.on_deliver.append(self._v2_deliver)
+        world.add_roadside_node("rsu", Position(APEX_X, 30.0))
+        world.traffic.on_step.append(self._control)
 
+    # ------------------------------------------------------------------
     @staticmethod
     def _terrain_blocks(a: Position, b: Position) -> bool:
         if a.y >= 15.0 or b.y >= 15.0:
@@ -175,12 +174,9 @@ class _CurveScenario:
     def _v2_deliver(self, node: GeoNode, packet) -> None:
         if packet.body.payload == WARNING_PAYLOAD and not self._v2_warned:
             self._v2_warned = True
-            self.run.v2_warned_at = self.sim.now
+            self.run.v2_warned_at = node.sim.now
 
     # ------------------------------------------------------------------
-    def _invalidate_channel_positions(self, _now: float) -> None:
-        self.channel.invalidate_positions()
-
     def _control(self, now: float) -> None:
         self._control_v1(now)
         self._control_v2(now)
@@ -260,17 +256,14 @@ class _CurveScenario:
     def _sees_oncoming(self) -> bool:
         return abs(self.v1.x - self.v2.x) <= SIGHT_DISTANCE
 
-    # ------------------------------------------------------------------
-    def run_scenario(self, duration: float = 40.0) -> SafetyRun:
-        self.traffic.start(self.sim)
-        self.sim.run_until(duration)
-        return self.run
-
 
 def run_safety_case(*, attacked: bool, seed: int = 1, duration: float = 40.0) -> SafetyRun:
     """Run the curve scenario once and return its speed profiles/events."""
-    scenario = _CurveScenario(attacked=attacked, seed=seed)
-    return scenario.run_scenario(duration)
+    run = SafetyRun(attacked=attacked)
+    config = curve_config(seed=seed, duration=duration)
+    scenario = _CurveScenario(run)
+    World(config, attacked=attacked, build_workload=scenario.build).run()
+    return run
 
 
 @dataclass

@@ -249,6 +249,9 @@ class World:
         # --- nodes --------------------------------------------------------
         self.nodes: Dict[int, GeoNode] = {}  # vehicle_id -> node
         self.node_by_addr: Dict[int, GeoNode] = {}
+        #: Static roadside nodes (destinations and scenario-installed units),
+        #: in creation order; see :meth:`add_roadside_node`.
+        self.roadside_nodes: List[GeoNode] = []
         #: Protocol counters of nodes already torn down (exited vehicles) —
         #: without this, per-node GF/CBF/GUC stats vanish with the node.
         self._detached_stats: Counter = Counter()
@@ -346,7 +349,7 @@ class World:
         self.fleet.push_positions_to_channel()
 
     def _iter_all_nodes(self):
-        return list(self.nodes.values()) + self.dest_nodes
+        return list(self.nodes.values()) + self.roadside_nodes
 
     # ------------------------------------------------------------------
     # node lifecycle
@@ -471,20 +474,31 @@ class World:
         self.dest_areas[Direction.EAST] = CircularArea(east_center, radius)
         self.dest_areas[Direction.WEST] = CircularArea(west_center, radius)
         for label, center in (("east", east_center), ("west", west_center)):
-            node = GeoNode(
-                sim=self.sim,
-                channel=self.channel,
-                config=self.config.geonet,
-                credentials=self.ca.enroll(f"dest-{label}"),
-                mobility=StaticMobility(center),
-                tx_range=self.config.vehicle_range,
-                rng=self.streams.get(f"beacon:dest-{label}"),
-                name=f"dest-{label}",
-                ledger=self.ledger,
-            )
+            node = self.add_roadside_node(f"dest-{label}", center)
             node.router.on_deliver.append(self._on_deliver)
             self.dest_nodes.append(node)
-            self.node_by_addr[node.address] = node
+
+    def add_roadside_node(self, name: str, position: Position) -> GeoNode:
+        """Install a static, self-beaconing roadside node at ``position``.
+
+        Its beacon/CBF draws come from the ``beacon:{name}`` stream.  The
+        node is addressable through :meth:`nodes_near`, walked by the
+        invariant checker and counted in :meth:`protocol_stat_totals`.
+        """
+        node = GeoNode(
+            sim=self.sim,
+            channel=self.channel,
+            config=self.config.geonet,
+            credentials=self.ca.enroll(name),
+            mobility=StaticMobility(position),
+            tx_range=self.config.vehicle_range,
+            rng=self.streams.get(f"beacon:{name}"),
+            name=name,
+            ledger=self.ledger,
+        )
+        self.roadside_nodes.append(node)
+        self.node_by_addr[node.address] = node
+        return node
 
     def _attacker_anchor(self) -> Position:
         """The single-mast position (paper Fig 6: mid-road / central
@@ -721,10 +735,10 @@ class World:
 
     def protocol_stat_totals(self) -> Counter:
         """Per-node protocol counters summed over *every* node of the run:
-        live vehicles, static destinations, and vehicles already torn down
+        live vehicles, static roadside nodes, and vehicles already torn down
         (whose stats are accumulated at detach time)."""
         totals = Counter(self._detached_stats)
-        for node in list(self.nodes.values()) + list(self.dest_nodes):
+        for node in self._iter_all_nodes():
             totals.update(node_stat_counters(node))
         return totals
 

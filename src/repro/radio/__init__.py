@@ -3,8 +3,8 @@
 The paper reduces the DSRC / C-V2X physical layers to the communication
 ranges measured in the Utah DOT field test (Table II); we model the medium as
 a unit-disk broadcast channel parameterised by those ranges, with
-millisecond-scale delivery latency and optional link obstructions (used by
-the road-safety curve scenario).
+millisecond-scale delivery latency and optional link obstructions (the
+road-safety curve's terrain and urban corner shadowing).
 """
 
 from repro.radio.technology import (

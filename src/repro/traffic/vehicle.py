@@ -60,7 +60,8 @@ class Vehicle:
     #: degenerate radio symmetry (identical CBF timers in adjacent lanes).
     speed_factor: float = 1.0
     #: When set, the vehicle ignores IDM and applies this fixed acceleration
-    #: (used by the road-safety curve scenario's prescribed speed profiles).
+    #: (the scripted V1/V2 controller of the Fig 13 curve world sets it
+    #: every step).
     forced_acceleration: Optional[float] = None
     #: Slot in the struct-of-arrays :class:`~repro.geonet.fleet.FleetState`;
     #: None when the traffic runs without a fleet (no radios).

@@ -7,7 +7,15 @@ from repro.experiments.impact import (
     impact_config,
     run_impact_case,
 )
-from repro.experiments.safety import compare_safety, run_safety_case
+from repro.experiments.figures.fig13 import fig13
+from repro.experiments.safety import (
+    SafetyRun,
+    _CurveScenario,
+    compare_safety,
+    curve_config,
+    run_safety_case,
+)
+from repro.experiments.world import World
 
 
 class TestImpactConfig:
@@ -104,3 +112,63 @@ class TestSafetyScenario:
     def test_min_gap_attack_free_stays_safe(self):
         run = run_safety_case(attacked=False, seed=1)
         assert run.min_gap > 20.0
+
+
+def _curve_world(attacked: bool, **overrides) -> World:
+    config = curve_config(seed=1).with_(**overrides)
+    scenario = _CurveScenario(SafetyRun(attacked=attacked))
+    return World(config, attacked=attacked, build_workload=scenario.build)
+
+
+def _curve_run(world: World) -> SafetyRun:
+    """The SafetyRun the world's scripted controller records into."""
+    (control,) = [
+        hook
+        for hook in world.traffic.on_step
+        if isinstance(getattr(hook, "__self__", None), _CurveScenario)
+    ]
+    return control.__self__.run
+
+
+class TestCurveWorld:
+    """Fig 13 is a World scenario, so it gets the World's tooling."""
+
+    def test_fig13_text_is_pinned(self):
+        assert fig13().format() == (
+            "Fig13: road-safety curve scenario\n"
+            "  attack-free: V2 warned at t=7.99s; no collision (min gap 58.1 m)\n"
+            "  attacked: V2 never warned; COLLISION at t=19.20s"
+        )
+
+    def test_vehicles_and_rsu_are_world_nodes(self):
+        world = _curve_world(attacked=True)
+        assert len(world.nodes) == 2
+        assert len(world.fleet) == 2
+        assert [node.name for node in world.roadside_nodes] == ["rsu"]
+        assert world.dest_nodes == []
+        rsu = world.roadside_nodes[0]
+        assert world.node_by_addr[rsu.address] is rsu
+        assert rsu in world._iter_all_nodes()
+        # The world's own intra-area blocker, one metre above the RSU.
+        assert (world.attacker.position.x, world.attacker.position.y) == (
+            600.0,
+            31.0,
+        )
+
+    @pytest.mark.parametrize("attacked", [False, True])
+    def test_restore_after_warning_matches_uninterrupted(self, attacked):
+        expected = run_safety_case(attacked=attacked, seed=1)
+        world = _curve_world(attacked)
+        world.run(8.0)  # V1 warned at 7.9 s
+        assert _curve_run(world).warning_sent_at is not None
+        restored = World.restore(world.snapshot())
+        restored.run()
+        assert _curve_run(restored) == expected
+
+    @pytest.mark.parametrize("attacked", [False, True])
+    def test_invariant_checker_runs_clean(self, attacked):
+        world = _curve_world(attacked, invariant_check_interval=0.5)
+        world.run()
+        assert world.invariant_checker.checks_run >= 79
+        expected = run_safety_case(attacked=attacked, seed=1)
+        assert _curve_run(world).format() == expected.format()
