@@ -148,12 +148,9 @@ class _CurveScenario:
         # vehicles close to one another around the bend can still hear
         # (and see) each other.
         world.channel.add_obstruction(self._terrain_blocks)
-        self.v1 = Vehicle(
-            lane=world.road.eastbound_lanes[0], x=V1_START_X, speed=V1_SPEED
-        )
-        self.v2 = Vehicle(
-            lane=world.road.westbound_lanes[0], x=V2_START_X, speed=V2_SPEED
-        )
+        east, west = world.road.eastbound_lanes[0], world.road.westbound_lanes[0]
+        self.v1 = Vehicle(lane=east, s=east.progress(V1_START_X), speed=V1_SPEED)
+        self.v2 = Vehicle(lane=west, s=west.progress(V2_START_X), speed=V2_SPEED)
         for vehicle in (self.v1, self.v2):
             vehicle.forced_acceleration = APPROACH_DECEL
             world.traffic.add_vehicle(vehicle)

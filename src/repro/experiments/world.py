@@ -43,7 +43,7 @@ from repro.security.signing import sign, verify
 from repro.sim.engine import Simulator
 from repro.sim.process import every
 from repro.sim.random import RandomStreams
-from repro.traffic.grid import GridRoadNetwork, GridTrafficSimulation
+from repro.traffic.grid import GridRoadNetwork
 from repro.traffic.idm import IdmParameters
 from repro.traffic.road import Direction, RoadSegment
 from repro.traffic.simulation import TrafficSimulation
@@ -63,11 +63,9 @@ def reset_id_counters() -> None:
     run."""
     from repro.radio.channel import reset_addresses
     from repro.radio.frames import reset_frame_ids
-    from repro.traffic.grid import reset_grid_vehicle_ids
     from repro.traffic.vehicle import reset_vehicle_ids
 
     reset_vehicle_ids()
-    reset_grid_vehicle_ids()
     reset_addresses()
     reset_frame_ids()
 
@@ -149,12 +147,10 @@ class World:
         # --- road traffic ------------------------------------------------
         # The urban scenario swaps the 4 000 m highway for a Manhattan grid
         # (turning traffic) and registers corner shadowing on the channel;
-        # everything downstream (nodes, workload, attacker) is scenario-
-        # agnostic apart from the geometry branches below.  The highway
-        # branch is byte-for-byte the seed wiring: a default config takes
-        # none of the urban code paths and stays golden-bit-identical.
+        # both are lists of directed lanes that one TrafficSimulation
+        # steps.  Everything downstream (nodes, workload, attacker) is
+        # scenario-agnostic apart from the geometry branches below.
         self.urban = config.scenario == "urban"
-        road_cfg = config.road
         self.road: Optional[RoadSegment] = None
         self.grid: Optional[GridRoadNetwork] = None
         self.shadowing: Optional[ManhattanShadowing] = None
@@ -165,7 +161,7 @@ class World:
         # loop pushes positions into the channel grid in bulk.
         self.fleet = FleetState(self.channel)
         if self.urban:
-            urban_cfg = config.urban
+            traffic_cfg = urban_cfg = config.urban
             self.grid = GridRoadNetwork(
                 streets_x=urban_cfg.streets_x,
                 streets_y=urban_cfg.streets_y,
@@ -180,55 +176,42 @@ class World:
                 corner_clearance=urban_cfg.corner_clearance,
             )
             self.channel.add_obstruction(self.shadowing)
-            self.spawner = (
-                EntranceSpawner(
-                    spawn_gap=urban_cfg.spawn_gap,
-                    entry_speed=urban_cfg.entry_speed,
-                    gap_jitter=0.3,
-                    rng=self.streams.get("spawner"),
-                )
-                if urban_cfg.spawn
-                else None
-            )
-            self.traffic = GridTrafficSimulation(
-                self.grid,
-                IdmParameters(desired_velocity=urban_cfg.desired_speed),
-                dt=config.mobility_dt,
-                spawner=self.spawner,
-                rng=self.streams.get("traffic"),
-                # One LocT lifetime at urban speed past the grid edge.
-                runout=config.geonet.loct_ttl * urban_cfg.desired_speed,
-                turn_probability=urban_cfg.turn_probability,
-                fleet=self.fleet,
-            )
+            spawn_gap = urban_cfg.spawn_gap
+            idm = IdmParameters(desired_velocity=urban_cfg.desired_speed)
         else:
+            traffic_cfg = road_cfg = config.road
             self.road = RoadSegment(
                 length=road_cfg.length,
                 lanes_per_direction=road_cfg.lanes_per_direction,
                 lane_width=road_cfg.lane_width,
                 directions=road_cfg.directions,
             )
-            self.spawner = (
-                EntranceSpawner(
-                    spawn_gap=road_cfg.inter_vehicle_space,
-                    entry_speed=road_cfg.entry_speed,
-                    gap_jitter=0.3,
-                    rng=self.streams.get("spawner"),
-                )
-                if road_cfg.spawn
-                else None
+            spawn_gap = road_cfg.inter_vehicle_space
+            idm = IdmParameters()
+        self.spawner = (
+            EntranceSpawner(
+                spawn_gap=spawn_gap,
+                entry_speed=traffic_cfg.entry_speed,
+                gap_jitter=0.3,
+                rng=self.streams.get("spawner"),
             )
-            self.traffic = TrafficSimulation(
-                self.road,
-                IdmParameters(),
-                dt=config.mobility_dt,
-                spawner=self.spawner,
-                rng=self.streams.get("traffic"),
-                # Keep radios alive past the segment for one LocT lifetime,
-                # so exiting vehicles don't become phantom GF targets.
-                runout=config.geonet.loct_ttl * 30.0,
-                fleet=self.fleet,
-            )
+            if traffic_cfg.spawn
+            else None
+        )
+        self.traffic = TrafficSimulation(
+            self.grid if self.urban else self.road,
+            idm,
+            dt=config.mobility_dt,
+            spawner=self.spawner,
+            rng=self.streams.get("traffic"),
+            # Keep radios alive past the road end for one LocT lifetime at
+            # the desired speed, so exiting vehicles don't become phantom
+            # GF targets.
+            runout=config.geonet.loct_ttl * idm.desired_velocity,
+            # Only grid lanes cross intersections.
+            turn_probability=config.urban.turn_probability,
+            fleet=self.fleet,
+        )
         self.traffic.on_step.append(self._push_fleet_positions)
         self.fleet_scheduler = FleetBeaconScheduler(
             self.sim,
@@ -258,15 +241,10 @@ class World:
         self._veh_seq = 0
         self.traffic.on_spawn.append(self._attach_node)
         self.traffic.on_exit.append(self._detach_node)
-        if self.urban:
-            if config.urban.prepopulate:
-                self.traffic.populate(
-                    spacing=config.urban.inter_vehicle_space,
-                    speed=config.urban.entry_speed,
-                )
-        elif road_cfg.prepopulate:
+        if traffic_cfg.prepopulate:
             self.traffic.populate(
-                spacing=road_cfg.inter_vehicle_space, speed=road_cfg.entry_speed
+                spacing=traffic_cfg.inter_vehicle_space,
+                speed=traffic_cfg.entry_speed,
             )
 
         # --- destinations (inter-area workload) ----------------------------
@@ -355,8 +333,6 @@ class World:
     # node lifecycle
     # ------------------------------------------------------------------
     def _attach_node(self, vehicle) -> None:
-        # ``vehicle`` is a highway Vehicle or a GridVehicle — both expose
-        # vehicle_id / position / speed / heading / fleet_slot.
         self._veh_seq += 1
         seq = self._veh_seq
         node = GeoNode(

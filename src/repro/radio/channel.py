@@ -589,9 +589,8 @@ class BroadcastChannel:
         """Registered interfaces within ``radius`` of ``position``.
 
         Served from the same spatial index the transmit path uses; results
-        come back in registration order.  This is the query the traffic and
-        analysis layers reuse for proximity lookups (e.g.
-        ``World.nodes_near``).
+        come back in registration order.  This is the query the analysis
+        layer reuses for proximity lookups (e.g. ``World.nodes_near``).
         """
         r_sq = radius * radius
         matches = [

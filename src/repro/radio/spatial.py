@@ -1,10 +1,10 @@
 """A uniform-grid spatial index over the plane.
 
 The simulation's hot query is "who is within ``r`` metres of this point?"
-— the broadcast channel asks it on every transmit, carrier sense and the
-traffic layer ask it for proximity lookups.  A :class:`SpatialGrid` buckets
-items into square cells of side ``cell_size`` so a disc query only touches
-the cells overlapping the disc's bounding box instead of every item.
+— the broadcast channel asks it on every transmit and carrier sense.  A
+:class:`SpatialGrid` buckets items into square cells of side ``cell_size``
+so a disc query only touches the cells overlapping the disc's bounding box
+instead of every item.
 
 Cell-size invariant: when ``cell_size >= r`` the bounding box spans at most
 a 3×3 cell neighborhood, so a query is answered from at most nine buckets.

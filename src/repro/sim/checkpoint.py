@@ -18,11 +18,11 @@ Three rules make this possible:
    load.  :class:`RestrictedPickler` rejects anything else with an error
    naming the offender, so a regression fails fast instead of producing a
    checkpoint that cannot be restored in a fresh process.
-2. **Module-global allocators are part of the state.**  Vehicle ids, grid
-   vehicle ids, link-layer addresses, frame ids and the CA key registry
-   live in module globals; :func:`capture_global_state` folds them into the
-   payload and :func:`restore_global_state` reinstates them, so id streams
-   continue exactly where the original process left off.
+2. **Module-global allocators are part of the state.**  Vehicle ids,
+   link-layer addresses, frame ids and the CA key registry live in module
+   globals; :func:`capture_global_state` folds them into the payload and
+   :func:`restore_global_state` reinstates them, so id streams continue
+   exactly where the original process left off.
 3. **Versioned, integrity-checked envelopes.**  The pickled payload is
    wrapped with a format version and a SHA-256 digest; a reader confronted
    with an unknown version or a corrupted payload raises
@@ -42,7 +42,7 @@ from typing import Any, Dict
 
 #: Bump whenever the payload layout or the pickled object graph changes
 #: incompatibly; readers refuse versions they do not know.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: ``kind`` discriminator used in envelopes (and store records).
 CHECKPOINT_KIND = "checkpoint"
@@ -101,12 +101,10 @@ def capture_global_state() -> Dict[str, Any]:
     from repro.radio.channel import address_state
     from repro.radio.frames import frame_id_state
     from repro.security.signing import key_registry_state
-    from repro.traffic.grid import grid_vehicle_id_state
     from repro.traffic.vehicle import vehicle_id_state
 
     return {
         "vehicle_counter": vehicle_id_state(),
-        "grid_vehicle_counter": grid_vehicle_id_state(),
         "address_counter": address_state(),
         "frame_counter": frame_id_state(),
         "key_registry": key_registry_state(),
@@ -118,11 +116,9 @@ def restore_global_state(state: Dict[str, Any]) -> None:
     from repro.radio.channel import set_address_state
     from repro.radio.frames import set_frame_id_state
     from repro.security.signing import set_key_registry_state
-    from repro.traffic.grid import set_grid_vehicle_id_state
     from repro.traffic.vehicle import set_vehicle_id_state
 
     set_vehicle_id_state(state["vehicle_counter"])
-    set_grid_vehicle_id_state(state["grid_vehicle_counter"])
     set_address_state(state["address_counter"])
     set_frame_id_state(state["frame_counter"])
     set_key_registry_state(state["key_registry"])

@@ -1,4 +1,4 @@
-"""Manhattan-grid traffic: streets, intersections and turning routes.
+"""Manhattan-grid streets: directed lanes, intersections and turns.
 
 The highway scenarios drive the paper's 4 km straight
 :class:`~repro.traffic.road.RoadSegment`; urban scenarios need a street
@@ -6,22 +6,19 @@ The highway scenarios drive the paper's 4 km straight
 the corner/building shadowing model
 (:class:`~repro.radio.shadowing.ManhattanShadowing`) its geometry.
 
-The module mirrors the mobility contract
-:class:`~repro.traffic.simulation.TrafficSimulation` established, because
-the experiment world consumes exactly that surface: ``on_spawn`` /
-``on_exit`` / ``on_step`` callback lists, ``populate``, ``start``,
-``vehicles(on_road_only=...)`` and ``count_on_road``.  Internally each
-*directed street corridor* (one per travel direction per street) is
-stepped like a highway lane — vectorised IDM over the corridor's vehicles
-sorted by progress — and vehicles hop between corridors when their route
-turns at an intersection.
+:class:`GridRoadNetwork` is geometry only.  Every street carries one
+directed :class:`~repro.traffic.road.Lane` per travel direction, listing
+the intersections it crosses, and
+:class:`~repro.traffic.simulation.TrafficSimulation` steps these lanes
+exactly like highway lanes, moving a vehicle onto the crossing street's
+lane when its route turns (:meth:`GridRoadNetwork.turn_target`).
 
 Simplifications (documented, deliberate):
 
 * no signalling or conflict resolution at intersections — crossing flows
   interpenetrate, which is harmless for a radio/protocol study;
-* a turning vehicle snaps laterally onto the new corridor's lane
-  centerline (the intersection box is ~one lane width wide);
+* a turning vehicle snaps laterally onto the new lane's centerline (the
+  intersection box is ~one lane width wide);
 * turn decisions are memoryless — at every intersection a vehicle turns
   left/right with ``turn_probability`` split evenly, drawn from the
   traffic RNG stream, so routes are reproducible per seed.
@@ -29,156 +26,12 @@ Simplifications (documented, deliberate):
 
 from __future__ import annotations
 
-import itertools
-import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.geo.position import Position, PositionVector
-from repro.sim.process import PeriodicProcess
-from repro.traffic.idm import IdmParameters, idm_acceleration_array
-from repro.traffic.road import Direction
-from repro.traffic.simulation import MOBILITY_PRIORITY
-from repro.traffic.spawner import EntranceSpawner
-
-_grid_vehicle_counter = itertools.count(1)
-
-
-def reset_grid_vehicle_ids() -> None:
-    """Restart grid-vehicle-id allocation at 1 (fresh-process state)."""
-    global _grid_vehicle_counter
-    _grid_vehicle_counter = itertools.count(1)
-
-
-def grid_vehicle_id_state():
-    """The live grid-vehicle-id counter (captured by checkpoints)."""
-    return _grid_vehicle_counter
-
-
-def set_grid_vehicle_id_state(counter) -> None:
-    """Replace the grid-vehicle-id counter (restored by checkpoints)."""
-    global _grid_vehicle_counter
-    _grid_vehicle_counter = counter
-
-#: Axis labels for corridors: horizontal streets run along x, vertical
-#: streets along y.
-HORIZONTAL = "h"
-VERTICAL = "v"
-
-
-@dataclass(eq=False)
-class Corridor:
-    """One directed travel corridor of a street.
-
-    ``axis`` is the travel axis (:data:`HORIZONTAL` = along x,
-    :data:`VERTICAL` = along y), ``sign`` +1 for travel in the positive
-    axis direction.  ``lane_coord`` is the fixed cross-axis coordinate of
-    the lane centerline (right-hand traffic: offset from the street
-    centerline toward the driver's right).  Progress ``s`` runs 0..length
-    from the corridor's entrance, like lane progress on the highway.
-    """
-
-    street_index: int
-    axis: str
-    sign: int
-    center: float  # street centerline (y for horizontal, x for vertical)
-    lane_coord: float  # lane centerline (cross-axis coordinate)
-    length: float
-    cross_s: Tuple[float, ...]  # intersection positions in s-space, ascending
-    cross_points: Tuple[Position, ...]  # matching intersection centers
-
-    @property
-    def heading(self) -> float:
-        if self.axis == HORIZONTAL:
-            return 0.0 if self.sign > 0 else math.pi
-        return math.pi / 2 if self.sign > 0 else -math.pi / 2
-
-    @property
-    def direction(self) -> Direction:
-        """Coarse two-valued direction (positive/negative travel).
-
-        Exists so :class:`~repro.traffic.spawner.EntranceSpawner` (whose
-        blocking API is keyed by :class:`Direction`) works unchanged on
-        grid corridors.
-        """
-        return Direction.EAST if self.sign > 0 else Direction.WEST
-
-    def point_at(self, s: float) -> Tuple[float, float]:
-        """(x, y) of progress ``s`` along this corridor."""
-        u = s if self.sign > 0 else self.length - s
-        if self.axis == HORIZONTAL:
-            return u, self.lane_coord
-        return self.lane_coord, u
-
-    def s_of_axis_coord(self, u: float) -> float:
-        """Progress corresponding to absolute axis coordinate ``u``."""
-        return u if self.sign > 0 else self.length - u
-
-
-@dataclass(eq=False)
-class GridVehicle:
-    """A vehicle driving the grid; duck-types the highway ``Vehicle``.
-
-    The networking layer only reads ``position`` / ``position_vector`` /
-    ``speed`` / ``heading`` / ``vehicle_id`` / ``fleet_slot``, all of which
-    behave identically to the highway vehicle.  ``x``/``y`` are maintained
-    by the stepper so position reads never re-derive geometry.
-    """
-
-    corridor: Corridor
-    s: float
-    speed: float
-    length: float = 4.5
-    vehicle_id: int = field(default_factory=lambda: next(_grid_vehicle_counter))
-    active: bool = True
-    entered_at: float = 0.0
-    speed_factor: float = 1.0
-    fleet_slot: Optional[int] = None
-    x: float = 0.0
-    y: float = 0.0
-    #: Index into ``corridor.cross_s`` of the next intersection ahead.
-    next_cross: int = 0
-    turns_taken: int = 0
-
-    def __post_init__(self):
-        self.x, self.y = self.corridor.point_at(self.s)
-        self._seek_next_cross()
-
-    def _seek_next_cross(self) -> None:
-        cross = self.corridor.cross_s
-        k = 0
-        # Strictly ahead: an intersection at the current position (e.g. the
-        # entrance corner a vehicle spawns on) is not a turn opportunity.
-        while k < len(cross) and cross[k] <= self.s + 1e-9:
-            k += 1
-        self.next_cross = k
-
-    @property
-    def heading(self) -> float:
-        return self.corridor.heading
-
-    @property
-    def direction(self) -> Direction:
-        return self.corridor.direction
-
-    @property
-    def position(self) -> Position:
-        return Position(self.x, self.y)
-
-    @property
-    def progress(self) -> float:
-        return self.s
-
-    def position_vector(self, now: float) -> PositionVector:
-        """The PV this vehicle would advertise in a beacon right now."""
-        return PositionVector(
-            position=self.position,
-            speed=self.speed,
-            heading=self.heading,
-            timestamp=now,
-        )
+from repro.geo.position import Position
+from repro.traffic.road import HORIZONTAL, VERTICAL, Lane
 
 
 class GridRoadNetwork:
@@ -186,7 +39,7 @@ class GridRoadNetwork:
 
     ``streets_x`` vertical streets at x = 0, block_size, ...,
     ``streets_y`` horizontal streets at y = 0, block_size, ...  Every
-    street carries one corridor per direction (right-hand traffic, lane
+    street carries one lane per direction (right-hand traffic, lane
     centerlines offset ``lane_width / 2`` from the street centerline).
     """
 
@@ -212,360 +65,58 @@ class GridRoadNetwork:
         self.xs = tuple(i * block_size for i in range(streets_x))
         self.ys = tuple(j * block_size for j in range(streets_y))
         offset = lane_width / 2.0
-        self.corridors: List[Corridor] = []
+        self.lanes: List[Lane] = []
+        self._by_key: Dict[Tuple[str, int, int], Lane] = {}
         # Right-hand traffic lane offsets: heading +x keeps the lane at
         # center - offset, heading +y at center + offset, and mirrored for
         # the opposite directions.
         for j, cy in enumerate(self.ys):
-            cross = tuple(self.xs)
-            points = tuple(Position(cx, cy) for cx in self.xs)
+            points = [Position(cx, cy) for cx in self.xs]
             for sign, lane_y in ((+1, cy - offset), (-1, cy + offset)):
-                s_vals = [
-                    (cx if sign > 0 else self.width - cx) for cx in cross
-                ]
-                order = np.argsort(s_vals)
-                self.corridors.append(
-                    Corridor(
-                        street_index=j,
-                        axis=HORIZONTAL,
-                        sign=sign,
-                        center=cy,
-                        lane_coord=lane_y,
-                        length=self.width,
-                        cross_s=tuple(s_vals[i] for i in order),
-                        cross_points=tuple(points[i] for i in order),
-                    )
+                self._add_lane(
+                    HORIZONTAL, j, sign, lane_y, self.width, self.xs, points
                 )
         for i, cx in enumerate(self.xs):
-            cross = tuple(self.ys)
-            points = tuple(Position(cx, cy) for cy in self.ys)
+            points = [Position(cx, cy) for cy in self.ys]
             for sign, lane_x in ((+1, cx + offset), (-1, cx - offset)):
-                s_vals = [
-                    (cy if sign > 0 else self.height - cy) for cy in cross
-                ]
-                order = np.argsort(s_vals)
-                self.corridors.append(
-                    Corridor(
-                        street_index=i,
-                        axis=VERTICAL,
-                        sign=sign,
-                        center=cx,
-                        lane_coord=lane_x,
-                        length=self.height,
-                        cross_s=tuple(s_vals[i] for i in order),
-                        cross_points=tuple(points[i] for i in order),
-                    )
+                self._add_lane(
+                    VERTICAL, i, sign, lane_x, self.height, self.ys, points
                 )
-        self._by_key: Dict[Tuple[str, int, int], Corridor] = {
-            (c.axis, c.street_index, c.sign): c for c in self.corridors
-        }
 
-    def corridor(self, axis: str, street_index: int, sign: int) -> Corridor:
+    def _add_lane(
+        self, axis, street_index, sign, lane_coord, length, cross, points
+    ) -> None:
+        s_vals = [(u if sign > 0 else length - u) for u in cross]
+        order = np.argsort(s_vals)
+        lane = Lane(
+            index=len(self.lanes),
+            axis=axis,
+            sign=sign,
+            lane_coord=lane_coord,
+            length=length,
+            cross_s=tuple(s_vals[i] for i in order),
+            cross_points=tuple(points[i] for i in order),
+        )
+        self.lanes.append(lane)
+        self._by_key[(axis, street_index, sign)] = lane
+
+    def lane(self, axis: str, street_index: int, sign: int) -> Lane:
         return self._by_key[(axis, street_index, sign)]
 
-    def center(self) -> Position:
-        """Geometric center of the grid."""
-        return Position(self.width / 2.0, self.height / 2.0)
+    def turn_target(self, lane: Lane, cross_index: int, turn: str) -> Tuple[Lane, float]:
+        """Lane and entry progress for a ``left``/``right`` turn.
 
-    def turn_target(
-        self, corridor: Corridor, cross_index: int, turn: str
-    ) -> Tuple[Corridor, float]:
-        """Corridor and entry progress for a ``left``/``right`` turn.
-
-        Returns the perpendicular corridor the turn lands on and the
-        progress on it corresponding to the intersection center.
+        Returns the perpendicular lane the turn lands on and the progress
+        on it corresponding to the intersection center.
         """
-        point = corridor.cross_points[cross_index]
-        if corridor.axis == HORIZONTAL:
+        point = lane.cross_points[cross_index]
+        if lane.axis == HORIZONTAL:
             # Heading +x: right turn heads -y, left turn +y (and mirrored).
-            new_sign = -corridor.sign if turn == "right" else corridor.sign
+            new_sign = -lane.sign if turn == "right" else lane.sign
             street = self.xs.index(point.x)
-            target = self.corridor(VERTICAL, street, new_sign)
-            return target, target.s_of_axis_coord(point.y)
-        new_sign = corridor.sign if turn == "right" else -corridor.sign
+            target = self.lane(VERTICAL, street, new_sign)
+            return target, target.progress(point.y)
+        new_sign = lane.sign if turn == "right" else -lane.sign
         street = self.ys.index(point.y)
-        target = self.corridor(HORIZONTAL, street, new_sign)
-        return target, target.s_of_axis_coord(point.x)
-
-
-class GridTrafficSimulation:
-    """Mobility engine for :class:`GridRoadNetwork`.
-
-    Same stepping model as the highway simulation — vectorised IDM per
-    corridor, entrance spawning, runout retirement — plus intersection
-    turning and batched fleet writeback (x, y, speed *and heading*, since
-    grid vehicles change heading at corners).
-    """
-
-    def __init__(
-        self,
-        network: GridRoadNetwork,
-        params: IdmParameters,
-        *,
-        dt: float = 0.1,
-        spawner: Optional[EntranceSpawner] = None,
-        rng=None,
-        runout: float = 300.0,
-        turn_probability: float = 0.25,
-        speed_factor_spread: float = 0.03,
-        fleet=None,
-    ):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        if runout < 0:
-            raise ValueError("runout must be non-negative")
-        if not 0.0 <= turn_probability <= 1.0:
-            raise ValueError("turn_probability must be in [0, 1]")
-        if speed_factor_spread < 0 or speed_factor_spread >= 1:
-            raise ValueError("speed_factor_spread must be in [0, 1)")
-        self.network = network
-        self.params = params
-        self.dt = dt
-        self.spawner = spawner
-        self.runout = runout
-        self.turn_probability = turn_probability
-        self._rng = rng
-        self._speed_factor_spread = speed_factor_spread
-        self._fleet = fleet
-        self._now = 0.0
-        self._process: Optional[PeriodicProcess] = None
-        self._vehicles: Dict[Corridor, List[GridVehicle]] = {
-            c: [] for c in network.corridors
-        }
-        self.on_spawn: List[Callable[[GridVehicle], None]] = []
-        self.on_exit: List[Callable[[GridVehicle], None]] = []
-        self.on_step: List[Callable[[float], None]] = []
-        self.turns_total = 0
-
-    # ------------------------------------------------------------------
-    # population
-    # ------------------------------------------------------------------
-    def _draw_speed_factor(self) -> float:
-        if self._rng is None or self._speed_factor_spread == 0:
-            return 1.0
-        spread = self._speed_factor_spread
-        return 1.0 + self._rng.uniform(-spread, spread)
-
-    def populate(self, spacing: float, speed: float = 14.0) -> int:
-        """Pre-fill every corridor with vehicles ``spacing`` metres apart.
-
-        Mirrors the highway ``populate``: alternate corridors are
-        phase-staggered by half a spacing and each slot jittered by up to a
-        quarter spacing when an rng is attached, so no two vehicles are
-        radio-symmetric at t=0.
-        """
-        if spacing <= 0:
-            raise ValueError("spacing must be positive")
-        created: List[GridVehicle] = []
-        for order, corridor in enumerate(self.network.corridors):
-            n = int(corridor.length // spacing)
-            stagger = (order % 2) * spacing / 2 if self._rng is not None else 0.0
-            for k in range(n + 1):
-                s = k * spacing + stagger
-                if self._rng is not None:
-                    s += self._rng.uniform(-0.25, 0.25) * spacing
-                s = min(max(s, 0.0), corridor.length)
-                vehicle = GridVehicle(
-                    corridor=corridor,
-                    s=s,
-                    speed=speed,
-                    length=self.params.vehicle_length,
-                    entered_at=self._now,
-                    speed_factor=self._draw_speed_factor(),
-                )
-                self._vehicles[corridor].append(vehicle)
-                created.append(vehicle)
-        for corridor_vehicles in self._vehicles.values():
-            corridor_vehicles.sort(key=lambda v: v.s)
-        for vehicle in created:
-            for callback in self.on_spawn:
-                callback(vehicle)
-        return len(created)
-
-    def _spawn(self, now: float) -> None:
-        if self.spawner is None:
-            return
-        for corridor in self.network.corridors:
-            corridor_vehicles = self._vehicles[corridor]
-            nearest = corridor_vehicles[0].s if corridor_vehicles else math.inf
-            if self.spawner.may_spawn(corridor, nearest):
-                vehicle = GridVehicle(
-                    corridor=corridor,
-                    s=0.0,
-                    speed=self.spawner.entry_speed,
-                    length=self.params.vehicle_length,
-                    entered_at=now,
-                    speed_factor=self._draw_speed_factor(),
-                )
-                corridor_vehicles.insert(0, vehicle)
-                self.spawner.spawned_count += 1
-                for callback in self.on_spawn:
-                    callback(vehicle)
-
-    # ------------------------------------------------------------------
-    # stepping
-    # ------------------------------------------------------------------
-    def step(self, now: float) -> None:
-        """Advance every vehicle by one ``dt`` tick."""
-        self._now = now
-        transfers: List[Tuple[GridVehicle, Corridor, float]] = []
-        exits: List[GridVehicle] = []
-        for corridor in self.network.corridors:
-            self._step_corridor(corridor, transfers, exits)
-        # Turns apply after all corridors stepped, so a transferred vehicle
-        # is never stepped twice in one tick.
-        for vehicle, target, s_new in transfers:
-            self._vehicles[vehicle.corridor].remove(vehicle)
-            vehicle.corridor = target
-            vehicle.s = min(s_new, target.length + self.runout)
-            vehicle.x, vehicle.y = target.point_at(vehicle.s)
-            vehicle._seek_next_cross()
-            vehicle.turns_taken += 1
-            self.turns_total += 1
-            bucket = self._vehicles[target]
-            bucket.append(vehicle)
-            bucket.sort(key=lambda v: v.s)
-        for vehicle in exits:
-            self._vehicles[vehicle.corridor].remove(vehicle)
-            vehicle.active = False
-            for callback in self.on_exit:
-                callback(vehicle)
-        self._spawn(now)
-        if self._fleet is not None:
-            self._write_back_fleet()
-        for callback in self.on_step:
-            callback(now)
-
-    def _step_corridor(
-        self,
-        corridor: Corridor,
-        transfers: List[Tuple[GridVehicle, Corridor, float]],
-        exits: List[GridVehicle],
-    ) -> None:
-        corridor_vehicles = self._vehicles[corridor]
-        n = len(corridor_vehicles)
-        if n == 0:
-            return
-        s = np.array([v.s for v in corridor_vehicles])
-        speeds = np.array([v.speed for v in corridor_vehicles])
-        lengths = np.array([v.length for v in corridor_vehicles])
-        gaps = np.full(n, np.inf)
-        lead_speeds = speeds.copy()
-        if n > 1:
-            gaps[:-1] = s[1:] - s[:-1] - (lengths[1:] + lengths[:-1]) / 2
-            lead_speeds[:-1] = speeds[1:]
-        desired = self.params.desired_velocity * np.array(
-            [v.speed_factor for v in corridor_vehicles]
-        )
-        accel = idm_acceleration_array(
-            speeds, gaps, lead_speeds, self.params, desired_velocities=desired
-        )
-        new_speeds = np.maximum(0.0, speeds + accel * self.dt)
-        new_s = s + new_speeds * self.dt
-        # Anti-overlap guard, as on the highway: clamp followers behind
-        # their leader (turn insertions can land vehicles close together).
-        for i in range(n - 2, -1, -1):
-            limit = new_s[i + 1] - (lengths[i + 1] + lengths[i]) / 2 - 0.1
-            if new_s[i] > limit:
-                new_s[i] = max(s[i], limit)
-                new_speeds[i] = min(new_speeds[i], new_speeds[i + 1])
-        end = corridor.length + self.runout
-        cross = corridor.cross_s
-        n_cross = len(cross)
-        for i, vehicle in enumerate(corridor_vehicles):
-            vehicle.s = float(new_s[i])
-            vehicle.speed = float(new_speeds[i])
-            vehicle.x, vehicle.y = corridor.point_at(vehicle.s)
-            k = vehicle.next_cross
-            if k < n_cross and cross[k] <= vehicle.s:
-                turn = self._draw_turn()
-                if turn is None:
-                    vehicle.next_cross = k + 1
-                else:
-                    target, s_cross = self.network.turn_target(corridor, k, turn)
-                    transfers.append(
-                        (vehicle, target, s_cross + (vehicle.s - cross[k]))
-                    )
-                    continue
-            elif vehicle.s > end:
-                exits.append(vehicle)
-
-    def _draw_turn(self) -> Optional[str]:
-        """``"left"`` / ``"right"`` / ``None`` (straight) at an intersection."""
-        p = self.turn_probability
-        if p <= 0.0 or self._rng is None:
-            return None
-        r = self._rng.random()
-        if r < p / 2:
-            return "left"
-        if r < p:
-            return "right"
-        return None
-
-    def _write_back_fleet(self) -> None:
-        fleet = self._fleet
-        slots: List[int] = []
-        xs: List[float] = []
-        ys: List[float] = []
-        sp: List[float] = []
-        hd: List[float] = []
-        for corridor_vehicles in self._vehicles.values():
-            for vehicle in corridor_vehicles:
-                slot = vehicle.fleet_slot
-                if slot is None:
-                    continue
-                slots.append(slot)
-                xs.append(vehicle.x)
-                ys.append(vehicle.y)
-                sp.append(vehicle.speed)
-                hd.append(vehicle.heading)
-        if not slots:
-            return
-        idx = np.array(slots, dtype=np.intp)
-        fleet.x[idx] = xs
-        fleet.y[idx] = ys
-        fleet.speed[idx] = sp
-        fleet.heading[idx] = hd
-
-    # ------------------------------------------------------------------
-    # queries (the world's consumption surface)
-    # ------------------------------------------------------------------
-    def vehicles(
-        self, direction: Optional[Direction] = None, *, on_road_only: bool = False
-    ):
-        """All active vehicles, optionally restricted to the grid proper.
-
-        ``on_road_only`` excludes vehicles in their exit runout (past the
-        last intersection of their final corridor).
-        """
-        for corridor, corridor_vehicles in self._vehicles.items():
-            if direction is not None and corridor.direction is not direction:
-                continue
-            for vehicle in corridor_vehicles:
-                if on_road_only and vehicle.s > corridor.length:
-                    continue
-                yield vehicle
-
-    def count_on_road(self, direction: Optional[Direction] = None) -> int:
-        """Number of active vehicles still on the grid."""
-        return sum(1 for _ in self.vehicles(direction, on_road_only=True))
-
-    # ------------------------------------------------------------------
-    # engine integration
-    # ------------------------------------------------------------------
-    def start(self, sim) -> PeriodicProcess:
-        """Schedule the mobility loop on the event engine."""
-        if self._process is not None:
-            raise RuntimeError("grid traffic simulation already started")
-        self._sim = sim
-        self._process = PeriodicProcess(
-            sim,
-            self.dt,
-            self._mobility_tick,
-            start_delay=self.dt,
-            priority=MOBILITY_PRIORITY,
-        )
-        return self._process
-
-    def _mobility_tick(self) -> None:
-        self.step(self._sim.now)
+        target = self.lane(HORIZONTAL, street, new_sign)
+        return target, target.progress(point.x)

@@ -28,12 +28,3 @@ class HazardEvent:
     def blocks(self, lane_direction: Direction, now: float) -> bool:
         """Whether the hazard blocks a lane heading in ``lane_direction``."""
         return self.active(now) and lane_direction is self.direction
-
-    def ahead_of(self, vehicle_x: float) -> bool:
-        """Whether the hazard is ahead of a vehicle at ``vehicle_x``.
-
-        Vehicles already past the hazard keep driving and exit normally.
-        """
-        if self.direction is Direction.EAST:
-            return vehicle_x < self.x
-        return vehicle_x > self.x

@@ -1,15 +1,27 @@
-"""Road geometry: lanes, directions and the road segment.
+"""Road geometry: directed lanes, directions and the road segment.
 
 The paper's default scenario is a 4 000 m segment with two 5 m lanes per
 direction; vehicles travel along +x (eastbound) or -x (westbound).  Lane
 centre-lines are stacked along +y, eastbound lanes first.
+
+A :class:`Lane` is one directed travel lane of either road shape: a
+highway lane is simply a lane that crosses no intersections, and the
+street lanes of :class:`~repro.traffic.grid.GridRoadNetwork` list the
+intersections where their vehicles may turn.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Tuple
+
+from repro.geo.position import Position
+
+#: Travel axes: horizontal lanes run along x, vertical lanes along y.
+HORIZONTAL = "h"
+VERTICAL = "v"
 
 
 class Direction(enum.IntEnum):
@@ -21,28 +33,58 @@ class Direction(enum.IntEnum):
     @property
     def heading(self) -> float:
         """Heading in radians for a PV (+x is 0, -x is pi)."""
-        import math
-
         return 0.0 if self is Direction.EAST else math.pi
 
 
 @dataclass(frozen=True)
 class Lane:
-    """A single lane: an index, a centre-line y, a direction and the length
-    of the road it belongs to (needed to measure westbound progress)."""
+    """One directed travel lane.
+
+    ``axis`` is the travel axis (:data:`HORIZONTAL` = along x,
+    :data:`VERTICAL` = along y) and ``sign`` is +1 for travel toward the
+    positive axis direction.  ``lane_coord`` is the fixed cross-axis
+    coordinate of the centre-line.  Progress ``s`` runs 0..``length`` from
+    the lane's entrance; ``cross_s`` lists the intersections ahead in
+    s-space (ascending) and ``cross_points`` their centres.
+    """
 
     index: int
-    y: float
-    direction: Direction
-    road_length: float
+    axis: str
+    sign: int
+    lane_coord: float
+    length: float
+    cross_s: Tuple[float, ...] = ()
+    cross_points: Tuple[Position, ...] = ()
 
-    def entrance_x(self) -> float:
-        """Where vehicles enter: x=0 eastbound, x=length westbound."""
-        return 0.0 if self.direction is Direction.EAST else self.road_length
+    @property
+    def direction(self) -> Direction:
+        """Coarse two-valued direction (positive/negative travel), the key
+        of the spawner's blocking and of direction-filtered queries."""
+        return Direction.EAST if self.sign > 0 else Direction.WEST
 
-    def progress(self, x: float) -> float:
-        """Distance travelled from the entrance for a vehicle at ``x``."""
-        return x if self.direction is Direction.EAST else self.road_length - x
+    @property
+    def heading(self) -> float:
+        """Heading in radians of a vehicle driving this lane."""
+        if self.axis == HORIZONTAL:
+            return 0.0 if self.sign > 0 else math.pi
+        return math.pi / 2 if self.sign > 0 else -math.pi / 2
+
+    @property
+    def y(self) -> float:
+        """Centre-line y of a horizontal lane."""
+        return self.lane_coord
+
+    def point_at(self, s: float) -> Tuple[float, float]:
+        """(x, y) of progress ``s`` along this lane."""
+        u = s if self.sign > 0 else self.length - s
+        if self.axis == HORIZONTAL:
+            return u, self.lane_coord
+        return self.lane_coord, u
+
+    def progress(self, u: float) -> float:
+        """Progress of the point at axis coordinate ``u`` (x for a
+        horizontal lane, y for a vertical one)."""
+        return u if self.sign > 0 else self.length - u
 
 
 @dataclass(frozen=True)
@@ -62,31 +104,17 @@ class RoadSegment:
             raise ValueError("need at least one lane per direction")
         if self.directions not in (1, 2):
             raise ValueError("directions must be 1 or 2")
-        lanes: List[Lane] = []
-        index = 0
-        for lane_i in range(self.lanes_per_direction):
-            y = (lane_i + 0.5) * self.lane_width
-            lanes.append(
-                Lane(
-                    index=index,
-                    y=y,
-                    direction=Direction.EAST,
-                    road_length=self.length,
-                )
+        signs = (1, -1)[: self.directions]
+        lanes = [
+            Lane(
+                index=index,
+                axis=HORIZONTAL,
+                sign=signs[index // self.lanes_per_direction],
+                lane_coord=(index + 0.5) * self.lane_width,
+                length=self.length,
             )
-            index += 1
-        if self.directions == 2:
-            for lane_i in range(self.lanes_per_direction):
-                y = (self.lanes_per_direction + lane_i + 0.5) * self.lane_width
-                lanes.append(
-                    Lane(
-                        index=index,
-                        y=y,
-                        direction=Direction.WEST,
-                        road_length=self.length,
-                    )
-                )
-                index += 1
+            for index in range(self.lanes_per_direction * self.directions)
+        ]
         object.__setattr__(self, "lanes", lanes)
 
     @property
@@ -101,7 +129,3 @@ class RoadSegment:
     @property
     def westbound_lanes(self) -> List[Lane]:
         return [lane for lane in self.lanes if lane.direction is Direction.WEST]
-
-    def contains_x(self, x: float) -> bool:
-        """Whether ``x`` is on the segment."""
-        return 0.0 <= x <= self.length

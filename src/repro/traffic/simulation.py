@@ -1,73 +1,89 @@
 """The traffic microsimulation loop.
 
-Advances every vehicle with vectorised IDM on a fixed time step (100 ms by
-default), handles hazards as virtual stationary leaders, spawns vehicles at
-entrances and retires vehicles that leave the segment.  Networking layers
-subscribe via ``on_spawn`` / ``on_exit`` / ``on_step`` callbacks.
+One stepper drives every road shape: a highway
+:class:`~repro.traffic.road.RoadSegment` and an urban
+:class:`~repro.traffic.grid.GridRoadNetwork` both expose a list of
+directed :class:`~repro.traffic.road.Lane` objects.  Each lane is advanced
+with vectorised IDM on a fixed time step (100 ms by default); hazards act
+as virtual stationary leaders, vehicles turn at the intersections their
+lane crosses, spawn at lane entrances and retire past the runout.
+Networking layers subscribe via ``on_spawn`` / ``on_exit`` / ``on_step``
+callbacks.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.radio.spatial import SpatialGrid
 from repro.sim.engine import Simulator
 from repro.sim.process import PeriodicProcess
 from repro.traffic.hazard import HazardEvent
 from repro.traffic.idm import IdmParameters, idm_acceleration_array
-from repro.traffic.road import Direction, Lane, RoadSegment
+from repro.traffic.road import HORIZONTAL, Direction, Lane
 from repro.traffic.spawner import EntranceSpawner
 from repro.traffic.vehicle import Vehicle
 
 #: Mobility events run before same-time network events.
 MOBILITY_PRIORITY = -10
 
-#: Default cell size of the vehicle proximity grid (metres).
-NEIGHBOR_CELL_SIZE = 250.0
+#: Half-width of the uniform per-driver speed-factor draw (with an rng).
+SPEED_FACTOR_SPREAD = 0.03
+
+
+def _progress(vehicle: Vehicle) -> float:
+    return vehicle.s
 
 
 class TrafficSimulation:
-    """Owns all vehicles and advances them each time step."""
+    """Owns all vehicles and advances them each time step.
+
+    ``road`` is anything with a ``lanes`` list — a
+    :class:`~repro.traffic.road.RoadSegment` or a
+    :class:`~repro.traffic.grid.GridRoadNetwork`, whose ``turn_target``
+    resolves the turns at the intersections a lane crosses.
+    """
 
     def __init__(
         self,
-        road: RoadSegment,
+        road,
         params: Optional[IdmParameters] = None,
         *,
         dt: float = 0.1,
         spawner: Optional[EntranceSpawner] = None,
         rng=None,
-        speed_factor_spread: float = 0.03,
         runout: float = 0.0,
-        neighbor_cell_size: float = NEIGHBOR_CELL_SIZE,
+        turn_probability: float = 0.25,
         fleet=None,
     ):
         if dt <= 0:
             raise ValueError("dt must be positive")
-        if speed_factor_spread < 0 or speed_factor_spread >= 1:
-            raise ValueError("speed_factor_spread must be in [0, 1)")
         if runout < 0:
             raise ValueError("runout must be non-negative")
+        if not 0.0 <= turn_probability <= 1.0:
+            raise ValueError("turn_probability must be in [0, 1]")
         self.road = road
         self.params = params or IdmParameters()
         self.dt = dt
         self.spawner = spawner
         #: Source of driver heterogeneity (speed preferences, initial
-        #: placement jitter).  None gives perfectly homogeneous traffic,
-        #: which is only appropriate for unit tests — homogeneous lanes put
-        #: vehicles radio-symmetrically and break contention-based protocols
-        #: in ways real traffic does not.
+        #: placement jitter) and turn decisions.  None gives perfectly
+        #: homogeneous traffic that never turns, which is only appropriate
+        #: for unit tests — homogeneous lanes put vehicles radio-
+        #: symmetrically and break contention-based protocols in ways real
+        #: traffic does not.
         self._rng = rng
-        self._speed_factor_spread = speed_factor_spread
-        #: Vehicles keep driving this many metres past the segment before
-        #: they are retired.  The world beyond a simulated road segment is
-        #: not empty: without a runout, location-table entries of vehicles
-        #: that just "fell off the edge" poison greedy forwarding near the
-        #: road ends in a way that has no physical counterpart.
+        #: Vehicles keep driving this many metres past the end of their
+        #: lane before they are retired.  The world beyond a simulated road
+        #: is not empty: without a runout, location-table entries of
+        #: vehicles that just "fell off the edge" poison greedy forwarding
+        #: near the road ends in a way that has no physical counterpart.
         self.runout = runout
+        #: At every intersection a vehicle turns left or right with this
+        #: probability, split evenly, drawn from ``rng``.
+        self.turn_probability = turn_probability
         self.hazards: List[HazardEvent] = []
         #: vehicles per lane index, sorted by progress ascending
         #: (the last element is the furthest along, nearest the exit).
@@ -78,14 +94,9 @@ class TrafficSimulation:
         self.on_exit: List[Callable[[Vehicle], None]] = []
         self.on_step: List[Callable[[float], None]] = []
         self.rear_end_contacts = 0
+        self.turns_total = 0
         self._process: Optional[PeriodicProcess] = None
         self._now = 0.0
-        #: Spatial index over active vehicles for proximity queries
-        #: (:meth:`vehicles_near`, :meth:`leader_of`).  Membership is
-        #: maintained incrementally on spawn/retire; positions are refreshed
-        #: lazily, only when a query arrives after a step moved vehicles.
-        self._grid = SpatialGrid(neighbor_cell_size)
-        self._grid_dirty = False
         #: Optional :class:`~repro.geonet.fleet.FleetState`: when set, each
         #: lane step also writes the new kinematics into the fleet's arrays
         #: with one fancy-indexed store per lane (the batched networking
@@ -102,17 +113,15 @@ class TrafficSimulation:
         """Insert a vehicle keeping the lane sorted by progress."""
         lane_vehicles = self._lanes[vehicle.lane.index]
         lane_vehicles.append(vehicle)
-        lane_vehicles.sort(key=lambda v: v.progress)
-        self._grid.insert(vehicle, vehicle.x, vehicle.lane.y)
+        lane_vehicles.sort(key=_progress)
         self._fleet_slots.pop(vehicle.lane.index, None)
         for callback in self.on_spawn:
             callback(vehicle)
 
     def _draw_speed_factor(self) -> float:
-        if self._rng is None or self._speed_factor_spread == 0:
+        if self._rng is None:
             return 1.0
-        spread = self._speed_factor_spread
-        return 1.0 + self._rng.uniform(-spread, spread)
+        return 1.0 + self._rng.uniform(-SPEED_FACTOR_SPREAD, SPEED_FACTOR_SPREAD)
 
     def populate(self, spacing: float, speed: float = 30.0) -> int:
         """Pre-fill every lane with vehicles ``spacing`` metres apart.
@@ -125,39 +134,31 @@ class TrafficSimulation:
         """
         if spacing <= 0:
             raise ValueError("spacing must be positive")
-        created = 0
+        created: List[Vehicle] = []
         for lane_order, lane in enumerate(self.road.lanes):
-            n = int(self.road.length // spacing)
+            n = int(lane.length // spacing)
             stagger = (lane_order % 2) * spacing / 2 if self._rng is not None else 0.0
             for k in range(n + 1):
-                progress = k * spacing + stagger
+                s = k * spacing + stagger
                 if self._rng is not None:
-                    progress += self._rng.uniform(-0.25, 0.25) * spacing
-                progress = min(max(progress, 0.0), self.road.length)
-                x = (
-                    progress
-                    if lane.direction is Direction.EAST
-                    else self.road.length - progress
-                )
+                    s += self._rng.uniform(-0.25, 0.25) * spacing
                 vehicle = Vehicle(
                     lane=lane,
-                    x=x,
+                    s=min(max(s, 0.0), lane.length),
                     speed=speed,
                     length=self.params.vehicle_length,
                     entered_at=self._now,
                     speed_factor=self._draw_speed_factor(),
                 )
                 self._lanes[lane.index].append(vehicle)
-                self._grid.insert(vehicle, vehicle.x, vehicle.lane.y)
-                created += 1
+                created.append(vehicle)
         for lane_vehicles in self._lanes.values():
-            lane_vehicles.sort(key=lambda v: v.progress)
+            lane_vehicles.sort(key=_progress)
         self._fleet_slots.clear()
-        for lane_vehicles in self._lanes.values():
-            for vehicle in lane_vehicles:
-                for callback in self.on_spawn:
-                    callback(vehicle)
-        return created
+        for vehicle in created:
+            for callback in self.on_spawn:
+                callback(vehicle)
+        return len(created)
 
     # ------------------------------------------------------------------
     # queries
@@ -168,91 +169,23 @@ class TrafficSimulation:
         """Iterate active vehicles, optionally filtered by direction.
 
         ``on_road_only`` excludes vehicles in the runout zone beyond the
-        segment (they still drive and keep their radios on).
+        end of their lane (they still drive and keep their radios on).
         """
         for lane in self.road.lanes:
             if direction is not None and lane.direction is not direction:
                 continue
             for vehicle in self._lanes[lane.index]:
-                if on_road_only and vehicle.progress > self.road.length:
+                if on_road_only and vehicle.s > lane.length:
                     continue
                 yield vehicle
 
     def count_on_road(self, direction: Optional[Direction] = None) -> int:
-        """Number of vehicles on the segment proper (runout excluded)."""
+        """Number of vehicles on the road proper (runout excluded)."""
         return sum(1 for _ in self.vehicles(direction, on_road_only=True))
 
     def lane_vehicles(self, lane: Lane) -> List[Vehicle]:
         """The (sorted) vehicles currently in ``lane``."""
         return list(self._lanes[lane.index])
-
-    # ------------------------------------------------------------------
-    # proximity queries (spatial grid)
-    # ------------------------------------------------------------------
-    def _refresh_grid(self) -> None:
-        if not self._grid_dirty:
-            return
-        move = self._grid.move
-        for lane_vehicles in self._lanes.values():
-            for vehicle in lane_vehicles:
-                move(vehicle, vehicle.x, vehicle.lane.y)
-        self._grid_dirty = False
-
-    def vehicles_near(
-        self,
-        x: float,
-        y: float,
-        radius: float,
-        *,
-        direction: Optional[Direction] = None,
-    ) -> List[Vehicle]:
-        """Active vehicles within ``radius`` metres of ``(x, y)``.
-
-        Served from the vehicle spatial grid in O(k) for the ~k nearby
-        vehicles; results are in deterministic ``(lane, progress,
-        vehicle_id)`` order.
-        """
-        self._refresh_grid()
-        matches = [
-            vehicle
-            for vehicle, _d in self._grid.query_disc(x, y, radius)
-            if direction is None or vehicle.direction is direction
-        ]
-        matches.sort(key=lambda v: (v.lane.index, v.progress, v.vehicle_id))
-        return matches
-
-    def leader_of(
-        self, vehicle: Vehicle, *, within: Optional[float] = None
-    ) -> Optional[Vehicle]:
-        """The nearest vehicle ahead of ``vehicle`` in its lane, or None.
-
-        ``within`` bounds the search distance (default: the grid cell size,
-        which keeps the lookup inside a 3×3 cell neighborhood).  This is the
-        proximity-grid counterpart of the IDM stepper's sorted-lane leader
-        and serves ad-hoc queries — hazard placement, platoon analysis —
-        without an O(N) scan.
-        """
-        limit = self._grid.cell_size if within is None else within
-        self._refresh_grid()
-        best: Optional[Vehicle] = None
-        best_gap = math.inf
-        progress = vehicle.progress
-        for other, _d in self._grid.query_disc(
-            vehicle.x, vehicle.lane.y, limit
-        ):
-            if other is vehicle or other.lane.index != vehicle.lane.index:
-                continue
-            gap = other.progress - progress
-            if gap <= 0:
-                continue
-            if gap < best_gap or (
-                gap == best_gap
-                and best is not None
-                and other.vehicle_id < best.vehicle_id
-            ):
-                best = other
-                best_gap = gap
-        return best
 
     # ------------------------------------------------------------------
     # hazards
@@ -262,54 +195,83 @@ class TrafficSimulation:
         self.hazards.append(hazard)
 
     def _hazard_progress(self, lane: Lane, now: float) -> float:
-        """Progress of the nearest active hazard in ``lane`` (inf if none)."""
+        """Progress of the nearest active hazard in ``lane`` (inf if none).
+
+        Hazards sit at an x on the road axis, so they block horizontal
+        lanes only."""
         best = math.inf
-        for hazard in self.hazards:
-            if hazard.blocks(lane.direction, now):
-                best = min(best, lane.progress(hazard.x))
+        if lane.axis == HORIZONTAL:
+            for hazard in self.hazards:
+                if hazard.blocks(lane.direction, now):
+                    best = min(best, lane.progress(hazard.x))
         return best
 
     # ------------------------------------------------------------------
     # stepping
     # ------------------------------------------------------------------
     def step(self, now: float) -> None:
-        """Advance all vehicles by one ``dt`` and run spawning/exits."""
+        """Advance all vehicles by one ``dt`` and run turns, exits and
+        spawning."""
         self._now = now
+        transfers: List[Tuple[Vehicle, Lane, float]] = []
+        exits: List[Vehicle] = []
         for lane in self.road.lanes:
-            self._step_lane(lane, now)
-        self._grid_dirty = True
-        self._retire_exited()
+            self._step_lane(lane, now, transfers, exits)
+        # Turns apply after every lane stepped, so a turning vehicle is
+        # never stepped twice in one tick.
+        for vehicle, target, s_new in transfers:
+            self._leave_lane(vehicle)
+            vehicle.enter(target, min(s_new, target.length + self.runout))
+            vehicle.turns_taken += 1
+            self.turns_total += 1
+            lane_vehicles = self._lanes[target.index]
+            lane_vehicles.append(vehicle)
+            lane_vehicles.sort(key=_progress)
+            self._fleet_slots.pop(target.index, None)
+            if self._fleet is not None and vehicle.fleet_slot is not None:
+                slot = vehicle.fleet_slot
+                self._fleet.x[slot], self._fleet.y[slot] = target.point_at(vehicle.s)
+                self._fleet.heading[slot] = target.heading
+        for vehicle in exits:
+            self._leave_lane(vehicle)
+            vehicle.active = False
+            for callback in self.on_exit:
+                callback(vehicle)
         self._spawn(now)
         for callback in self.on_step:
             callback(now)
 
-    def _step_lane(self, lane: Lane, now: float) -> None:
+    def _leave_lane(self, vehicle: Vehicle) -> None:
+        self._lanes[vehicle.lane.index].remove(vehicle)
+        self._fleet_slots.pop(vehicle.lane.index, None)
+
+    def _step_lane(
+        self,
+        lane: Lane,
+        now: float,
+        transfers: List[Tuple[Vehicle, Lane, float]],
+        exits: List[Vehicle],
+    ) -> None:
         lane_vehicles = self._lanes[lane.index]
-        if not lane_vehicles:
-            return
         n = len(lane_vehicles)
-        progress = np.array([v.progress for v in lane_vehicles])
+        if n == 0:
+            return
+        s = np.array([v.s for v in lane_vehicles])
         speeds = np.array([v.speed for v in lane_vehicles])
         lengths = np.array([v.length for v in lane_vehicles])
         gaps = np.full(n, np.inf)
         lead_speeds = np.zeros(n)
         if n > 1:
-            gaps[:-1] = (
-                progress[1:] - progress[:-1] - (lengths[1:] + lengths[:-1]) / 2
-            )
+            gaps[:-1] = s[1:] - s[:-1] - (lengths[1:] + lengths[:-1]) / 2
             lead_speeds[:-1] = speeds[1:]
         hazard_progress = self._hazard_progress(lane, now)
         if math.isfinite(hazard_progress):
-            behind = progress < hazard_progress
+            behind = s < hazard_progress
             if behind.any():
                 # The closest vehicle behind the hazard brakes for it; the
                 # rest follow their real leaders (who queue up in turn).
                 leader_idx = int(np.flatnonzero(behind)[-1])
-                hazard_gap = (
-                    hazard_progress
-                    - progress[leader_idx]
-                    - lengths[leader_idx] / 2
-                )
+                hazard_gap = hazard_progress - s[leader_idx] - lengths[leader_idx] / 2
                 if hazard_gap < gaps[leader_idx]:
                     gaps[leader_idx] = hazard_gap
                     lead_speeds[leader_idx] = 0.0
@@ -323,38 +285,69 @@ class TrafficSimulation:
             if vehicle.forced_acceleration is not None:
                 accel[i] = vehicle.forced_acceleration
         new_speeds = np.maximum(0.0, speeds + accel * self.dt)
-        new_progress = progress + new_speeds * self.dt
+        new_s = s + new_speeds * self.dt
         # Hard anti-overlap guard: IDM with sane parameters never rear-ends,
-        # but forced profiles or extreme spawns could; count and clamp.
-        for i in range(n - 2, -1, -1):
-            limit = new_progress[i + 1] - (lengths[i + 1] + lengths[i]) / 2 - 0.1
-            if new_progress[i] > limit:
-                self.rear_end_contacts += 1
-                new_progress[i] = limit
-                new_speeds[i] = min(new_speeds[i], new_speeds[i + 1])
-        if lane.direction is Direction.EAST:
-            new_x = new_progress
-        else:
-            new_x = self.road.length - new_progress
-        for i, vehicle in enumerate(lane_vehicles):
-            vehicle.speed = float(new_speeds[i])
-            vehicle.x = float(new_x[i])
+        # but forced profiles or turn insertions can.  A clamped follower
+        # stops short of its leader but never moves backwards.  A clamp
+        # only moves the follower of an overlapping pair, so the sequential
+        # pass runs only when the vector check finds one.
+        half_pairs = (lengths[1:] + lengths[:-1]) / 2
+        if n > 1 and (new_s[:-1] > new_s[1:] - half_pairs - 0.1).any():
+            for i in range(n - 2, -1, -1):
+                limit = new_s[i + 1] - half_pairs[i] - 0.1
+                if new_s[i] > limit:
+                    self.rear_end_contacts += 1
+                    new_s[i] = max(s[i], limit)
+                    new_speeds[i] = min(new_speeds[i], new_speeds[i + 1])
+        end = lane.length + self.runout
+        cross = lane.cross_s
+        n_cross = len(cross)
+        for vehicle, s_i, speed_i in zip(
+            lane_vehicles, new_s.tolist(), new_speeds.tolist()
+        ):
+            vehicle.s = s_i
+            vehicle.speed = speed_i
+            k = vehicle.next_cross
+            if k < n_cross and cross[k] <= s_i:
+                turn = self._draw_turn()
+                if turn is None:
+                    vehicle.next_cross = k + 1
+                else:
+                    target, s_cross = self.road.turn_target(lane, k, turn)
+                    transfers.append((vehicle, target, s_cross + (s_i - cross[k])))
+            elif s_i > end:
+                exits.append(vehicle)
         if self._fleet is not None:
             slots = self._fleet_lane_slots(lane.index, lane_vehicles)
             if slots is not None:
-                self._fleet.x[slots] = new_x
+                u = new_s if lane.sign > 0 else lane.length - new_s
+                axis = self._fleet.x if lane.axis == HORIZONTAL else self._fleet.y
+                axis[slots] = u
                 self._fleet.speed[slots] = new_speeds
+
+    def _draw_turn(self) -> Optional[str]:
+        """``"left"`` / ``"right"`` / ``None`` (straight) at an intersection."""
+        p = self.turn_probability
+        if p <= 0.0 or self._rng is None:
+            return None
+        r = self._rng.random()
+        if r < p / 2:
+            return "left"
+        if r < p:
+            return "right"
+        return None
 
     def _fleet_lane_slots(
         self, lane_index: int, lane_vehicles: List[Vehicle]
     ) -> Optional[np.ndarray]:
         """The lane's fleet slots, aligned with its sorted vehicle list.
 
-        Rebuilt only when the lane's membership changes (spawn/retire/
-        explicit add invalidate the cache); within a step the lane order is
-        stable, since IDM followers never pass their leader.  Returns None
-        while any vehicle has no slot yet — its spawn callback assigns one
-        before the next step, so that state is transient.
+        Rebuilt only when the lane's membership changes (spawn, turn,
+        retire and explicit add invalidate the cache); within a step the
+        lane order is stable, since IDM followers never pass their leader.
+        Returns None while any vehicle has no slot yet — its spawn
+        callback assigns one before the next step, so that state is
+        transient.
         """
         try:
             return self._fleet_slots[lane_index]
@@ -371,35 +364,22 @@ class TrafficSimulation:
         self._fleet_slots[lane_index] = slots
         return slots
 
-    def _retire_exited(self) -> None:
-        retire_at = self.road.length + self.runout
-        for lane in self.road.lanes:
-            lane_vehicles = self._lanes[lane.index]
-            while lane_vehicles and lane_vehicles[-1].progress > retire_at:
-                vehicle = lane_vehicles.pop()
-                vehicle.active = False
-                self._grid.remove(vehicle)
-                self._fleet_slots.pop(lane.index, None)
-                for callback in self.on_exit:
-                    callback(vehicle)
-
     def _spawn(self, now: float) -> None:
         if self.spawner is None:
             return
         for lane in self.road.lanes:
             lane_vehicles = self._lanes[lane.index]
-            nearest = lane_vehicles[0].progress if lane_vehicles else math.inf
+            nearest = lane_vehicles[0].s if lane_vehicles else math.inf
             if self.spawner.may_spawn(lane, nearest):
                 vehicle = Vehicle(
                     lane=lane,
-                    x=lane.entrance_x(),
+                    s=0.0,
                     speed=self.spawner.entry_speed,
                     length=self.params.vehicle_length,
                     entered_at=now,
                     speed_factor=self._draw_speed_factor(),
                 )
                 lane_vehicles.insert(0, vehicle)
-                self._grid.insert(vehicle, vehicle.x, vehicle.lane.y)
                 self._fleet_slots.pop(lane.index, None)
                 self.spawner.spawned_count += 1
                 for callback in self.on_spawn:

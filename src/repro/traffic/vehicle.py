@@ -1,8 +1,10 @@
 """Vehicle state.
 
-A :class:`Vehicle` is pure kinematic state — position along the road, speed,
-lane — advanced by :class:`~repro.traffic.simulation.TrafficSimulation`.
-The networking layer reads positions through the ``position`` property, so a
+A :class:`Vehicle` is pure kinematic state — its lane, its progress ``s``
+along the lane and its speed — advanced by
+:class:`~repro.traffic.simulation.TrafficSimulation`.  Coordinates are
+derived through :meth:`~repro.traffic.road.Lane.point_at`, and the
+networking layer reads them through the ``position`` property, so a
 GeoNode's view is always consistent with the mobility state.
 """
 
@@ -41,15 +43,15 @@ def set_vehicle_id_state(counter) -> None:
 
 @dataclass(eq=False)
 class Vehicle:
-    """A vehicle on the road.
+    """A vehicle driving a lane.
 
     Vehicles compare and hash by identity (``eq=False``): each instance is
-    one physical vehicle, and identity hashing lets spatial indexes and
-    sets hold vehicles directly.
+    one physical vehicle, and identity hashing lets sets and dicts hold
+    vehicles directly.
     """
 
     lane: Lane
-    x: float
+    s: float
     speed: float
     length: float = 4.5
     vehicle_id: int = field(default_factory=lambda: next(_vehicle_counter))
@@ -66,12 +68,28 @@ class Vehicle:
     #: Slot in the struct-of-arrays :class:`~repro.geonet.fleet.FleetState`;
     #: None when the traffic runs without a fleet (no radios).
     fleet_slot: Optional[int] = None
+    #: Index into ``lane.cross_s`` of the next intersection ahead.
+    next_cross: int = 0
+    turns_taken: int = 0
 
     def __post_init__(self):
         if self.speed < 0:
             raise ValueError("speed must be non-negative")
         if self.length <= 0:
             raise ValueError("length must be positive")
+        self.enter(self.lane, self.s)
+
+    def enter(self, lane: Lane, s: float) -> None:
+        """Place the vehicle at progress ``s`` of ``lane`` (spawns, turns)."""
+        self.lane = lane
+        self.s = s
+        cross = lane.cross_s
+        k = 0
+        # Strictly ahead: an intersection at the current position (e.g. the
+        # entrance corner a vehicle spawns on) is not a turn opportunity.
+        while k < len(cross) and cross[k] <= s + 1e-9:
+            k += 1
+        self.next_cross = k
 
     @property
     def direction(self) -> Direction:
@@ -79,19 +97,22 @@ class Vehicle:
         return self.lane.direction
 
     @property
+    def x(self) -> float:
+        return self.lane.point_at(self.s)[0]
+
+    @property
+    def y(self) -> float:
+        return self.lane.point_at(self.s)[1]
+
+    @property
     def position(self) -> Position:
         """Current position in the road plane."""
-        return Position(self.x, self.lane.y)
+        return Position(*self.lane.point_at(self.s))
 
     @property
     def heading(self) -> float:
         """Heading in radians."""
-        return self.lane.direction.heading
-
-    @property
-    def progress(self) -> float:
-        """Distance travelled from the lane entrance."""
-        return self.lane.progress(self.x)
+        return self.lane.heading
 
     def position_vector(self, now: float) -> PositionVector:
         """The PV this vehicle would advertise in a beacon right now."""
@@ -100,19 +121,4 @@ class Vehicle:
             speed=self.speed,
             heading=self.heading,
             timestamp=now,
-        )
-
-    def front_x(self) -> float:
-        """x-coordinate of the front bumper."""
-        return self.x + (self.length / 2) * self.direction.value
-
-    def rear_x(self) -> float:
-        """x-coordinate of the rear bumper."""
-        return self.x - (self.length / 2) * self.direction.value
-
-    def gap_to(self, leader: "Vehicle") -> float:
-        """Net bumper-to-bumper gap to a leader in the same lane."""
-        return (
-            self.direction.value * (leader.x - self.x)
-            - (self.length + leader.length) / 2
         )

@@ -63,6 +63,8 @@ def main():
     describe("inter-atk", inter, True)
     describe("intra-atk", intra, True)
     describe("lossy-af", lossy, False)
+    describe("urban-inter-atk", inter.urbanized(), True)
+    describe("urban-intra-atk", intra.urbanized(), True)
     print("}")
 
 

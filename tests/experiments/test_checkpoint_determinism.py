@@ -199,6 +199,10 @@ def _tampered_cases():
         envelope["version"] = CHECKPOINT_VERSION + 1
         return envelope
 
+    def previous_version(envelope):
+        envelope["version"] = CHECKPOINT_VERSION - 1
+        return envelope
+
     def wrong_identity(envelope):
         envelope["seed"] = 999
         return envelope
@@ -206,6 +210,7 @@ def _tampered_cases():
     return {
         "corrupt_payload": corrupt_payload,
         "wrong_version": wrong_version,
+        "previous_version": previous_version,
         "wrong_identity": wrong_identity,
     }
 

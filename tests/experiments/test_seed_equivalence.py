@@ -15,6 +15,11 @@ fault layer (``FaultPlan.lossy(0.05)``) instead of the channel.  Behaviour
 that goldens cannot vouch for is pinned by oracles instead
 (``test_metamorphic.py``, the brute-force reference in
 ``tests/radio/test_channel_semantics.py``).
+
+The ``urban-*`` rows pin the Manhattan-grid scenario (turning traffic,
+corner shadowing).  They were captured before the grid and highway
+traffic steppers were merged into one, and the merged stepper reproduces
+them unchanged.
 """
 
 from __future__ import annotations
@@ -59,6 +64,22 @@ GOLDEN = {
         "frames_delivered": 97256,
         "unicast_lost": 2,
     },
+    "urban-inter-atk": {
+        "digest": "f63a3e0c8cdbf4ccb679100323e7fbd604b97a6c609da6ea842785e87b3f1886",
+        "n_packets": 19,
+        "overall_rate": 0.15789473684210525,
+        "frames_sent": 1933,
+        "frames_delivered": 57847,
+        "unicast_lost": 16,
+    },
+    "urban-intra-atk": {
+        "digest": "52ed31647f71ca449315d949cfb8caaf782b5b789cc6f0777719b1839128319b",
+        "n_packets": 19,
+        "overall_rate": 0.6029255023811787,
+        "frames_sent": 1978,
+        "frames_delivered": 61155,
+        "unicast_lost": 0,
+    },
 }
 
 
@@ -71,6 +92,8 @@ def _configs():
         "inter-atk": (inter, True),
         "intra-atk": (intra, True),
         "lossy-af": (lossy, False),
+        "urban-inter-atk": (inter.urbanized(), True),
+        "urban-intra-atk": (intra.urbanized(), True),
     }
 
 

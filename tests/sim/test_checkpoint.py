@@ -114,10 +114,13 @@ def test_envelope_rejects_wrong_kind():
 
 
 def test_envelope_rejects_unknown_version():
-    envelope = encode_envelope(b"x", sim_time=0.0)
-    envelope["version"] = CHECKPOINT_VERSION + 1
-    with pytest.raises(CheckpointError, match="version"):
-        decode_envelope(envelope)
+    # A newer writer, and the previous layout, whose pickled vehicles and
+    # lanes no longer match the traffic classes.
+    for version in (CHECKPOINT_VERSION + 1, CHECKPOINT_VERSION - 1):
+        envelope = encode_envelope(b"x", sim_time=0.0)
+        envelope["version"] = version
+        with pytest.raises(CheckpointError, match="version"):
+            decode_envelope(envelope)
 
 
 def test_envelope_rejects_tampered_payload():

@@ -1,18 +1,15 @@
-"""Tests for the Manhattan-grid road network and its traffic simulation."""
+"""Tests for the Manhattan-grid road network and traffic driving it."""
 
 import random
 
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.traffic.grid import (
-    HORIZONTAL,
-    VERTICAL,
-    GridRoadNetwork,
-    GridTrafficSimulation,
-)
+from repro.geonet.fleet import FleetState
+from repro.traffic.grid import GridRoadNetwork
 from repro.traffic.idm import IdmParameters
-from repro.traffic.road import Direction
+from repro.traffic.road import HORIZONTAL, VERTICAL, Direction
+from repro.traffic.simulation import TrafficSimulation
 from repro.traffic.spawner import EntranceSpawner
 
 
@@ -24,7 +21,8 @@ def make_network(**kwargs):
 
 def make_sim(network=None, *, seed=1, spawner=None, **kwargs):
     network = network if network is not None else make_network()
-    return network, GridTrafficSimulation(
+    kwargs.setdefault("runout", 300.0)
+    return network, TrafficSimulation(
         network,
         IdmParameters(desired_velocity=14.0),
         spawner=spawner,
@@ -36,8 +34,8 @@ def make_sim(network=None, *, seed=1, spawner=None, **kwargs):
 class TestNetworkGeometry:
     def test_two_corridors_per_street(self):
         network = make_network()
-        # 3 horizontal + 3 vertical streets, 2 directed corridors each.
-        assert len(network.corridors) == 12
+        # 3 horizontal + 3 vertical streets, 2 directed lanes each.
+        assert len(network.lanes) == 12
 
     def test_extent(self):
         network = make_network()
@@ -46,35 +44,35 @@ class TestNetworkGeometry:
 
     def test_right_hand_lane_offsets(self):
         network = make_network()
-        east = network.corridor(HORIZONTAL, 1, +1)
-        west = network.corridor(HORIZONTAL, 1, -1)
+        east = network.lane(HORIZONTAL, 1, +1)
+        west = network.lane(HORIZONTAL, 1, -1)
         # Right-hand traffic on the y=200 street: eastbound drives south of
         # the centerline, westbound north of it.
         assert east.lane_coord == pytest.approx(198.0)
         assert west.lane_coord == pytest.approx(202.0)
-        north = network.corridor(VERTICAL, 1, +1)
-        south = network.corridor(VERTICAL, 1, -1)
+        north = network.lane(VERTICAL, 1, +1)
+        south = network.lane(VERTICAL, 1, -1)
         assert north.lane_coord == pytest.approx(202.0)
         assert south.lane_coord == pytest.approx(198.0)
 
     def test_corridor_direction_maps_to_highway_enum(self):
         network = make_network()
-        assert network.corridor(HORIZONTAL, 0, +1).direction is Direction.EAST
-        assert network.corridor(HORIZONTAL, 0, -1).direction is Direction.WEST
+        assert network.lane(HORIZONTAL, 0, +1).direction is Direction.EAST
+        assert network.lane(HORIZONTAL, 0, -1).direction is Direction.WEST
 
     def test_point_at_respects_travel_direction(self):
         network = make_network()
-        east = network.corridor(HORIZONTAL, 0, +1)
-        west = network.corridor(HORIZONTAL, 0, -1)
+        east = network.lane(HORIZONTAL, 0, +1)
+        west = network.lane(HORIZONTAL, 0, -1)
         assert east.point_at(0.0)[0] == pytest.approx(0.0)
         assert east.point_at(100.0)[0] == pytest.approx(100.0)
-        # The westbound corridor starts at the east edge.
+        # The westbound lane starts at the east edge.
         assert west.point_at(0.0)[0] == pytest.approx(400.0)
         assert west.point_at(100.0)[0] == pytest.approx(300.0)
 
     def test_turn_targets_land_on_crossing_street(self):
         network = make_network()
-        east = network.corridor(HORIZONTAL, 1, +1)
+        east = network.lane(HORIZONTAL, 1, +1)
         for cross_index in range(len(east.cross_s)):
             for turn in ("left", "right"):
                 target, s = network.turn_target(east, cross_index, turn)
@@ -95,10 +93,10 @@ class TestTrafficSimulation:
         network, traffic = make_sim()
         traffic.populate(spacing=80.0, speed=10.0)
         assert traffic.count_on_road() > 0
-        per_corridor = {c: 0 for c in network.corridors}
+        per_lane = {c: 0 for c in network.lanes}
         for vehicle in traffic.vehicles():
-            per_corridor[vehicle.corridor] += 1
-        assert all(n > 0 for n in per_corridor.values())
+            per_lane[vehicle.lane] += 1
+        assert all(n > 0 for n in per_lane.values())
 
     def test_vehicles_stay_on_streets(self):
         network, traffic = make_sim()
@@ -183,3 +181,25 @@ class TestTrafficSimulation:
             traffic.count_on_road(d) for d in (Direction.EAST, Direction.WEST)
         )
         assert by_direction == total
+
+    def test_fleet_arrays_follow_turning_vehicles(self):
+        fleet = FleetState(capacity=256)
+        _network, traffic = make_sim(turn_probability=0.5, fleet=fleet)
+
+        def attach(vehicle):
+            vehicle.fleet_slot = fleet.add(
+                vehicle, None, x=vehicle.x, y=vehicle.y, speed=vehicle.speed,
+                heading=vehicle.heading, tx_range=1.0,
+            )
+
+        traffic.on_spawn.append(attach)
+        traffic.populate(spacing=80.0, speed=10.0)
+        sim = Simulator()
+        traffic.start(sim)
+        sim.run_until(30.0)
+        assert traffic.turns_total > 0
+        for vehicle in traffic.vehicles():
+            slot = vehicle.fleet_slot
+            assert (fleet.x[slot], fleet.y[slot]) == (vehicle.x, vehicle.y)
+            assert fleet.speed[slot] == vehicle.speed
+            assert fleet.heading[slot] == vehicle.heading

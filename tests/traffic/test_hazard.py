@@ -20,15 +20,3 @@ def test_blocks_only_matching_direction():
 def test_blocks_nothing_before_start():
     hazard = HazardEvent(x=100.0, direction=Direction.EAST, start_time=5.0)
     assert not hazard.blocks(Direction.EAST, now=1.0)
-
-
-def test_ahead_of_eastbound_vehicle():
-    hazard = HazardEvent(x=100.0, direction=Direction.EAST, start_time=0.0)
-    assert hazard.ahead_of(50.0)
-    assert not hazard.ahead_of(150.0)
-
-
-def test_ahead_of_westbound_vehicle():
-    hazard = HazardEvent(x=100.0, direction=Direction.WEST, start_time=0.0)
-    assert hazard.ahead_of(150.0)
-    assert not hazard.ahead_of(50.0)

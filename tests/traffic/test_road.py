@@ -36,12 +36,12 @@ def test_total_width():
 
 def test_eastbound_entrance_at_zero():
     road = RoadSegment()
-    assert road.eastbound_lanes[0].entrance_x() == 0.0
+    assert road.eastbound_lanes[0].point_at(0.0) == (0.0, 2.5)
 
 
 def test_westbound_entrance_at_length():
     road = RoadSegment(directions=2)
-    assert road.westbound_lanes[0].entrance_x() == 4000.0
+    assert road.westbound_lanes[0].point_at(0.0) == (4000.0, 12.5)
 
 
 def test_eastbound_progress_is_x():
@@ -57,14 +57,6 @@ def test_westbound_progress_measured_from_east_end():
 def test_direction_headings():
     assert Direction.EAST.heading == 0.0
     assert Direction.WEST.heading == pytest.approx(math.pi)
-
-
-def test_contains_x():
-    road = RoadSegment(length=100.0)
-    assert road.contains_x(0.0)
-    assert road.contains_x(100.0)
-    assert not road.contains_x(-0.1)
-    assert not road.contains_x(100.1)
 
 
 def test_invalid_geometry_rejected():

@@ -3,11 +3,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.geonet.fleet import FleetState
 from repro.sim.engine import Simulator
+from repro.traffic.grid import GridRoadNetwork
 from repro.traffic.hazard import HazardEvent
 from repro.traffic.idm import IdmParameters
-from repro.traffic.road import Direction, RoadSegment
+from repro.traffic.road import HORIZONTAL, VERTICAL, Direction, RoadSegment
 from repro.traffic.simulation import TrafficSimulation
 from repro.traffic.spawner import EntranceSpawner
 from repro.traffic.vehicle import Vehicle
@@ -34,7 +38,7 @@ def step_for(traffic, seconds):
 def test_single_vehicle_cruises_at_desired_speed():
     traffic = make_sim()
     lane = traffic.road.lanes[0]
-    vehicle = Vehicle(lane=lane, x=0.0, speed=30.0)
+    vehicle = Vehicle(lane=lane, s=0.0, speed=30.0)
     traffic.add_vehicle(vehicle)
     step_for(traffic, 10.0)
     assert vehicle.speed == pytest.approx(30.0, abs=0.1)
@@ -44,7 +48,7 @@ def test_single_vehicle_cruises_at_desired_speed():
 def test_slow_vehicle_accelerates_toward_desired_speed():
     traffic = make_sim(road=RoadSegment(length=10000.0, lanes_per_direction=1))
     lane = traffic.road.lanes[0]
-    vehicle = Vehicle(lane=lane, x=0.0, speed=10.0)
+    vehicle = Vehicle(lane=lane, s=0.0, speed=10.0)
     traffic.add_vehicle(vehicle)
     step_for(traffic, 60.0)
     assert vehicle.speed == pytest.approx(30.0, abs=0.5)
@@ -53,13 +57,13 @@ def test_slow_vehicle_accelerates_toward_desired_speed():
 def test_follower_keeps_safe_gap_behind_slow_leader():
     traffic = make_sim(road=RoadSegment(length=100000.0, lanes_per_direction=1))
     lane = traffic.road.lanes[0]
-    leader = Vehicle(lane=lane, x=100.0, speed=15.0, speed_factor=0.5)
-    follower = Vehicle(lane=lane, x=0.0, speed=30.0)
+    leader = Vehicle(lane=lane, s=100.0, speed=15.0, speed_factor=0.5)
+    follower = Vehicle(lane=lane, s=0.0, speed=30.0)
     traffic.add_vehicle(leader)
     traffic.add_vehicle(follower)
     step_for(traffic, 60.0)
     assert follower.speed == pytest.approx(leader.speed, abs=1.0)
-    gap = follower.gap_to(leader)
+    gap = leader.s - follower.s - (leader.length + follower.length) / 2
     assert gap > 2.0  # never closer than the minimum distance
     assert traffic.rear_end_contacts == 0
 
@@ -67,7 +71,7 @@ def test_follower_keeps_safe_gap_behind_slow_leader():
 def test_vehicle_exits_at_end_of_road():
     traffic = make_sim()
     lane = traffic.road.lanes[0]
-    vehicle = Vehicle(lane=lane, x=995.0, speed=30.0)
+    vehicle = Vehicle(lane=lane, s=995.0, speed=30.0)
     exited = []
     traffic.on_exit.append(exited.append)
     traffic.add_vehicle(vehicle)
@@ -80,7 +84,7 @@ def test_vehicle_exits_at_end_of_road():
 def test_westbound_vehicle_moves_toward_zero():
     traffic = make_sim(road=RoadSegment(length=1000.0, lanes_per_direction=1, directions=2))
     lane = traffic.road.westbound_lanes[0]
-    vehicle = Vehicle(lane=lane, x=900.0, speed=30.0)
+    vehicle = Vehicle(lane=lane, s=lane.progress(900.0), speed=30.0)
     traffic.add_vehicle(vehicle)
     step_for(traffic, 5.0)
     assert vehicle.x == pytest.approx(750.0, rel=0.02)
@@ -89,7 +93,7 @@ def test_westbound_vehicle_moves_toward_zero():
 def test_westbound_vehicle_exits_at_west_end():
     traffic = make_sim(road=RoadSegment(length=1000.0, lanes_per_direction=1, directions=2))
     lane = traffic.road.westbound_lanes[0]
-    vehicle = Vehicle(lane=lane, x=10.0, speed=30.0)
+    vehicle = Vehicle(lane=lane, s=lane.progress(10.0), speed=30.0)
     traffic.add_vehicle(vehicle)
     step_for(traffic, 2.0)
     assert traffic.count_on_road(Direction.WEST) == 0
@@ -132,7 +136,7 @@ def test_spawner_admits_vehicles_with_gap():
     assert spawner.spawned_count >= 8
     # all spawned in the single eastbound lane, ordered by progress
     vehicles = traffic.lane_vehicles(traffic.road.lanes[0])
-    progresses = [v.progress for v in vehicles]
+    progresses = [v.s for v in vehicles]
     assert progresses == sorted(progresses)
 
 
@@ -160,7 +164,7 @@ def test_hazard_stops_traffic_behind_it():
     traffic = make_sim(road=RoadSegment(length=2000.0, lanes_per_direction=1))
     traffic.add_hazard(HazardEvent(x=500.0, direction=Direction.EAST, start_time=0.0))
     lane = traffic.road.lanes[0]
-    vehicle = Vehicle(lane=lane, x=300.0, speed=30.0)
+    vehicle = Vehicle(lane=lane, s=300.0, speed=30.0)
     traffic.add_vehicle(vehicle)
     step_for(traffic, 30.0)
     assert vehicle.speed == pytest.approx(0.0, abs=0.1)
@@ -171,7 +175,7 @@ def test_hazard_does_not_stop_vehicles_past_it():
     traffic = make_sim(road=RoadSegment(length=2000.0, lanes_per_direction=1))
     traffic.add_hazard(HazardEvent(x=500.0, direction=Direction.EAST, start_time=0.0))
     lane = traffic.road.lanes[0]
-    vehicle = Vehicle(lane=lane, x=600.0, speed=30.0)
+    vehicle = Vehicle(lane=lane, s=600.0, speed=30.0)
     traffic.add_vehicle(vehicle)
     step_for(traffic, 5.0)
     assert vehicle.speed == pytest.approx(30.0, abs=0.5)
@@ -183,7 +187,7 @@ def test_hazard_does_not_affect_other_direction():
     )
     traffic.add_hazard(HazardEvent(x=500.0, direction=Direction.EAST, start_time=0.0))
     lane = traffic.road.westbound_lanes[0]
-    vehicle = Vehicle(lane=lane, x=1500.0, speed=30.0)
+    vehicle = Vehicle(lane=lane, s=lane.progress(1500.0), speed=30.0)
     traffic.add_vehicle(vehicle)
     step_for(traffic, 10.0)
     assert vehicle.speed == pytest.approx(30.0, abs=0.5)
@@ -195,7 +199,7 @@ def test_hazard_inactive_before_start_time():
         HazardEvent(x=500.0, direction=Direction.EAST, start_time=1000.0)
     )
     lane = traffic.road.lanes[0]
-    vehicle = Vehicle(lane=lane, x=400.0, speed=30.0)
+    vehicle = Vehicle(lane=lane, s=400.0, speed=30.0)
     traffic.add_vehicle(vehicle)
     step_for(traffic, 3.0)
     assert vehicle.speed == pytest.approx(30.0, abs=0.5)
@@ -219,7 +223,7 @@ def test_queue_forms_behind_hazard():
 def test_forced_acceleration_overrides_idm():
     traffic = make_sim(road=RoadSegment(length=10000.0, lanes_per_direction=1))
     lane = traffic.road.lanes[0]
-    vehicle = Vehicle(lane=lane, x=0.0, speed=10.0, forced_acceleration=0.0)
+    vehicle = Vehicle(lane=lane, s=0.0, speed=10.0, forced_acceleration=0.0)
     traffic.add_vehicle(vehicle)
     step_for(traffic, 10.0)
     assert vehicle.speed == pytest.approx(10.0)
@@ -228,7 +232,7 @@ def test_forced_acceleration_overrides_idm():
 def test_speed_never_negative_under_forced_braking():
     traffic = make_sim()
     lane = traffic.road.lanes[0]
-    vehicle = Vehicle(lane=lane, x=0.0, speed=5.0, forced_acceleration=-8.0)
+    vehicle = Vehicle(lane=lane, s=0.0, speed=5.0, forced_acceleration=-8.0)
     traffic.add_vehicle(vehicle)
     step_for(traffic, 5.0)
     assert vehicle.speed == 0.0
@@ -246,7 +250,7 @@ def test_start_schedules_periodic_stepping():
     sim = Simulator()
     traffic = make_sim()
     lane = traffic.road.lanes[0]
-    vehicle = Vehicle(lane=lane, x=0.0, speed=30.0)
+    vehicle = Vehicle(lane=lane, s=0.0, speed=30.0)
     traffic.add_vehicle(vehicle)
     traffic.start(sim)
     sim.run_until(5.0)
@@ -266,16 +270,11 @@ def test_invalid_dt_rejected():
         make_sim(dt=0.0)
 
 
-def test_invalid_speed_factor_spread_rejected():
-    with pytest.raises(ValueError):
-        make_sim(speed_factor_spread=1.5)
-
-
 def test_runout_keeps_vehicles_past_the_segment():
     traffic = make_sim()
     traffic.runout = 200.0
     lane = traffic.road.lanes[0]
-    vehicle = Vehicle(lane=lane, x=995.0, speed=30.0)
+    vehicle = Vehicle(lane=lane, s=995.0, speed=30.0)
     traffic.add_vehicle(vehicle)
     step_for(traffic, 3.0)
     # Past the segment but inside the runout: still active, not counted.
@@ -292,3 +291,93 @@ def test_negative_runout_rejected():
         TrafficSimulation(
             RoadSegment(length=100.0, lanes_per_direction=1), runout=-1.0
         )
+
+
+def test_overlap_guard_never_moves_a_vehicle_backwards():
+    traffic = make_sim()
+    lane = traffic.road.lanes[0]
+    leader = Vehicle(lane=lane, s=10.0, speed=0.0, forced_acceleration=0.0)
+    follower = Vehicle(lane=lane, s=8.0, speed=0.0)
+    traffic.add_vehicle(leader)
+    traffic.add_vehicle(follower)
+    traffic.step(traffic.dt)
+    # The bumpers overlap; the guard may hold the follower but must not
+    # teleport it back to 10 - 4.5 - 0.1 = 5.4.
+    assert follower.s == 8.0
+    assert follower.speed == 0.0
+    assert traffic.rear_end_contacts == 1
+
+
+def _attach_to(fleet):
+    def attach(vehicle):
+        x, y = vehicle.lane.point_at(vehicle.s)
+        vehicle.fleet_slot = fleet.add(
+            vehicle, None, x=x, y=y, speed=vehicle.speed,
+            heading=vehicle.heading, tx_range=1.0,
+        )
+
+    return attach
+
+
+_LENGTH = 600.0
+
+_drivers = st.lists(
+    st.tuples(
+        st.floats(0.0, _LENGTH),
+        st.floats(0.0, 40.0),
+        st.floats(0.9, 1.1),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(drivers=_drivers, n_steps=st.integers(1, 60))
+def test_mirrored_and_rotated_lanes_drive_identically(drivers, n_steps):
+    """Mirroring or rotating a lane changes nothing (metamorphic).
+
+    The same drivers on an eastbound and a westbound highway lane and on a
+    vertical and a horizontal grid lane (no turns, so crossing an
+    intersection is a no-op) end with identical progress and speeds, and
+    every coordinate, on the vehicle and in the fleet arrays, is
+    ``lane.point_at(s)`` exactly.
+    """
+    params = IdmParameters()
+    fleet = FleetState(capacity=64)
+    highway = TrafficSimulation(
+        RoadSegment(length=_LENGTH, lanes_per_direction=1, directions=2),
+        params, runout=100.0, fleet=fleet,
+    )
+    network = GridRoadNetwork(streets_x=2, streets_y=2, block_size=_LENGTH)
+    grid = TrafficSimulation(
+        network, params, runout=100.0, turn_probability=0.0, fleet=fleet
+    )
+    lanes = [
+        (highway, highway.road.eastbound_lanes[0]),
+        (highway, highway.road.westbound_lanes[0]),
+        (grid, network.lane(VERTICAL, 1, +1)),
+        (grid, network.lane(HORIZONTAL, 0, -1)),
+    ]
+    for traffic in (highway, grid):
+        traffic.on_spawn.append(_attach_to(fleet))
+    for traffic, lane in lanes:
+        for s, speed, factor in drivers:
+            traffic.add_vehicle(
+                Vehicle(lane=lane, s=s, speed=speed, speed_factor=factor)
+            )
+    t = 0.0
+    for _ in range(n_steps):
+        t += 0.1
+        highway.step(t)
+        grid.step(t)
+    states = []
+    for traffic, lane in lanes:
+        vehicles = traffic.lane_vehicles(lane)
+        states.append(([v.s for v in vehicles], [v.speed for v in vehicles]))
+        for v in vehicles:
+            assert (v.x, v.y) == lane.point_at(v.s)
+            slot = v.fleet_slot
+            assert (fleet.x[slot], fleet.y[slot]) == lane.point_at(v.s)
+            assert fleet.speed[slot] == v.speed
+    assert all(state == states[0] for state in states[1:])

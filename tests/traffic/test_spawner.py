@@ -5,11 +5,11 @@ import random
 
 import pytest
 
-from repro.traffic.road import Direction, Lane
+from repro.traffic.road import HORIZONTAL, Direction, Lane
 from repro.traffic.spawner import EntranceSpawner
 
-EAST = Lane(index=0, y=2.5, direction=Direction.EAST, road_length=1000.0)
-WEST = Lane(index=1, y=7.5, direction=Direction.WEST, road_length=1000.0)
+EAST = Lane(index=0, axis=HORIZONTAL, sign=1, lane_coord=2.5, length=1000.0)
+WEST = Lane(index=1, axis=HORIZONTAL, sign=-1, lane_coord=7.5, length=1000.0)
 
 
 def test_spawns_into_empty_lane():

@@ -5,33 +5,33 @@ import math
 import pytest
 
 from repro.geo.position import Position
-from repro.traffic.road import Direction, Lane
+from repro.traffic.road import HORIZONTAL, VERTICAL, Lane
 from repro.traffic.vehicle import Vehicle
 
-EAST_LANE = Lane(index=0, y=2.5, direction=Direction.EAST, road_length=4000.0)
-WEST_LANE = Lane(index=1, y=7.5, direction=Direction.WEST, road_length=4000.0)
+EAST_LANE = Lane(index=0, axis=HORIZONTAL, sign=1, lane_coord=2.5, length=4000.0)
+WEST_LANE = Lane(index=1, axis=HORIZONTAL, sign=-1, lane_coord=7.5, length=4000.0)
 
 
 def test_position_combines_x_and_lane_y():
-    v = Vehicle(lane=EAST_LANE, x=100.0, speed=30.0)
+    v = Vehicle(lane=EAST_LANE, s=100.0, speed=30.0)
     assert v.position == Position(100.0, 2.5)
 
 
 def test_heading_follows_lane_direction():
-    assert Vehicle(lane=EAST_LANE, x=0, speed=0).heading == 0.0
-    assert Vehicle(lane=WEST_LANE, x=0, speed=0).heading == pytest.approx(math.pi)
+    assert Vehicle(lane=EAST_LANE, s=0, speed=0).heading == 0.0
+    assert Vehicle(lane=WEST_LANE, s=0, speed=0).heading == pytest.approx(math.pi)
 
 
 def test_progress_eastbound():
-    assert Vehicle(lane=EAST_LANE, x=150.0, speed=0).progress == 150.0
+    assert Vehicle(lane=EAST_LANE, s=150.0, speed=0).x == 150.0
 
 
 def test_progress_westbound():
-    assert Vehicle(lane=WEST_LANE, x=3900.0, speed=0).progress == 100.0
+    assert Vehicle(lane=WEST_LANE, s=100.0, speed=0).x == 3900.0
 
 
 def test_position_vector_snapshot():
-    v = Vehicle(lane=EAST_LANE, x=10.0, speed=25.0)
+    v = Vehicle(lane=EAST_LANE, s=10.0, speed=25.0)
     pv = v.position_vector(now=7.0)
     assert pv.position == Position(10.0, 2.5)
     assert pv.speed == 25.0
@@ -39,44 +39,38 @@ def test_position_vector_snapshot():
 
 
 def test_vehicle_ids_unique():
-    a = Vehicle(lane=EAST_LANE, x=0, speed=0)
-    b = Vehicle(lane=EAST_LANE, x=0, speed=0)
+    a = Vehicle(lane=EAST_LANE, s=0, speed=0)
+    b = Vehicle(lane=EAST_LANE, s=0, speed=0)
     assert a.vehicle_id != b.vehicle_id
 
 
 def test_negative_speed_rejected():
     with pytest.raises(ValueError):
-        Vehicle(lane=EAST_LANE, x=0, speed=-1.0)
+        Vehicle(lane=EAST_LANE, s=0, speed=-1.0)
 
 
 def test_invalid_length_rejected():
     with pytest.raises(ValueError):
-        Vehicle(lane=EAST_LANE, x=0, speed=0, length=0)
-
-
-def test_gap_to_leader_eastbound():
-    follower = Vehicle(lane=EAST_LANE, x=0.0, speed=0, length=4.5)
-    leader = Vehicle(lane=EAST_LANE, x=30.0, speed=0, length=4.5)
-    assert follower.gap_to(leader) == pytest.approx(30.0 - 4.5)
-
-
-def test_gap_to_leader_westbound():
-    follower = Vehicle(lane=WEST_LANE, x=100.0, speed=0, length=4.5)
-    leader = Vehicle(lane=WEST_LANE, x=70.0, speed=0, length=4.5)
-    assert follower.gap_to(leader) == pytest.approx(30.0 - 4.5)
-
-
-def test_front_and_rear_bumpers_eastbound():
-    v = Vehicle(lane=EAST_LANE, x=100.0, speed=0, length=4.0)
-    assert v.front_x() == 102.0
-    assert v.rear_x() == 98.0
-
-
-def test_front_and_rear_bumpers_westbound():
-    v = Vehicle(lane=WEST_LANE, x=100.0, speed=0, length=4.0)
-    assert v.front_x() == 98.0
-    assert v.rear_x() == 102.0
+        Vehicle(lane=EAST_LANE, s=0, speed=0, length=0)
 
 
 def test_default_speed_factor_is_one():
-    assert Vehicle(lane=EAST_LANE, x=0, speed=0).speed_factor == 1.0
+    assert Vehicle(lane=EAST_LANE, s=0, speed=0).speed_factor == 1.0
+
+
+def test_enter_skips_intersections_behind_and_at_the_entry_point():
+    lane = Lane(
+        index=0,
+        axis=VERTICAL,
+        sign=1,
+        lane_coord=2.0,
+        length=400.0,
+        cross_s=(0.0, 200.0, 400.0),
+        cross_points=(Position(0, 0), Position(0, 200), Position(0, 400)),
+    )
+    v = Vehicle(lane=lane, s=0.0, speed=0)
+    assert v.next_cross == 1
+    v.enter(lane, 250.0)
+    assert v.next_cross == 2
+    assert v.position == Position(2.0, 250.0)
+    assert v.heading == pytest.approx(math.pi / 2)
