@@ -13,9 +13,9 @@ Times the batched hot loops the fleet refactor introduces
 * **fleet scaling** — the batched end-to-end beacon loop at
   N = 500 / 5 000 / 50 000 members, where the O(ticks) event heap and the
   vectorised neighbor sweep keep per-beacon cost flat.
-* **mobility scaling** — one mobility step (IDM + position propagation
-  to the radio layer) at the same N: batched SoA writeback +
-  ``SpatialGrid.move_many``.
+* **mobility scaling** — one mobility step at the same N: IDM over each
+  lane's fleet slots, stepped in place in the arrays the channel reads
+  fleet receivers from (nothing is copied to the radio layer).
 * **full World runs** — the fig-7 inter-area attacked scenario, plus one
   *city-scale* World at ~50 000 nodes.
 
@@ -100,7 +100,7 @@ def build_fleet(n: int, spacing: float):
         iface.attach(lambda frame: None)
         ch.register(iface)
         member = _Member(iface)
-        fleet.add(member, iface, x=p.x, y=p.y, tx_range=TX_RANGE)
+        fleet.attach(fleet.add(x=p.x, y=p.y), member, iface, TX_RANGE)
         members.append(member)
     return sim, ch, fleet, members
 
@@ -174,30 +174,19 @@ def _build_mobility(n_target):
         road, IdmParameters(), dt=0.1, rng=random.Random(1), fleet=fleet
     )
 
+    ifaces = {}
+
     def attach(vehicle):
-        iface = RadioInterface(lambda v=vehicle: v.position, TX_RANGE)
+        iface = ifaces[vehicle.slot] = RadioInterface(vehicle.position, TX_RANGE)
         iface.attach(lambda frame: None)
         ch.register(iface)
-        vehicle.iface = iface
-        vehicle.fleet_slot = fleet.add(
-            vehicle,
-            iface,
-            x=vehicle.x,
-            y=vehicle.lane.y,
-            speed=vehicle.speed,
-            heading=vehicle.heading,
-            tx_range=TX_RANGE,
-        )
+        fleet.attach(vehicle.slot, vehicle, iface, TX_RANGE)
 
     def detach(vehicle):
-        if vehicle.fleet_slot is not None:
-            fleet.remove(vehicle.fleet_slot)
-            vehicle.fleet_slot = None
-        ch.unregister(vehicle.iface)
+        ch.unregister(ifaces.pop(vehicle.slot))
 
     traffic.on_spawn.append(attach)
     traffic.on_exit.append(detach)
-    traffic.on_step.append(lambda _now: fleet.push_positions_to_channel())
     n = traffic.populate(spacing=spacing)
     # Build the grid up front so the timed loop measures steady state.
     ch.neighbors_within(Position(0.0, 0.0), 1.0)
@@ -208,8 +197,7 @@ def bench_mobility(n_target, *, reps, steps):
     """Best-of-``reps`` cost of one mobility step, us.
 
     Each timed step includes the probe query a real tick's first beacon
-    would issue; the step has already pushed the fleet's positions into
-    the channel grid with one ``move_many`` call.
+    would issue; it reads the fleet positions the step just wrote.
     """
     best = float("inf")
     n = 0

@@ -42,7 +42,6 @@ from repro.geo.position import Position
 from repro.geonet.config import GeoNetConfig
 from repro.geonet.node import GeoNode
 from repro.radio.technology import DSRC
-from repro.traffic.vehicle import Vehicle
 
 APEX_X = 600.0
 HAZARD_ZONE = (500.0, 545.0)
@@ -149,11 +148,15 @@ class _CurveScenario:
         # (and see) each other.
         world.channel.add_obstruction(self._terrain_blocks)
         east, west = world.road.eastbound_lanes[0], world.road.westbound_lanes[0]
-        self.v1 = Vehicle(lane=east, s=east.progress(V1_START_X), speed=V1_SPEED)
-        self.v2 = Vehicle(lane=west, s=west.progress(V2_START_X), speed=V2_SPEED)
-        for vehicle in (self.v1, self.v2):
-            vehicle.forced_acceleration = APPROACH_DECEL
-            world.traffic.add_vehicle(vehicle)
+        self.v1 = world.traffic.add_vehicle(
+            east, east.progress(V1_START_X), V1_SPEED,
+            forced_acceleration=APPROACH_DECEL,
+        )
+        self.v2 = world.traffic.add_vehicle(
+            west, west.progress(V2_START_X), V2_SPEED,
+            forced_acceleration=APPROACH_DECEL,
+        )
+        self._vehicle_length = world.traffic.params.vehicle_length
         self.n1 = world.nodes[self.v1.vehicle_id]
         world.nodes[self.v2.vehicle_id].router.on_deliver.append(self._v2_deliver)
         world.add_roadside_node("rsu", Position(APEX_X, 30.0))
@@ -185,7 +188,7 @@ class _CurveScenario:
         if (
             self._v1_in_opposite_lane
             and not self.run.collided
-            and gap <= (self.v1.length + self.v2.length) / 2
+            and gap <= self._vehicle_length
         ):
             self.run.collision_at = now
             for vehicle in (self.v1, self.v2):

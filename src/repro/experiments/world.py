@@ -32,7 +32,7 @@ from repro.faults.injector import FaultInjector
 from repro.geo.areas import CircularArea, DestinationArea, RectangularArea
 from repro.geo.position import Position
 from repro.geonet.fleet import FleetBeaconScheduler, FleetState
-from repro.geonet.node import GeoNode, StaticMobility, VehicleMobility, ledger_kind
+from repro.geonet.node import GeoNode, StaticMobility, ledger_kind
 from repro.geonet.packets import BeaconBody, GeoBroadcastPacket, PacketId
 from repro.observability.invariants import InvariantChecker
 from repro.observability.ledger import PacketLedger, reasons
@@ -155,10 +155,10 @@ class World:
         self.grid: Optional[GridRoadNetwork] = None
         self.shadowing: Optional[ManhattanShadowing] = None
         # --- vehicle fleet ------------------------------------------------
-        # Built before the traffic so the spawn callbacks can claim slots.
-        # Vehicles carry no per-node BeaconService: one FleetBeaconScheduler
-        # tick per mobility step beacons for everybody, and the mobility
-        # loop pushes positions into the channel grid in bulk.
+        # The one store of vehicle kinematics: the traffic steps it, the
+        # channel finds vehicle receivers in it.  Vehicles carry no per-node
+        # BeaconService: one FleetBeaconScheduler tick per mobility step
+        # beacons for everybody.
         self.fleet = FleetState(self.channel)
         if self.urban:
             traffic_cfg = urban_cfg = config.urban
@@ -212,7 +212,6 @@ class World:
             turn_probability=config.urban.turn_probability,
             fleet=self.fleet,
         )
-        self.traffic.on_step.append(self._push_fleet_positions)
         self.fleet_scheduler = FleetBeaconScheduler(
             self.sim,
             self.fleet,
@@ -302,6 +301,7 @@ class World:
                 self.sim,
                 iter_nodes=self._iter_all_nodes,
                 channel=self.channel,
+                traffic=self.traffic,
                 ledger=ledger,
             )
             every(
@@ -320,12 +320,6 @@ class World:
                 start_delay=1.0,
             )
 
-    # ------------------------------------------------------------------
-    # traffic-step hooks (named so a checkpointed world stays picklable)
-    # ------------------------------------------------------------------
-    def _push_fleet_positions(self, _now: float) -> None:
-        self.fleet.push_positions_to_channel()
-
     def _iter_all_nodes(self):
         return list(self.nodes.values()) + self.roadside_nodes
 
@@ -340,7 +334,7 @@ class World:
             channel=self.channel,
             config=self.config.geonet,
             credentials=self.ca.enroll(f"veh-{seq}"),
-            mobility=VehicleMobility(vehicle),
+            mobility=vehicle,
             tx_range=self.config.vehicle_range,
             # CBF timer draws come from the per-node stream.
             rng=self.streams.get(f"beacon:{seq}"),
@@ -352,16 +346,7 @@ class World:
         node.router.on_deliver.append(self._on_deliver)
         self.nodes[vehicle.vehicle_id] = node
         self.node_by_addr[node.address] = node
-        position = vehicle.position
-        vehicle.fleet_slot = self.fleet.add(
-            node,
-            node.iface,
-            x=position.x,
-            y=position.y,
-            speed=vehicle.speed,
-            heading=vehicle.heading,
-            tx_range=self.config.vehicle_range,
-        )
+        self.fleet.attach(vehicle.slot, node, node.iface, self.config.vehicle_range)
         if self.fault_injector is not None:
             # Vehicles only: destinations are surveyed roadside units
             # (no GPS error) on wired power (no churn).
@@ -380,11 +365,6 @@ class World:
                 self.detection.detach(node)
             if self.fault_injector is not None:
                 self.fault_injector.release(node)
-            if vehicle.fleet_slot is not None:
-                # Before shutdown(): unmarking the still-registered radio
-                # keeps the channel's fleet/non-fleet sets consistent.
-                self.fleet.remove(vehicle.fleet_slot)
-                vehicle.fleet_slot = None
             self._detached_stats.update(node_stat_counters(node))
             node.shutdown()
 
@@ -648,7 +628,7 @@ class World:
             packet_id=pid,
             send_time=self.sim.now,
             source_x=vehicle.x,
-            direction=int(vehicle.direction),
+            direction=int(vehicle.lane.direction),
             success=0.0,
             receivers=0,
             denominator=len(snapshot),

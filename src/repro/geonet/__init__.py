@@ -34,7 +34,7 @@ from repro.geonet.unicast import (
 )
 from repro.geonet.shb import ShbBody, ShbService, ShbStats
 from repro.geonet.router import GeoRouter, RouterStats
-from repro.geonet.node import GeoNode, StaticMobility, VehicleMobility
+from repro.geonet.node import GeoNode, StaticMobility
 
 __all__ = [
     "BeaconBody",
@@ -62,6 +62,5 @@ __all__ = [
     "StaticMobility",
     "UnicastService",
     "UnicastStats",
-    "VehicleMobility",
     "contention_timeout",
 ]

@@ -8,11 +8,13 @@ nodes, a hard wall at tens of thousands.  Instead the whole fleet's
 kinematic and beaconing state lives in numpy arrays indexed by a stable
 *slot*, and the two dominant per-node loops become per-tick batch passes:
 
-* :class:`FleetState` — positions, velocities, headings, TX ranges,
-  next-beacon deadlines and alive flags as parallel arrays.  The mobility
-  stepper writes new kinematics with one fancy-indexed store per lane, and
-  the channel's spatial grid is refreshed with one
-  :meth:`~repro.radio.spatial.SpatialGrid.move_many` call per step.
+* :class:`FleetState` — the one copy of where each vehicle is: lane
+  progress, positions, speeds, headings and IDM inputs next to TX ranges,
+  next-beacon deadlines and alive flags, as parallel arrays.  The traffic
+  stepper advances each lane's slots in place, a
+  :class:`~repro.traffic.vehicle.Vehicle` is a handle on its slot, and the
+  channel finds fleet receivers with one vectorised disc test over the
+  arrays (:meth:`FleetState.within`) instead of its spatial grid.
 * :class:`FleetBeaconScheduler` — a single periodic tick selects the
   beacons due in ``[t, t+dt)`` with one vectorised mask, draws all jitters
   in one RNG call, sweeps neighbor pairs for the whole batch with a
@@ -53,7 +55,13 @@ _CY_MASK = 0xFFFFFFFF
 
 
 class FleetState:
-    """Struct-of-arrays state for the batched vehicle fleet.
+    """Struct-of-arrays state for the vehicle fleet.
+
+    This is the only store of vehicle kinematics: position, lane progress
+    ``s``, speed, heading, length, IDM speed factor, forced acceleration
+    (``accel``; NaN means "drive by IDM") and the index of the next
+    intersection ahead (``next_cross``), next to the radio state (TX range,
+    next-beacon deadline, alive flag) as parallel arrays.
 
     Slots are stable for a member's lifetime: :meth:`add` hands out the
     lowest free slot, :meth:`remove` recycles it.  Arrays are over-
@@ -61,25 +69,38 @@ class FleetState:
     ``fleet.x[slots]`` without per-member indirection.
     """
 
+    #: ``(name, dtype, fill)`` of every per-slot column.  ``next_beacon_at``
+    #: NaN means "not yet seeded": the scheduler initialises all fresh
+    #: slots in one vectorised draw on its next tick, so spawning N
+    #: vehicles costs one RNG call, not N.
+    _COLUMNS = (
+        ("x", float, 0.0),
+        ("y", float, 0.0),
+        ("s", float, 0.0),
+        ("speed", float, 0.0),
+        ("heading", float, 0.0),
+        ("length", float, 0.0),
+        ("speed_factor", float, 1.0),
+        ("accel", float, np.nan),
+        ("next_cross", np.intp, 0),
+        ("tx_range", float, 0.0),
+        ("next_beacon_at", float, np.nan),
+        ("alive", bool, False),
+        ("beacons_sent", np.int64, 0),  # beacons the tick generated
+    )
+
     def __init__(self, channel=None, capacity: int = 256):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self._channel = channel
+        if channel is not None:
+            # The channel finds fleet receivers in these arrays instead of
+            # its spatial grid.
+            channel.fleet = self
         self.capacity = capacity
-        self.x = np.zeros(capacity)
-        self.y = np.zeros(capacity)
-        self.speed = np.zeros(capacity)
-        self.heading = np.zeros(capacity)
-        self.tx_range = np.zeros(capacity)
-        #: Absolute time of the member's next beacon; NaN means "not yet
-        #: seeded" — the scheduler initialises all fresh slots in one
-        #: vectorised draw on its next tick, so spawning N vehicles costs
-        #: one RNG call, not N.
-        self.next_beacon_at = np.full(capacity, np.nan)
-        self.alive = np.zeros(capacity, dtype=bool)
-        #: Per-slot beacons generated by the batched tick (diagnostics).
-        self.beacons_sent = np.zeros(capacity, dtype=np.int64)
-        #: Slot -> member object (e.g. GeoNode); None for free slots.
+        for name, dtype, fill in self._COLUMNS:
+            setattr(self, name, np.full(capacity, fill, dtype=dtype))
+        #: Slot -> member object (e.g. GeoNode); None until attached.
         self.members: List[object] = [None] * capacity
         #: Slot -> radio interface (kept separately: the hot loops need the
         #: interface without touching the member).
@@ -88,7 +109,7 @@ class FleetState:
         self._n_live = 0
         #: Bumped on every add/remove; caches keyed on it.
         self._version = 0
-        self._live_cache: Optional[Tuple[int, np.ndarray, list]] = None
+        self._live_cache: Optional[Tuple[int, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # membership
@@ -99,59 +120,46 @@ class FleetState:
     def _grow(self) -> None:
         old = self.capacity
         new = old * 2
-        for name in ("x", "y", "speed", "heading", "tx_range"):
-            arr = np.zeros(new)
+        for name, dtype, fill in self._COLUMNS:
+            arr = np.full(new, fill, dtype=dtype)
             arr[:old] = getattr(self, name)
             setattr(self, name, arr)
-        nba = np.full(new, np.nan)
-        nba[:old] = self.next_beacon_at
-        self.next_beacon_at = nba
-        alive = np.zeros(new, dtype=bool)
-        alive[:old] = self.alive
-        self.alive = alive
-        sent = np.zeros(new, dtype=np.int64)
-        sent[:old] = self.beacons_sent
-        self.beacons_sent = sent
         self.members.extend([None] * (new - old))
         self.ifaces.extend([None] * (new - old))
         self._free.extend(range(new - 1, old - 1, -1))
         self.capacity = new
 
-    def add(
-        self,
-        member,
-        iface,
-        *,
-        x: float,
-        y: float,
-        speed: float = 0.0,
-        heading: float = 0.0,
-        tx_range: float,
-    ) -> int:
-        """Claim a slot for ``member`` and return it.
+    def add(self, **columns) -> int:
+        """Claim the lowest free slot and return it.
 
-        The slot's beacon deadline starts as NaN — seeded lazily by the
-        scheduler — and the member's interface is marked fleet on the
-        channel so the per-frame delivery path skips it.
+        Keyword arguments set the slot's columns by name (``x=``, ``s=``,
+        ``speed=`` ...); every other column takes its fill value, so the
+        beacon deadline starts as NaN — seeded lazily by the scheduler.
+        The slot has no radio until :meth:`attach`.
         """
         if not self._free:
             self._grow()
         slot = self._free.pop()
-        self.x[slot] = x
-        self.y[slot] = y
-        self.speed[slot] = speed
-        self.heading[slot] = heading
-        self.tx_range[slot] = tx_range
-        self.next_beacon_at[slot] = np.nan
+        for name, _dtype, fill in self._COLUMNS:
+            getattr(self, name)[slot] = fill
+        for name, value in columns.items():
+            getattr(self, name)[slot] = value
         self.alive[slot] = True
-        self.beacons_sent[slot] = 0
-        self.members[slot] = member
-        self.ifaces[slot] = iface
         self._n_live += 1
         self._version += 1
-        if self._channel is not None and iface is not None:
-            self._channel.mark_fleet(iface)
         return slot
+
+    def attach(self, slot: int, member, iface, tx_range: float) -> None:
+        """Give ``slot`` its member and radio.
+
+        The interface is marked fleet on the channel: the per-frame path
+        finds it through these arrays, and the batched tick beacons for it.
+        """
+        self.members[slot] = member
+        self.ifaces[slot] = iface
+        self.tx_range[slot] = tx_range
+        if self._channel is not None:
+            self._channel.mark_fleet(iface)
 
     def remove(self, slot: int) -> None:
         """Release ``slot`` (member left the simulation for good)."""
@@ -161,7 +169,6 @@ class FleetState:
         if self._channel is not None and iface is not None:
             self._channel.unmark_fleet(iface)
         self.alive[slot] = False
-        self.next_beacon_at[slot] = np.nan
         self.members[slot] = None
         self.ifaces[slot] = None
         self._free.append(slot)
@@ -173,27 +180,23 @@ class FleetState:
         changes)."""
         cache = self._live_cache
         if cache is None or cache[0] != self._version:
-            live = np.flatnonzero(self.alive)
-            items = [self.ifaces[s]._grid_item for s in live.tolist()]
-            cache = self._live_cache = (self._version, live, items)
+            cache = self._live_cache = (self._version, np.flatnonzero(self.alive))
         return cache[1]
 
-    # ------------------------------------------------------------------
-    # channel integration
-    # ------------------------------------------------------------------
-    def push_positions_to_channel(self) -> None:
-        """Refresh the channel grid from the arrays (one bulk call).
+    def within(self, x: float, y: float, radius: float) -> Tuple[list, list]:
+        """Live slots within ``radius`` of ``(x, y)`` (boundary inclusive)
+        and their squared distances, as ascending-slot lists.
 
-        Called by the mobility loop after each step, instead of marking
-        the whole channel cache stale.
+        One vectorised disc test, computed exactly like
+        :meth:`~repro.radio.spatial.SpatialGrid.query_disc`
+        (``dx = x_i - x``, ``dx*dx + dy*dy <= r*r``).
         """
-        if self._channel is None:
-            return
         live = self.live_slots()
-        if live.size == 0:
-            return
-        items = self._live_cache[2]
-        self._channel.update_fleet_positions(items, self.x[live], self.y[live])
+        dx = self.x[live] - x
+        dy = self.y[live] - y
+        d_sq = dx * dx + dy * dy
+        hit = d_sq <= radius * radius
+        return live[hit].tolist(), d_sq[hit].tolist()
 
     # ------------------------------------------------------------------
     # neighbor sweep

@@ -25,24 +25,14 @@ from repro.radio.frames import Frame, FrameKind
 from repro.security.certificates import Credentials
 from repro.security.signing import sign
 from repro.sim.engine import Simulator
-from repro.traffic.vehicle import Vehicle
-
-
-class VehicleMobility:
-    """Mobility source backed by a simulated vehicle."""
-
-    def __init__(self, vehicle: Vehicle):
-        self.vehicle = vehicle
-
-    def position(self) -> Position:
-        return self.vehicle.position
-
-    def position_vector(self, now: float) -> PositionVector:
-        return self.vehicle.position_vector(now)
 
 
 class StaticMobility:
-    """Mobility source for roadside units and fixed destinations."""
+    """Mobility source for roadside units and fixed destinations.
+
+    A vehicle's mobility source is its :class:`~repro.traffic.vehicle.Vehicle`
+    handle, which has the same ``position()`` / ``position_vector(now)``.
+    """
 
     def __init__(self, position: Position):
         self._position = position

@@ -14,8 +14,12 @@ asserts, each tick:
   contention timer due at or after ``now`` and a positive forward RHL;
 * **ledger conservation** — every tracked packet has exactly one outcome,
   outcomes sum to originations, and no event precedes its origination;
-* **spatial-grid consistency** — the channel's neighbor index and its
-  registered interfaces agree (:meth:`SpatialGrid.check_consistency`).
+* **spatial-grid consistency** — the channel's neighbor index is
+  internally consistent (:meth:`SpatialGrid.check_consistency`) and holds
+  exactly the registered interfaces outside the vehicle fleet;
+* **traffic/fleet ownership** — every lane's slot array is sorted by
+  progress, no slot is in two lanes or dead in the fleet, and every
+  vehicle sits at ``lane.point_at(s)`` with the lane's heading.
 
 On the first violation the checker raises :class:`InvariantViolation`
 carrying a diagnostic dump (simulation clock, queue depth, the offending
@@ -60,7 +64,8 @@ class InvariantChecker:
 
     Duck-typed against its collaborators so it can watch any subset:
     ``iter_nodes`` yields GeoNode-likes (or is None), ``channel`` is a
-    BroadcastChannel (or None), ``ledger`` a PacketLedger (or None).
+    BroadcastChannel (or None), ``traffic`` a TrafficSimulation (or None),
+    ``ledger`` a PacketLedger (or None).
     """
 
     def __init__(
@@ -69,12 +74,14 @@ class InvariantChecker:
         *,
         iter_nodes: Optional[Callable[[], Iterable]] = None,
         channel=None,
+        traffic=None,
         ledger: Optional[PacketLedger] = None,
         position_bound: float = _DEFAULT_POSITION_BOUND,
     ):
         self._sim = sim
         self._iter_nodes = iter_nodes
         self._channel = channel
+        self._traffic = traffic
         self._ledger = ledger
         self._position_bound = position_bound
         #: Completed (passing) check sweeps.
@@ -90,6 +97,8 @@ class InvariantChecker:
         self._check_event_queue(now)
         if self._channel is not None:
             self._check_grid()
+        if self._traffic is not None:
+            self._check_traffic()
         if self._iter_nodes is not None:
             for node in self._iter_nodes():
                 if getattr(node, "is_shut_down", False):
@@ -148,17 +157,46 @@ class InvariantChecker:
             grid.check_consistency()
         except ValueError as exc:
             self._fail("spatial grid inconsistent", str(exc))
-        for iface in channel._interfaces:
+        # Fleet radios are found in the fleet arrays, never in the grid.
+        nonfleet = channel._nonfleet
+        for iface in nonfleet.values():
             if iface._grid_item not in grid:
                 self._fail(
                     "registered interface missing from the spatial grid",
                     f"address={iface.address}",
                 )
-        if len(grid) != len(channel._interfaces):
+        if len(grid) != len(nonfleet):
             self._fail(
-                "spatial grid size disagrees with channel membership",
-                f"grid={len(grid)} interfaces={len(channel._interfaces)}",
+                "spatial grid size disagrees with the non-fleet interfaces",
+                f"grid={len(grid)} non-fleet interfaces={len(nonfleet)}",
             )
+
+    def _check_traffic(self) -> None:
+        traffic = self._traffic
+        fleet = traffic.fleet
+        seen = set()
+        for lane in traffic.road.lanes:
+            slots = traffic._lane_slots[lane.index]
+            progress = fleet.s[slots]
+            if (progress[1:] < progress[:-1]).any():
+                self._fail(
+                    "lane slot array not sorted by progress",
+                    f"lane={lane.index} slots={slots.tolist()} s={progress.tolist()}",
+                )
+            for slot in slots.tolist():
+                if slot in seen or not fleet.alive[slot]:
+                    self._fail(
+                        "lane slot duplicated or not live in the fleet",
+                        f"lane={lane.index} slot={slot}",
+                    )
+                seen.add(slot)
+                x, y, s = fleet.x.item(slot), fleet.y.item(slot), fleet.s.item(slot)
+                pose = (x, y, fleet.heading.item(slot))
+                if pose != (*lane.point_at(s), lane.heading):
+                    self._fail(
+                        "vehicle pose (x, y, heading) disagrees with its lane",
+                        f"lane={lane.index} slot={slot} s={s} pose={pose}",
+                    )
 
     def _check_loct(self, node, now: float) -> None:
         loct = node.router.loct

@@ -19,15 +19,19 @@ disk at the technology's NLoS-median range.
 Unicast frames are delivered to the addressee only (if in range), but
 promiscuous interfaces overhear them — radio is a broadcast medium.
 
-Receiver lookup is served by a :class:`~repro.radio.spatial.SpatialGrid`
-keyed on the interfaces' cached positions, so a transmit only examines the
-~k interfaces near the sender instead of scanning all N registered ones.
-The grid is maintained incrementally — interfaces are inserted/removed on
-register/unregister and *moved* (usually within their current cell) when
-:meth:`BroadcastChannel.invalidate_positions` marks the cache stale.
-Deliveries happen in interface *registration order* regardless of how the
-grid buckets candidates, which keeps the RNG draw order — and therefore
-whole fixed-seed runs — independent of the grid's bucketing.
+Receiver lookup has two sources.  Vehicle radios are members of a
+:class:`~repro.geonet.fleet.FleetState`, the one copy of where each vehicle
+is: a transmit finds those within reach with one vectorised disc test over
+the fleet arrays.  Every other radio — masts, roadside units, standalone
+test nodes — sits in a :class:`~repro.radio.spatial.SpatialGrid` keyed on
+its cached position, so a transmit only examines the ~k of them near the
+sender.  The grid is maintained incrementally — interfaces are
+inserted/removed on register/unregister and *moved* when
+:meth:`BroadcastChannel.invalidate_positions` marks the cache stale or a
+mobile mast calls :meth:`BroadcastChannel.refresh_interface_position`.
+Deliveries happen in interface *registration order* regardless of where
+candidates come from, which keeps the RNG draw order — and therefore whole
+fixed-seed runs — independent of the lookup.
 
 The channel has no loss model of its own: i.i.d. and bursty link loss are
 fault-layer impairments (``FaultPlan.link``), applied through the
@@ -104,10 +108,11 @@ class RadioInterface:
         self.channel: Optional["BroadcastChannel"] = None
         #: Channel-assigned registration sequence; fixes delivery order.
         self._reg_order = -1
-        #: ``(reg_order, self)`` — the object stored in the spatial grid.
-        #: Keeping the sequence number inside the grid item lets the channel
-        #: sort raw query results into delivery order without building a
-        #: second candidate list per transmit.
+        #: ``(reg_order, self)`` — the candidate item of receiver lookups
+        #: (and the object a non-fleet interface is stored under in the
+        #: spatial grid).  Keeping the sequence number inside the item lets
+        #: the channel sort raw candidates into delivery order without
+        #: building a second candidate list per transmit.
         self._grid_item: Optional[tuple] = None
 
     def attach(self, handler: Callable[[Frame], None]) -> None:
@@ -181,11 +186,11 @@ class ChannelStats:
 class BroadcastChannel:
     """The shared medium all radio interfaces are registered on.
 
-    Positions are cached in the spatial grid.  The fleet pushes its
-    members' positions after every mobility step
-    (:meth:`update_fleet_positions`); callers that move interfaces
-    themselves call :meth:`invalidate_positions` instead.  Since node
-    positions only change at those points, the cache is exact.
+    Fleet radios are found in the :attr:`fleet` arrays, which the traffic
+    updates in place.  Other radios' positions are cached in the spatial
+    grid; callers that move such an interface call
+    :meth:`refresh_interface_position` or :meth:`invalidate_positions`, so
+    the cache is exact.
     """
 
     def __init__(
@@ -222,6 +227,9 @@ class BroadcastChannel:
         #: must keep receiving real frames.
         self._fleet_addrs: set = set()
         self._nonfleet: Dict[int, RadioInterface] = {}
+        #: The :class:`~repro.geonet.fleet.FleetState` whose members' radios
+        #: are looked up in its arrays (set by the fleet itself).
+        self.fleet = None
         self._positions_dirty = True
         self._cell_size = cell_size
         self._grid: Optional[SpatialGrid] = None
@@ -266,15 +274,10 @@ class BroadcastChannel:
                 self._max_override = iface.link_range
         if iface.address not in self._fleet_addrs:
             self._nonfleet[iface.address] = iface
-        if self._grid is not None:
-            pos = iface.get_position()
-            self._grid.insert(iface._grid_item, pos.x, pos.y)
-            # The grid is already exact: the new interface was inserted at
-            # its current position and nobody else moved since the last
-            # refresh, so no full lazy refresh is needed (churn-heavy runs
-            # used to pay an O(N) re-move per spawn here).
-        else:
-            self._positions_dirty = True
+            if self._grid is not None:
+                # Inserted at its current position: the grid stays exact.
+                pos = iface.get_position()
+                self._grid.insert(iface._grid_item, pos.x, pos.y)
 
     def unregister(self, iface: RadioInterface) -> None:
         """Detach an interface (e.g. a vehicle leaving the road).
@@ -292,12 +295,8 @@ class BroadcastChannel:
             self._interfaces[idx] = last
             self._index_of[last.address] = idx
         self._nonfleet.pop(iface.address, None)
-        if self._grid is not None:
-            if iface._grid_item in self._grid:
-                self._grid.remove(iface._grid_item)
-            # Removal keeps the grid exact; see register().
-        else:
-            self._positions_dirty = True
+        if self._grid is not None and iface._grid_item in self._grid:
+            self._grid.remove(iface._grid_item)
         override = self._override_ranges.pop(iface.address, None)
         if override is not None and override >= self._max_override:
             self._max_override = max(
@@ -319,20 +318,26 @@ class BroadcastChannel:
         """Opt ``iface`` into the batched fleet path.
 
         Fleet members' beacons are generated and delivered by the fleet
-        tick (:mod:`repro.geonet.fleet`); marking keeps them out of the
-        non-fleet receiver set the tick enumerates for real-frame delivery.
-        The mark survives unregister/re-register cycles (power faults) and
-        is keyed by address, so it must be re-applied after a pseudonym
-        rotation (which swaps the address).
+        tick (:mod:`repro.geonet.fleet`), and per-frame transmits find them
+        in the :attr:`fleet` arrays: marking takes them out of the spatial
+        grid and out of the non-fleet receiver set the tick enumerates for
+        real-frame delivery.  The mark survives unregister/re-register
+        cycles (power faults) and is keyed by address, so it must be
+        re-applied after a pseudonym rotation (which swaps the address).
         """
         self._fleet_addrs.add(iface.address)
         self._nonfleet.pop(iface.address, None)
+        if self._grid is not None and iface._grid_item in self._grid:
+            self._grid.remove(iface._grid_item)
 
     def unmark_fleet(self, iface: RadioInterface) -> None:
         """Undo :meth:`mark_fleet` (fleet member removed for good)."""
         self._fleet_addrs.discard(iface.address)
         if iface.address in self._index_of:
             self._nonfleet[iface.address] = iface
+            if self._grid is not None:
+                pos = iface.get_position()
+                self._grid.insert(iface._grid_item, pos.x, pos.y)
 
     def nonfleet_interfaces(self) -> List[RadioInterface]:
         """Registered interfaces outside the batched fleet, in registration
@@ -349,37 +354,12 @@ class BroadcastChannel:
         """
         self._active_tx_batches.append((end_time, xs, ys, ranges))
 
-    def update_fleet_positions(self, items, xs, ys) -> None:
-        """Bulk grid refresh for fleet interfaces from the SoA arrays.
-
-        Replaces :meth:`invalidate_positions` for the fleet: instead of
-        marking everything stale (and re-reading every ``get_position()``
-        on the next query), the fleet's positions are pushed straight into
-        the grid with :meth:`SpatialGrid.move_many`.  Non-fleet interfaces
-        (static destinations, masts) never move, so their cached positions
-        stay exact.  Falls back to the lazy full refresh whenever the cache
-        is already stale or an item is missing from the grid (a powered-off
-        radio mid-outage).
-        """
-        if self._grid is None or self._positions_dirty:
-            self._positions_dirty = True
-            return
-        try:
-            self._grid.move_many(items, xs, ys)
-        except KeyError:
-            # Partial application is harmless — every position written so
-            # far was the item's true current position; the full refresh
-            # re-reads the rest.
-            self._positions_dirty = True
-
     def refresh_interface_position(self, iface: RadioInterface) -> None:
-        """Re-index one interface whose position changed (a mobile mast).
-
-        Single-item analogue of :meth:`update_fleet_positions`: the
-        mobility step only moves *fleet* items, so a moving
-        non-fleet interface must push its own position or its grid cell
-        goes permanently stale.  Falls back to the lazy full refresh when
-        the grid is absent, already dirty, or missing the item.
+        """Re-index one non-fleet interface whose position changed (a
+        mobile mast): a moving interface outside the fleet must push its
+        own position or its grid cell goes permanently stale.  Falls back
+        to the lazy full refresh when the grid is absent, already dirty, or
+        missing the item.
         """
         if self._grid is None or self._positions_dirty:
             self._positions_dirty = True
@@ -467,12 +447,12 @@ class BroadcastChannel:
                 if self._cell_size is not None
                 else self._auto_cell_size()
             )
-            for iface in self._interfaces:
+            for iface in self._nonfleet.values():
                 pos = iface.get_position()
                 grid.insert(iface._grid_item, pos.x, pos.y)
         else:
             move = grid.move
-            for iface in self._interfaces:
+            for iface in self._nonfleet.values():
                 pos = iface.get_position()
                 move(iface._grid_item, pos.x, pos.y)
         self._positions_dirty = False
@@ -545,16 +525,26 @@ class BroadcastChannel:
         """``((reg_order, iface), dist_sq)`` for interfaces within ``radius``
         — plus any interface inside the widened override search radius
         (callers re-check each candidate against its effective reach).  The
-        grid stores ``(reg_order, iface)`` items, so its raw query output is
-        returned as-is; sorting the list orders candidates by registration
-        sequence (``reg_order`` is unique, the interface is never
-        compared)."""
+        grid's raw query output is extended with the fleet radios in the
+        search disc whose interface is on the channel (a radio powered off
+        mid-outage keeps its slot but hears nothing); sorting the list
+        orders candidates by registration sequence (``reg_order`` is
+        unique, the interface is never compared)."""
         if self._positions_dirty:
             self._refresh_positions()
         if not self._interfaces:
             return []
         search = radius if radius > self._max_override else self._max_override
-        return self._grid.query_disc(position.x, position.y, search)
+        found = self._grid.query_disc(position.x, position.y, search)
+        fleet = self.fleet
+        if fleet is not None and len(fleet):
+            ifaces = fleet.ifaces
+            slots, d_sqs = fleet.within(position.x, position.y, search)
+            for slot, d_sq in zip(slots, d_sqs):
+                iface = ifaces[slot]
+                if iface is not None and iface.channel is self:
+                    found.append((iface._grid_item, d_sq))
+        return found
 
     def _receivers_for(
         self, frame: Frame, sender: RadioInterface

@@ -1,10 +1,11 @@
 """A uniform-grid spatial index over the plane.
 
 The simulation's hot query is "who is within ``r`` metres of this point?"
-— the broadcast channel asks it on every transmit and carrier sense.  A
-:class:`SpatialGrid` buckets items into square cells of side ``cell_size``
-so a disc query only touches the cells overlapping the disc's bounding box
-instead of every item.
+— the broadcast channel asks it on every transmit for the radios outside
+the vehicle fleet (masts, roadside units, standalone nodes; fleet radios
+are found in the fleet arrays instead).  A :class:`SpatialGrid` buckets
+items into square cells of side ``cell_size`` so a disc query only touches
+the cells overlapping the disc's bounding box instead of every item.
 
 Cell-size invariant: when ``cell_size >= r`` the bounding box spans at most
 a 3×3 cell neighborhood, so a query is answered from at most nine buckets.
@@ -14,8 +15,8 @@ never misses receivers; it only touches more buckets.
 
 The grid is incremental: items are inserted once and moved in place.
 :meth:`move` is O(1) and does not touch the bucket dictionaries at all when
-the item stays in its current cell, which is the common case for vehicles
-advancing a few metres per mobility step through cells hundreds of metres
+the item stays in its current cell, which is the common case for a mobile
+mast advancing a few metres per update through cells hundreds of metres
 wide.
 
 The index imposes no ordering; callers that need deterministic iteration
@@ -27,8 +28,6 @@ from __future__ import annotations
 
 from math import floor
 from typing import Dict, Hashable, List, Tuple
-
-import numpy as np
 
 #: Cell keys are the two lattice coordinates packed into one int
 #: (``(cx << 32) ^ (cy & 0xFFFFFFFF)``): hashing an int is cheaper than
@@ -97,46 +96,6 @@ class SpatialGrid:
         if bucket is None:
             bucket = self._cells[cell] = {}
         bucket[item] = (x, y)
-
-    def move_many(self, items, xs, ys) -> int:
-        """Bulk :meth:`move`: update ``items[i]`` to ``(xs[i], ys[i])``.
-
-        ``xs``/``ys`` are numpy float arrays; the cell keys for the whole
-        batch are computed in one vectorised pass, so the per-item Python
-        work reduces to a dict store (and a re-bucket only for the few
-        items that actually crossed a cell boundary — vehicles advance a
-        few metres per step through cells hundreds of metres wide).
-
-        Returns the number of items re-bucketed.  Equivalent to calling
-        :meth:`move` once per item.
-        """
-        inv = self._inv
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        # floor before the int cast: astype truncates toward zero, which
-        # differs from math.floor for negative coordinates.
-        cxs = np.floor(xs * inv).astype(np.int64)
-        cys = np.floor(ys * inv).astype(np.int64)
-        keys = ((cxs << 32) ^ (cys & _CY_MASK)).tolist()
-        cells = self._cells
-        cell_of = self._cell_of
-        moved = 0
-        for item, key, x, y in zip(items, keys, xs.tolist(), ys.tolist()):
-            old_cell = cell_of[item]
-            if key == old_cell:
-                cells[old_cell][item] = (x, y)
-                continue
-            moved += 1
-            old_bucket = cells[old_cell]
-            del old_bucket[item]
-            if not old_bucket:
-                del cells[old_cell]
-            cell_of[item] = key
-            bucket = cells.get(key)
-            if bucket is None:
-                bucket = cells[key] = {}
-            bucket[item] = (x, y)
-        return moved
 
     def remove(self, item: Hashable) -> None:
         """Drop ``item`` from the index."""

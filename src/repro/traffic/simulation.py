@@ -7,17 +7,24 @@ directed :class:`~repro.traffic.road.Lane` objects.  Each lane is advanced
 with vectorised IDM on a fixed time step (100 ms by default); hazards act
 as virtual stationary leaders, vehicles turn at the intersections their
 lane crosses, spawn at lane entrances and retire past the runout.
-Networking layers subscribe via ``on_spawn`` / ``on_exit`` / ``on_step``
-callbacks.
+
+The kinematics live only in a :class:`~repro.geonet.fleet.FleetState`:
+the stepper keeps one slot array per lane, sorted by progress, and reads
+and writes the fleet columns with fancy indexing.  A vectorised mask picks
+out the few vehicles that reach an intersection or the end of the runout;
+only those get per-vehicle Python work.  Networking layers subscribe via
+``on_spawn`` / ``on_exit`` / ``on_step`` callbacks.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.geonet.fleet import FleetState
 from repro.sim.engine import Simulator
 from repro.sim.process import PeriodicProcess
 from repro.traffic.hazard import HazardEvent
@@ -33,8 +40,11 @@ MOBILITY_PRIORITY = -10
 SPEED_FACTOR_SPREAD = 0.03
 
 
-def _progress(vehicle: Vehicle) -> float:
-    return vehicle.s
+def _next_cross(lane: Lane, s: float) -> int:
+    """Index into ``lane.cross_s`` of the first intersection strictly
+    ahead of ``s``: an intersection at the current position (e.g. the
+    entrance corner a vehicle spawns on) is not a turn opportunity."""
+    return bisect.bisect_right(lane.cross_s, s + 1e-9)
 
 
 class TrafficSimulation:
@@ -85,11 +95,21 @@ class TrafficSimulation:
         #: probability, split evenly, drawn from ``rng``.
         self.turn_probability = turn_probability
         self.hazards: List[HazardEvent] = []
-        #: vehicles per lane index, sorted by progress ascending
-        #: (the last element is the furthest along, nearest the exit).
-        self._lanes: Dict[int, List[Vehicle]] = {
-            lane.index: [] for lane in road.lanes
+        #: The store of every vehicle's kinematics; a channel-less one when
+        #: the traffic runs without radios.
+        self.fleet = fleet if fleet is not None else FleetState()
+        #: lane index -> the lane's fleet slots, sorted by progress
+        #: ascending (the last is the furthest along, nearest the exit).
+        self._lane_slots: Dict[int, np.ndarray] = {
+            lane.index: np.empty(0, dtype=np.intp) for lane in road.lanes
         }
+        #: lane index -> ``cross_s`` closed by +inf, so indexing it with a
+        #: vehicle's ``next_cross`` is always defined.
+        self._cross: Dict[int, np.ndarray] = {
+            lane.index: np.array(lane.cross_s + (math.inf,)) for lane in road.lanes
+        }
+        #: slot -> the handle of the vehicle holding it.
+        self._vehicles: Dict[int, Vehicle] = {}
         self.on_spawn: List[Callable[[Vehicle], None]] = []
         self.on_exit: List[Callable[[Vehicle], None]] = []
         self.on_step: List[Callable[[float], None]] = []
@@ -97,26 +117,60 @@ class TrafficSimulation:
         self.turns_total = 0
         self._process: Optional[PeriodicProcess] = None
         self._now = 0.0
-        #: Optional :class:`~repro.geonet.fleet.FleetState`: when set, each
-        #: lane step also writes the new kinematics into the fleet's arrays
-        #: with one fancy-indexed store per lane (the batched networking
-        #: path reads positions from there instead of per-vehicle attrs).
-        self._fleet = fleet
-        #: lane index -> slot ndarray aligned with the lane's vehicle list;
-        #: rebuilt lazily when the lane's membership changes.
-        self._fleet_slots: Dict[int, Optional[np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     # population
     # ------------------------------------------------------------------
-    def add_vehicle(self, vehicle: Vehicle) -> None:
-        """Insert a vehicle keeping the lane sorted by progress."""
-        lane_vehicles = self._lanes[vehicle.lane.index]
-        lane_vehicles.append(vehicle)
-        lane_vehicles.sort(key=_progress)
-        self._fleet_slots.pop(vehicle.lane.index, None)
+    def add_vehicle(
+        self,
+        lane: Lane,
+        s: float,
+        speed: float,
+        *,
+        speed_factor: float = 1.0,
+        forced_acceleration: Optional[float] = None,
+    ) -> Vehicle:
+        """Place a new vehicle at progress ``s`` of ``lane`` and return it.
+
+        It joins the lane behind any vehicle at equal progress.
+        """
+        vehicle = self._new_vehicle(lane, s, speed, speed_factor, forced_acceleration)
+        self._insert(lane, vehicle.slot, s)
         for callback in self.on_spawn:
             callback(vehicle)
+        return vehicle
+
+    def _new_vehicle(
+        self,
+        lane: Lane,
+        s: float,
+        speed: float,
+        speed_factor: float,
+        forced_acceleration: Optional[float] = None,
+    ) -> Vehicle:
+        """Claim a fleet slot for a vehicle (not yet in any lane array)."""
+        if speed < 0:
+            raise ValueError("speed must be non-negative")
+        x, y = lane.point_at(s)
+        slot = self.fleet.add(
+            x=x,
+            y=y,
+            s=s,
+            speed=speed,
+            heading=lane.heading,
+            length=self.params.vehicle_length,
+            speed_factor=speed_factor,
+            accel=math.nan if forced_acceleration is None else forced_acceleration,
+            next_cross=_next_cross(lane, s),
+        )
+        vehicle = self._vehicles[slot] = Vehicle(self.fleet, slot, lane, self._now)
+        return vehicle
+
+    def _insert(self, lane: Lane, slot: int, s: float) -> None:
+        """Insert ``slot`` into the lane array after every equal progress."""
+        slots = self._lane_slots[lane.index]
+        k = int(np.searchsorted(self.fleet.s[slots], s, side="right"))
+        self._lane_slots[lane.index] = np.insert(slots, k, slot)
 
     def _draw_speed_factor(self) -> float:
         if self._rng is None:
@@ -138,23 +192,24 @@ class TrafficSimulation:
         for lane_order, lane in enumerate(self.road.lanes):
             n = int(lane.length // spacing)
             stagger = (lane_order % 2) * spacing / 2 if self._rng is not None else 0.0
+            new_slots = []
             for k in range(n + 1):
                 s = k * spacing + stagger
                 if self._rng is not None:
                     s += self._rng.uniform(-0.25, 0.25) * spacing
-                vehicle = Vehicle(
-                    lane=lane,
-                    s=min(max(s, 0.0), lane.length),
-                    speed=speed,
-                    length=self.params.vehicle_length,
-                    entered_at=self._now,
-                    speed_factor=self._draw_speed_factor(),
+                vehicle = self._new_vehicle(
+                    lane,
+                    min(max(s, 0.0), lane.length),
+                    speed,
+                    self._draw_speed_factor(),
                 )
-                self._lanes[lane.index].append(vehicle)
+                new_slots.append(vehicle.slot)
                 created.append(vehicle)
-        for lane_vehicles in self._lanes.values():
-            lane_vehicles.sort(key=_progress)
-        self._fleet_slots.clear()
+            slots = np.concatenate(
+                (self._lane_slots[lane.index], np.array(new_slots, dtype=np.intp))
+            )
+            order = np.argsort(self.fleet.s[slots], kind="stable")
+            self._lane_slots[lane.index] = slots[order]
         for vehicle in created:
             for callback in self.on_spawn:
                 callback(vehicle)
@@ -171,13 +226,15 @@ class TrafficSimulation:
         ``on_road_only`` excludes vehicles in the runout zone beyond the
         end of their lane (they still drive and keep their radios on).
         """
+        fleet = self.fleet
         for lane in self.road.lanes:
             if direction is not None and lane.direction is not direction:
                 continue
-            for vehicle in self._lanes[lane.index]:
-                if on_road_only and vehicle.s > lane.length:
-                    continue
-                yield vehicle
+            slots = self._lane_slots[lane.index]
+            if on_road_only:
+                slots = slots[fleet.s[slots] <= lane.length]
+            for slot in slots.tolist():
+                yield self._vehicles[slot]
 
     def count_on_road(self, direction: Optional[Direction] = None) -> int:
         """Number of vehicles on the road proper (runout excluded)."""
@@ -185,7 +242,7 @@ class TrafficSimulation:
 
     def lane_vehicles(self, lane: Lane) -> List[Vehicle]:
         """The (sorted) vehicles currently in ``lane``."""
-        return list(self._lanes[lane.index])
+        return [self._vehicles[slot] for slot in self._lane_slots[lane.index].tolist()]
 
     # ------------------------------------------------------------------
     # hazards
@@ -219,31 +276,33 @@ class TrafficSimulation:
             self._step_lane(lane, now, transfers, exits)
         # Turns apply after every lane stepped, so a turning vehicle is
         # never stepped twice in one tick.
+        fleet = self.fleet
         for vehicle, target, s_new in transfers:
             self._leave_lane(vehicle)
-            vehicle.enter(target, min(s_new, target.length + self.runout))
+            s = min(s_new, target.length + self.runout)
+            slot = vehicle.slot
+            vehicle.lane = target
             vehicle.turns_taken += 1
             self.turns_total += 1
-            lane_vehicles = self._lanes[target.index]
-            lane_vehicles.append(vehicle)
-            lane_vehicles.sort(key=_progress)
-            self._fleet_slots.pop(target.index, None)
-            if self._fleet is not None and vehicle.fleet_slot is not None:
-                slot = vehicle.fleet_slot
-                self._fleet.x[slot], self._fleet.y[slot] = target.point_at(vehicle.s)
-                self._fleet.heading[slot] = target.heading
+            fleet.s[slot] = s
+            fleet.next_cross[slot] = _next_cross(target, s)
+            fleet.x[slot], fleet.y[slot] = target.point_at(s)
+            fleet.heading[slot] = target.heading
+            self._insert(target, slot, s)
         for vehicle in exits:
             self._leave_lane(vehicle)
             vehicle.active = False
             for callback in self.on_exit:
                 callback(vehicle)
+            del self._vehicles[vehicle.slot]
+            fleet.remove(vehicle.slot)
         self._spawn(now)
         for callback in self.on_step:
             callback(now)
 
     def _leave_lane(self, vehicle: Vehicle) -> None:
-        self._lanes[vehicle.lane.index].remove(vehicle)
-        self._fleet_slots.pop(vehicle.lane.index, None)
+        slots = self._lane_slots[vehicle.lane.index]
+        self._lane_slots[vehicle.lane.index] = slots[slots != vehicle.slot]
 
     def _step_lane(
         self,
@@ -252,13 +311,14 @@ class TrafficSimulation:
         transfers: List[Tuple[Vehicle, Lane, float]],
         exits: List[Vehicle],
     ) -> None:
-        lane_vehicles = self._lanes[lane.index]
-        n = len(lane_vehicles)
+        slots = self._lane_slots[lane.index]
+        n = slots.size
         if n == 0:
             return
-        s = np.array([v.s for v in lane_vehicles])
-        speeds = np.array([v.speed for v in lane_vehicles])
-        lengths = np.array([v.length for v in lane_vehicles])
+        fleet = self.fleet
+        s = fleet.s[slots]
+        speeds = fleet.speed[slots]
+        lengths = fleet.length[slots]
         gaps = np.full(n, np.inf)
         lead_speeds = np.zeros(n)
         if n > 1:
@@ -275,15 +335,12 @@ class TrafficSimulation:
                 if hazard_gap < gaps[leader_idx]:
                     gaps[leader_idx] = hazard_gap
                     lead_speeds[leader_idx] = 0.0
-        desired = self.params.desired_velocity * np.array(
-            [v.speed_factor for v in lane_vehicles]
-        )
+        desired = self.params.desired_velocity * fleet.speed_factor[slots]
         accel = idm_acceleration_array(
             speeds, gaps, lead_speeds, self.params, desired_velocities=desired
         )
-        for i, vehicle in enumerate(lane_vehicles):
-            if vehicle.forced_acceleration is not None:
-                accel[i] = vehicle.forced_acceleration
+        forced = fleet.accel[slots]
+        accel = np.where(np.isnan(forced), accel, forced)
         new_speeds = np.maximum(0.0, speeds + accel * self.dt)
         new_s = s + new_speeds * self.dt
         # Hard anti-overlap guard: IDM with sane parameters never rear-ends,
@@ -299,31 +356,29 @@ class TrafficSimulation:
                     self.rear_end_contacts += 1
                     new_s[i] = max(s[i], limit)
                     new_speeds[i] = min(new_speeds[i], new_speeds[i + 1])
-        end = lane.length + self.runout
-        cross = lane.cross_s
-        n_cross = len(cross)
-        for vehicle, s_i, speed_i in zip(
-            lane_vehicles, new_s.tolist(), new_speeds.tolist()
+        fleet.s[slots] = new_s
+        fleet.speed[slots] = new_speeds
+        axis = fleet.x if lane.axis == HORIZONTAL else fleet.y
+        axis[slots] = new_s if lane.sign > 0 else lane.length - new_s
+        # Only vehicles reaching an intersection or the end of the runout
+        # need Python work; they are handled in lane order, so turn draws
+        # come in the same order as a per-vehicle loop would make them.
+        crossing = self._cross[lane.index][fleet.next_cross[slots]] <= new_s
+        todo = np.flatnonzero(crossing | (new_s > lane.length + self.runout))
+        for i, slot, s_i in zip(
+            todo.tolist(), slots[todo].tolist(), new_s[todo].tolist()
         ):
-            vehicle.s = s_i
-            vehicle.speed = speed_i
-            k = vehicle.next_cross
-            if k < n_cross and cross[k] <= s_i:
-                turn = self._draw_turn()
-                if turn is None:
-                    vehicle.next_cross = k + 1
-                else:
-                    target, s_cross = self.road.turn_target(lane, k, turn)
-                    transfers.append((vehicle, target, s_cross + (s_i - cross[k])))
-            elif s_i > end:
+            vehicle = self._vehicles[slot]
+            if not crossing[i]:
                 exits.append(vehicle)
-        if self._fleet is not None:
-            slots = self._fleet_lane_slots(lane.index, lane_vehicles)
-            if slots is not None:
-                u = new_s if lane.sign > 0 else lane.length - new_s
-                axis = self._fleet.x if lane.axis == HORIZONTAL else self._fleet.y
-                axis[slots] = u
-                self._fleet.speed[slots] = new_speeds
+                continue
+            k = fleet.next_cross.item(slot)
+            turn = self._draw_turn()
+            if turn is None:
+                fleet.next_cross[slot] = k + 1
+            else:
+                target, s_cross = self.road.turn_target(lane, k, turn)
+                transfers.append((vehicle, target, s_cross + (s_i - lane.cross_s[k])))
 
     def _draw_turn(self) -> Optional[str]:
         """``"left"`` / ``"right"`` / ``None`` (straight) at an intersection."""
@@ -337,50 +392,17 @@ class TrafficSimulation:
             return "right"
         return None
 
-    def _fleet_lane_slots(
-        self, lane_index: int, lane_vehicles: List[Vehicle]
-    ) -> Optional[np.ndarray]:
-        """The lane's fleet slots, aligned with its sorted vehicle list.
-
-        Rebuilt only when the lane's membership changes (spawn, turn,
-        retire and explicit add invalidate the cache); within a step the
-        lane order is stable, since IDM followers never pass their leader.
-        Returns None while any vehicle has no slot yet — its spawn
-        callback assigns one before the next step, so that state is
-        transient.
-        """
-        try:
-            return self._fleet_slots[lane_index]
-        except KeyError:
-            pass
-        try:
-            slots = np.fromiter(
-                (v.fleet_slot for v in lane_vehicles),
-                dtype=np.intp,
-                count=len(lane_vehicles),
-            )
-        except TypeError:
-            slots = None
-        self._fleet_slots[lane_index] = slots
-        return slots
-
     def _spawn(self, now: float) -> None:
         if self.spawner is None:
             return
         for lane in self.road.lanes:
-            lane_vehicles = self._lanes[lane.index]
-            nearest = lane_vehicles[0].s if lane_vehicles else math.inf
+            slots = self._lane_slots[lane.index]
+            nearest = self.fleet.s.item(slots[0]) if slots.size else math.inf
             if self.spawner.may_spawn(lane, nearest):
-                vehicle = Vehicle(
-                    lane=lane,
-                    s=0.0,
-                    speed=self.spawner.entry_speed,
-                    length=self.params.vehicle_length,
-                    entered_at=now,
-                    speed_factor=self._draw_speed_factor(),
+                vehicle = self._new_vehicle(
+                    lane, 0.0, self.spawner.entry_speed, self._draw_speed_factor()
                 )
-                lane_vehicles.insert(0, vehicle)
-                self._fleet_slots.pop(lane.index, None)
+                self._lane_slots[lane.index] = np.insert(slots, 0, vehicle.slot)
                 self.spawner.spawned_count += 1
                 for callback in self.on_spawn:
                     callback(vehicle)

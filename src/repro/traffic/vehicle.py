@@ -1,21 +1,23 @@
-"""Vehicle state.
+"""Vehicle handles.
 
-A :class:`Vehicle` is pure kinematic state — its lane, its progress ``s``
-along the lane and its speed — advanced by
-:class:`~repro.traffic.simulation.TrafficSimulation`.  Coordinates are
-derived through :meth:`~repro.traffic.road.Lane.point_at`, and the
-networking layer reads them through the ``position`` property, so a
-GeoNode's view is always consistent with the mobility state.
+A vehicle's kinematics live in one slot of a
+:class:`~repro.geonet.fleet.FleetState` — the only copy —
+and :class:`~repro.traffic.simulation.TrafficSimulation` advances them in
+place, lane by lane.  A :class:`Vehicle` is a handle on that slot plus the
+per-vehicle facts the arrays do not hold (its lane, id and entry time).
+It is also its node's mobility source: ``position()`` and
+``position_vector(now)`` read the slot, so a GeoNode's view is always the
+traffic's.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
 from typing import Optional
 
 from repro.geo.position import Position, PositionVector
-from repro.traffic.road import Direction, Lane
+from repro.traffic.road import Lane
 
 _vehicle_counter = itertools.count(1)
 
@@ -41,83 +43,71 @@ def set_vehicle_id_state(counter) -> None:
     _vehicle_counter = counter
 
 
-@dataclass(eq=False)
 class Vehicle:
-    """A vehicle driving a lane.
+    """A handle on one vehicle's slot in the fleet arrays.
 
-    Vehicles compare and hash by identity (``eq=False``): each instance is
-    one physical vehicle, and identity hashing lets sets and dicts hold
-    vehicles directly.
+    Created by :class:`~repro.traffic.simulation.TrafficSimulation` only.
+    Vehicles compare and hash by identity: each handle is one physical
+    vehicle.  Once retired (``active`` False) the slot is recycled and the
+    kinematic properties no longer describe this vehicle.
     """
 
-    lane: Lane
-    s: float
-    speed: float
-    length: float = 4.5
-    vehicle_id: int = field(default_factory=lambda: next(_vehicle_counter))
-    active: bool = True
-    entered_at: float = 0.0
-    #: Per-driver preference multiplier on the IDM desired velocity; real
-    #: traffic is never perfectly homogeneous, and homogeneity creates
-    #: degenerate radio symmetry (identical CBF timers in adjacent lanes).
-    speed_factor: float = 1.0
-    #: When set, the vehicle ignores IDM and applies this fixed acceleration
-    #: (the scripted V1/V2 controller of the Fig 13 curve world sets it
-    #: every step).
-    forced_acceleration: Optional[float] = None
-    #: Slot in the struct-of-arrays :class:`~repro.geonet.fleet.FleetState`;
-    #: None when the traffic runs without a fleet (no radios).
-    fleet_slot: Optional[int] = None
-    #: Index into ``lane.cross_s`` of the next intersection ahead.
-    next_cross: int = 0
-    turns_taken: int = 0
-
-    def __post_init__(self):
-        if self.speed < 0:
-            raise ValueError("speed must be non-negative")
-        if self.length <= 0:
-            raise ValueError("length must be positive")
-        self.enter(self.lane, self.s)
-
-    def enter(self, lane: Lane, s: float) -> None:
-        """Place the vehicle at progress ``s`` of ``lane`` (spawns, turns)."""
+    def __init__(self, fleet, slot: int, lane: Lane, entered_at: float):
+        self._fleet = fleet
+        self.slot = slot
         self.lane = lane
-        self.s = s
-        cross = lane.cross_s
-        k = 0
-        # Strictly ahead: an intersection at the current position (e.g. the
-        # entrance corner a vehicle spawns on) is not a turn opportunity.
-        while k < len(cross) and cross[k] <= s + 1e-9:
-            k += 1
-        self.next_cross = k
+        self.vehicle_id = next(_vehicle_counter)
+        self.entered_at = entered_at
+        self.active = True
+        self.turns_taken = 0
 
     @property
-    def direction(self) -> Direction:
-        """Direction of travel (from the lane)."""
-        return self.lane.direction
+    def s(self) -> float:
+        """Progress along the lane, metres from its entrance."""
+        return self._fleet.s.item(self.slot)
+
+    @property
+    def speed(self) -> float:
+        return self._fleet.speed.item(self.slot)
+
+    @speed.setter
+    def speed(self, value: float) -> None:
+        self._fleet.speed[self.slot] = value
+
+    @property
+    def forced_acceleration(self) -> Optional[float]:
+        """When set, the vehicle ignores IDM and applies this fixed
+        acceleration (the scripted V1/V2 controller of the Fig 13 curve
+        world sets it every step)."""
+        accel = self._fleet.accel.item(self.slot)
+        return None if math.isnan(accel) else accel
+
+    @forced_acceleration.setter
+    def forced_acceleration(self, value: Optional[float]) -> None:
+        self._fleet.accel[self.slot] = math.nan if value is None else value
 
     @property
     def x(self) -> float:
-        return self.lane.point_at(self.s)[0]
+        return self._fleet.x.item(self.slot)
 
     @property
     def y(self) -> float:
-        return self.lane.point_at(self.s)[1]
-
-    @property
-    def position(self) -> Position:
-        """Current position in the road plane."""
-        return Position(*self.lane.point_at(self.s))
+        return self._fleet.y.item(self.slot)
 
     @property
     def heading(self) -> float:
         """Heading in radians."""
         return self.lane.heading
 
+    def position(self) -> Position:
+        """Current position in the road plane."""
+        fleet = self._fleet
+        return Position(fleet.x.item(self.slot), fleet.y.item(self.slot))
+
     def position_vector(self, now: float) -> PositionVector:
         """The PV this vehicle would advertise in a beacon right now."""
         return PositionVector(
-            position=self.position,
+            position=self.position(),
             speed=self.speed,
             heading=self.heading,
             timestamp=now,

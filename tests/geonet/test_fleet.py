@@ -25,20 +25,24 @@ class Member:
         self.active = True
 
 
+def add_member(channel, fleet, x, y, tx_range=150.0):
+    """A fleet member whose position lives only in its slot."""
+    slot = fleet.add(x=x, y=y)
+    iface = RadioInterface(
+        lambda: Position(fleet.x.item(slot), fleet.y.item(slot)), tx_range
+    )
+    channel.register(iface)
+    member = Member(iface)
+    member.slot = slot
+    fleet.attach(slot, member, iface, tx_range)
+    return member
+
+
 def build_fleet(positions, tx_range=150.0, *, seed=1):
     sim = Simulator()
     channel = BroadcastChannel(sim, RandomStreams(seed))
     fleet = FleetState(channel, capacity=4)
-    members = []
-    for x, y in positions:
-        p = Position(x, y)
-        iface = RadioInterface(lambda p=p: p, tx_range)
-        channel.register(iface)
-        member = Member(iface)
-        member.slot = fleet.add(
-            member, iface, x=x, y=y, tx_range=tx_range
-        )
-        members.append(member)
+    members = [add_member(channel, fleet, x, y, tx_range) for x, y in positions]
     return sim, channel, fleet, members
 
 
@@ -74,21 +78,14 @@ def test_slots_are_stable_and_recycled():
     assert len(fleet) == 2
     assert not fleet.alive[members[1].slot]
     # The freed slot is handed out again before any new one.
-    p = Position(200.0, 0.0)
-    iface = RadioInterface(lambda: p, 150.0)
-    channel.register(iface)
-    new = Member(iface)
-    assert fleet.add(new, iface, x=200.0, y=0.0, tx_range=150.0) == members[1].slot
+    assert add_member(channel, fleet, 200.0, 0.0).slot == members[1].slot
 
 
 def test_capacity_grows_transparently():
     sim, channel, fleet, members = build_fleet([(0, 0)])
     assert fleet.capacity == 4
     for k in range(1, 20):
-        p = Position(float(k * 10), 0.0)
-        iface = RadioInterface(lambda p=p: p, 150.0)
-        channel.register(iface)
-        fleet.add(Member(iface), iface, x=p.x, y=p.y, tx_range=150.0)
+        add_member(channel, fleet, float(k * 10), 0.0)
     assert len(fleet) == 20
     assert fleet.capacity >= 20
     assert sorted(fleet.live_slots().tolist()) == list(range(20))

@@ -7,13 +7,17 @@ corruption into a loud, diagnosable crash.
 
 import dataclasses
 import math
+import random
 
 import pytest
 
 from repro.geo.position import Position
 from repro.observability import PacketLedger, reasons
 from repro.observability.invariants import InvariantChecker, InvariantViolation
+from repro.sim.engine import Simulator
 from repro.sim.events import FireOnce
+from repro.traffic.road import RoadSegment
+from repro.traffic.simulation import TrafficSimulation
 
 
 def make_checker(tb, nodes=(), *, ledger=None):
@@ -230,6 +234,24 @@ def test_detects_interface_missing_from_grid(testbed):
         InvariantViolation, match="missing from the spatial grid"
     ):
         make_checker(testbed).run()
+
+
+# ----------------------------------------------------------------------
+# traffic / fleet ownership
+# ----------------------------------------------------------------------
+def test_detects_lane_slots_out_of_progress_order():
+    traffic = TrafficSimulation(
+        RoadSegment(length=600.0, lanes_per_direction=1), rng=random.Random(1)
+    )
+    traffic.populate(spacing=50.0)
+    for k in range(1, 11):
+        traffic.step(k * traffic.dt)
+    checker = InvariantChecker(Simulator(), traffic=traffic)
+    checker.run()
+    slots = traffic._lane_slots[traffic.road.lanes[0].index]
+    slots[[0, 1]] = slots[[1, 0]]
+    with pytest.raises(InvariantViolation, match="not sorted by progress"):
+        checker.run()
 
 
 def test_violation_carries_a_diagnostic_dump(testbed):

@@ -10,7 +10,8 @@ runs it with every receiver set and neighbor query checked against
 :func:`reference_receivers` / :func:`reference_neighbors` — a brute-force
 linear scan over all registered interfaces that lives here, in the tests,
 as the reference model of the unit-disk rule.  A hypothesis property
-checks the same reference over random layouts.
+checks the same reference over random layouts, with some interfaces in a
+vehicle fleet (found in the fleet arrays, not the grid).
 """
 
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.geo.position import Position
+from repro.geonet.fleet import FleetState
 from repro.radio.channel import BroadcastChannel, RadioInterface
 from repro.radio.frames import FrameKind
 from repro.sim.engine import Simulator
@@ -457,7 +459,13 @@ _iface_spec = st.tuples(
     st.floats(10.0, 400.0),  # tx_range
     st.one_of(st.none(), st.floats(1.0, 900.0)),  # link_range override
     st.booleans(),  # promiscuous
+    st.booleans(),  # fleet member: its position lives only in a fleet slot
 )
+
+
+def _slot_position(fleet, slot):
+    """A fleet member's ``get_position``: it reads the member's slot."""
+    return lambda: Position(fleet.x.item(slot), fleet.y.item(slot))
 
 
 def _wall(x0):
@@ -476,6 +484,7 @@ def _wall(x0):
             st.integers(0, 24),  # sender index
             st.one_of(st.none(), st.floats(1.0, 1500.0)),  # per-frame range
             st.one_of(st.none(), st.integers(0, 24)),  # addressee index
+            st.floats(-50.0, 50.0),  # fleet drift after the frame
         ),
         min_size=1,
         max_size=6,
@@ -491,20 +500,25 @@ def test_receivers_match_brute_force_reference(
     obstructions = [_wall(x0) for x0 in walls]
     for blocks in obstructions:
         channel.add_obstruction(blocks)
+    fleet = FleetState(channel)
     ifaces = []
     log = []
-    for x, y, tx_range, link_range, promiscuous in specs:
+    for x, y, tx_range, link_range, promiscuous, in_fleet in specs:
+        slot = fleet.add(x=x, y=y) if in_fleet else None
         iface = RadioInterface(
-            lambda p=Position(x, y): p,
+            _slot_position(fleet, slot) if in_fleet else (lambda p=Position(x, y): p),
             tx_range,
             link_range=link_range,
             promiscuous=promiscuous,
         )
         iface.attach(lambda frame, iface=iface: log.append((iface, frame)))
         channel.register(iface)
+        if in_fleet:
+            fleet.attach(slot, iface, iface, tx_range)
         ifaces.append(iface)
     # Swap-removes reorder the channel's interface list; the reference
-    # still walks registration order.
+    # still walks registration order.  An unregistered fleet member keeps
+    # its live slot, like a radio powered off mid-outage.
     for k in sorted(removed):
         if k < len(ifaces):
             channel.unregister(ifaces[k])
@@ -517,7 +531,7 @@ def test_receivers_match_brute_force_reference(
         rx = iface.get_position()
         return any(blocks(tx, rx) for blocks in obstructions)
 
-    for s_idx, tx_range, dest_idx in frames:
+    for s_idx, tx_range, dest_idx, drift in frames:
         sender = live[s_idx % len(live)]
         dest = None if dest_idx is None else ifaces[dest_idx % len(ifaces)].address
         frame = sender.send(
@@ -531,4 +545,24 @@ def test_receivers_match_brute_force_reference(
         assert channel.neighbors_within(
             frame.tx_position, radius
         ) == reference_neighbors(live, frame.tx_position, radius)
+        # Fleet members move with no call into the channel.
+        fleet.x[fleet.live_slots()] += drift
     assert channel.stats.frames_sent == len(frames)
+
+
+def test_mark_fleet_takes_an_interface_out_of_the_grid_and_back():
+    sim, channel = make_channel("grid")
+    a = RadioInterface(lambda: Position(0.0, 0.0), 100.0)
+    b = RadioInterface(lambda: Position(50.0, 0.0), 100.0)
+    channel.register(a)
+    channel.register(b)
+    assert channel.neighbors_within(Position(0.0, 0.0), 100.0) == [a, b]
+    grid = channel._grid
+    assert b._grid_item in grid
+    channel.mark_fleet(b)
+    assert b._grid_item not in grid
+    assert channel.nonfleet_interfaces() == [a]
+    channel.unmark_fleet(b)
+    assert b._grid_item in grid
+    assert channel.nonfleet_interfaces() == [a, b]
+    assert channel.neighbors_within(Position(0.0, 0.0), 100.0) == [a, b]

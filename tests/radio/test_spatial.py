@@ -156,57 +156,3 @@ def test_zero_radius_hits_exact_point():
     grid.insert("a", 5.0, 5.0)
     assert grid.items_in_disc(5.0, 5.0, 0.0) == ["a"]
     assert math.isclose(grid.query_disc(5.0, 5.0, 0.0)[0][1], 0.0)
-
-
-# ----------------------------------------------------------------------
-# move_many (bulk position refresh)
-# ----------------------------------------------------------------------
-def test_move_many_equivalent_to_repeated_move():
-    import numpy as np
-
-    rng = random.Random(7)
-    n = 200
-    points = {f"item-{i}": (rng.uniform(-900, 900), rng.uniform(-900, 900)) for i in range(n)}
-    bulk = SpatialGrid(250.0)
-    single = SpatialGrid(250.0)
-    for item, (x, y) in points.items():
-        bulk.insert(item, x, y)
-        single.insert(item, x, y)
-    items = list(points)
-    # Mixed magnitudes: most moves stay in-cell, some cross boundaries,
-    # some targets are negative (floor vs truncation).
-    xs = np.array([points[i][0] + rng.uniform(-300, 300) for i in items])
-    ys = np.array([points[i][1] + rng.uniform(-300, 300) for i in items])
-    moved = bulk.move_many(items, xs, ys)
-    for item, x, y in zip(items, xs, ys):
-        single.move(item, x, y)
-    bulk.check_consistency()
-    single.check_consistency()
-    assert moved >= 1
-    for item in items:
-        assert bulk.position_of(item) == single.position_of(item)
-    for _ in range(20):
-        qx, qy, r = rng.uniform(-900, 900), rng.uniform(-900, 900), rng.uniform(50, 500)
-        got = {i for i, _d in bulk.query_disc(qx, qy, r)}
-        want = {i for i, _d in single.query_disc(qx, qy, r)}
-        assert got == want
-
-
-def test_move_many_in_cell_does_not_rebucket():
-    import numpy as np
-
-    grid = SpatialGrid(100.0)
-    grid.insert("a", 10.0, 10.0)
-    grid.insert("b", 20.0, 20.0)
-    moved = grid.move_many(["a", "b"], np.array([11.0, 21.0]), np.array([12.0, 22.0]))
-    assert moved == 0
-    assert grid.position_of("a") == (11.0, 12.0)
-    grid.check_consistency()
-
-
-def test_move_many_unknown_item_raises():
-    import numpy as np
-
-    grid = SpatialGrid(100.0)
-    with pytest.raises(KeyError):
-        grid.move_many(["ghost"], np.array([1.0]), np.array([2.0]))

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.geonet.fleet import FleetState
 from repro.traffic.grid import GridRoadNetwork
 from repro.traffic.idm import IdmParameters
 from repro.traffic.road import HORIZONTAL, VERTICAL, Direction
@@ -183,23 +182,15 @@ class TestTrafficSimulation:
         assert by_direction == total
 
     def test_fleet_arrays_follow_turning_vehicles(self):
-        fleet = FleetState(capacity=256)
-        _network, traffic = make_sim(turn_probability=0.5, fleet=fleet)
-
-        def attach(vehicle):
-            vehicle.fleet_slot = fleet.add(
-                vehicle, None, x=vehicle.x, y=vehicle.y, speed=vehicle.speed,
-                heading=vehicle.heading, tx_range=1.0,
-            )
-
-        traffic.on_spawn.append(attach)
+        _network, traffic = make_sim(turn_probability=0.5)
         traffic.populate(spacing=80.0, speed=10.0)
         sim = Simulator()
         traffic.start(sim)
         sim.run_until(30.0)
         assert traffic.turns_total > 0
+        fleet = traffic.fleet
         for vehicle in traffic.vehicles():
-            slot = vehicle.fleet_slot
-            assert (fleet.x[slot], fleet.y[slot]) == (vehicle.x, vehicle.y)
-            assert fleet.speed[slot] == vehicle.speed
-            assert fleet.heading[slot] == vehicle.heading
+            slot = vehicle.slot
+            point = vehicle.lane.point_at(vehicle.s)
+            assert (fleet.x[slot], fleet.y[slot]) == point
+            assert fleet.heading[slot] == vehicle.lane.heading

@@ -14,7 +14,6 @@ from repro.traffic.idm import IdmParameters
 from repro.traffic.road import HORIZONTAL, VERTICAL, Direction, RoadSegment
 from repro.traffic.simulation import TrafficSimulation
 from repro.traffic.spawner import EntranceSpawner
-from repro.traffic.vehicle import Vehicle
 
 
 def make_sim(road=None, spawner=None, rng=None, **kwargs):
@@ -38,8 +37,7 @@ def step_for(traffic, seconds):
 def test_single_vehicle_cruises_at_desired_speed():
     traffic = make_sim()
     lane = traffic.road.lanes[0]
-    vehicle = Vehicle(lane=lane, s=0.0, speed=30.0)
-    traffic.add_vehicle(vehicle)
+    vehicle = traffic.add_vehicle(lane, 0.0, 30.0)
     step_for(traffic, 10.0)
     assert vehicle.speed == pytest.approx(30.0, abs=0.1)
     assert vehicle.x == pytest.approx(300.0, rel=0.02)
@@ -48,8 +46,7 @@ def test_single_vehicle_cruises_at_desired_speed():
 def test_slow_vehicle_accelerates_toward_desired_speed():
     traffic = make_sim(road=RoadSegment(length=10000.0, lanes_per_direction=1))
     lane = traffic.road.lanes[0]
-    vehicle = Vehicle(lane=lane, s=0.0, speed=10.0)
-    traffic.add_vehicle(vehicle)
+    vehicle = traffic.add_vehicle(lane, 0.0, 10.0)
     step_for(traffic, 60.0)
     assert vehicle.speed == pytest.approx(30.0, abs=0.5)
 
@@ -57,13 +54,11 @@ def test_slow_vehicle_accelerates_toward_desired_speed():
 def test_follower_keeps_safe_gap_behind_slow_leader():
     traffic = make_sim(road=RoadSegment(length=100000.0, lanes_per_direction=1))
     lane = traffic.road.lanes[0]
-    leader = Vehicle(lane=lane, s=100.0, speed=15.0, speed_factor=0.5)
-    follower = Vehicle(lane=lane, s=0.0, speed=30.0)
-    traffic.add_vehicle(leader)
-    traffic.add_vehicle(follower)
+    leader = traffic.add_vehicle(lane, 100.0, 15.0, speed_factor=0.5)
+    follower = traffic.add_vehicle(lane, 0.0, 30.0)
     step_for(traffic, 60.0)
     assert follower.speed == pytest.approx(leader.speed, abs=1.0)
-    gap = leader.s - follower.s - (leader.length + follower.length) / 2
+    gap = leader.s - follower.s - traffic.params.vehicle_length
     assert gap > 2.0  # never closer than the minimum distance
     assert traffic.rear_end_contacts == 0
 
@@ -71,10 +66,9 @@ def test_follower_keeps_safe_gap_behind_slow_leader():
 def test_vehicle_exits_at_end_of_road():
     traffic = make_sim()
     lane = traffic.road.lanes[0]
-    vehicle = Vehicle(lane=lane, s=995.0, speed=30.0)
     exited = []
     traffic.on_exit.append(exited.append)
-    traffic.add_vehicle(vehicle)
+    vehicle = traffic.add_vehicle(lane, 995.0, 30.0)
     step_for(traffic, 2.0)
     assert exited == [vehicle]
     assert not vehicle.active
@@ -84,8 +78,7 @@ def test_vehicle_exits_at_end_of_road():
 def test_westbound_vehicle_moves_toward_zero():
     traffic = make_sim(road=RoadSegment(length=1000.0, lanes_per_direction=1, directions=2))
     lane = traffic.road.westbound_lanes[0]
-    vehicle = Vehicle(lane=lane, s=lane.progress(900.0), speed=30.0)
-    traffic.add_vehicle(vehicle)
+    vehicle = traffic.add_vehicle(lane, lane.progress(900.0), 30.0)
     step_for(traffic, 5.0)
     assert vehicle.x == pytest.approx(750.0, rel=0.02)
 
@@ -93,8 +86,7 @@ def test_westbound_vehicle_moves_toward_zero():
 def test_westbound_vehicle_exits_at_west_end():
     traffic = make_sim(road=RoadSegment(length=1000.0, lanes_per_direction=1, directions=2))
     lane = traffic.road.westbound_lanes[0]
-    vehicle = Vehicle(lane=lane, s=lane.progress(10.0), speed=30.0)
-    traffic.add_vehicle(vehicle)
+    vehicle = traffic.add_vehicle(lane, lane.progress(10.0), 30.0)
     step_for(traffic, 2.0)
     assert traffic.count_on_road(Direction.WEST) == 0
 
@@ -124,7 +116,7 @@ def test_populate_draws_speed_factors():
     rng = random.Random(2)
     traffic = make_sim(rng=rng)
     traffic.populate(spacing=100.0)
-    factors = {v.speed_factor for v in traffic.vehicles()}
+    factors = {traffic.fleet.speed_factor[v.slot] for v in traffic.vehicles()}
     assert len(factors) > 1
     assert all(0.9 < f < 1.1 for f in factors)
 
@@ -164,8 +156,7 @@ def test_hazard_stops_traffic_behind_it():
     traffic = make_sim(road=RoadSegment(length=2000.0, lanes_per_direction=1))
     traffic.add_hazard(HazardEvent(x=500.0, direction=Direction.EAST, start_time=0.0))
     lane = traffic.road.lanes[0]
-    vehicle = Vehicle(lane=lane, s=300.0, speed=30.0)
-    traffic.add_vehicle(vehicle)
+    vehicle = traffic.add_vehicle(lane, 300.0, 30.0)
     step_for(traffic, 30.0)
     assert vehicle.speed == pytest.approx(0.0, abs=0.1)
     assert vehicle.x < 500.0
@@ -175,8 +166,7 @@ def test_hazard_does_not_stop_vehicles_past_it():
     traffic = make_sim(road=RoadSegment(length=2000.0, lanes_per_direction=1))
     traffic.add_hazard(HazardEvent(x=500.0, direction=Direction.EAST, start_time=0.0))
     lane = traffic.road.lanes[0]
-    vehicle = Vehicle(lane=lane, s=600.0, speed=30.0)
-    traffic.add_vehicle(vehicle)
+    vehicle = traffic.add_vehicle(lane, 600.0, 30.0)
     step_for(traffic, 5.0)
     assert vehicle.speed == pytest.approx(30.0, abs=0.5)
 
@@ -187,8 +177,7 @@ def test_hazard_does_not_affect_other_direction():
     )
     traffic.add_hazard(HazardEvent(x=500.0, direction=Direction.EAST, start_time=0.0))
     lane = traffic.road.westbound_lanes[0]
-    vehicle = Vehicle(lane=lane, s=lane.progress(1500.0), speed=30.0)
-    traffic.add_vehicle(vehicle)
+    vehicle = traffic.add_vehicle(lane, lane.progress(1500.0), 30.0)
     step_for(traffic, 10.0)
     assert vehicle.speed == pytest.approx(30.0, abs=0.5)
 
@@ -199,8 +188,7 @@ def test_hazard_inactive_before_start_time():
         HazardEvent(x=500.0, direction=Direction.EAST, start_time=1000.0)
     )
     lane = traffic.road.lanes[0]
-    vehicle = Vehicle(lane=lane, s=400.0, speed=30.0)
-    traffic.add_vehicle(vehicle)
+    vehicle = traffic.add_vehicle(lane, 400.0, 30.0)
     step_for(traffic, 3.0)
     assert vehicle.speed == pytest.approx(30.0, abs=0.5)
 
@@ -223,8 +211,7 @@ def test_queue_forms_behind_hazard():
 def test_forced_acceleration_overrides_idm():
     traffic = make_sim(road=RoadSegment(length=10000.0, lanes_per_direction=1))
     lane = traffic.road.lanes[0]
-    vehicle = Vehicle(lane=lane, s=0.0, speed=10.0, forced_acceleration=0.0)
-    traffic.add_vehicle(vehicle)
+    vehicle = traffic.add_vehicle(lane, 0.0, 10.0, forced_acceleration=0.0)
     step_for(traffic, 10.0)
     assert vehicle.speed == pytest.approx(10.0)
 
@@ -232,8 +219,7 @@ def test_forced_acceleration_overrides_idm():
 def test_speed_never_negative_under_forced_braking():
     traffic = make_sim()
     lane = traffic.road.lanes[0]
-    vehicle = Vehicle(lane=lane, s=0.0, speed=5.0, forced_acceleration=-8.0)
-    traffic.add_vehicle(vehicle)
+    vehicle = traffic.add_vehicle(lane, 0.0, 5.0, forced_acceleration=-8.0)
     step_for(traffic, 5.0)
     assert vehicle.speed == 0.0
 
@@ -250,8 +236,7 @@ def test_start_schedules_periodic_stepping():
     sim = Simulator()
     traffic = make_sim()
     lane = traffic.road.lanes[0]
-    vehicle = Vehicle(lane=lane, s=0.0, speed=30.0)
-    traffic.add_vehicle(vehicle)
+    vehicle = traffic.add_vehicle(lane, 0.0, 30.0)
     traffic.start(sim)
     sim.run_until(5.0)
     assert vehicle.x == pytest.approx(150.0, rel=0.05)
@@ -274,8 +259,7 @@ def test_runout_keeps_vehicles_past_the_segment():
     traffic = make_sim()
     traffic.runout = 200.0
     lane = traffic.road.lanes[0]
-    vehicle = Vehicle(lane=lane, s=995.0, speed=30.0)
-    traffic.add_vehicle(vehicle)
+    vehicle = traffic.add_vehicle(lane, 995.0, 30.0)
     step_for(traffic, 3.0)
     # Past the segment but inside the runout: still active, not counted.
     assert vehicle.active
@@ -296,27 +280,14 @@ def test_negative_runout_rejected():
 def test_overlap_guard_never_moves_a_vehicle_backwards():
     traffic = make_sim()
     lane = traffic.road.lanes[0]
-    leader = Vehicle(lane=lane, s=10.0, speed=0.0, forced_acceleration=0.0)
-    follower = Vehicle(lane=lane, s=8.0, speed=0.0)
-    traffic.add_vehicle(leader)
-    traffic.add_vehicle(follower)
+    traffic.add_vehicle(lane, 10.0, 0.0, forced_acceleration=0.0)
+    follower = traffic.add_vehicle(lane, 8.0, 0.0)
     traffic.step(traffic.dt)
     # The bumpers overlap; the guard may hold the follower but must not
     # teleport it back to 10 - 4.5 - 0.1 = 5.4.
     assert follower.s == 8.0
     assert follower.speed == 0.0
     assert traffic.rear_end_contacts == 1
-
-
-def _attach_to(fleet):
-    def attach(vehicle):
-        x, y = vehicle.lane.point_at(vehicle.s)
-        vehicle.fleet_slot = fleet.add(
-            vehicle, None, x=x, y=y, speed=vehicle.speed,
-            heading=vehicle.heading, tx_range=1.0,
-        )
-
-    return attach
 
 
 _LENGTH = 600.0
@@ -339,8 +310,8 @@ def test_mirrored_and_rotated_lanes_drive_identically(drivers, n_steps):
 
     The same drivers on an eastbound and a westbound highway lane and on a
     vertical and a horizontal grid lane (no turns, so crossing an
-    intersection is a no-op) end with identical progress and speeds, and
-    every coordinate, on the vehicle and in the fleet arrays, is
+    intersection is a no-op), sharing one fleet, end with identical
+    progress and speeds, and every coordinate in the fleet arrays is
     ``lane.point_at(s)`` exactly.
     """
     params = IdmParameters()
@@ -359,13 +330,9 @@ def test_mirrored_and_rotated_lanes_drive_identically(drivers, n_steps):
         (grid, network.lane(VERTICAL, 1, +1)),
         (grid, network.lane(HORIZONTAL, 0, -1)),
     ]
-    for traffic in (highway, grid):
-        traffic.on_spawn.append(_attach_to(fleet))
     for traffic, lane in lanes:
         for s, speed, factor in drivers:
-            traffic.add_vehicle(
-                Vehicle(lane=lane, s=s, speed=speed, speed_factor=factor)
-            )
+            traffic.add_vehicle(lane, s, speed, speed_factor=factor)
     t = 0.0
     for _ in range(n_steps):
         t += 0.1
@@ -377,7 +344,4 @@ def test_mirrored_and_rotated_lanes_drive_identically(drivers, n_steps):
         states.append(([v.s for v in vehicles], [v.speed for v in vehicles]))
         for v in vehicles:
             assert (v.x, v.y) == lane.point_at(v.s)
-            slot = v.fleet_slot
-            assert (fleet.x[slot], fleet.y[slot]) == lane.point_at(v.s)
-            assert fleet.speed[slot] == v.speed
     assert all(state == states[0] for state in states[1:])
