@@ -24,10 +24,11 @@ replay dedup window, duplicate-RHL records with the packet lifetime, and a
 periodic sweep (plus an insert-time cap) keeps a quiet detector's tables
 from retaining the whole run's history.
 
-World runs deliver fleet-to-fleet beacons as bulk ``(addr, pv)`` entries
-that never pass the radio handler; :meth:`MisbehaviorDetector.observe_bulk`
-covers that path so replayed and implausible beacons stay visible
-(``GeoNode.bulk_beacon_taps``).
+Beacons are observed where they enter the location table: the detector
+registers :meth:`MisbehaviorDetector.observe_beacons` on the router's
+``beacon_taps``, which sees every authentic beacon — fleet-tick batches
+and the real frames a replayer sends alike.  Only the GeoBroadcast RHL
+check interposes on the radio handler.
 """
 
 from __future__ import annotations
@@ -37,9 +38,8 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.geonet.checks import duplicate_rhl_plausible, position_plausible
 from repro.geonet.node import GeoNode
-from repro.geonet.packets import BeaconBody, GeoBroadcastPacket
+from repro.geonet.packets import GeoBroadcastPacket
 from repro.radio.frames import Frame, FrameKind
-from repro.security.signing import SignedMessage, verify
 from repro.sim.process import PeriodicProcess
 
 
@@ -122,9 +122,7 @@ class MisbehaviorDetector:
         self._flagged_replays: Set[Tuple[int, float]] = set()
         self._inner = node.iface.handler
         node.iface.attach(self._observe)
-        # Batched-fleet coverage: fleet-to-fleet beacons bypass the radio
-        # handler, so the detector also taps the node's bulk delivery path.
-        node.bulk_beacon_taps.append(self.observe_bulk)
+        node.router.beacon_taps.append(self.observe_beacons)
         self._sweep_process: Optional[PeriodicProcess] = None
         if prune_interval is not None:
             self._sweep_process = PeriodicProcess(
@@ -155,32 +153,19 @@ class MisbehaviorDetector:
     # ------------------------------------------------------------------
     def _observe(self, frame: Frame) -> None:
         try:
-            if frame.kind is FrameKind.BEACON:
-                self._inspect_beacon(frame)
-            elif frame.kind is FrameKind.GEO_BROADCAST:
+            if frame.kind is FrameKind.GEO_BROADCAST:
                 self._inspect_broadcast(frame)
         finally:
             if self._inner is not None:
                 self._inner(frame)
 
-    def _inspect_beacon(self, frame: Frame) -> None:
-        message = frame.payload
-        if not isinstance(message, SignedMessage) or not verify(message):
-            return
-        body = message.body
-        if not isinstance(body, BeaconBody):
-            return
-        self._check_beacon(body.source_addr, body.pv, self.node.sim.now)
+    def observe_beacons(self, entries, now: float) -> None:
+        """Inspect a batch of authentic ``(addr, pv)`` beacons.
 
-    def observe_bulk(self, entries, now: float) -> None:
-        """Inspect a batched-fleet beacon delivery (``(addr, pv)`` pairs).
-
-        The bulk path hands over beacons already signature-verified at
-        generation time, so this applies the same replay/plausibility
-        checks as :meth:`_inspect_beacon` minus the verify.  Registered on
-        ``GeoNode.bulk_beacon_taps`` — without it, a batched-mode detector
-        would never record fleet beacons' first hearings and an attacker's
-        replay (a real frame) would look like a first hearing.
+        Registered on the router's ``beacon_taps``, so it sees every beacon
+        the router is handed, before the freshness check — a replay (a
+        real frame) of a beacon first heard through the fleet tick is a
+        second hearing.
         """
         for addr, pv in entries:
             self._check_beacon(addr, pv, now)
@@ -291,15 +276,17 @@ class MisbehaviorDetector:
     # lifecycle
     # ------------------------------------------------------------------
     def stop(self) -> None:
-        """Cancel the periodic sweep and release the bulk tap (the node is
-        leaving the run)."""
+        """Cancel the periodic sweep, release the beacon tap and hand the
+        radio handler back (the node is leaving the run)."""
         if self._sweep_process is not None:
             self._sweep_process.stop()
             self._sweep_process = None
         try:
-            self.node.bulk_beacon_taps.remove(self.observe_bulk)
+            self.node.router.beacon_taps.remove(self.observe_beacons)
         except ValueError:
             pass
+        if self.node.iface.handler == self._observe:
+            self.node.iface.attach(self._inner)
 
 
 def deploy_fleet_detectors(

@@ -50,7 +50,7 @@ class LocationTable:
     Expired entries are already invisible to every liveness-aware query
     (:meth:`get`, :meth:`live_entries`), but they used to stay in the dict
     forever — on long runs a node's table grew with every vehicle that ever
-    drove past it.  :meth:`update` therefore opportunistically purges dead
+    drove past it.  :meth:`update_many` therefore opportunistically purges dead
     entries once per ``purge_interval`` (default: one TTL), piggybacking on
     the beacon path so the table stays bounded by the *recent* neighbor
     population without a dedicated timer.
@@ -86,25 +86,8 @@ class LocationTable:
         ``neighbor=False`` records indirectly-learned positions (Location
         Service); it never downgrades an entry already known as a neighbor.
         """
-        self.maybe_purge(now)
-        entry = self._entries.get(addr)
-        if entry is None:
-            self.inserts += 1
-            entry = LocationTableEntry(
-                addr=addr,
-                pv=pv,
-                updated_at=now,
-                expires_at=now + self.ttl,
-                is_neighbor=neighbor,
-            )
-            self._entries[addr] = entry
-        else:
-            self.refreshes += 1
-            entry.pv = pv
-            entry.updated_at = now
-            entry.expires_at = now + self.ttl
-            entry.is_neighbor = entry.is_neighbor or neighbor
-        return entry
+        self.update_many(((addr, pv),), now, neighbor=neighbor)
+        return self._entries[addr]
 
     def update_many(
         self,
@@ -113,14 +96,12 @@ class LocationTable:
         *,
         neighbor: bool = True,
     ) -> None:
-        """Bulk :meth:`update`: insert/refresh ``(addr, pv)`` pairs.
+        """Insert or refresh the entries of ``(addr, pv)`` pairs.
 
-        Semantically equivalent to calling :meth:`update` once per pair —
-        including the opportunistic purge, which runs (at most once) before
-        the first insert exactly as it would on the single-entry path.  The
-        batched beacon delivery path hands a whole tick's worth of accepted
-        beacons to one call, so the purge check and attribute lookups are
-        paid once per batch instead of once per beacon.
+        The one insert/refresh body (:meth:`update` is its one-pair call).
+        The opportunistic purge runs at most once, before the first insert,
+        so a whole beacon batch pays the purge check and attribute lookups
+        once instead of once per beacon.
         """
         self.maybe_purge(now)
         entries = self._entries

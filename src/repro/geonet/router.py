@@ -84,6 +84,10 @@ class GeoRouter:
         self._seq = itertools.count(1)
         self._pending_rechecks: Set[EventHandle] = set()
         self.on_deliver: List[Callable[["GeoNode", GeoBroadcastPacket], None]] = []
+        #: Passive observers of every beacon batch the router is handed
+        #: (``tap(entries, now)``), called before the freshness check —
+        #: misbehavior detectors register here.
+        self.beacon_taps: List[Callable[[list, float], None]] = []
         self.stats = RouterStats()
 
     # ------------------------------------------------------------------
@@ -157,34 +161,32 @@ class GeoRouter:
             return
         if body.source_addr == self.node.address:
             return  # our own beacon echoed back (e.g. by a replayer)
-        now = self.node.sim.now
-        if body.pv.age(now) > self.config.beacon_freshness_window:
-            self.stats.beacons_rejected_stale += 1
-            return
-        # NOTE: the standard performs *no* distance plausibility check here —
-        # an authentic beacon relayed from far away is accepted as a
-        # neighbor.  This is deliberate (vulnerability #2 of the paper).
-        self.loct.update(body.source_addr, body.pv, now)
-        self.stats.beacons_accepted += 1
+        self.receive_beacons_bulk([(body.source_addr, body.pv)], self.node.sim.now)
 
     def receive_beacons_bulk(self, entries, now: float) -> int:
-        """Batched-fleet fast path: accept a tick's worth of beacons.
+        """Accept a batch of authentic beacons into the LocT.
 
-        ``entries`` are ``(addr, pv)`` pairs from one fleet beacon tick, so
-        they share a single timestamp; authenticity was established at
-        signing time (the scheduler verifies each signed beacon once, which
-        memoises the same :func:`verify` the per-frame path would hit), the
-        sweep never produces self pairs, and the freshness window is
-        checked once for the whole batch.  Returns how many were accepted.
-        Semantics match :meth:`_handle_beacon` for honest one-hop beacons;
-        replayed/forged beacons still arrive as real frames through it.
+        The one place a beacon enters the location table.  ``entries`` are
+        ``(addr, pv)`` pairs sharing one timestamp: a fleet tick's batch
+        for this receiver, or the single beacon of a frame that passed
+        :meth:`_handle_beacon`'s verify, body-type and self-echo checks.
+        Fleet batches were verified at signing time (the one memoised
+        :func:`verify` call a per-frame receiver would make) and never
+        contain self pairs.  Every :attr:`beacon_taps` observer sees the
+        batch first, stale or not; the freshness window is then checked
+        once for the whole batch.  Returns how many were accepted.
         """
         n = len(entries)
         if n == 0:
             return 0
+        for tap in self.beacon_taps:
+            tap(entries, now)
         if entries[0][1].age(now) > self.config.beacon_freshness_window:
             self.stats.beacons_rejected_stale += n
             return 0
+        # NOTE: the standard performs *no* distance plausibility check here —
+        # an authentic beacon relayed from far away is accepted as a
+        # neighbor.  This is deliberate (vulnerability #2 of the paper).
         self.loct.update_many(entries, now)
         self.stats.beacons_accepted += n
         return n

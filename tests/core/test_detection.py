@@ -115,6 +115,48 @@ def test_each_replay_flagged_once(testbed):
     assert len(keys) == len(set(keys))
 
 
+def test_stopped_detector_raises_no_alerts(testbed):
+    """A GeoBroadcast copy still in flight when a vehicle exits lands after
+    its detector stopped; the stopped detector must not inspect it."""
+    from repro.geonet.packets import GbcBody, GeoBroadcastPacket
+    from repro.geo.position import PositionVector
+    from repro.radio.frames import Frame, FrameKind
+    from repro.security.signing import sign
+
+    node = testbed.add_node(0.0, beaconing=False)
+    detector = MisbehaviorDetector(node)
+    body = GbcBody(
+        source_addr=4242,
+        sequence_number=1,
+        source_pv=PositionVector(Position(100.0, 0.0), 0.0, 0.0, 0.0),
+        area=FLOOD,
+        payload="late copy",
+        lifetime=60.0,
+        created_at=0.0,
+    )
+    signed = sign(body, testbed.ca.enroll("source"))
+    detector.stop()
+    node.shutdown()
+    for rhl in (10, 1):
+        packet = GeoBroadcastPacket(
+            signed=signed,
+            rhl=rhl,
+            sender_addr=4242,
+            sender_position=Position(100.0, 0.0),
+        )
+        node.iface.deliver(
+            Frame(
+                kind=FrameKind.GEO_BROADCAST,
+                sender_addr=4242,
+                payload=packet,
+                tx_position=Position(100.0, 0.0),
+                tx_range=486.0,
+                tx_time=0.0,
+            )
+        )
+    assert detector.stats.total == 0
+
+
 def test_invalid_plausible_range_rejected(testbed):
     node = testbed.add_node(0.0)
     with pytest.raises(ValueError):

@@ -28,8 +28,8 @@ def make_detector(testbed, **kwargs):
 
 
 def feed_beacons(detector, n, *, start_addr=1000, t=0.0):
-    """n distinct first hearings via the bulk path (signature-free)."""
-    detector.observe_bulk(
+    """n distinct first hearings via the beacon tap (signature-free)."""
+    detector.observe_beacons(
         [(start_addr + i, pv(10.0 * i, t)) for i in range(n)], t
     )
 
@@ -44,19 +44,19 @@ class TestBeaconExpiry:
 
     def test_replay_after_expiry_is_a_fresh_hearing_not_an_alert(self, testbed):
         detector = make_detector(testbed, dedup_window=2.0)
-        detector.observe_bulk([(7, pv(0.0, 0.0))], 0.0)
+        detector.observe_beacons([(7, pv(0.0, 0.0))], 0.0)
         detector.sweep(10.0)
         # Outside the window a duplicate is un-witnessable anyway (the
         # router would have stale-rejected it); the detector records it
         # as a new first hearing instead of alerting.
-        detector.observe_bulk([(7, pv(0.0, 0.0))], 10.0)
+        detector.observe_beacons([(7, pv(0.0, 0.0))], 10.0)
         assert detector.stats.replayed_beacons == 0
         assert len(detector._beacons_heard) == 1
 
     def test_flagged_replay_keys_are_pruned_with_their_beacons(self, testbed):
         detector = make_detector(testbed, dedup_window=2.0)
-        detector.observe_bulk([(7, pv(0.0, 0.0))], 0.0)
-        detector.observe_bulk([(7, pv(0.0, 0.0))], 0.5)
+        detector.observe_beacons([(7, pv(0.0, 0.0))], 0.0)
+        detector.observe_beacons([(7, pv(0.0, 0.0))], 0.5)
         assert detector.stats.replayed_beacons == 1
         assert len(detector._flagged_replays) == 1
         detector.sweep(5.0)
@@ -94,7 +94,7 @@ class TestPeriodicSweep:
     def test_quiet_detector_releases_state_without_new_traffic(self, testbed):
         node = testbed.add_node(0.0, beaconing=False)
         detector = MisbehaviorDetector(node, prune_interval=5.0)
-        detector.observe_bulk(
+        detector.observe_beacons(
             [(1000 + i, pv(10.0 * i, testbed.sim.now)) for i in range(40)],
             testbed.sim.now,
         )
@@ -111,9 +111,9 @@ class TestPeriodicSweep:
     def test_stop_cancels_sweep_and_releases_bulk_tap(self, testbed):
         node = testbed.add_node(0.0, beaconing=False)
         detector = MisbehaviorDetector(node, prune_interval=5.0)
-        assert detector.observe_bulk in node.bulk_beacon_taps
+        assert detector.observe_beacons in node.router.beacon_taps
         detector.stop()
-        assert detector.observe_bulk not in node.bulk_beacon_taps
+        assert detector.observe_beacons not in node.router.beacon_taps
         assert detector._sweep_process is None
         detector.stop()  # idempotent
 
