@@ -73,12 +73,25 @@ def load_channel_grid_reference():
 
 
 class _Member:
-    """Minimal fleet member for transport-level benchmarks."""
+    """Minimal fleet member for transport-level benchmarks: always active,
+    a null payload, and a sink that discards every batch."""
 
     __slots__ = ("iface",)
 
     def __init__(self, iface):
         self.iface = iface
+
+    def beacon_active(self):
+        return True
+
+    def beacon_extra_delay(self):
+        return 0.0
+
+    def make_beacon(self, pv, now):
+        return b"x" * 32, (self.iface.address, pv)
+
+    def hear_beacons(self, batch, now):
+        return len(batch)
 
 
 # ----------------------------------------------------------------------
@@ -145,8 +158,6 @@ def bench_fleet_end_to_end(n, spacing, *, reps, duration, obstruction=None):
             period=1.0 / BEACON_HZ,
             jitter=0.0,
             tick=1.0 / BEACON_HZ,
-            make_beacon=lambda m, pv, now: (b"x" * 32, (m.iface.address, pv)),
-            bulk_sink=lambda m, batch, now: None,
         )
         t0 = time.perf_counter()
         sim.run_until(duration)

@@ -11,7 +11,13 @@ Usage: python examples/custom_protocol_tuning.py
 
 
 from repro.geo import Position, RectangularArea
-from repro.geonet import GeoNetConfig, GeoNode, StaticMobility
+from repro.geonet import (
+    FleetBeaconScheduler,
+    FleetState,
+    GeoNetConfig,
+    GeoNode,
+    StaticMobility,
+)
 from repro.radio import BroadcastChannel, DSRC
 from repro.security import CertificateAuthority
 from repro.sim import RandomStreams, Simulator
@@ -24,8 +30,18 @@ def run_flood(to_max: float, n_nodes: int = 40, spacing: float = 100.0):
     channel = BroadcastChannel(sim, streams)
     ca = CertificateAuthority()
     config = GeoNetConfig(to_max=to_max, dist_max=DSRC.max_range_m)
-    nodes = [
-        GeoNode(
+    fleet = FleetState(channel)
+    FleetBeaconScheduler(
+        sim,
+        fleet,
+        channel,
+        streams.get_numpy("fleet-beacon"),
+        period=config.beacon_period,
+        jitter=config.beacon_jitter,
+    )
+    nodes = []
+    for i in range(n_nodes):
+        node = GeoNode(
             sim=sim,
             channel=channel,
             config=config,
@@ -35,8 +51,8 @@ def run_flood(to_max: float, n_nodes: int = 40, spacing: float = 100.0):
             rng=streams.get(f"b{i}"),
             name=f"n{i}",
         )
-        for i in range(n_nodes)
-    ]
+        node.join_fleet(fleet, fleet.add(x=i * spacing, y=0.0))
+        nodes.append(node)
     arrivals = {}
     for node in nodes:
         node.router.on_deliver.append(

@@ -15,31 +15,49 @@ Usage: python examples/quickstart.py
 
 from repro.core import InterAreaInterceptor, IntraAreaBlocker
 from repro.geo import CircularArea, Position, RectangularArea
-from repro.geonet import GeoNetConfig, GeoNode, StaticMobility
+from repro.geonet import (
+    FleetBeaconScheduler,
+    FleetState,
+    GeoNetConfig,
+    GeoNode,
+    StaticMobility,
+)
 from repro.radio import BroadcastChannel, DSRC
 from repro.security import CertificateAuthority
 from repro.sim import RandomStreams, Simulator
 
 
 def build_world(seed: int = 7):
-    """A simulator, a channel, a CA and ten parked vehicles 250 m apart."""
+    """A simulator, a channel, a CA and ten parked vehicles 250 m apart,
+    beaconing through one fleet tick."""
     sim = Simulator()
     streams = RandomStreams(seed)
     channel = BroadcastChannel(sim, streams)
     ca = CertificateAuthority()
     config = GeoNetConfig(dist_max=DSRC.max_range_m)
+    fleet = FleetState(channel)
+    FleetBeaconScheduler(
+        sim,
+        fleet,
+        channel,
+        streams.get_numpy("fleet-beacon"),
+        period=config.beacon_period,
+        jitter=config.beacon_jitter,
+    )
     nodes = []
     for i in range(10):
+        position = Position(i * 250.0, 0.0)
         node = GeoNode(
             sim=sim,
             channel=channel,
             config=config,
             credentials=ca.enroll(f"vehicle-{i}"),
-            mobility=StaticMobility(Position(i * 250.0, 0.0)),
+            mobility=StaticMobility(position),
             tx_range=DSRC.vehicle_range_m,  # 486 m NLoS median (Table II)
             rng=streams.get(f"beacon:{i}"),
             name=f"vehicle-{i}",
         )
+        node.join_fleet(fleet, fleet.add(x=position.x, y=position.y))
         nodes.append(node)
     return sim, streams, channel, ca, nodes
 

@@ -5,7 +5,7 @@ module answers the operational question: **would a fleet operator notice
 the attack, how fast, and at what false-positive cost?**  A
 :class:`DetectionPipeline` attaches a bounded-state
 :class:`~repro.core.detection.MisbehaviorDetector` to every monitored
-vehicle (including the batched-fleet bulk path) and aggregates, per
+vehicle (watching every beacon its router is handed) and aggregates, per
 tumbling window:
 
 * **alert rates** — replayed-beacon / implausible-position / rhl-anomaly

@@ -20,7 +20,7 @@ Mitigation hooks (the paper's §V defences) are part of the stack config:
 from repro.geonet.config import GeoNetConfig
 from repro.geonet.packets import BeaconBody, GbcBody, GeoBroadcastPacket, PacketId
 from repro.geonet.loct import LocationTable, LocationTableEntry
-from repro.geonet.beaconing import BeaconService
+from repro.geonet.fleet import FleetBeaconScheduler, FleetState
 from repro.geonet.gf import GreedyForwarder
 from repro.geonet.cbf import CbfForwarder, contention_timeout
 from repro.geonet.guc import UnicastService, UnicastStats
@@ -38,8 +38,9 @@ from repro.geonet.node import GeoNode, StaticMobility
 
 __all__ = [
     "BeaconBody",
-    "BeaconService",
     "CbfForwarder",
+    "FleetBeaconScheduler",
+    "FleetState",
     "GbcBody",
     "GeoBroadcastPacket",
     "GeoNetConfig",

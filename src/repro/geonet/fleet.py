@@ -1,20 +1,22 @@
-"""Struct-of-arrays fleet state and the batched beacon hot loop.
+"""Struct-of-arrays fleet state and the one beacon timer.
 
-Every vehicle of a :class:`~repro.experiments.world.World` beacons and
-moves through this module.  A per-object :class:`~repro.geonet.beaconing.
-BeaconService` would keep one timer, one heap event per beacon and ~30
-scheduled deliveries per transmission per vehicle — fine at hundreds of
+Every node that beacons — each vehicle of a
+:class:`~repro.experiments.world.World`, its static roadside units, the
+nodes of a hand-built testbed — is a fleet member and beacons through this
+module.  A per-node timer would keep one heap event per beacon and ~30
+scheduled deliveries per transmission per node — fine at hundreds of
 nodes, a hard wall at tens of thousands.  Instead the whole fleet's
 kinematic and beaconing state lives in numpy arrays indexed by a stable
 *slot*, and the two dominant per-node loops become per-tick batch passes:
 
-* :class:`FleetState` — the one copy of where each vehicle is: lane
+* :class:`FleetState` — the one copy of where each member is: lane
   progress, positions, speeds, headings and IDM inputs next to TX ranges,
   next-beacon deadlines and alive flags, as parallel arrays.  The traffic
   stepper advances each lane's slots in place, a
-  :class:`~repro.traffic.vehicle.Vehicle` is a handle on its slot, and the
-  channel finds fleet receivers with one vectorised disc test over the
-  arrays (:meth:`FleetState.within`) instead of its spatial grid.
+  :class:`~repro.traffic.vehicle.Vehicle` is a handle on its slot, a
+  static node's slot never moves, and the channel finds fleet receivers
+  with one vectorised disc test over the arrays (:meth:`FleetState.within`)
+  instead of its spatial grid.
 * :class:`FleetBeaconScheduler` — a single periodic tick selects the
   beacons due in ``[t, t+dt)`` with one vectorised mask, draws all jitters
   in one RNG call, sweeps neighbor pairs for the whole batch with a
@@ -24,24 +26,26 @@ kinematic and beaconing state lives in numpy arrays indexed by a stable
 
 RNG contract: the tick draws exclusively from a dedicated numpy stream
 (``fleet-beacon`` in :class:`~repro.experiments.world.World`), never from
-the per-node stdlib streams (which CBF timers and the static destinations'
-own beacon services use), so the fleet stays deterministic under its own
-seed.  The tick draws no frame loss of its own: link loss is the fault
-layer's, applied per pair through the channel's ``link_fault`` hook.
+the per-node stdlib streams (which CBF timers use), so beaconing stays
+deterministic under its own seed.  The tick draws no frame loss of its
+own: link loss is the fault layer's, applied per pair through the
+channel's ``link_fault`` hook.
 
-Protocol fidelity: honest beacons are still signed once per transmission
-and carried as ``(addr, pv)`` entries to fleet receivers (verification is
-hoisted to signing time — the one memoised :func:`~repro.security.
-signing.verify` call a per-frame receiver would make on first reception).
-Interfaces *outside* the fleet — the attacker's mast, static destination
-nodes — receive real :class:`~repro.radio.frames.Frame` objects through
+Protocol fidelity: each beacon is built, DCC-gated and signed once by its
+member (``GeoNode.make_beacon``), and carried as ``(addr, pv)`` entries to
+fleet receivers, whose router accepts them through the same
+``GeoRouter.receive_beacons_bulk`` a beacon frame reaches (verification is
+hoisted to signing time — the one memoised :func:`~repro.security.signing.
+verify` call a per-frame receiver would make on first reception).
+Interfaces *outside* the fleet — the attacker's mast, a node that does not
+beacon — receive real :class:`~repro.radio.frames.Frame` objects through
 their normal handlers, so sniffing, replay and promiscuous overhearing
 work unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -55,13 +59,15 @@ _CY_MASK = 0xFFFFFFFF
 
 
 class FleetState:
-    """Struct-of-arrays state for the vehicle fleet.
+    """Struct-of-arrays state for the beaconing fleet.
 
     This is the only store of vehicle kinematics: position, lane progress
     ``s``, speed, heading, length, IDM speed factor, forced acceleration
     (``accel``; NaN means "drive by IDM") and the index of the next
     intersection ahead (``next_cross``), next to the radio state (TX range,
-    next-beacon deadline, alive flag) as parallel arrays.
+    next-beacon deadline, alive flag) as parallel arrays.  A static node
+    claims a slot holding only its position (``add(x=, y=)``), which no
+    traffic stepper touches.
 
     Slots are stable for a member's lifetime: :meth:`add` hands out the
     lowest free slot, :meth:`remove` recycles it.  Arrays are over-
@@ -154,11 +160,16 @@ class FleetState:
 
         The interface is marked fleet on the channel: the per-frame path
         finds it through these arrays, and the batched tick beacons for it.
+        Re-attaching a slot (a pseudonym rotation swaps the member's radio)
+        un-marks the radio it had before.
         """
+        old = self.ifaces[slot]
         self.members[slot] = member
         self.ifaces[slot] = iface
         self.tx_range[slot] = tx_range
         if self._channel is not None:
+            if old is not None:
+                self._channel.unmark_fleet(old)
             self._channel.mark_fleet(iface)
 
     def remove(self, slot: int) -> None:
@@ -281,28 +292,28 @@ class FleetState:
 
 
 class FleetBeaconScheduler:
-    """The batched replacement for N per-node ``BeaconService`` timers.
+    """The one beacon timer: every beaconing node is a fleet member.
 
     One periodic tick (``World`` uses its mobility dt) advances all beacon
-    deadlines that fell due, signs/builds each due member's beacon once,
-    sweeps fleet receivers vectorised, groups entries per receiver, and
+    deadlines that fell due, builds each due member's beacon once, sweeps
+    fleet receivers vectorised, groups entries per receiver, and
     schedules **one** delivery event for the whole tick.  Non-fleet
     interfaces get real frames via :meth:`Simulator.schedule_many`.
 
-    Hooks (all optional, all per-member Python callbacks that only run for
-    *due* members, ~N·dt/period per tick):
+    Members (``GeoNode`` in a simulation) implement four methods, which
+    run only for *due* members (~N·dt/period per tick) and for receivers:
 
-    * ``make_beacon(member, pv, now) -> (payload, entry) | None`` —
-      build the signed payload for non-fleet receivers and the ``(addr,
-      pv)`` entry for fleet receivers; None suppresses the beacon.
-    * ``bulk_sink(member, entries, now) -> int | None`` — deliver a batch
-      of entries to a fleet member; returns how many were accepted
-      (defaults to all) for the delivered-frames statistic.
-    * ``member_active(member) -> bool`` — False skips the cycle (node
-      powered down; the deadline still advances, like a stopped
-      ``BeaconService`` timer that never fires).
-    * ``extra_delay(member) -> float`` — extra seconds added to the next
-      deadline (the fault layer's congested-DCC beacon jitter).
+    * ``beacon_active() -> bool`` — False skips the cycle (node powered
+      down or shut down); the deadline still advances, so a member that
+      comes back beacons at its normal cadence with no catch-up burst.
+    * ``beacon_extra_delay() -> float`` — extra seconds added to the next
+      deadline (the fault layer's congested-DCC beacon jitter; 0.0 unset).
+    * ``make_beacon(pv, now) -> (payload, entry) | None`` — build the
+      signed payload for non-fleet receivers and the ``(addr, pv)`` entry
+      for fleet receivers; None suppresses the beacon (DCC throttling).
+    * ``hear_beacons(batch, now) -> int`` — deliver a batch of entries to
+      a receiving member; returns how many it heard (the delivered-frames
+      statistic).
     """
 
     def __init__(
@@ -315,10 +326,6 @@ class FleetBeaconScheduler:
         period: float = 3.0,
         jitter: float = 0.75,
         tick: float = 0.1,
-        make_beacon: Callable,
-        bulk_sink: Callable,
-        member_active: Optional[Callable] = None,
-        extra_delay: Optional[Callable] = None,
         priority: int = 0,
     ):
         if period <= 0:
@@ -336,10 +343,6 @@ class FleetBeaconScheduler:
         self._period = float(period)
         self._jitter = float(jitter)
         self._tick_dt = float(tick)
-        self._make_beacon = make_beacon
-        self._bulk_sink = bulk_sink
-        self._member_active = member_active
-        self._extra_delay = extra_delay
         #: Total beacons generated by the batched tick.
         self.beacons_sent = 0
         # Per-tick caches for lazy per-sender Frame construction.
@@ -366,8 +369,8 @@ class FleetBeaconScheduler:
         fresh = np.isnan(live_nba)
         if fresh.any():
             # Seed every newly-added member's first deadline in one draw:
-            # uniform within one period, like ``BeaconService``'s
-            # staggered start.
+            # uniform within one period, so a fleet added at once does not
+            # beacon in lockstep.
             idx = live[fresh]
             nba[idx] = now + self._rng.uniform(0.0, self._period, idx.size)
             live_nba = nba[live]
@@ -389,9 +392,6 @@ class FleetBeaconScheduler:
 
         # Per-due-member Python work: activity filter + payload build.
         members = fleet.members
-        is_active = self._member_active
-        extra = self._extra_delay
-        make = self._make_beacon
         due_list = due.tolist()
         bx = fleet.x[due].tolist()
         by = fleet.y[due].tolist()
@@ -402,17 +402,16 @@ class FleetBeaconScheduler:
         entries: List[tuple] = []
         for i, slot in enumerate(due_list):
             member = members[slot]
-            if is_active is not None and not is_active(member):
+            if not member.beacon_active():
                 continue
-            if extra is not None:
-                nba[slot] += extra(member)
+            nba[slot] += member.beacon_extra_delay()
             pv = PositionVector(
                 position=Position(bx[i], by[i]),
                 speed=bs[i],
                 heading=bh[i],
                 timestamp=now,
             )
-            out = make(member, pv, now)
+            out = member.make_beacon(pv, now)
             if out is None:
                 continue
             payload, entry = out
@@ -539,12 +538,10 @@ class FleetBeaconScheduler:
 
     def _deliver_groups(self, groups) -> None:
         """The single delivery event for one tick's fleet beacons."""
-        sink = self._bulk_sink
         now = self._sim.now
         delivered = 0
         for member, batch in groups:
-            accepted = sink(member, batch, now)
-            delivered += len(batch) if accepted is None else int(accepted)
+            delivered += member.hear_beacons(batch, now)
         self._channel.stats.record_delivered(FrameKind.BEACON, delivered)
 
     def _deliver_nonfleet(

@@ -1,8 +1,8 @@
 """Periodic processes on top of the event engine.
 
 A :class:`PeriodicProcess` re-schedules itself every ``period`` seconds until
-stopped.  It is used for mobility steps (100 ms), beaconing (with per-tick
-jitter), spawners and metric samplers.
+stopped.  It is used for mobility steps (100 ms), the fleet beacon tick,
+spawners and metric samplers.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from repro.sim.events import EventHandle
 
 
 class PeriodicProcess:
-    """Calls ``callback()`` every ``period`` seconds (plus optional jitter).
+    """Calls ``callback()`` every ``period`` seconds.
 
     The callback may return a ``float`` to override the delay until the
     *next* invocation, which lets services apply per-cycle adaptivity.
@@ -29,7 +29,6 @@ class PeriodicProcess:
         callback: Callable[[], Any],
         *,
         start_delay: float = 0.0,
-        jitter: Optional[Callable[[], float]] = None,
         priority: int = 0,
     ):
         if period <= 0:
@@ -37,7 +36,6 @@ class PeriodicProcess:
         self._sim = sim
         self._period = period
         self._callback = callback
-        self._jitter = jitter
         self._priority = priority
         self._handle: Optional[EventHandle] = None
         self._stopped = False
@@ -59,8 +57,6 @@ class PeriodicProcess:
             if isinstance(override, float) and not isinstance(override, bool)
             else self._period
         )
-        if self._jitter is not None:
-            delay += self._jitter()
         self._handle = self._sim.schedule(delay, self._tick, priority=self._priority)
 
     def stop(self) -> None:

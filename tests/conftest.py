@@ -2,6 +2,8 @@
 
 Most protocol tests want "a few nodes on a channel with credentials"; the
 ``testbed`` fixture provides exactly that without the full experiment World.
+Beaconing nodes are members of the testbed's fleet and beacon through its
+one :class:`~repro.geonet.fleet.FleetBeaconScheduler`, as in a World.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ import pytest
 
 from repro.geo.position import Position
 from repro.geonet.config import GeoNetConfig
+from repro.geonet.fleet import FleetBeaconScheduler, FleetState
 from repro.geonet.node import GeoNode, StaticMobility
 from repro.radio.channel import BroadcastChannel
 from repro.radio.technology import DSRC
@@ -19,7 +22,8 @@ from repro.sim.random import RandomStreams
 
 
 class Testbed:
-    """A simulator + channel + CA with helpers to place static nodes."""
+    """A simulator + channel + CA + beaconing fleet with helpers to place
+    static nodes."""
 
     def __init__(self, seed: int = 42, config: GeoNetConfig | None = None):
         self.sim = Simulator()
@@ -27,6 +31,15 @@ class Testbed:
         self.channel = BroadcastChannel(self.sim, self.streams)
         self.ca = CertificateAuthority()
         self.config = config or GeoNetConfig(dist_max=DSRC.max_range_m)
+        self.fleet = FleetState(self.channel)
+        self.fleet_scheduler = FleetBeaconScheduler(
+            self.sim,
+            self.fleet,
+            self.channel,
+            self.streams.get_numpy("fleet-beacon"),
+            period=self.config.beacon_period,
+            jitter=self.config.beacon_jitter,
+        )
         self._counter = 0
 
     def add_node(
@@ -39,10 +52,11 @@ class Testbed:
         config: GeoNetConfig | None = None,
         name: str | None = None,
         ledger=None,
+        **node_kwargs,
     ) -> GeoNode:
         self._counter += 1
         node_name = name or f"node{self._counter}"
-        return GeoNode(
+        node = GeoNode(
             sim=self.sim,
             channel=self.channel,
             config=config or self.config,
@@ -50,10 +64,17 @@ class Testbed:
             mobility=StaticMobility(Position(x, y)),
             tx_range=tx_range,
             rng=self.streams.get(f"beacon:{node_name}"),
-            beaconing=beaconing,
             name=node_name,
             ledger=ledger,
+            **node_kwargs,
         )
+        if beaconing:
+            node.join_fleet(self.fleet, self.fleet.add(x=x, y=y))
+        return node
+
+    def beacons_sent(self, node: GeoNode) -> int:
+        """Beacons the fleet tick has sent for ``node``."""
+        return int(self.fleet.beacons_sent[self.fleet.members.index(node)])
 
     def chain(self, n: int, spacing: float, **kwargs) -> list:
         """n static nodes spaced ``spacing`` metres apart along +x."""

@@ -16,6 +16,15 @@ that goldens cannot vouch for is pinned by oracles instead
 (``test_metamorphic.py``, the brute-force reference in
 ``tests/radio/test_channel_semantics.py``).
 
+The four inter-area rows (``inter-af``, ``inter-atk``, ``lossy-af``,
+``urban-inter-atk``) were re-pinned a second time, deliberately, when the
+fleet tick became the only beacon timer: the two static destination nodes
+now beacon as fleet members instead of through per-node timers, so their
+first deadlines are two more fresh-slot draws from the ``fleet-beacon``
+stream, which shifts every later draw of that stream.  Their own
+per-node streams no longer spend a start-delay draw either.  Intra-area
+worlds have no roadside nodes and reproduce their rows unchanged.
+
 The ``urban-*`` rows pin the Manhattan-grid scenario (turning traffic,
 corner shadowing).  They were captured before the grid and highway
 traffic steppers were merged into one, and the merged stepper reproduces
@@ -33,19 +42,19 @@ from tests.experiments._golden_capture import outcome_digest
 
 GOLDEN = {
     "inter-af": {
-        "digest": "59ffe1708c4d0a9434015dbb47b0572ee44efe29346ec9e77498f9c93c79bd75",
+        "digest": "025166e9c0d12c5ab6d74a4e98a7322e5e7431f04f2769ae55aaa937607a597f",
         "n_packets": 19,
-        "overall_rate": 0.7368421052631579,
-        "frames_sent": 1844,
-        "frames_delivered": 102660,
-        "unicast_lost": 5,
+        "overall_rate": 0.7894736842105263,
+        "frames_sent": 1833,
+        "frames_delivered": 102112,
+        "unicast_lost": 4,
     },
     "inter-atk": {
-        "digest": "b69a687607a4b0aa66d9a0d20f8a96b96b83e3280cc8445b6997ce3ddadf95b0",
+        "digest": "b0caebbad3c3a380f36a22d2a5cacdc758af078acd2b05836e3944e60481ae80",
         "n_packets": 19,
         "overall_rate": 0.3684210526315789,
-        "frames_sent": 2041,
-        "frames_delivered": 113285,
+        "frames_sent": 2044,
+        "frames_delivered": 113390,
         "unicast_lost": 12,
     },
     "intra-atk": {
@@ -57,19 +66,19 @@ GOLDEN = {
         "unicast_lost": 0,
     },
     "lossy-af": {
-        "digest": "0275c8e09a4e069a19a77181eb110c53a75429eb1d54eb91e7a524f6371d1d15",
+        "digest": "e3fdd65afeb4b52a820652f1ece57623afd48a91465e235ceb689413d3ccf646",
         "n_packets": 19,
-        "overall_rate": 0.631578947368421,
-        "frames_sent": 1826,
-        "frames_delivered": 97256,
-        "unicast_lost": 2,
+        "overall_rate": 0.42105263157894735,
+        "frames_sent": 1807,
+        "frames_delivered": 96567,
+        "unicast_lost": 3,
     },
     "urban-inter-atk": {
-        "digest": "f63a3e0c8cdbf4ccb679100323e7fbd604b97a6c609da6ea842785e87b3f1886",
+        "digest": "cc11a7d7ca95dfb6ea90f7ffa20ae93007192c9209d17902ddc15f6269aac74b",
         "n_packets": 19,
         "overall_rate": 0.15789473684210525,
-        "frames_sent": 1933,
-        "frames_delivered": 57847,
+        "frames_sent": 1941,
+        "frames_delivered": 58152,
         "unicast_lost": 16,
     },
     "urban-intra-atk": {

@@ -31,6 +31,36 @@ def test_inter_world_has_two_destinations():
     assert names == {"dest-east", "dest-west"}
 
 
+def test_roadside_nodes_beacon_as_fleet_members():
+    world = World(small_config(), attacked=False)
+    fleet = world.fleet
+    reach = world.config.vehicle_range
+
+    def in_range(dest):
+        return {
+            node
+            for node in world.nodes.values()
+            if node.position().distance_to(dest.position()) <= reach
+        }
+
+    world.run(duration=6.0)
+    earlier = {dest: in_range(dest) for dest in world.dest_nodes}
+    world.run(duration=10.0)
+    for dest in world.dest_nodes:
+        slot = fleet.members.index(dest)
+        assert fleet.ifaces[slot] is dest.iface
+        # A static slot at the node's position, never stepped.
+        assert (fleet.x[slot], fleet.y[slot]) == (dest.position().x, dest.position().y)
+        # 10 s at a 3 s period (+ <= 0.75 s jitter): 3 or 4 beacons.
+        assert 3 <= fleet.beacons_sent[slot] <= 4
+        # Vehicles in range for the last 4 s (> one period + jitter) have
+        # heard it.
+        heard_it = earlier[dest] & in_range(dest)
+        assert heard_it
+        for node in heard_it:
+            assert node.router.loct.contains(dest.address, world.sim.now)
+
+
 def test_intra_world_has_no_destinations():
     world = World(small_config("intra"), attacked=False)
     assert world.dest_nodes == []

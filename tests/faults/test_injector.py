@@ -107,14 +107,14 @@ def test_outage_powers_the_node_off_and_reboot_restores_it(testbed):
     injector._outage(b)
     assert b.is_down
     assert injector.is_down_addr(b.address)
-    assert b.beacon_service is None
+    assert not b.beacon_active()
     assert b.iface not in testbed.channel._interfaces
     assert injector.stats.outages == 1
 
     injector._reboot(b)
     assert not b.is_down
     assert not injector.is_down_addr(b.address)
-    assert b.beacon_service is not None
+    assert b.beacon_active()
     assert b.iface in testbed.channel._interfaces
     # volatile state wiped on reboot...
     assert b.router.loct.get(a.address, testbed.sim.now) is None

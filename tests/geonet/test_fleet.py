@@ -17,12 +17,33 @@ from repro.sim.random import RandomStreams
 
 
 class Member:
-    """A minimal fleet member: an interface plus a reception log."""
+    """A minimal fleet member: an interface plus a reception log.
+
+    ``active``, ``extra_delay`` and ``muted`` drive the scheduler's member
+    methods the way a GeoNode's power state, fault hook and DCC gate do.
+    """
 
     def __init__(self, iface):
         self.iface = iface
         self.received = []
         self.active = True
+        self.extra_delay = 0.0
+        self.muted = False
+
+    def beacon_active(self):
+        return self.active
+
+    def beacon_extra_delay(self):
+        return self.extra_delay
+
+    def make_beacon(self, pv, now):
+        if self.muted:
+            return None
+        return (b"beacon", (self.iface.address, pv))
+
+    def hear_beacons(self, batch, now):
+        self.received.extend(batch)
+        return len(batch)
 
 
 def add_member(channel, fleet, x, y, tx_range=150.0):
@@ -46,21 +67,10 @@ def build_fleet(positions, tx_range=150.0, *, seed=1):
     return sim, channel, fleet, members
 
 
-def make_beacon(member, pv, now):
-    return (b"beacon", (member.iface.address, pv))
-
-
-def bulk_sink(member, batch, now):
-    member.received.extend(batch)
-    return len(batch)
-
-
 def make_scheduler(sim, fleet, channel, *, rng_seed=7, **kwargs):
     kwargs.setdefault("period", 3.0)
     kwargs.setdefault("jitter", 0.75)
     kwargs.setdefault("tick", 0.1)
-    kwargs.setdefault("make_beacon", make_beacon)
-    kwargs.setdefault("bulk_sink", bulk_sink)
     return FleetBeaconScheduler(
         sim, fleet, channel, np.random.default_rng(rng_seed), **kwargs
     )
@@ -236,12 +246,7 @@ def test_nonfleet_interface_receives_real_frames():
 
 def test_inactive_member_skips_cycles_without_burst():
     sim, channel, fleet, members = build_fleet([(0, 0), (100, 0)])
-    make_scheduler(
-        sim,
-        fleet,
-        channel,
-        member_active=lambda m: m.active,
-    )
+    make_scheduler(sim, fleet, channel)
     members[0].active = False
     sim.run_until(9.0)
     assert fleet.beacons_sent[members[0].slot] == 0
@@ -301,13 +306,8 @@ def test_blocked_links_never_reach_the_link_fault_hook():
 def test_make_beacon_returning_none_suppresses():
     sim, channel, fleet, members = build_fleet([(0, 0), (100, 0)])
     muted = members[0]
-
-    def make(member, pv, now):
-        if member is muted:
-            return None
-        return make_beacon(member, pv, now)
-
-    make_scheduler(sim, fleet, channel, make_beacon=make)
+    muted.muted = True
+    make_scheduler(sim, fleet, channel)
     sim.run_until(10.0)
     assert fleet.beacons_sent[muted.slot] == 0
     assert fleet.beacons_sent[members[1].slot] >= 2
@@ -317,12 +317,8 @@ def test_make_beacon_returning_none_suppresses():
 def test_extra_delay_slows_cadence():
     sim, channel, fleet, members = build_fleet([(0, 0), (100, 0)])
     slow = members[0]
-    make_scheduler(
-        sim,
-        fleet,
-        channel,
-        extra_delay=lambda m: 3.0 if m is slow else 0.0,
-    )
+    slow.extra_delay = 3.0
+    make_scheduler(sim, fleet, channel)
     sim.run_until(20.0)
     assert fleet.beacons_sent[slow.slot] < fleet.beacons_sent[members[1].slot]
 

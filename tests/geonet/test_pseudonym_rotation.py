@@ -10,18 +10,8 @@ def make_pool(testbed):
 
 
 def add_rotating_node(testbed, x, period=None):
-    from repro.geo.position import Position
-    from repro.geonet.node import GeoNode, StaticMobility
-    from repro.radio.technology import DSRC
-
-    return GeoNode(
-        sim=testbed.sim,
-        channel=testbed.channel,
-        config=testbed.config,
-        credentials=testbed.ca.enroll(f"rotating-{x}"),
-        mobility=StaticMobility(Position(x, 0.0)),
-        tx_range=DSRC.nlos_median_m,
-        rng=testbed.streams.get(f"beacon:rot{x}"),
+    return testbed.add_node(
+        x,
         name=f"rotating-{x}",
         pseudonym_pool=make_pool(testbed),
         pseudonym_period=period,
@@ -103,3 +93,37 @@ def test_rotation_period_requires_pool(testbed):
             rng=testbed.streams.get("beacon:bad"),
             pseudonym_period=10.0,
         )
+
+
+def test_rotated_fleet_member_keeps_one_beacon_path(testbed):
+    """Rotation re-points the node's fleet slot to the new radio: the fleet
+    tick beacons from it and delivers to it, and the radio leaves the
+    non-fleet set.  Otherwise the node would hear every neighbor beacon
+    twice (fleet batch + real frame) and its detector would cry replay."""
+    from repro.core.detection import MisbehaviorDetector
+    from repro.observability.invariants import InvariantChecker
+
+    neighbor = testbed.add_node(100.0)
+    node = add_rotating_node(testbed, 0.0)
+    detector = MisbehaviorDetector(node)
+    node.rotate_pseudonym()
+
+    fleet = testbed.fleet
+    slot = fleet.members.index(node)
+    assert fleet.ifaces[slot] is node.iface
+    assert node.iface not in testbed.channel.nonfleet_interfaces()
+    grid = testbed.channel._grid
+    assert grid is not None  # built by the rotation's announce beacon
+    assert node.iface._grid_item not in grid
+    InvariantChecker(
+        testbed.sim,
+        iter_nodes=lambda: [neighbor, node],
+        channel=testbed.channel,
+    ).run()
+
+    # Up to the 12.0 s tick, with its deliveries, and no later tick.
+    testbed.sim.run_until(12.05)
+    sent = testbed.beacons_sent(neighbor)
+    assert sent >= 3
+    assert node.router.stats.beacons_accepted == sent
+    assert detector.stats.replayed_beacons == 0

@@ -1,10 +1,7 @@
 """Integration-style tests for the router + node over a real channel."""
 
-import pytest
-
 from repro.geo.areas import CircularArea, RectangularArea
 from repro.geo.position import Position
-from repro.radio.technology import DSRC
 
 FLOOD = RectangularArea(-100, 5000, -100, 100)
 
@@ -34,7 +31,7 @@ class TestBeaconing:
         testbed.add_node(100)
         testbed.sim.run_until(31.0)
         # ~10 beacons in 31 s at 3-3.75 s intervals
-        assert 8 <= a.beacon_service.beacons_sent <= 11
+        assert 8 <= testbed.beacons_sent(a) <= 11
 
     def test_own_beacon_not_in_own_table(self, testbed):
         a = testbed.add_node(0)
@@ -172,31 +169,16 @@ class TestNodeLifecycle:
         a = testbed.add_node(0)
         testbed.add_node(100)
         testbed.warm_up()
-        sent_before = a.beacon_service.beacons_sent
+        sent_before = testbed.beacons_sent(a)
         a.shutdown()
         testbed.sim.run_until(testbed.sim.now + 10.0)
-        assert a.beacon_service.beacons_sent == sent_before
+        assert testbed.beacons_sent(a) == sent_before
         assert a.is_shut_down
 
     def test_shutdown_idempotent(self, testbed):
         a = testbed.add_node(0)
         a.shutdown()
         a.shutdown()
-
-    def test_beaconing_requires_rng(self, testbed):
-        from repro.geonet.node import GeoNode, StaticMobility
-
-        with pytest.raises(ValueError):
-            GeoNode(
-                sim=testbed.sim,
-                channel=testbed.channel,
-                config=testbed.config,
-                credentials=testbed.ca.enroll("x"),
-                mobility=StaticMobility(Position(0, 0)),
-                tx_range=DSRC.vehicle_range_m,
-                rng=None,
-                beaconing=True,
-            )
 
 
 class TestAuthentication:

@@ -210,10 +210,13 @@ def test_detects_delivery_preceding_origination(testbed):
 # spatial grid
 # ----------------------------------------------------------------------
 def _built_grid(testbed):
-    testbed.chain(3, 200.0)
-    testbed.warm_up(5.0)
+    # The grid indexes non-fleet radios only; a per-frame transmit builds it.
+    nodes = testbed.chain(3, 200.0, beaconing=False)
+    nodes[0].send_beacon()
+    testbed.warm_up(1.0)
     grid = testbed.channel._grid
-    assert grid is not None, "warm-up traffic should have built the grid"
+    assert grid is not None, "a per-frame transmit should have built the grid"
+    assert len(grid) == 3
     return grid
 
 

@@ -101,8 +101,11 @@ def test_check_consistency_flags_item_missing_from_bucket():
 # churn through the live channel
 # ----------------------------------------------------------------------
 def test_channel_grid_survives_unregister_reregister_cycles(testbed):
-    nodes = testbed.chain(4, 150.0)
-    testbed.warm_up(5.0)
+    # The grid indexes non-fleet radios only: these nodes beacon by hand.
+    nodes = testbed.chain(4, 150.0, beaconing=False)
+    for node in nodes:
+        node.send_beacon()
+    testbed.warm_up(1.0)
     grid = testbed.channel._grid
     assert grid is not None
     for cycle in range(5):
@@ -111,9 +114,8 @@ def test_channel_grid_survives_unregister_reregister_cycles(testbed):
         grid.check_consistency()
         assert len(grid) == len(testbed.channel._interfaces) == 3
         assert victim.iface._grid_item not in grid
-        # time does not advance while unregistered: the node's beacon
-        # service is still scheduled and must not fire channel-less
         testbed.channel.register(victim.iface)
+        victim.send_beacon()
         testbed.warm_up(1.0)
         grid.check_consistency()
         assert len(grid) == len(testbed.channel._interfaces) == 4
@@ -131,10 +133,13 @@ def test_fault_churn_keeps_the_channel_grid_consistent(testbed):
         streams=testbed.streams,
         channel=testbed.channel,
     )
-    nodes = testbed.chain(4, 150.0)
+    # The grid indexes non-fleet radios only: these nodes beacon by hand.
+    nodes = testbed.chain(4, 150.0, beaconing=False)
     for node in nodes:
         injector.adopt(node)
     for _ in range(60):
+        for node in nodes:
+            node.send_beacon()  # a no-op while the node is down
         testbed.warm_up(0.5)
         grid = testbed.channel._grid
         if grid is None:

@@ -88,14 +88,6 @@ def test_bool_return_does_not_override_delay():
     assert times == [0.0, 1.0, 2.0]
 
 
-def test_jitter_is_added_to_period():
-    sim = Simulator()
-    times = []
-    PeriodicProcess(
-        sim, 1.0, lambda: times.append(sim.now), jitter=lambda: 0.25
-    )
-    sim.run_until(3.0)
-    assert times == [0.0, 1.25, 2.5]
 
 
 def test_non_positive_period_rejected():
