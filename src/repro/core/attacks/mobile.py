@@ -9,10 +9,11 @@ route.
 
 The radio stays a :class:`RoadsideAttacker` interface whose position
 callback reads ``self.position``; a periodic process advances the position
-along the path and re-indexes the interface in the channel's spatial grid
-(`refresh_interface_position`) — in batched-fleet mode the mobility step
-only moves *fleet* radios, so a moving non-fleet attacker must push its own
-position updates.
+along the path and reports each move with the channel's
+`refresh_interface_position`.  The traffic moves only fleet radios, whose
+positions live in the fleet arrays; the channel's spatial grid holds every
+other radio at the position it last reported, so the moving mast must
+report its own.
 """
 
 from __future__ import annotations

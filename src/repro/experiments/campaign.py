@@ -256,10 +256,8 @@ def execute_spec(spec: RunSpec, checkpoints: Optional[Tuple[Any, float]] = None)
     tests may substitute it (via fork inheritance) to inject crashes,
     hangs and counters.
 
-    Id counters are reset first, so the produced record is bit-identical
-    whether this is a worker's first job or its N-th.  (A checkpoint
-    restore reinstates the counters *after* the reset, continuing the
-    original process's ids.)
+    Every id a run allocates belongs to its world, so the produced record
+    is bit-identical whether this is a worker's first job or its N-th.
 
     ``checkpoints`` — an optional ``(store, interval)`` pair.  When given,
     ``ab`` specs execute through
@@ -268,9 +266,6 @@ def execute_spec(spec: RunSpec, checkpoints: Optional[Tuple[Any, float]] = None)
     the newest valid checkpoint, byte-identical records either way.
     ``text`` specs (cheap renders) never checkpoint.
     """
-    from repro.experiments.world import reset_id_counters
-
-    reset_id_counters()
     if spec.kind == "text":
         _params, render = TEXT_TARGETS[spec.target]
         return render(dict(spec.params or ()))

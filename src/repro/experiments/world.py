@@ -50,23 +50,13 @@ from repro.traffic.spawner import EntranceSpawner
 
 
 def reset_id_counters() -> None:
-    """Reset every process-global id counter to its fresh-process value.
+    """Do nothing: kept only for callers written when ids came from
+    process-global counters.
 
-    Vehicle ids, link-layer addresses and frame ids are allocated from
-    module-level counters, so a process that simulates several runs back
-    to back numbers them differently from a freshly forked worker — the
-    ids are pure labels (they never influence behaviour), but they are
-    recorded in the store (``packet_id``), where they would break the
-    bit-identity of records across worker counts.  The lease-service
-    workers, which execute many runs per process, call this before each
-    run."""
-    from repro.radio.channel import reset_addresses
-    from repro.radio.frames import reset_frame_ids
-    from repro.traffic.vehicle import reset_vehicle_ids
-
-    reset_vehicle_ids()
-    reset_addresses()
-    reset_frame_ids()
+    A run's ids are allocated by the objects of its own world (the
+    channel numbers addresses, the traffic numbers vehicles), so a run's
+    record depends on its config, seed and attack flag alone, however many
+    runs the process executed before it."""
 
 
 class World:
@@ -651,7 +641,7 @@ class World:
         return self.metrics
 
     def snapshot(self) -> bytes:
-        """Serialize the whole world (plus global allocators) to bytes.
+        """Serialize the whole world to bytes.
 
         The inverse is :meth:`restore`; the restored world continues the
         run bit-identically to this process (see
@@ -663,7 +653,7 @@ class World:
 
     @staticmethod
     def restore(blob: bytes) -> "World":
-        """Rebuild a :meth:`snapshot` world, reinstating global counters."""
+        """Rebuild a :meth:`snapshot` world."""
         from repro.sim.checkpoint import CheckpointError, restore_world
 
         world = restore_world(blob)

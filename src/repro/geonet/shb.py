@@ -49,8 +49,10 @@ class ShbService:
     """Per-node SHB sender/receiver.
 
     Attach to a node; received SHBs update the location table (implicit
-    beaconing) and are handed to ``on_receive`` callbacks.  A periodic
-    awareness payload can be scheduled with :meth:`start_periodic`.
+    beaconing, through the router's one beacon acceptor,
+    :meth:`~repro.geonet.router.GeoRouter.receive_beacons_bulk`) and are
+    handed to ``on_receive`` callbacks.  A periodic awareness payload can
+    be scheduled with :meth:`start_periodic`.
     """
 
     def __init__(self, node: GeoNode):
@@ -121,10 +123,11 @@ class ShbService:
         body: ShbBody = message.body
         if body.source_addr == self.node.address:
             return
-        now = self.node.sim.now
-        if body.pv.age(now) <= self.node.config.beacon_freshness_window:
-            # Implicit beaconing: an SHB refreshes the sender's LocTE.
-            self.node.router.loct.update(body.source_addr, body.pv, now)
+        # Implicit beaconing: an SHB enters the LocT as a beacon would,
+        # through the router's one beacon acceptor (taps, freshness, stats).
+        self.node.router.receive_beacons_bulk(
+            [(body.source_addr, body.pv)], self.node.sim.now
+        )
         self.stats.received += 1
         for callback in self.on_receive:
             callback(self.node, body)

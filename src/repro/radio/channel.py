@@ -26,9 +26,9 @@ the fleet arrays.  Every other radio — masts, roadside units, standalone
 test nodes — sits in a :class:`~repro.radio.spatial.SpatialGrid` keyed on
 its cached position, so a transmit only examines the ~k of them near the
 sender.  The grid is maintained incrementally — interfaces are
-inserted/removed on register/unregister and *moved* when
-:meth:`BroadcastChannel.invalidate_positions` marks the cache stale or a
-mobile mast calls :meth:`BroadcastChannel.refresh_interface_position`.
+inserted/removed on register/unregister and *moved* when a mobile mast
+calls :meth:`BroadcastChannel.refresh_interface_position`, the one way a
+radio outside the fleet reports a move.
 Deliveries happen in interface *registration order* regardless of where
 candidates come from, which keeps the RNG draw order — and therefore whole
 fixed-seed runs — independent of the lookup.
@@ -53,36 +53,16 @@ from repro.radio.spatial import SpatialGrid
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 
-_address_counter = itertools.count(1)
-
-
-def reset_addresses() -> None:
-    """Restart link-layer address allocation at 1 (fresh-process state)."""
-    global _address_counter
-    _address_counter = itertools.count(1)
-
-
-def address_state():
-    """The live address counter (captured by checkpoints)."""
-    return _address_counter
-
-
-def set_address_state(counter) -> None:
-    """Replace the address counter (restored by checkpoints)."""
-    global _address_counter
-    _address_counter = counter
-
 #: Fallback grid cell size when no registered interface implies one.
 _DEFAULT_CELL_SIZE = 500.0
 
 
-def allocate_address() -> int:
-    """Allocate a unique link-layer address."""
-    return next(_address_counter)
-
-
 class RadioInterface:
-    """A node's attachment point to the channel."""
+    """A node's attachment point to the channel.
+
+    ``address=None`` leaves the link-layer address to the channel, which
+    assigns the next free one when the interface first registers.
+    """
 
     def __init__(
         self,
@@ -97,7 +77,7 @@ class RadioInterface:
             raise ValueError(f"tx_range must be non-negative, got {tx_range}")
         if link_range is not None and link_range <= 0:
             raise ValueError(f"link_range must be positive, got {link_range}")
-        self.address = allocate_address() if address is None else address
+        self.address = address
         self.get_position = get_position
         self.tx_range = float(tx_range)
         #: When set, every link toward this interface uses this range instead
@@ -189,8 +169,7 @@ class BroadcastChannel:
     Fleet radios are found in the :attr:`fleet` arrays, which the traffic
     updates in place.  Other radios' positions are cached in the spatial
     grid; callers that move such an interface call
-    :meth:`refresh_interface_position` or :meth:`invalidate_positions`, so
-    the cache is exact.
+    :meth:`refresh_interface_position`, so the cache is exact.
     """
 
     def __init__(
@@ -211,6 +190,8 @@ class BroadcastChannel:
         self._interfaces: List[RadioInterface] = []
         self._index_of: Dict[int, int] = {}
         self._next_reg_order = 0
+        #: Link-layer addresses for interfaces registered without one.
+        self._addresses = itertools.count(1)
         self._obstructions: List[Callable[[Position, Position], bool]] = []
         #: Heap of (end_time, x, y, range) of in-flight transmissions, for
         #: carrier sense; expired entries are popped from the top lazily.
@@ -230,7 +211,6 @@ class BroadcastChannel:
         #: The :class:`~repro.geonet.fleet.FleetState` whose members' radios
         #: are looked up in its arrays (set by the fleet itself).
         self.fleet = None
-        self._positions_dirty = True
         self._cell_size = cell_size
         self._grid: Optional[SpatialGrid] = None
         #: link_range overrides by address; their max widens grid queries so
@@ -259,7 +239,14 @@ class BroadcastChannel:
     # membership
     # ------------------------------------------------------------------
     def register(self, iface: RadioInterface) -> None:
-        """Attach an interface to the medium."""
+        """Attach an interface to the medium.
+
+        An interface without an address gets the channel's next one
+        (1, 2, ... in registration order); a re-registered interface keeps
+        the address it has.
+        """
+        if iface.address is None:
+            iface.address = next(self._addresses)
         if iface.address in self._index_of:
             raise ValueError(f"address {iface.address} already registered")
         iface.channel = self
@@ -323,8 +310,11 @@ class BroadcastChannel:
         grid and out of the non-fleet receiver set the tick enumerates for
         real-frame delivery.  The mark survives unregister/re-register
         cycles (power faults) and is keyed by address, so it must be
-        re-applied after a pseudonym rotation (which swaps the address).
+        re-applied after a pseudonym rotation (which swaps the address),
+        and the interface must have an address (be registered) first.
         """
+        if iface.address is None:
+            raise ValueError("register the interface before marking it fleet")
         self._fleet_addrs.add(iface.address)
         self._nonfleet.pop(iface.address, None)
         if self._grid is not None and iface._grid_item in self._grid:
@@ -355,20 +345,16 @@ class BroadcastChannel:
         self._active_tx_batches.append((end_time, xs, ys, ranges))
 
     def refresh_interface_position(self, iface: RadioInterface) -> None:
-        """Re-index one non-fleet interface whose position changed (a
-        mobile mast): a moving interface outside the fleet must push its
-        own position or its grid cell goes permanently stale.  Falls back
-        to the lazy full refresh when the grid is absent, already dirty, or
-        missing the item.
+        """Report that ``iface``, a radio outside the fleet (a mobile mast,
+        a test double), has moved: the one way such a radio keeps its grid
+        cell exact.  A no-op before the grid is built (building it reads
+        every position) and for an interface the grid does not hold (a
+        fleet member, one off the channel).
         """
-        if self._grid is None or self._positions_dirty:
-            self._positions_dirty = True
-            return
-        pos = iface.get_position()
-        try:
-            self._grid.move(iface._grid_item, pos.x, pos.y)
-        except KeyError:
-            self._positions_dirty = True
+        grid = self._grid
+        if grid is not None and iface._grid_item in grid:
+            pos = iface.get_position()
+            grid.move(iface._grid_item, pos.x, pos.y)
 
     def add_obstruction(
         self, blocks: Callable[[Position, Position], bool]
@@ -417,10 +403,6 @@ class BroadcastChannel:
                     blocked[k] = True
         return blocked
 
-    def invalidate_positions(self) -> None:
-        """Mark the cached positions stale (call after moving interfaces)."""
-        self._positions_dirty = True
-
     # ------------------------------------------------------------------
     # position cache
     # ------------------------------------------------------------------
@@ -439,23 +421,16 @@ class BroadcastChannel:
                 best = max(best, iface.link_range)
         return best if best > 0 else _DEFAULT_CELL_SIZE
 
-    def _refresh_positions(self) -> None:
-        grid = self._grid
-        if grid is None:
-            grid = self._grid = SpatialGrid(
-                self._cell_size
-                if self._cell_size is not None
-                else self._auto_cell_size()
-            )
-            for iface in self._nonfleet.values():
-                pos = iface.get_position()
-                grid.insert(iface._grid_item, pos.x, pos.y)
-        else:
-            move = grid.move
-            for iface in self._nonfleet.values():
-                pos = iface.get_position()
-                move(iface._grid_item, pos.x, pos.y)
-        self._positions_dirty = False
+    def _build_grid(self) -> None:
+        """Index every non-fleet interface at its current position (on the
+        first receiver lookup; register/unregister and
+        :meth:`refresh_interface_position` keep it exact from then on)."""
+        grid = self._grid = SpatialGrid(
+            self._cell_size if self._cell_size is not None else self._auto_cell_size()
+        )
+        for iface in self._nonfleet.values():
+            pos = iface.get_position()
+            grid.insert(iface._grid_item, pos.x, pos.y)
 
     # ------------------------------------------------------------------
     # transmission
@@ -530,8 +505,8 @@ class BroadcastChannel:
         mid-outage keeps its slot but hears nothing); sorting the list
         orders candidates by registration sequence (``reg_order`` is
         unique, the interface is never compared)."""
-        if self._positions_dirty:
-            self._refresh_positions()
+        if self._grid is None:
+            self._build_grid()
         if not self._interfaces:
             return []
         search = radius if radius > self._max_override else self._max_override

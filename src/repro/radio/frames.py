@@ -9,30 +9,10 @@ attacker can sniff and replay.
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.geo.position import Position
-
-_frame_counter = itertools.count()
-
-
-def reset_frame_ids() -> None:
-    """Restart frame-id allocation at 0 (fresh-process state)."""
-    global _frame_counter
-    _frame_counter = itertools.count()
-
-
-def frame_id_state():
-    """The live frame-id counter (captured by checkpoints)."""
-    return _frame_counter
-
-
-def set_frame_id_state(counter) -> None:
-    """Replace the frame-id counter (restored by checkpoints)."""
-    global _frame_counter
-    _frame_counter = counter
 
 
 class FrameKind(enum.Enum):
@@ -43,12 +23,13 @@ class FrameKind(enum.Enum):
     GEO_UNICAST = "guc"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Frame:
     """A single over-the-air transmission.
 
     ``dest_addr is None`` means link-layer broadcast; otherwise the frame is
     unicast and only the addressee (plus promiscuous sniffers) process it.
+    Frames compare and hash by identity: each one is one transmission.
     """
 
     kind: FrameKind
@@ -58,7 +39,6 @@ class Frame:
     tx_range: float
     tx_time: float
     dest_addr: Optional[int] = None
-    frame_id: int = field(default_factory=lambda: next(_frame_counter))
 
     @property
     def is_broadcast(self) -> bool:

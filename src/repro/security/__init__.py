@@ -12,8 +12,9 @@ Models exactly the security boundary the paper's threat model depends on:
 * pseudonymous link-layer addresses are allowed for privacy, which is what
   lets the attacker transmit without revealing an identity.
 
-The cryptography is simulated (keyed hashes with a private-key registry that
-stands in for the asymmetric math); no attack in this reproduction ever
+The cryptography is simulated (keyed hashes, with a private key derived
+from its public key by a function that stands in for the asymmetric math
+and that no simulated entity calls); no attack in this reproduction ever
 breaks it, mirroring the paper's outsider attacker.
 """
 

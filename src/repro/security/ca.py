@@ -13,11 +13,11 @@ import itertools
 from typing import Dict
 
 from repro.security.certificates import Certificate, Credentials
-from repro.security.signing import register_keypair
+from repro.security.signing import _private_token_for
 
 
 class CertificateAuthority:
-    """Issues certificates and registers keypairs with the crypto substrate."""
+    """Issues certificates and the keypairs they certify."""
 
     def __init__(self, name: str = "USDOT-CA", secret: str = "ca-root-secret"):
         self.name = name
@@ -41,16 +41,17 @@ class CertificateAuthority:
         serial = next(self._serial)
         seed = f"{self.name}:{subject_id}:{serial}"
         public_token = hashlib.sha256(f"pub:{seed}".encode("utf-8")).hexdigest()
-        private_token = hashlib.sha256(f"priv:{seed}".encode("utf-8")).hexdigest()
         certificate = Certificate(
             subject_id=subject_id,
             public_token=public_token,
             ca_name=self.name,
             ca_signature=self._ca_signature(subject_id, public_token),
         )
-        register_keypair(public_token, private_token)
         self._issued[subject_id] = certificate
-        return Credentials(certificate=certificate, private_token=private_token)
+        return Credentials(
+            certificate=certificate,
+            private_token=_private_token_for(public_token),
+        )
 
     def verify_certificate(self, certificate: Certificate) -> bool:
         """Check that a certificate was issued by this CA."""

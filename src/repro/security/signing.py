@@ -3,9 +3,11 @@
 A :class:`SignedMessage` wraps an immutable body with the signer's
 certificate and a signature.  The signature is a keyed hash over a canonical
 byte encoding of the body; the "asymmetric math" is simulated by a
-module-private registry mapping public tokens to private tokens, which the
-verifier consults.  The registry plays the role of the mathematics of ECDSA:
-it is not an object an attacker entity in the simulation has access to.
+module-private function deriving a keypair's private token from its public
+token, which the CA calls at enrollment and the verifier recomputes.  The
+function plays the role of the mathematics of ECDSA: no attacker entity in
+the simulation calls it.  Keypairs are stateless, so a message verifies in
+any process, a fresh one restoring a checkpoint included.
 
 Two properties matter for the paper and are enforced (and unit-tested):
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 from repro.security.certificates import Certificate, Credentials
 
@@ -30,33 +32,11 @@ class SigningError(RuntimeError):
     """Raised when signing is attempted without usable credentials."""
 
 
-#: public_token -> private_token, maintained by the CA at enrollment.
-_KEY_REGISTRY: Dict[str, str] = {}
-
-
-def register_keypair(public_token: str, private_token: str) -> None:
-    """Record a keypair (called by the CA; not part of the attacker API)."""
-    _KEY_REGISTRY[public_token] = private_token
-
-
-def clear_key_registry() -> None:
-    """Forget all keypairs (test isolation helper)."""
-    _KEY_REGISTRY.clear()
-
-
-def key_registry_state() -> Dict[str, str]:
-    """A copy of the CA keypair registry (captured by checkpoints).
-
-    A restored world re-verifies messages signed before the checkpoint, so
-    a fresh process must recover the registry alongside the world graph —
-    without it every pre-checkpoint signature reads as unenrolled."""
-    return dict(_KEY_REGISTRY)
-
-
-def set_key_registry_state(state: Dict[str, str]) -> None:
-    """Replace the CA keypair registry (restored by checkpoints)."""
-    _KEY_REGISTRY.clear()
-    _KEY_REGISTRY.update(state)
+def _private_token_for(public_token: str) -> str:
+    """The private half of the keypair whose public half is ``public_token``
+    (called by the CA at enrollment and by :func:`verify`; not part of the
+    attacker API)."""
+    return hashlib.sha256(f"priv:{public_token}".encode("utf-8")).hexdigest()
 
 
 def canonical_bytes(body: Any) -> bytes:
@@ -132,16 +112,14 @@ def sign(body: Any, credentials: Credentials) -> SignedMessage:
 def verify(message: SignedMessage) -> bool:
     """Check a message's signature against its certificate.
 
-    Returns False for forged bodies, forged signatures, or certificates
-    whose keypair was never enrolled with the CA.
+    Returns False for forged bodies, forged signatures, or credentials the
+    CA never issued (their private token is not the one the public token
+    derives).
     """
     cached = message.cached_verdict()
     if cached is not None:
         return cached
-    private_token = _KEY_REGISTRY.get(message.certificate.public_token)
-    if private_token is None:
-        verdict = False
-    else:
-        verdict = _signature_over(message.body, private_token) == message.signature
+    private_token = _private_token_for(message.certificate.public_token)
+    verdict = _signature_over(message.body, private_token) == message.signature
     message._remember(verdict)
     return verdict

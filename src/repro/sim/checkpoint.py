@@ -2,14 +2,17 @@
 
 A checkpoint captures the *whole* object graph of a run — simulator clock
 and event heap, every named RNG stream, mobility, protocol and attacker
-state — in a single pickle so that shared identity (two nodes holding the
-same ``RandomStreams`` stream, the channel and a node referencing the same
-interface) survives the round trip.  The golden contract, enforced by the
-test suite, is:
+state, and the id allocators (the channel's address counter, the traffic's
+vehicle-id counter, the CA's serials) — in a single pickle so that shared
+identity (two nodes holding the same ``RandomStreams`` stream, the channel
+and a node referencing the same interface) survives the round trip.  A run
+keeps no state outside its world graph: keypairs are stateless, so a
+signature made before the checkpoint verifies in any process.  The golden
+contract, enforced by the test suite, is:
 
     restore-then-run is **bit-identical** to the uninterrupted run.
 
-Three rules make this possible:
+Two rules make this possible:
 
 1. **No lambdas or closures in the scheduled graph.**  Event callbacks,
    periodic-process ticks and protocol hooks must be bound methods, plain
@@ -18,12 +21,7 @@ Three rules make this possible:
    load.  :class:`RestrictedPickler` rejects anything else with an error
    naming the offender, so a regression fails fast instead of producing a
    checkpoint that cannot be restored in a fresh process.
-2. **Module-global allocators are part of the state.**  Vehicle ids,
-   link-layer addresses, frame ids and the CA key registry live in module
-   globals; :func:`capture_global_state` folds them into the payload and
-   :func:`restore_global_state` reinstates them, so id streams continue
-   exactly where the original process left off.
-3. **Versioned, integrity-checked envelopes.**  The pickled payload is
+2. **Versioned, integrity-checked envelopes.**  The pickled payload is
    wrapped with a format version and a SHA-256 digest; a reader confronted
    with an unknown version or a corrupted payload raises
    :class:`CheckpointError` rather than resuming from garbage.
@@ -42,7 +40,7 @@ from typing import Any, Dict
 
 #: Bump whenever the payload layout or the pickled object graph changes
 #: incompatibly; readers refuse versions they do not know.
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 #: ``kind`` discriminator used in envelopes (and store records).
 CHECKPOINT_KIND = "checkpoint"
@@ -89,46 +87,10 @@ def restricted_dumps(obj: Any) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# module-global allocator state
-# ----------------------------------------------------------------------
-def capture_global_state() -> Dict[str, Any]:
-    """Collect the module-global allocators a run draws from.
-
-    Returned objects are live (the counters keep ticking); they are pickled
-    together with the world in the same dump, which freezes their value at
-    serialization time.
-    """
-    from repro.radio.channel import address_state
-    from repro.radio.frames import frame_id_state
-    from repro.security.signing import key_registry_state
-    from repro.traffic.vehicle import vehicle_id_state
-
-    return {
-        "vehicle_counter": vehicle_id_state(),
-        "address_counter": address_state(),
-        "frame_counter": frame_id_state(),
-        "key_registry": key_registry_state(),
-    }
-
-
-def restore_global_state(state: Dict[str, Any]) -> None:
-    """Reinstate allocators captured by :func:`capture_global_state`."""
-    from repro.radio.channel import set_address_state
-    from repro.radio.frames import set_frame_id_state
-    from repro.security.signing import set_key_registry_state
-    from repro.traffic.vehicle import set_vehicle_id_state
-
-    set_vehicle_id_state(state["vehicle_counter"])
-    set_address_state(state["address_counter"])
-    set_frame_id_state(state["frame_counter"])
-    set_key_registry_state(state["key_registry"])
-
-
-# ----------------------------------------------------------------------
 # world <-> bytes
 # ----------------------------------------------------------------------
 def snapshot_world(world: Any) -> bytes:
-    """Serialize ``world`` plus the global allocator state into one blob.
+    """Serialize ``world`` into one blob.
 
     The fast path is the stock C pickler: ``reducer_override`` hooks cost
     a per-object callback, which is measurable on multi-megabyte worlds
@@ -138,7 +100,7 @@ def snapshot_world(world: Any) -> bytes:
     failure — purely to turn the stock pickler's terse error into the
     descriptive one naming the offending callable.
     """
-    payload = {"world": world, "globals": capture_global_state()}
+    payload = {"world": world}
     try:
         return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as plain_exc:
@@ -153,18 +115,13 @@ def snapshot_world(world: Any) -> bytes:
 
 
 def restore_world(blob: bytes) -> Any:
-    """Rebuild a world from :func:`snapshot_world` output.
-
-    Also reinstates the module-global allocators, so ids allocated after
-    the restore continue the original process's sequence.
-    """
+    """Rebuild a world from :func:`snapshot_world` output."""
     try:
         payload = pickle.loads(blob)
     except Exception as exc:
         raise CheckpointError(f"checkpoint payload does not unpickle: {exc}") from exc
     if not isinstance(payload, dict) or "world" not in payload:
         raise CheckpointError("checkpoint payload has an unexpected layout")
-    restore_global_state(payload["globals"])
     return payload["world"]
 
 
@@ -257,10 +214,8 @@ __all__ = [
     "CheckpointError",
     "RestrictedPickler",
     "audit_blob",
-    "capture_global_state",
     "decode_envelope",
     "encode_envelope",
-    "restore_global_state",
     "restore_world",
     "restricted_dumps",
     "snapshot_world",

@@ -19,6 +19,7 @@ only those get per-vehicle Python work.  Networking layers subscribe via
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -110,6 +111,8 @@ class TrafficSimulation:
         }
         #: slot -> the handle of the vehicle holding it.
         self._vehicles: Dict[int, Vehicle] = {}
+        #: Vehicle ids, numbered from 1 in order of entry.
+        self._vehicle_ids = itertools.count(1)
         self.on_spawn: List[Callable[[Vehicle], None]] = []
         self.on_exit: List[Callable[[Vehicle], None]] = []
         self.on_step: List[Callable[[float], None]] = []
@@ -163,7 +166,9 @@ class TrafficSimulation:
             accel=math.nan if forced_acceleration is None else forced_acceleration,
             next_cross=_next_cross(lane, s),
         )
-        vehicle = self._vehicles[slot] = Vehicle(self.fleet, slot, lane, self._now)
+        vehicle = self._vehicles[slot] = Vehicle(
+            self.fleet, slot, lane, next(self._vehicle_ids), self._now
+        )
         return vehicle
 
     def _insert(self, lane: Lane, slot: int, s: float) -> None:

@@ -12,35 +12,11 @@ traffic's.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Optional
 
 from repro.geo.position import Position, PositionVector
 from repro.traffic.road import Lane
-
-_vehicle_counter = itertools.count(1)
-
-
-def reset_vehicle_ids() -> None:
-    """Restart vehicle-id allocation at 1 (fresh-process state).
-
-    Ids are labels only — they never influence simulation behaviour — but
-    resetting them lets runs executed back to back in one process produce
-    records identical to runs executed in fresh processes."""
-    global _vehicle_counter
-    _vehicle_counter = itertools.count(1)
-
-
-def vehicle_id_state():
-    """The live vehicle-id counter (captured by checkpoints)."""
-    return _vehicle_counter
-
-
-def set_vehicle_id_state(counter) -> None:
-    """Replace the vehicle-id counter (restored by checkpoints)."""
-    global _vehicle_counter
-    _vehicle_counter = counter
 
 
 class Vehicle:
@@ -52,11 +28,13 @@ class Vehicle:
     kinematic properties no longer describe this vehicle.
     """
 
-    def __init__(self, fleet, slot: int, lane: Lane, entered_at: float):
+    def __init__(
+        self, fleet, slot: int, lane: Lane, vehicle_id: int, entered_at: float
+    ):
         self._fleet = fleet
         self.slot = slot
         self.lane = lane
-        self.vehicle_id = next(_vehicle_counter)
+        self.vehicle_id = vehicle_id
         self.entered_at = entered_at
         self.active = True
         self.turns_taken = 0

@@ -20,10 +20,13 @@ from repro.faults.plan import FaultPlan
 
 
 def outcome_digest(result) -> str:
-    # packet_id is deliberately excluded: it embeds the link-layer address,
-    # which comes from a process-global counter and therefore depends on how
-    # many Worlds ran earlier in the same process.  Every behavioral field
-    # is kept at full float precision.
+    # packet_id is deliberately excluded: it is a label (source address and
+    # sequence number), not behaviour, and the pinned digests were captured
+    # when addresses came from a process-global counter that shifted with
+    # every World run earlier in the process.  Each channel numbers its own
+    # addresses now, so packet ids are reproducible; adding them would only
+    # re-pin the literals.  Every behavioral field is kept at full float
+    # precision.
     rows = [
         (
             o.send_time,

@@ -11,15 +11,21 @@ restored and finished.
 Covered dimensions: the default highway scenario, the same scenario
 combined with all four fault-injection dimensions (``batched_faults``:
 fleet beacon tick plus link, churn, GPS and beacon-timing faults), and the
-urban (Manhattan-grid + shadowing) scenario pack.
+urban (Manhattan-grid + shadowing) scenario pack.  A run keeps no state
+outside its world graph: an unrelated World run between save and restore
+changes nothing, and a fresh process restores and finishes the run to the
+same record.
 """
 
 import json
 import os
 import signal
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.experiments import checkpointing
 from repro.experiments.checkpointing import (
     GracefulPreemption,
@@ -30,7 +36,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_single, summarize_world
 from repro.experiments.sqlite_store import SqliteResultStore
 from repro.experiments.store import RunKey, config_hash, jsonable
-from repro.experiments.world import World, reset_id_counters
+from repro.experiments.world import World
 from repro.faults import (
     BeaconTimingPlan,
     ChurnPlan,
@@ -93,7 +99,6 @@ def key_for(config) -> RunKey:
 
 
 def baseline_for(config) -> str:
-    reset_id_counters()
     return masked(run_single(config, attacked=True, seed=SEED))
 
 
@@ -120,16 +125,15 @@ def test_restore_then_run_is_bit_identical(name, store):
     config = CONFIGS[name]()
     baseline = baseline_for(config)
 
-    reset_id_counters()
     world = World(config, attacked=True, seed=SEED)
     world.run(duration=DURATION / 2)
     key = key_for(config)
     save_checkpoint(store, key, world)
     del world
 
-    # Scramble the module-global allocators to prove the restore path
-    # reinstates them rather than inheriting this process's luck.
-    reset_id_counters()
+    # An unrelated World between save and restore: the restored run must
+    # not draw on anything this process allocated after the save.
+    World(_urban(), attacked=False, seed=SEED + 1).run(duration=1.0)
     envelope = store.get_checkpoint(key)
     assert envelope is not None
     assert envelope["sim_time"] == DURATION / 2
@@ -137,6 +141,43 @@ def test_restore_then_run_is_bit_identical(name, store):
     assert restored.sim.now == DURATION / 2
     restored.run(duration=DURATION)
     assert masked(summarize_world(restored)) == baseline
+
+
+_FINISH_IN_FRESH_PROCESS = """\
+import json, sys
+from repro.experiments.runner import summarize_world
+from repro.experiments.store import jsonable
+from repro.experiments.world import World
+
+with open(sys.argv[1], "rb") as handle:
+    world = World.restore(handle.read())
+world.run(duration=float(sys.argv[2]))
+json.dump(jsonable(summarize_world(world)), sys.stdout)
+"""
+
+
+def test_fresh_process_restore_is_bit_identical(tmp_path):
+    """A process that never built a World restores the snapshot and
+    finishes the run to the identical record: its nodes' signatures,
+    made before and after the snapshot, verify there as they do here."""
+    config = _highway()
+    baseline = baseline_for(config)
+
+    world = World(config, attacked=True, seed=SEED)
+    world.run(duration=DURATION / 2)
+    blob = tmp_path / "world.ckpt"
+    blob.write_bytes(world.snapshot())
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", _FINISH_IN_FRESH_PROCESS, str(blob), str(DURATION)],
+        capture_output=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    data = json.loads(out.stdout)
+    for counter in ("wall_time_s", "events_per_wall_sec"):
+        data["extras"][counter] = 0.0
+    assert json.dumps(data, sort_keys=True) == baseline
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -147,7 +188,6 @@ def test_run_single_resumable_matches_run_single(name, store):
     baseline = baseline_for(config)
     key = key_for(config)
 
-    reset_id_counters()
     result = run_single_resumable(
         config, attacked=True, seed=SEED, store=store, key=key, interval=2.0
     )
@@ -165,7 +205,6 @@ def test_resume_picks_up_mid_run_checkpoint(store):
     baseline = baseline_for(config)
     key = key_for(config)
 
-    reset_id_counters()
     world = World(config, attacked=True, seed=SEED)
     world.run(duration=3.0)
     save_checkpoint(store, key, world)
@@ -178,7 +217,6 @@ def test_resume_picks_up_mid_run_checkpoint(store):
             "_on_resume_hook",
             lambda key, sim_time: resumed_from.append(sim_time),
         )
-        reset_id_counters()
         result = run_single_resumable(
             config, attacked=True, seed=SEED, store=store, key=key,
             interval=100.0,
@@ -224,7 +262,6 @@ def test_bad_checkpoint_quarantined_and_run_falls_back(case, store):
     baseline = baseline_for(config)
     key = key_for(config)
 
-    reset_id_counters()
     world = World(config, attacked=True, seed=SEED)
     world.run(duration=3.0)
     save_checkpoint(store, key, world)
@@ -239,7 +276,6 @@ def test_bad_checkpoint_quarantined_and_run_falls_back(case, store):
             "_on_resume_hook",
             lambda key, sim_time: resumed_from.append(sim_time),
         )
-        reset_id_counters()
         result = run_single_resumable(
             config, attacked=True, seed=SEED, store=store, key=key,
             interval=100.0,
@@ -267,7 +303,6 @@ def test_sigterm_drains_to_checkpoint_and_resume_completes(store):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(checkpointing, "_post_checkpoint_hook", sigterm_once)
-        reset_id_counters()
         with pytest.raises(GracefulPreemption):
             run_single_resumable(
                 config, attacked=True, seed=SEED, store=store, key=key,
@@ -277,7 +312,6 @@ def test_sigterm_drains_to_checkpoint_and_resume_completes(store):
     # segment to t=4 and saved again before unwinding
     assert store.checkpoint_sim_time(key) == 4.0
 
-    reset_id_counters()
     result = run_single_resumable(
         config, attacked=True, seed=SEED, store=store, key=key, interval=2.0
     )

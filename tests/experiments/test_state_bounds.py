@@ -42,9 +42,8 @@ def comparable(result):
     """Everything deterministic about a run.
 
     ``outcome_digest`` hashes every behavioural outcome field at full
-    precision but excludes ``packet_id`` (it embeds the link-layer address,
-    which comes from a process-global counter and so shifts between runs in
-    the same process); wall-clock extras are excluded for the same reason.
+    precision but excludes ``packet_id`` (see its comment); the wall-clock
+    extras are excluded because they measure the host, not the run.
     """
     extras = {
         k: v

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.detection import MisbehaviorDetector
 from repro.geonet.shb import ShbService
 
 
@@ -46,6 +47,24 @@ def test_shb_updates_location_table(testbed):
     testbed.sim.run_until(testbed.sim.now + 1.0)
     entry = b.router.loct.get(a.address, testbed.sim.now)
     assert entry is not None
+
+
+def test_shb_enters_the_loct_through_the_beacon_acceptor(testbed):
+    """An SHB is an implicit beacon: the router's beacon taps (here a
+    misbehavior detector) and beacon stats see it like any beacon."""
+    a = testbed.add_node(0.0, beaconing=False)
+    b = testbed.add_node(300.0, beaconing=False)
+    sa, _ = attach(a)
+    _sb, got = attach(b)
+    detector = MisbehaviorDetector(b, plausible_range=100.0)
+    sa.send("cam")
+    testbed.sim.run_until(testbed.sim.now + 1.0)
+    assert [body.payload for body in got] == ["cam"]
+    assert [(alert.kind, alert.subject_addr) for alert in detector.alerts] == [
+        ("implausible-position", a.address)
+    ]
+    assert b.router.stats.beacons_accepted == 1
+    assert a.address in b.router.loct
 
 
 def test_periodic_shb_at_10hz(testbed):

@@ -212,9 +212,9 @@ def test_positions_refresh_after_invalidation():
     sender.send(FrameKind.BEACON, "one")
     sim.run_until(0.01)
     assert mover_rx == []
-    # Move into range and invalidate the cache, as the mobility loop does.
+    # Move into range and report the move, as a mobile mast does.
     pos["x"] = 450.0
-    channel.invalidate_positions()
+    channel.refresh_interface_position(mover)
     sender.send(FrameKind.BEACON, "two")
     sim.run_until(0.02)
     assert [f.payload for f in mover_rx] == ["two"]
@@ -246,3 +246,18 @@ def test_negative_tx_range_rejected():
 def test_invalid_link_range_rejected():
     with pytest.raises(ValueError):
         RadioInterface(lambda: Position(0, 0), 10.0, link_range=0.0)
+
+
+def test_channel_assigns_addresses_at_registration():
+    _sim, channel = make_channel()
+    a = RadioInterface(lambda: Position(0, 0), 10.0)
+    assert a.address is None
+    channel.register(a)
+    b, _ = make_iface(channel, 5)
+    pseudonym, _ = make_iface(channel, 10, address=1 << 40)
+    assert (a.address, b.address, pseudonym.address) == (1, 2, 1 << 40)
+    channel.unregister(a)
+    channel.register(a)
+    assert a.address == 1  # a re-registered radio keeps its address
+    with pytest.raises(ValueError, match="register"):
+        channel.mark_fleet(RadioInterface(lambda: Position(0, 0), 10.0))

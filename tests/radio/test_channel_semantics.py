@@ -371,7 +371,7 @@ def test_moving_interface_is_retracked_after_invalidation(mode):
     assert mover_rx == []
     # Cross many grid cells in one hop, as a teleporting test double would.
     pos["x"] = 2950.0
-    channel.invalidate_positions()
+    channel.refresh_interface_position(mover)
     sender.send(FrameKind.BEACON, "two")
     sim.run_until(0.02)
     assert [f.payload for f in mover_rx] == ["two"]

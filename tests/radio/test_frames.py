@@ -24,10 +24,11 @@ def test_broadcast_flag():
     assert not make_frame(dest_addr=7).is_broadcast
 
 
-def test_frame_ids_are_unique_and_increasing():
+def test_frames_compare_by_identity():
     a, b = make_frame(), make_frame()
-    assert a.frame_id != b.frame_id
-    assert b.frame_id > a.frame_id
+    assert a == a
+    assert a != b
+    assert len({a, b}) == 2
 
 
 def test_frame_is_immutable():

@@ -1,9 +1,16 @@
 """Tests for message signing — the properties the threat model rests on."""
 
+import os
+import pickle
+import subprocess
+import sys
 from dataclasses import dataclass
 
 import pytest
 
+import repro
+from repro.geo.position import Position, PositionVector
+from repro.geonet.packets import BeaconBody
 from repro.security.ca import CertificateAuthority
 from repro.security.certificates import Certificate, Credentials
 from repro.security.signing import (
@@ -65,6 +72,32 @@ def test_unenrolled_certificate_fails():
     bogus_creds = Credentials(certificate=bogus_cert, private_token="secret")
     message = sign(Body(1), bogus_creds)
     assert not verify(message)
+
+
+def test_signatures_verify_in_a_fresh_process(creds):
+    """Keypairs are stateless: a process that never met the CA (one
+    restoring a checkpoint) verifies a message signed elsewhere, and still
+    rejects one signed with a guessed private token."""
+    body = BeaconBody(
+        source_addr=1, pv=PositionVector(Position(1.0, 2.0), 3.0, 0.0, 4.0)
+    )
+    honest = sign(body, creds)
+    guessed = Credentials(certificate=creds.certificate, private_token="guess")
+    forged = sign(body, guessed)
+    script = (
+        "import pickle, sys\n"
+        "from repro.security.signing import verify\n"
+        "print([verify(m) for m in pickle.load(sys.stdin.buffer)])\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        input=pickle.dumps([honest, forged]),
+        capture_output=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.decode().strip() == "[True, False]"
 
 
 def test_signature_bound_to_signer(creds):

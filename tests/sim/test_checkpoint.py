@@ -2,28 +2,23 @@
 
 World-level round trips and bit-identity live in
 ``tests/experiments/test_checkpoint_determinism.py``; this file covers the
-primitives: restricted pickling, allocator capture, envelope integrity.
+primitives: restricted pickling and envelope integrity.
 """
 
 import pickle
 
 import pytest
 
-from repro.radio.channel import address_state
-from repro.radio.frames import frame_id_state
 from repro.sim.checkpoint import (
     CHECKPOINT_KIND,
     CHECKPOINT_VERSION,
     CheckpointError,
     audit_blob,
-    capture_global_state,
     decode_envelope,
     encode_envelope,
-    restore_global_state,
     restricted_dumps,
     snapshot_world,
 )
-from repro.traffic.vehicle import vehicle_id_state
 
 
 # ----------------------------------------------------------------------
@@ -76,21 +71,6 @@ def test_audit_blob_lists_pinned_globals():
     blob = restricted_dumps({"fn": module_level_callback})
     names = audit_blob(blob)
     assert any("module_level_callback" in name for name in names)
-
-
-# ----------------------------------------------------------------------
-# module-global allocator state
-# ----------------------------------------------------------------------
-def test_allocator_capture_restores_id_continuity():
-    state = pickle.loads(pickle.dumps(capture_global_state()))
-    v_next = next(vehicle_id_state())
-    a_next = next(address_state())
-    f_next = next(frame_id_state())
-    restore_global_state(state)
-    # the restored counters replay the ids the probe consumed
-    assert next(vehicle_id_state()) == v_next
-    assert next(address_state()) == a_next
-    assert next(frame_id_state()) == f_next
 
 
 # ----------------------------------------------------------------------

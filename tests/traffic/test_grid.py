@@ -162,10 +162,8 @@ class TestTrafficSimulation:
             sim = Simulator()
             traffic.start(sim)
             sim.run_until(25.0)
-            # vehicle_id comes from a process-global counter, so compare
-            # positions only.
             return sorted(
-                (round(v.x, 9), round(v.y, 9), v.turns_taken)
+                (v.vehicle_id, round(v.x, 9), round(v.y, 9), v.turns_taken)
                 for v in traffic.vehicles()
             )
 
