@@ -33,6 +33,7 @@ best-of-``reps`` minima to damp scheduler noise.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import platform
 import random
@@ -122,8 +123,8 @@ def make_shadowing(n, spacing):
     """A Manhattan shadowing model spanning the benchmark lattice.
 
     Street count tracks the lattice extent (~one vertical street per
-    10 columns) so the per-street corridor loops in ``blocks_many`` are
-    exercised at a realistic urban density, not a degenerate 2x2.
+    10 columns) so ``blocks_many`` labels endpoints against a realistic
+    urban street count, not a degenerate 2x2.
     """
     extent = min(250, n) * spacing
     streets = max(2, int(extent // (10 * spacing)) + 1)
@@ -141,8 +142,8 @@ def bench_fleet_end_to_end(n, spacing, *, reps, duration, obstruction=None):
     per dt instead of one timer event per member, and one vectorised
     neighbor sweep per tick instead of N grid queries.  With
     ``obstruction`` set, every delivery sweep additionally routes through
-    :meth:`BroadcastChannel.block_mask` — the vectorised obstruction
-    fallback the urban scenario pack leans on.
+    :meth:`BroadcastChannel.block_mask` — the one obstruction evaluator
+    the urban scenario pack leans on.
     """
     best = float("inf")
     sent = 0
@@ -159,6 +160,10 @@ def bench_fleet_end_to_end(n, spacing, *, reps, duration, obstruction=None):
             jitter=0.0,
             tick=1.0 / BEACON_HZ,
         )
+        # A --quick run times ~3 ticks (tens of ms): a full collection of
+        # the objects earlier sections and this build left behind would
+        # otherwise land inside the timed window of whichever run follows.
+        gc.collect()
         t0 = time.perf_counter()
         sim.run_until(duration)
         best = min(best, time.perf_counter() - t0)
@@ -381,7 +386,7 @@ def main(argv=None):
         ),
     }
     # Same scenario with a Manhattan shadowing model registered: the
-    # delivery sweep falls back to the vectorised block_mask path.  The
+    # delivery sweep also runs the block_mask obstruction check.  The
     # urban scenario pack must not make beaconing under obstructions
     # more than ~2x slower than the clear-channel batched loop (guarded
     # by test_perf_smoke.py within the same run).

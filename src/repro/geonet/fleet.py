@@ -443,12 +443,10 @@ class FleetBeaconScheduler:
         stats.receiver_candidates += candidates
         frames: List[Optional[Frame]] = [None] * n_sent
         if channel.has_obstructions and sidx.size:
-            # Obstructions are position predicates, so they stay vectorised
-            # (block_mask) and run before link faults, as in
+            # Obstructions are position predicates: one mask over the
+            # fleet slots as endpoints, before link faults, as in
             # BroadcastChannel._receivers_for.
-            blocked = channel.block_mask(
-                tx_x[sidx], tx_y[sidx], fleet.x[rslots], fleet.y[rslots]
-            )
+            blocked = channel.block_mask(fleet.x, fleet.y, due[sidx], rslots)
             if blocked.any():
                 keep_mask = ~blocked
                 sidx = sidx[keep_mask]
@@ -577,7 +575,10 @@ class FleetBeaconScheduler:
             # Blocked links are dropped before the link-fault hook, so they
             # spend no fault-RNG draws and never count as fault drops.
             unblocked = ~channel.block_mask(
-                tx_x[hit_s], tx_y[hit_s], px[hit_r], py[hit_r]
+                np.concatenate((tx_x, px)),
+                np.concatenate((tx_y, py)),
+                hit_s,
+                hit_r + tx_x.size,
             )
             hit_s = hit_s[unblocked]
             hit_r = hit_r[unblocked]

@@ -361,9 +361,11 @@ class BroadcastChannel:
     ) -> None:
         """Register a link obstruction predicate (True means link blocked).
 
-        A predicate may optionally expose a vectorised ``blocks_many(tx_x,
-        tx_y, rx_x, rx_y) -> bool ndarray`` method; :meth:`block_mask` uses
-        it to keep batched (fleet) delivery off the per-pair Python path.
+        Every delivery path evaluates obstructions through
+        :meth:`block_mask`.  A predicate may expose ``blocks_many(xs, ys,
+        src, dst) -> bool ndarray`` over labelled link endpoints (see
+        :meth:`block_mask`); it is then called once per mask.  A plain
+        ``(Position, Position)`` predicate is called once per link.
         """
         self._obstructions.append(blocks)
 
@@ -376,29 +378,43 @@ class BroadcastChannel:
         self, tx_position: Position, receiver: RadioInterface
     ) -> bool:
         """Public obstruction check for a single (tx position, receiver) link."""
-        return self._is_blocked(tx_position, receiver)
+        rx = receiver.get_position()
+        return bool(
+            self.block_mask(
+                np.array([tx_position.x, rx.x]),
+                np.array([tx_position.y, rx.y]),
+                [0],
+                [1],
+            )[0]
+        )
 
-    def block_mask(self, tx_x, tx_y, rx_x, rx_y) -> np.ndarray:
-        """Vectorised obstruction check over parallel link-endpoint arrays.
+    def block_mask(self, xs, ys, src, dst) -> np.ndarray:
+        """The one obstruction evaluator: a blocked-mask over links.
 
-        Returns a boolean mask (True = blocked) the same length as the
-        inputs.  Predicates that provide ``blocks_many`` are evaluated in
-        one numpy call; plain ``(Position, Position) -> bool`` predicates
-        fall back to a per-pair loop over the links still unblocked.
+        Endpoint *i* sits at ``(xs[i], ys[i])``; link *k* runs from
+        endpoint ``src[k]`` to endpoint ``dst[k]``, so an endpoint shared
+        by many links is given once.  Returns one bool per link (True =
+        blocked).  Predicates that provide ``blocks_many`` take the
+        endpoint arrays in one call; plain ``(Position, Position) ->
+        bool`` predicates are asked per link, only for links still
+        unblocked.
         """
-        n = len(tx_x)
-        blocked = np.zeros(n, dtype=bool)
+        src = np.asarray(src, dtype=np.intp)
+        dst = np.asarray(dst, dtype=np.intp)
+        blocked = np.zeros(src.size, dtype=bool)
         scalar_preds = []
         for blocks in self._obstructions:
             blocks_many = getattr(blocks, "blocks_many", None)
             if blocks_many is not None:
-                blocked |= np.asarray(blocks_many(tx_x, tx_y, rx_x, rx_y), dtype=bool)
+                blocked |= np.asarray(blocks_many(xs, ys, src, dst), dtype=bool)
             else:
                 scalar_preds.append(blocks)
         if scalar_preds:
             for k in np.flatnonzero(~blocked):
-                a = Position(float(tx_x[k]), float(tx_y[k]))
-                b = Position(float(rx_x[k]), float(rx_y[k]))
+                i = src[k]
+                j = dst[k]
+                a = Position(float(xs[i]), float(ys[i]))
+                b = Position(float(xs[j]), float(ys[j]))
                 if any(blocks(a, b) for blocks in scalar_preds):
                     blocked[k] = True
         return blocked
@@ -529,7 +545,6 @@ class BroadcastChannel:
         self.stats.receiver_candidates += len(candidates)
         candidates.sort()
         dest_addr = frame.dest_addr
-        check_blocked = self._is_blocked if self._obstructions else None
         receivers: List[RadioInterface] = []
         append = receivers.append
         for (_order, iface), d_sq in candidates:
@@ -541,11 +556,24 @@ class BroadcastChannel:
             if dest_addr is not None:
                 if iface.address != dest_addr and not iface.promiscuous:
                     continue
-            if check_blocked is not None and check_blocked(
-                frame.tx_position, iface
-            ):
-                continue
             append(iface)
+        if self._obstructions and receivers:
+            # One mask over the sender (endpoint 0) and every receiver.
+            points = [frame.tx_position]
+            points += [iface.get_position() for iface in receivers]
+            n = len(receivers)
+            blocked = self.block_mask(
+                np.array([p.x for p in points]),
+                np.array([p.y for p in points]),
+                np.zeros(n, dtype=np.intp),
+                np.arange(1, n + 1),
+            )
+            if blocked.any():
+                receivers = [
+                    iface
+                    for iface, b in zip(receivers, blocked.tolist())
+                    if not b
+                ]
         return receivers
 
     def neighbors_within(
@@ -595,9 +623,3 @@ class BroadcastChannel:
             if bool(((dx * dx + dy * dy) <= ranges * ranges).any()):
                 return True
         return False
-
-    def _is_blocked(self, tx_position: Position, receiver: RadioInterface) -> bool:
-        if not self._obstructions:
-            return False
-        rx_position = receiver.get_position()
-        return any(blocks(tx_position, rx_position) for blocks in self._obstructions)

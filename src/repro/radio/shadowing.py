@@ -18,19 +18,33 @@ obstruction predicate for
 * otherwise the link is **blocked**.
 
 The model is deliberately binary (blocked or clear) so it composes with
-the channel's range model (and the fault layer's link loss) instead of replacing it; Amador et al.
-(arXiv 2403.16237) use the same corridor-or-corner approximation for
-urban GeoNetworking studies.
+the channel's range model (and the fault layer's link loss) instead of
+replacing it; Amador et al. (arXiv 2403.16237) use the same
+corridor-or-corner approximation for urban GeoNetworking studies.
 
-The predicate also implements the vectorised ``blocks_many`` protocol, so
-the batched fleet path evaluates it with a handful of numpy passes per
-tick instead of per-pair Python calls.
+The rule factorises per endpoint, and that is how it is evaluated.
+:meth:`ManhattanShadowing.blocks_many` takes link endpoints as labelled
+points, ``(xs, ys)`` plus ``src``/``dst`` index arrays, and gives each
+point three labels: the horizontal corridor it lies in, the vertical
+corridor it lies in, and the intersection whose clearance disc holds it
+(-1 for none). A link is clear when its two ends share a non-negative
+label. :meth:`~repro.radio.channel.BroadcastChannel.block_mask` calls it
+once per fleet tick over the tick's swept pairs and once per transmitted
+frame over the sender and its in-range receivers. The nearest street per
+axis comes from one ``searchsorted`` over the sorted street coordinates,
+so the cost does not grow with the number of streets.
+
+The labels reproduce the pairwise rule exactly when no point can lie in
+two corridors of one axis or in two corner discs at once: adjacent
+streets more than ``2 * half_width`` apart and ``corner_clearance`` under
+half the smallest street spacing. ``__post_init__`` rejects any other
+geometry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -61,10 +75,29 @@ class ManhattanShadowing:
             raise ValueError("half_width must be positive")
         if self.corner_clearance < 0:
             raise ValueError("corner_clearance must be non-negative")
-        # Normalise to tuples so the instance stays hashable even when
-        # built from lists/arrays.
-        object.__setattr__(self, "street_xs", tuple(float(x) for x in self.street_xs))
-        object.__setattr__(self, "street_ys", tuple(float(y) for y in self.street_ys))
+        # Normalise to sorted tuples so the instance stays hashable even
+        # when built from lists/arrays, and so each endpoint's nearest
+        # street is one ``searchsorted`` away.
+        xs = tuple(sorted(float(x) for x in self.street_xs))
+        ys = tuple(sorted(float(y) for y in self.street_ys))
+        object.__setattr__(self, "street_xs", xs)
+        object.__setattr__(self, "street_ys", ys)
+        # Endpoint labels reproduce the pairwise corridor-or-corner rule
+        # only while no point can sit in two corridors of one axis or in
+        # two corner discs at once.
+        gaps = [b - a for axis in (xs, ys) for a, b in zip(axis, axis[1:])]
+        if gaps:
+            spacing = min(gaps)
+            if spacing <= 2.0 * self.half_width:
+                raise ValueError(
+                    f"streets {spacing} m apart overlap at half_width "
+                    f"{self.half_width} m"
+                )
+            if 2.0 * self.corner_clearance >= spacing:
+                raise ValueError(
+                    f"corner_clearance {self.corner_clearance} m must be under "
+                    f"half the smallest street spacing ({spacing} m)"
+                )
 
     @classmethod
     def for_grid(
@@ -99,35 +132,47 @@ class ManhattanShadowing:
         """True when the link a<->b is blocked (the channel-hook contract)."""
         return bool(
             self.blocks_many(
-                np.array([a.x]), np.array([a.y]), np.array([b.x]), np.array([b.y])
+                np.array([a.x, b.x]), np.array([a.y, b.y]), [0], [1]
             )[0]
         )
 
-    def blocks_many(self, tx_x, tx_y, rx_x, rx_y) -> np.ndarray:
-        """Vectorised blocked-mask over parallel link-endpoint arrays."""
-        tx_x = np.asarray(tx_x, dtype=float)
-        tx_y = np.asarray(tx_y, dtype=float)
-        rx_x = np.asarray(rx_x, dtype=float)
-        rx_y = np.asarray(rx_y, dtype=float)
+    def blocks_many(self, xs, ys, src, dst) -> np.ndarray:
+        """Blocked-mask over links between labelled endpoints.
+
+        Endpoint *i* sits at ``(xs[i], ys[i])``; link *k* runs from
+        endpoint ``src[k]`` to endpoint ``dst[k]``.  Each endpoint is
+        labelled once (see :meth:`_endpoint_labels`) and a link is clear
+        when both ends carry the same non-negative label of one kind.
+        """
+        src = np.asarray(src, dtype=np.intp)
+        dst = np.asarray(dst, dtype=np.intp)
+        clear = np.zeros(src.shape, dtype=bool)
+        for label in self._endpoint_labels(xs, ys):
+            # An unlabelled end (-1) never matches: the far end reads -2.
+            clear |= label[src] == np.where(label < 0, -2, label)[dst]
+        return ~clear
+
+    def _endpoint_labels(self, xs, ys) -> List[np.ndarray]:
+        """Per-point labels, one int array per kind the model has: the
+        index of the horizontal street and of the vertical street whose
+        corridor holds the point, and the index in :meth:`intersections`
+        of the intersection whose clearance disc holds it; -1 where there
+        is none."""
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
         hw = self.half_width
-        los = np.zeros(tx_x.shape, dtype=bool)
-        for sy in self.street_ys:
-            los |= (np.abs(tx_y - sy) <= hw) & (np.abs(rx_y - sy) <= hw)
-        for sx in self.street_xs:
-            los |= (np.abs(tx_x - sx) <= hw) & (np.abs(rx_x - sx) <= hw)
+        iy, dy = _nearest(ys, self.street_ys)
+        ix, dx = _nearest(xs, self.street_xs)
+        labels = []
+        if iy is not None:
+            labels.append(np.where(np.abs(dy) <= hw, iy, -1))
+        if ix is not None:
+            labels.append(np.where(np.abs(dx) <= hw, ix, -1))
         clearance = self.corner_clearance
-        if clearance > 0.0 and not los.all():
-            c_sq = clearance * clearance
-            for sx in self.street_xs:
-                adx = tx_x - sx
-                bdx = rx_x - sx
-                for sy in self.street_ys:
-                    ady = tx_y - sy
-                    bdy = rx_y - sy
-                    near_a = adx * adx + ady * ady <= c_sq
-                    near_b = bdx * bdx + bdy * bdy <= c_sq
-                    los |= near_a & near_b
-        return ~los
+        if clearance > 0.0 and ix is not None and iy is not None:
+            near = dx * dx + dy * dy <= clearance * clearance
+            labels.append(np.where(near, iy * len(self.street_xs) + ix, -1))
+        return labels
 
     # ------------------------------------------------------------------
     # geometry helpers (shared with tests and the urban world assembly)
@@ -143,3 +188,23 @@ class ManhattanShadowing:
         return [
             Position(sx, sy) for sy in self.street_ys for sx in self.street_xs
         ]
+
+
+def _nearest(values: np.ndarray, streets: Tuple[float, ...]):
+    """Index of the street nearest each value and the signed offset
+    ``value - street`` (``(None, None)`` when the axis has no street).
+
+    ``streets`` is sorted; the offset is the same ``value - street`` the
+    pairwise rule would test, so a corridor or disc check on it matches
+    that rule wherever the nearest street is the only candidate.
+    """
+    if not streets:
+        return None, None
+    s = np.asarray(streets)
+    if s.size == 1:
+        idx = np.zeros(values.shape, dtype=np.intp)
+    else:
+        hi = np.searchsorted(s, values).clip(1, s.size - 1)
+        lo = hi - 1
+        idx = np.where(values - s[lo] <= s[hi] - values, lo, hi)
+    return idx, values - s[idx]

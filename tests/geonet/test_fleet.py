@@ -154,9 +154,7 @@ def test_neighbor_pairs_matches_brute_force():
     )
     channel.add_obstruction(shadowing)
     tx = senders[sidx]
-    blocked = channel.block_mask(
-        fleet.x[tx], fleet.y[tx], fleet.x[rslots], fleet.y[rslots]
-    )
+    blocked = channel.block_mask(fleet.x, fleet.y, tx, rslots)
     got_clear = {
         (int(s), int(r))
         for s, r, b in zip(tx.tolist(), rslots.tolist(), blocked.tolist())

@@ -165,15 +165,15 @@ def test_block_mask_mixes_vector_and_scalar_predicates():
         def __call__(self, a, b):
             return b.x > 100
 
-        def blocks_many(self, tx_x, tx_y, rx_x, rx_y):
-            return rx_x > 100
+        def blocks_many(self, xs, ys, src, dst):
+            return xs[dst] > 100
 
     channel.add_obstruction(Vectorised())
-    tx_x = np.array([-1.0, 10.0, 10.0])
-    tx_y = np.zeros(3)
-    rx_x = np.array([50.0, 150.0, 50.0])
-    rx_y = np.zeros(3)
-    mask = channel.block_mask(tx_x, tx_y, rx_x, rx_y)
+    # Endpoints 0-2 send, 3-5 receive: links (-1 -> 50), (10 -> 150),
+    # (10 -> 50).
+    xs = np.array([-1.0, 10.0, 10.0, 50.0, 150.0, 50.0])
+    ys = np.zeros(6)
+    mask = channel.block_mask(xs, ys, [0, 1, 2], [3, 4, 5])
     assert mask.tolist() == [True, True, False]
 
 

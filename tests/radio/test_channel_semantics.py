@@ -24,8 +24,10 @@ from repro.geo.position import Position
 from repro.geonet.fleet import FleetState
 from repro.radio.channel import BroadcastChannel, RadioInterface
 from repro.radio.frames import FrameKind
+from repro.radio.shadowing import ManhattanShadowing
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
+from tests.radio.test_shadowing import reference_blocks
 
 
 # ----------------------------------------------------------------------
@@ -473,10 +475,22 @@ def _wall(x0):
     return lambda a, b: (a.x - x0) * (b.x - x0) < 0
 
 
+def _pairwise(model):
+    """``model``'s rule as a plain predicate, by the pairwise reference."""
+    return lambda a, b: bool(reference_blocks(model, [a.x], [a.y], [b.x], [b.y])[0])
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     specs=st.lists(_iface_spec, min_size=1, max_size=25),
     walls=st.lists(_coord, max_size=2),
+    # Street grid over the layout: (block, half_width, corner_clearance).
+    streets=st.one_of(
+        st.none(),
+        st.tuples(
+            st.floats(150.0, 600.0), st.floats(5.0, 60.0), st.floats(0.0, 70.0)
+        ),
+    ),
     cell_size=st.one_of(st.none(), st.floats(40.0, 600.0)),
     removed=st.sets(st.integers(0, 24), max_size=5),
     frames=st.lists(
@@ -491,7 +505,7 @@ def _wall(x0):
     ),
 )
 def test_receivers_match_brute_force_reference(
-    specs, walls, cell_size, removed, frames
+    specs, walls, streets, cell_size, removed, frames
 ):
     sim = Simulator()
     channel = BroadcastChannel(
@@ -500,6 +514,15 @@ def test_receivers_match_brute_force_reference(
     obstructions = [_wall(x0) for x0 in walls]
     for blocks in obstructions:
         channel.add_obstruction(blocks)
+    if streets is not None:
+        # A blocks_many predicate: the channel masks every frame's
+        # receivers in one call; the reference asks the pairwise rule.
+        block, half_width, clearance = streets
+        model = ManhattanShadowing.for_grid(
+            4, 4, block, half_width=half_width, corner_clearance=clearance
+        )
+        channel.add_obstruction(model)
+        obstructions.append(_pairwise(model))
     fleet = FleetState(channel)
     ifaces = []
     log = []
