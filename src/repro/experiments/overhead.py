@@ -10,9 +10,10 @@ proposing the plausibility check:
 
 This module turns those sentences into numbers: given a finished run's
 channel statistics, it models the extra on-air bytes and cryptographic
-operations each candidate defence would have cost, using the wire-format
-sizes from :mod:`repro.geonet.wire` and published cost figures for
-ECIES/AES-CCM operations on automotive HSMs.
+operations each candidate defence would have cost, using the on-air sizes
+of a secured GN beacon (:data:`BEACON_SIZE`, :data:`ENCRYPTION_OVERHEAD`)
+and published cost figures for ECIES/AES-CCM operations on automotive
+HSMs.
 """
 
 from __future__ import annotations
@@ -20,9 +21,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.geonet.wire import ENCRYPTION_OVERHEAD, beacon_size
 from repro.radio.channel import ChannelStats
 from repro.radio.frames import FrameKind
+
+#: On-air bytes of one signed beacon (EN 302 636-4-1 in an IEEE 1609.2
+#: envelope): basic header (4 B: version, next-header, RHL, reserved) +
+#: long position vector (28 B: GN address 8, timestamp 8, x and y 4 each,
+#: speed 2, heading 2) + security trailer (8 B certificate digest + 64 B
+#: ECDSA signature).
+BEACON_SIZE = 4 + 28 + 8 + 64
+
+#: Extra bytes when a message is encrypted instead of merely signed
+#: (IEEE 1609.2 encrypted-data envelope: recipient info + AES-CCM nonce/tag).
+ENCRYPTION_OVERHEAD = 40
 
 #: Cryptographic cost model (milliseconds per operation, automotive-grade
 #: ECDSA/ECIES figures; the ratios are what matters).
@@ -50,9 +61,7 @@ class MitigationCost:
         )
 
 
-def analyse(
-    stats: ChannelStats, *, duration: float, payload: str = "hazard-warning"
-) -> Dict[str, MitigationCost]:
+def analyse(stats: ChannelStats) -> Dict[str, MitigationCost]:
     """Model the §V-A defence alternatives for one finished run."""
     beacons_sent = stats.sent_by_kind.get(FrameKind.BEACON, 0)
     beacons_received = stats.delivered_by_kind.get(FrameKind.BEACON, 0)
@@ -69,7 +78,7 @@ def analyse(
     )
     ack_forwarding = MitigationCost(
         name="per-hop ACKs",
-        extra_bytes_on_air=unicasts_sent * beacon_size(),  # ACK ≈ header+PV
+        extra_bytes_on_air=unicasts_sent * BEACON_SIZE,  # ACK ≈ header+PV
         extra_crypto_ms=unicasts_sent * (SIGN_MS + VERIFY_MS),
         extra_frames=float(unicasts_sent),
         notes="one signed ACK frame per GF hop; loses efficiency when lost",
@@ -91,7 +100,7 @@ def format_analysis(
     stats: ChannelStats, *, duration: float
 ) -> str:
     """Human-readable §V-A overhead comparison for one run."""
-    costs = analyse(stats, duration=duration)
+    costs = analyse(stats)
     lines = [
         f"mitigation overhead model over a {duration:.0f}s run "
         f"({stats.frames_sent} frames on air):"

@@ -210,7 +210,7 @@ class World:
         #: in creation order; see :meth:`add_roadside_node`.
         self.roadside_nodes: List[GeoNode] = []
         #: Protocol counters of nodes already torn down (exited vehicles) —
-        #: without this, per-node GF/CBF/GUC stats vanish with the node.
+        #: without this, per-node GF/CBF stats vanish with the node.
         self._detached_stats: Counter = Counter()
         self._veh_seq = 0
         self.traffic.on_spawn.append(self._attach_node)
@@ -596,7 +596,7 @@ class World:
 
         This is the paper's silent interception loss — the frame went on
         the air, nobody (reachable) was listening.  Only application
-        packets are tracked; beacons and LS floods resolve to ``None``.
+        packets are tracked; beacons resolve to ``None``.
         """
         kind = ledger_kind(frame.payload)
         if kind is None or self.ledger is None:
@@ -687,7 +687,6 @@ _STAT_SOURCES = (
     ("router", lambda node: node.router.stats),
     ("gf", lambda node: node.router.gf.stats),
     ("cbf", lambda node: node.router.cbf.stats),
-    ("guc", lambda node: node.router.unicast.stats),
 )
 
 

@@ -78,7 +78,7 @@ class ChurnPlan:
     Each vehicle stays up for an Exp(``mean_uptime``) interval, powers off
     (radio leaves the channel, every protocol timer dies), stays down for an
     Exp(``mean_downtime``) interval, then reboots with its volatile router
-    state — LocT, CBF duplicate memory, GUC maps — wiped.  ``mean_uptime``
+    state — LocT and CBF duplicate memory — wiped.  ``mean_uptime``
     of 0 disables churn.
     """
 

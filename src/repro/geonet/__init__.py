@@ -23,16 +23,6 @@ from repro.geonet.loct import LocationTable, LocationTableEntry
 from repro.geonet.fleet import FleetBeaconScheduler, FleetState
 from repro.geonet.gf import GreedyForwarder
 from repro.geonet.cbf import CbfForwarder, contention_timeout
-from repro.geonet.guc import UnicastService, UnicastStats
-from repro.geonet.unicast import (
-    GeoUnicastPacket,
-    GucBody,
-    LsReplyBody,
-    LsReplyPacket,
-    LsRequestBody,
-    LsRequestPacket,
-)
-from repro.geonet.shb import ShbBody, ShbService, ShbStats
 from repro.geonet.router import GeoRouter, RouterStats
 from repro.geonet.node import GeoNode, StaticMobility
 
@@ -46,22 +36,11 @@ __all__ = [
     "GeoNetConfig",
     "GeoNode",
     "GeoRouter",
-    "GeoUnicastPacket",
     "GreedyForwarder",
-    "GucBody",
     "LocationTable",
     "LocationTableEntry",
-    "LsReplyBody",
-    "LsReplyPacket",
-    "LsRequestBody",
-    "LsRequestPacket",
     "PacketId",
     "RouterStats",
-    "ShbBody",
-    "ShbService",
-    "ShbStats",
     "StaticMobility",
-    "UnicastService",
-    "UnicastStats",
     "contention_timeout",
 ]

@@ -116,12 +116,6 @@ class GreedyForwarder:
         for entry in self.loct.live_entries(now):
             if entry.addr in excluded:
                 continue
-            if not entry.is_neighbor:
-                # IS_NEIGHBOUR is false for indirectly-learned positions
-                # (Location Service); only one-hop neighbors are next-hop
-                # candidates.  Replayed beacons count as beacons — which is
-                # the vulnerability.
-                continue
             position = (
                 entry.pv.extrapolate(now) if extrapolate else entry.position
             )

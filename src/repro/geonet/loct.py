@@ -19,20 +19,18 @@ from repro.geo.position import Position, PositionVector
 
 @dataclass
 class LocationTableEntry:
-    """One LocTE: address, PV, neighbor flag and expiry bookkeeping.
+    """One LocTE: address, PV and expiry bookkeeping.
 
-    ``is_neighbor`` mirrors the standard's IS_NEIGHBOUR flag: True when the
-    PV came from a one-hop beacon (so GF may pick the node as a next hop),
-    False when it was learned indirectly (Location Service, multi-hop
-    packets).  The inter-area attack works precisely because a *replayed*
-    beacon is still a beacon — the victim "labels V3 as a neighbor".
+    Every entry comes from a beacon, so every entry is a one-hop neighbor
+    GF may pick as a next hop.  The inter-area attack works precisely
+    because a *replayed* beacon is still a beacon — the victim "labels V3
+    as a neighbor".
     """
 
     addr: int
     pv: PositionVector
     updated_at: float
     expires_at: float
-    is_neighbor: bool = True
 
     def is_live(self, now: float) -> bool:
         """Whether the entry is still within its TTL."""
@@ -74,28 +72,13 @@ class LocationTable:
         self.purged = 0
 
     def update(
-        self,
-        addr: int,
-        pv: PositionVector,
-        now: float,
-        *,
-        neighbor: bool = True,
+        self, addr: int, pv: PositionVector, now: float
     ) -> LocationTableEntry:
-        """Insert or refresh the entry for ``addr`` with a new PV.
-
-        ``neighbor=False`` records indirectly-learned positions (Location
-        Service); it never downgrades an entry already known as a neighbor.
-        """
-        self.update_many(((addr, pv),), now, neighbor=neighbor)
+        """Insert or refresh the entry for ``addr`` with a new PV."""
+        self.update_many(((addr, pv),), now)
         return self._entries[addr]
 
-    def update_many(
-        self,
-        pairs,
-        now: float,
-        *,
-        neighbor: bool = True,
-    ) -> None:
+    def update_many(self, pairs, now: float) -> None:
         """Insert or refresh the entries of ``(addr, pv)`` pairs.
 
         The one insert/refresh body (:meth:`update` is its one-pair call).
@@ -116,14 +99,12 @@ class LocationTable:
                     pv=pv,
                     updated_at=now,
                     expires_at=expires_at,
-                    is_neighbor=neighbor,
                 )
             else:
                 self.refreshes += 1
                 entry.pv = pv
                 entry.updated_at = now
                 entry.expires_at = expires_at
-                entry.is_neighbor = entry.is_neighbor or neighbor
 
     def get(self, addr: int, now: float) -> Optional[LocationTableEntry]:
         """The live entry for ``addr``, or None."""

@@ -25,7 +25,6 @@ from repro.geonet.config import GeoNetConfig
 from repro.geonet.dcc import DccGate
 from repro.geonet.packets import BeaconBody, GeoBroadcastPacket, PacketId
 from repro.geonet.router import GeoRouter
-from repro.geonet.unicast import GeoUnicastPacket
 from repro.observability.ledger import reasons
 from repro.radio.channel import BroadcastChannel, RadioInterface
 from repro.radio.frames import Frame, FrameKind
@@ -55,12 +54,9 @@ class StaticMobility:
 
 def ledger_kind(payload) -> Optional[str]:
     """The :class:`~repro.observability.PacketLedger` namespace of a frame
-    payload: ``"gbc"`` / ``"guc"`` for application packets, None for
-    infrastructure traffic (beacons, SHB, Location Service floods)."""
+    payload: ``"gbc"`` for a GeoBroadcast packet, None for beacons."""
     if isinstance(payload, GeoBroadcastPacket):
         return "gbc"
-    if isinstance(payload, GeoUnicastPacket):
-        return "guc"
     return None
 
 
@@ -105,7 +101,7 @@ class GeoNode:
         self.ledger = ledger
         self.iface = RadioInterface(get_position=mobility.position, tx_range=tx_range)
         channel.register(self.iface)
-        #: Per-node randomness (CBF timers, LS flood jitter).
+        #: Per-node randomness (CBF timers).
         self.rng = rng if rng is not None else random.Random(self.iface.address)
         #: Reactive DCC gate shared by beacons and CBF/GF forwards; None
         #: when DCC is off (the default) so the stack stays bit-identical
@@ -235,23 +231,6 @@ class GeoNode:
         """Source a new GeoBroadcast packet toward ``area``."""
         return self.router.originate(area, payload, lifetime=lifetime, rhl=rhl)
 
-    def send_geo_unicast(
-        self,
-        dest_addr: int,
-        payload: str,
-        *,
-        lifetime: Optional[float] = None,
-        rhl: Optional[int] = None,
-    ) -> PacketId:
-        """GeoUnicast ``payload`` to another node's GN address.
-
-        Resolves the destination's position through the Location Service if
-        it is not in the location table.
-        """
-        return self.router.unicast.send(
-            dest_addr, payload, lifetime=lifetime, rhl=rhl
-        )
-
     # ------------------------------------------------------------------
     # beaconing (called by the fleet's FleetBeaconScheduler)
     # ------------------------------------------------------------------
@@ -357,8 +336,8 @@ class GeoNode:
         """Reboot after :meth:`go_down`.
 
         The radio rejoins the channel and beaconing restarts, but volatile
-        router state — LocT, CBF duplicate memory, GUC resolution/dedup
-        maps — is wiped, exactly what a real OBU loses with its RAM.
+        router state — LocT and CBF duplicate memory — is wiped, exactly
+        what a real OBU loses with its RAM.
         """
         if self._shut_down or not self._down:
             return

@@ -21,10 +21,8 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Set
 from repro.geo.areas import DestinationArea
 from repro.geonet.cbf import CbfForwarder, SfotCbfForwarder
 from repro.geonet.gf import GreedyForwarder
-from repro.geonet.guc import UnicastService
 from repro.geonet.loct import LocationTable
 from repro.geonet.packets import BeaconBody, GbcBody, GeoBroadcastPacket, PacketId
-from repro.geonet.unicast import GeoUnicastPacket, LsReplyPacket, LsRequestPacket
 from repro.observability.ledger import reasons
 from repro.radio.frames import Frame, FrameKind
 from repro.security.signing import SignedMessage, sign, verify
@@ -80,7 +78,6 @@ class GeoRouter:
             get_addr=node._get_address,
             dcc=node.dcc,
         )
-        self.unicast = UnicastService(self)
         self._seq = itertools.count(1)
         self._pending_rechecks: Set[EventHandle] = set()
         self.on_deliver: List[Callable[["GeoNode", GeoBroadcastPacket], None]] = []
@@ -140,19 +137,13 @@ class GeoRouter:
         if frame.kind is FrameKind.BEACON:
             self._handle_beacon(payload)
         elif frame.kind is FrameKind.GEO_BROADCAST:
-            if isinstance(payload, LsRequestPacket):
-                self.unicast.handle_ls_request(payload)
-            elif isinstance(payload, GeoBroadcastPacket):
-                self._handle_gbc_broadcast(payload)
+            self._handle_gbc_broadcast(payload)
         elif frame.kind is FrameKind.GEO_UNICAST:
-            if isinstance(payload, (GeoUnicastPacket, LsReplyPacket)):
-                self.unicast.handle_routed(payload)
-            elif isinstance(payload, GeoBroadcastPacket):
-                self._handle_gbc_unicast(payload)
+            self._handle_gbc_unicast(payload)
 
     def _handle_beacon(self, message: SignedMessage) -> None:
         if not isinstance(message, SignedMessage):
-            return  # other beacon-kind payloads (e.g. SHB) have own handlers
+            return  # not a signed beacon: nothing to verify or store
         if not verify(message):
             self.stats.beacons_rejected_auth += 1
             return
@@ -353,7 +344,6 @@ class GeoRouter:
     def shutdown(self) -> None:
         """Cancel timers and pending rechecks (node leaving)."""
         self.cbf.shutdown()
-        self.unicast.shutdown()
         for handle in self._pending_rechecks:
             handle.cancel()
         self._pending_rechecks.clear()
@@ -367,7 +357,6 @@ class GeoRouter:
         run's aggregate totals read them after the node reboots."""
         now = self.node.sim.now
         self.cbf.power_off()
-        self.unicast.power_off()
         for handle in self._pending_rechecks:
             if not handle.cancelled and handle.time > now and handle.args:
                 self._ledger_drop(handle.args[0], now, reasons.NODE_DOWN)
@@ -375,9 +364,8 @@ class GeoRouter:
         self._pending_rechecks.clear()
 
     def power_on(self) -> None:
-        """Reboot: volatile state (LocT, CBF duplicate memory, GUC maps)
-        is wiped; identity, credentials and counters persist."""
+        """Reboot: volatile state (LocT, CBF duplicate memory) is wiped;
+        identity, credentials and counters persist."""
         now = self.node.sim.now
         self.loct.clear(now)
         self.cbf.reset_state(now)
-        self.unicast.reset_state(now)

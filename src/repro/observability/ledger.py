@@ -1,9 +1,8 @@
 """The per-run packet ledger and its drop-reason taxonomy.
 
-Every *originated* application packet (GeoBroadcast payloads and
-GeoUnicasts; SHB beacons and Location Service floods are infrastructure
-and excluded by default) is registered once and resolved to exactly one
-terminal outcome:
+Every *originated* application packet (GeoBroadcast payloads; beacons are
+infrastructure and excluded) is registered once and resolved to exactly
+one terminal outcome:
 
 ``delivered``
     at least one in-area / addressee delivery happened;
@@ -21,8 +20,6 @@ terminal outcome:
     attack's lever);
 ``expired-in-buffer``
     the CBF contention timer outlived the packet's lifetime;
-``ls-failure``
-    the Location Service never resolved the destination's position;
 ``lifetime-expired``
     the packet's lifetime elapsed anywhere else on the path;
 ``faulted-link-loss``
@@ -30,8 +27,8 @@ terminal outcome:
     burst loss) ate the frame carrying the packet to its addressee;
 ``node-down``
     a fault-injected outage killed the node holding the packet (buffered
-    CBF copies, pending GF/GUC rechecks, LS resolutions) or the packet's
-    unicast addressee was powered off;
+    CBF copies, pending GF rechecks) or the packet's unicast addressee was
+    powered off;
 ``in-flight-at-end``
     the run ended (or the carrying node shut down) with the packet still
     unresolved — the conservation bucket that keeps outcome counts summing
@@ -62,7 +59,6 @@ class reasons:
     CBF_DEFER_EXHAUSTED = "cbf-defer-exhausted"
     DCC_SUPPRESSED = "dcc-suppressed"
     EXPIRED_IN_BUFFER = "expired-in-buffer"
-    LS_FAILURE = "ls-failure"
     LIFETIME_EXPIRED = "lifetime-expired"
     FAULTED_LINK_LOSS = "faulted-link-loss"
     NODE_DOWN = "node-down"
@@ -78,7 +74,6 @@ DROP_REASONS: Tuple[str, ...] = (
     reasons.CBF_DEFER_EXHAUSTED,
     reasons.DCC_SUPPRESSED,
     reasons.EXPIRED_IN_BUFFER,
-    reasons.LS_FAILURE,
     reasons.LIFETIME_EXPIRED,
     reasons.FAULTED_LINK_LOSS,
     reasons.NODE_DOWN,
@@ -88,9 +83,9 @@ DROP_REASONS: Tuple[str, ...] = (
 #: All terminal outcomes, in reporting order (delivered first).
 OUTCOMES: Tuple[str, ...] = (reasons.DELIVERED,) + DROP_REASONS
 
-#: A ledger key: the packet kind ("gbc" or "guc") plus the protocol packet
-#: id.  GBC and GUC sequence counters are independent per node, so the two
-#: namespaces must not share keys.
+#: A ledger key: the packet kind (e.g. "gbc") plus the protocol packet id.
+#: Each packet type numbers its own sequence per node, so kinds are
+#: separate namespaces that must not share keys.
 LedgerKey = Tuple[str, tuple]
 
 
@@ -140,8 +135,8 @@ class PacketLedger:
 
     Instrumented protocol code reports ``originated`` / ``delivered`` /
     ``dropped`` (and, with ``journeys=True``, per-hop ``hop``) events.
-    Events for packets that were never registered — beacons, SHB, LS
-    floods, an attacker's replays of unknown traffic — are ignored, which
+    Events for packets that were never registered — beacons, an
+    attacker's replays of unknown traffic — are ignored, which
     is what scopes the ledger to application packets without the protocol
     layers having to know about workloads.
     """

@@ -18,12 +18,12 @@ def make_stats(beacons_sent=100, beacons_delivered=3000, unicasts=50):
 
 
 def test_analyse_returns_three_options():
-    costs = analyse(make_stats(), duration=200.0)
+    costs = analyse(make_stats())
     assert set(costs) == {"encrypt beacons", "per-hop ACKs", "plausibility check"}
 
 
 def test_plausibility_check_is_free():
-    costs = analyse(make_stats(), duration=200.0)
+    costs = analyse(make_stats())
     check = costs["plausibility check"]
     assert check.extra_bytes_on_air == 0
     assert check.extra_crypto_ms == 0
@@ -31,8 +31,8 @@ def test_plausibility_check_is_free():
 
 
 def test_encryption_cost_scales_with_receivers():
-    sparse = analyse(make_stats(beacons_delivered=100), duration=200.0)
-    dense = analyse(make_stats(beacons_delivered=10000), duration=200.0)
+    sparse = analyse(make_stats(beacons_delivered=100))
+    dense = analyse(make_stats(beacons_delivered=10000))
     assert (
         dense["encrypt beacons"].extra_crypto_ms
         > sparse["encrypt beacons"].extra_crypto_ms
@@ -40,13 +40,22 @@ def test_encryption_cost_scales_with_receivers():
 
 
 def test_ack_cost_scales_with_forwards():
-    few = analyse(make_stats(unicasts=10), duration=200.0)
-    many = analyse(make_stats(unicasts=1000), duration=200.0)
+    few = analyse(make_stats(unicasts=10))
+    many = analyse(make_stats(unicasts=1000))
     assert many["per-hop ACKs"].extra_frames > few["per-hop ACKs"].extra_frames
     assert (
         many["per-hop ACKs"].extra_bytes_on_air
         > few["per-hop ACKs"].extra_bytes_on_air
     )
+
+
+def test_byte_model_is_pinned():
+    """One 104-byte signed beacon-sized ACK per GF unicast (4 B basic
+    header + 28 B long PV + 8 B certificate digest + 64 B signature), and
+    40 encryption-envelope bytes per beacon sent."""
+    costs = analyse(make_stats(beacons_sent=7, unicasts=3))
+    assert costs["per-hop ACKs"].extra_bytes_on_air == 3 * 104
+    assert costs["encrypt beacons"].extra_bytes_on_air == 7 * 40
 
 
 def test_format_analysis_readable():
@@ -66,7 +75,7 @@ def test_analysis_on_real_run():
     config = config.with_(road=dataclasses.replace(config.road, length=1200.0))
     world = World(config, attacked=False, seed=2)
     world.run()
-    costs = analyse(world.channel.stats, duration=10.0)
+    costs = analyse(world.channel.stats)
     assert costs["encrypt beacons"].extra_crypto_ms > 0
     assert costs["per-hop ACKs"].extra_frames > 0
 

@@ -16,7 +16,6 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_single
 from repro.experiments.world import World
 from repro.geonet.cbf import CbfForwarder
-from repro.geonet.guc import UnicastService
 from repro.geonet.loct import LocationTable
 from tests.experiments._golden_capture import outcome_digest
 
@@ -69,7 +68,6 @@ def test_reclamation_is_outcome_invariant(kind, attacked, monkeypatch):
 
     monkeypatch.setattr(LocationTable, "maybe_purge", lambda self, now: 0)
     monkeypatch.setattr(CbfForwarder, "_sweep_done", lambda self, now: None)
-    monkeypatch.setattr(UnicastService, "_sweep", lambda self, now: None)
     without_fix = run_single(config, attacked=attacked)
 
     assert comparable(with_fix) == comparable(without_fix)

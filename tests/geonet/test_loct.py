@@ -88,32 +88,6 @@ def test_len_counts_all_entries_even_expired():
     assert len(loct) == 2
 
 
-def test_entries_are_neighbors_by_default():
-    loct = LocationTable(ttl=20.0)
-    entry = loct.update(1, pv(100), now=0.0)
-    assert entry.is_neighbor
-
-
-def test_indirect_update_not_a_neighbor():
-    loct = LocationTable(ttl=20.0)
-    entry = loct.update(1, pv(100), now=0.0, neighbor=False)
-    assert not entry.is_neighbor
-
-
-def test_indirect_update_never_downgrades_neighbor():
-    loct = LocationTable(ttl=20.0)
-    loct.update(1, pv(100), now=0.0)  # heard a beacon: neighbor
-    entry = loct.update(1, pv(130), now=1.0, neighbor=False)  # then via LS
-    assert entry.is_neighbor
-
-
-def test_beacon_upgrades_indirect_entry():
-    loct = LocationTable(ttl=20.0)
-    loct.update(1, pv(100), now=0.0, neighbor=False)
-    entry = loct.update(1, pv(130), now=1.0, neighbor=True)
-    assert entry.is_neighbor
-
-
 def test_contains_is_liveness_aware():
     loct = LocationTable(ttl=10.0)
     loct.update(1, pv(100), now=0.0)
@@ -175,11 +149,10 @@ def test_update_many_matches_repeated_update():
     assert len(bulk) == len(single)
     for addr, _p in pairs:
         be, se = bulk.get(addr, now=5.0), single.get(addr, now=5.0)
-        assert (be.pv, be.updated_at, be.expires_at, be.is_neighbor) == (
+        assert (be.pv, be.updated_at, be.expires_at) == (
             se.pv,
             se.updated_at,
             se.expires_at,
-            se.is_neighbor,
         )
 
 
@@ -203,9 +176,3 @@ def test_update_many_runs_opportunistic_purge():
     assert 1 not in loct
     assert 2 in loct
 
-
-def test_update_many_never_downgrades_neighbor_flag():
-    loct = LocationTable(ttl=20.0)
-    loct.update(1, pv(100, t=0.0), now=0.0, neighbor=True)
-    loct.update_many([(1, pv(120, t=1.0))], now=1.0, neighbor=False)
-    assert loct.get(1, now=1.0).is_neighbor is True

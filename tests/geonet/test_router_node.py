@@ -237,8 +237,8 @@ class TestAuthentication:
 
 class TestGfRecheckBounds:
     def test_pending_recheck_set_prunes_fired_handles(self, testbed):
-        """Same contract as the GUC recheck set: handles of fired rechecks
-        must be pruned by due time, not retained for the node's lifetime."""
+        """Handles of fired rechecks must be pruned by due time, not
+        retained for the node's lifetime."""
         a = testbed.add_node(0.0)
         testbed.warm_up()
         a.originate(

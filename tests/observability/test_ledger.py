@@ -67,12 +67,12 @@ def test_outcome_totals_conserve_originations():
     ledger.originated("gbc", (1, 2), 1.0, 1)
     ledger.originated("gbc", (2, 1), 2.0, 2)
     ledger.delivered("gbc", (1, 1), 1.5, 9)
-    ledger.dropped("gbc", (1, 2), 2.5, 9, reasons.LS_FAILURE)
+    ledger.dropped("gbc", (1, 2), 2.5, 9, reasons.RHL_EXHAUSTED)
     totals = ledger.outcome_totals()
     assert sum(totals.values()) == len(ledger) == 3
     assert totals == {
         reasons.DELIVERED: 1,
-        reasons.LS_FAILURE: 1,
+        reasons.RHL_EXHAUSTED: 1,
         reasons.IN_FLIGHT_AT_END: 1,
     }
 

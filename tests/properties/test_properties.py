@@ -221,47 +221,3 @@ class TestCanonicalBytesProperties:
         assert canonical_bytes(a) == canonical_bytes(Body(f, s, i))
         assert canonical_bytes(a) != canonical_bytes(b)
 
-
-class TestWireProperties:
-    @given(
-        st.integers(min_value=0, max_value=2**63 - 1),
-        st.floats(min_value=-20000, max_value=20000, allow_nan=False),
-        st.floats(min_value=-100, max_value=100, allow_nan=False),
-        st.floats(min_value=0, max_value=80, allow_nan=False),
-        st.floats(min_value=0, max_value=1e6, allow_nan=False),
-    )
-    def test_pv_round_trip_within_quantisation(self, addr, x, y, speed, t):
-        from repro.geonet import wire
-
-        pv = PositionVector(Position(x, y), speed, 0.0, t)
-        decoded_addr, decoded = wire.decode_pv(wire.encode_pv(addr, pv))
-        assert decoded_addr == addr
-        assert abs(decoded.position.x - x) <= 0.005 + 1e-9
-        assert abs(decoded.position.y - y) <= 0.005 + 1e-9
-        assert abs(decoded.speed - speed) <= 0.005 + 1e-9
-        assert abs(decoded.timestamp - t) <= 0.001 + 1e-9
-
-    @given(
-        st.text(max_size=64),
-        st.integers(min_value=1, max_value=255),
-        st.integers(min_value=1, max_value=2**31 - 1),
-    )
-    def test_gbc_round_trip(self, payload, rhl, seq):
-        from repro.geo.areas import RectangularArea
-        from repro.geonet import wire
-
-        data = wire.encode_gbc(
-            source_addr=1,
-            sequence_number=seq,
-            source_pv=PositionVector(Position(0, 0), 0.0, 0.0, 0.0),
-            area=RectangularArea(0, 100, 0, 10),
-            payload=payload,
-            lifetime=60.0,
-            created_at=0.0,
-            rhl=rhl,
-        )
-        fields = wire.decode_gbc(data)
-        assert fields["payload"] == payload
-        assert fields["rhl"] == rhl
-        assert fields["sequence_number"] == seq
-        assert len(data) == wire.gbc_size(payload)
