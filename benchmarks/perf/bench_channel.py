@@ -1,13 +1,15 @@
-"""Performance benchmark harness for the radio channel's spatial index.
+"""Performance benchmark harness for the radio channel's receiver lookup.
 
-Times the three layers the grid refactor touches and emits a
-machine-readable report:
+Times the three layers a receiver-lookup change touches and emits a
+machine-readable report (its ``grid`` entries keep the name of the
+spatial grid they were first captured with; they time the fleet's cell
+index now):
 
 * **dense-channel microbenchmark** — 500 interfaces at 30 m spacing
   beaconing at 10 Hz (the ISSUE's acceptance scenario): end-to-end event
   throughput plus per-call ``transmit`` and receiver-selection cost.
 * **neighbor-query scaling** — the same microbenchmarks at 300 m spacing
-  with N = 500…4000 interfaces, where the grid's O(k) selection keeps the
+  with N = 500…4000 interfaces, where the O(k) selection keeps the
   per-call cost flat as N grows.
 * **full World runs** — three traffic densities of the paper's inter-area
   scenario, reported through :class:`repro.experiments.reporting.PerfSnapshot`.

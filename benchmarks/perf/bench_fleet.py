@@ -48,7 +48,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import PerfSnapshot
 from repro.experiments.world import World
 from repro.geo.position import Position
-from repro.geonet.fleet import FleetBeaconScheduler, FleetState
+from repro.geonet.fleet import FleetBeaconScheduler
 from repro.radio.channel import BroadcastChannel, RadioInterface
 from repro.radio.shadowing import ManhattanShadowing
 from repro.sim.engine import Simulator
@@ -106,15 +106,16 @@ def build_fleet(n: int, spacing: float):
     """
     sim = Simulator()
     ch = BroadcastChannel(sim, RandomStreams(1))
-    fleet = FleetState(ch, capacity=max(256, n))
+    fleet = ch.fleet
     members = []
     for i in range(n):
         p = Position((i % 250) * spacing, (i // 250) * spacing * 50)
-        iface = RadioInterface(lambda p=p: p, TX_RANGE)
+        slot = fleet.add(x=p.x, y=p.y)
+        iface = RadioInterface(lambda p=p: p, TX_RANGE, slot=slot)
         iface.attach(lambda frame: None)
         ch.register(iface)
         member = _Member(iface)
-        fleet.attach(fleet.add(x=p.x, y=p.y), member, iface, TX_RANGE)
+        fleet.attach(slot, member, TX_RANGE)
         members.append(member)
     return sim, ch, fleet, members
 
@@ -185,7 +186,7 @@ def _build_mobility(n_target):
     )
     sim = Simulator()
     ch = BroadcastChannel(sim, RandomStreams(1))
-    fleet = FleetState(ch, capacity=max(256, n_target + 64))
+    fleet = ch.fleet
     traffic = TrafficSimulation(
         road, IdmParameters(), dt=0.1, rng=random.Random(1), fleet=fleet
     )
@@ -193,10 +194,12 @@ def _build_mobility(n_target):
     ifaces = {}
 
     def attach(vehicle):
-        iface = ifaces[vehicle.slot] = RadioInterface(vehicle.position, TX_RANGE)
+        iface = ifaces[vehicle.slot] = RadioInterface(
+            vehicle.position, TX_RANGE, slot=vehicle.slot
+        )
         iface.attach(lambda frame: None)
         ch.register(iface)
-        fleet.attach(vehicle.slot, vehicle, iface, TX_RANGE)
+        fleet.attach(vehicle.slot, vehicle, TX_RANGE)
 
     def detach(vehicle):
         ch.unregister(ifaces.pop(vehicle.slot))
@@ -204,7 +207,7 @@ def _build_mobility(n_target):
     traffic.on_spawn.append(attach)
     traffic.on_exit.append(detach)
     n = traffic.populate(spacing=spacing)
-    # Build the grid up front so the timed loop measures steady state.
+    # Build the cell index up front so the timed loop measures steady state.
     ch.neighbors_within(Position(0.0, 0.0), 1.0)
     return traffic, ch, n
 

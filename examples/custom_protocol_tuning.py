@@ -13,7 +13,6 @@ Usage: python examples/custom_protocol_tuning.py
 from repro.geo import Position, RectangularArea
 from repro.geonet import (
     FleetBeaconScheduler,
-    FleetState,
     GeoNetConfig,
     GeoNode,
     StaticMobility,
@@ -30,7 +29,7 @@ def run_flood(to_max: float, n_nodes: int = 40, spacing: float = 100.0):
     channel = BroadcastChannel(sim, streams)
     ca = CertificateAuthority()
     config = GeoNetConfig(to_max=to_max, dist_max=DSRC.max_range_m)
-    fleet = FleetState(channel)
+    fleet = channel.fleet
     FleetBeaconScheduler(
         sim,
         fleet,
@@ -50,8 +49,8 @@ def run_flood(to_max: float, n_nodes: int = 40, spacing: float = 100.0):
             tx_range=DSRC.vehicle_range_m,
             rng=streams.get(f"b{i}"),
             name=f"n{i}",
+            slot=fleet.add(x=i * spacing, y=0.0),
         )
-        node.join_fleet(fleet, fleet.add(x=i * spacing, y=0.0))
         nodes.append(node)
     arrivals = {}
     for node in nodes:

@@ -17,7 +17,6 @@ from repro.core import InterAreaInterceptor, IntraAreaBlocker
 from repro.geo import CircularArea, Position, RectangularArea
 from repro.geonet import (
     FleetBeaconScheduler,
-    FleetState,
     GeoNetConfig,
     GeoNode,
     StaticMobility,
@@ -35,7 +34,7 @@ def build_world(seed: int = 7):
     channel = BroadcastChannel(sim, streams)
     ca = CertificateAuthority()
     config = GeoNetConfig(dist_max=DSRC.max_range_m)
-    fleet = FleetState(channel)
+    fleet = channel.fleet
     FleetBeaconScheduler(
         sim,
         fleet,
@@ -56,8 +55,8 @@ def build_world(seed: int = 7):
             tx_range=DSRC.vehicle_range_m,  # 486 m NLoS median (Table II)
             rng=streams.get(f"beacon:{i}"),
             name=f"vehicle-{i}",
+            slot=fleet.add(x=position.x, y=position.y),
         )
-        node.join_fleet(fleet, fleet.add(x=position.x, y=position.y))
         nodes.append(node)
     return sim, streams, channel, ca, nodes
 

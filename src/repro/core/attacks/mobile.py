@@ -8,12 +8,10 @@ moves the poisoned region with it and spreads the evidence over the whole
 route.
 
 The radio stays a :class:`RoadsideAttacker` interface whose position
-callback reads ``self.position``; a periodic process advances the position
-along the path and reports each move with the channel's
-`refresh_interface_position`.  The traffic moves only fleet radios, whose
-positions live in the fleet arrays; the channel's spatial grid holds every
-other radio at the position it last reported, so the moving mast must
-report its own.
+callback reads ``self.position``, in the static fleet slot the channel
+claimed for it; a periodic process advances the position along the path
+and moves that slot with :meth:`~repro.geonet.fleet.FleetState.move`, so
+receiver lookups see the mast where it is.
 """
 
 from __future__ import annotations
@@ -67,8 +65,8 @@ class MobileInterceptor(InterAreaInterceptor):
         # Cyclic traversal: reaching the far end wraps to the start, like a
         # fresh attacker vehicle entering the road — continuous presence.
         self._arc = (self._arc + step) % self._total_length
-        self.position = self._point_at(self._arc)
-        self.channel.refresh_interface_position(self.iface)
+        self.position = position = self._point_at(self._arc)
+        self.channel.fleet.move(self.iface.slot, position.x, position.y)
 
     def _point_at(self, arc: float) -> Position:
         remaining = arc

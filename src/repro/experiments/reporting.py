@@ -150,7 +150,7 @@ class PerfSnapshot:
     :class:`~repro.radio.channel.ChannelStats` counters the run accumulated
     — no external profiler involved.  ``mean_candidates_per_frame`` is the
     average number of candidate receivers the channel examined per
-    transmit: with the spatial index it tracks the ~k in-range neighbors
+    transmit: with the cell index it tracks the ~k in-range neighbors
     instead of the N registered interfaces.
     """
 

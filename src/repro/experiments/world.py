@@ -31,7 +31,7 @@ from repro.experiments.metrics import PacketOutcome, RunMetrics
 from repro.faults.injector import FaultInjector
 from repro.geo.areas import CircularArea, DestinationArea, RectangularArea
 from repro.geo.position import Position
-from repro.geonet.fleet import FleetBeaconScheduler, FleetState
+from repro.geonet.fleet import FleetBeaconScheduler
 from repro.geonet.node import GeoNode, StaticMobility, ledger_kind
 from repro.geonet.packets import GeoBroadcastPacket, PacketId
 from repro.observability.invariants import InvariantChecker
@@ -136,11 +136,13 @@ class World:
         self.grid: Optional[GridRoadNetwork] = None
         self.shadowing: Optional[ManhattanShadowing] = None
         # --- fleet -------------------------------------------------------
-        # The one store of vehicle kinematics: the traffic steps it, the
-        # channel finds fleet receivers in it.  Every node is a member —
-        # vehicles on lane slots, roadside units on static slots — and one
-        # FleetBeaconScheduler tick per mobility step beacons for everybody.
-        self.fleet = FleetState(self.channel)
+        # The channel's one store of radio positions and vehicle
+        # kinematics: the traffic steps it, the channel finds receivers in
+        # it.  Every node is a member — vehicles on lane slots, roadside
+        # units on static slots — and one FleetBeaconScheduler tick per
+        # mobility step beacons for everybody.  Attacker masts sit in
+        # static slots the channel claims for them.
+        self.fleet = self.channel.fleet
         if self.urban:
             traffic_cfg = urban_cfg = config.urban
             self.grid = GridRoadNetwork(
@@ -315,11 +317,11 @@ class World:
             rng=self.streams.get(f"beacon:{seq}"),
             name=f"veh-{seq}",
             ledger=self.ledger,
+            slot=vehicle.slot,
         )
         node.router.on_deliver.append(self._on_deliver)
         self.nodes[vehicle.vehicle_id] = node
         self.node_by_addr[node.address] = node
-        node.join_fleet(self.fleet, vehicle.slot)
         if self.fault_injector is not None:
             # Vehicles only: destinations are surveyed roadside units
             # (no GPS error) on wired power (no churn).
@@ -381,8 +383,8 @@ class World:
             rng=self.streams.get(f"beacon:{name}"),
             name=name,
             ledger=self.ledger,
+            slot=self.fleet.add(x=position.x, y=position.y),
         )
-        node.join_fleet(self.fleet, self.fleet.add(x=position.x, y=position.y))
         self.roadside_nodes.append(node)
         self.node_by_addr[node.address] = node
         return node
@@ -670,8 +672,8 @@ class World:
     def nodes_near(self, position: Position, radius: float) -> List[GeoNode]:
         """GeoNodes whose radios are within ``radius`` of ``position``.
 
-        Runs the channel's receiver query (fleet slots plus the non-fleet
-        grid, the lookup every transmit makes); results are in interface
+        Runs the channel's receiver query (a probe of the fleet's cell
+        index, the lookup every transmit makes); results are in interface
         registration order.
         """
         return [

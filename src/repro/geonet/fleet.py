@@ -1,28 +1,32 @@
-"""Struct-of-arrays fleet state and the one beacon timer.
+"""Struct-of-arrays radio slots and the one beacon timer.
 
-Every node that beacons — each vehicle of a
-:class:`~repro.experiments.world.World`, its static roadside units, the
-nodes of a hand-built testbed — is a fleet member and beacons through this
-module.  A per-node timer would keep one heap event per beacon and ~30
+Every radio on a channel sits in a slot of the channel's one
+:class:`FleetState` (``BroadcastChannel.fleet``).  Every node that beacons
+— each vehicle of a :class:`~repro.experiments.world.World`, its static
+roadside units, the nodes of a hand-built testbed — is a fleet member on
+its own slot and beacons through this module; the channel claims a static
+slot for every other radio (an attacker's mast, a node that does not
+beacon, a test radio).  A per-node timer would keep one heap event per beacon and ~30
 scheduled deliveries per transmission per node — fine at hundreds of
 nodes, a hard wall at tens of thousands.  Instead the whole fleet's
 kinematic and beaconing state lives in numpy arrays indexed by a stable
 *slot*, and the two dominant per-node loops become per-tick batch passes:
 
-* :class:`FleetState` — the one copy of where each member is: lane
+* :class:`FleetState` — the one copy of where each radio is: lane
   progress, positions, speeds, headings and IDM inputs next to TX ranges,
   next-beacon deadlines and alive flags, as parallel arrays.  The traffic
   stepper advances each lane's slots in place, a
   :class:`~repro.traffic.vehicle.Vehicle` is a handle on its slot, a
-  static node's slot never moves, and the channel finds fleet receivers
-  with one vectorised disc test over the arrays (:meth:`FleetState.within`)
-  instead of its spatial grid.
+  static slot moves only by :meth:`FleetState.move` (a mobile mast), and
+  one cell index over the slot columns, cached on the fleet's version,
+  answers every receiver lookup: :meth:`FleetState.neighbor_pairs` for a
+  tick, :meth:`FleetState.near` for a per-frame transmit.
 * :class:`FleetBeaconScheduler` — a single periodic tick selects the
   beacons due in ``[t, t+dt)`` with one vectorised mask, draws all jitters
   in one RNG call, sweeps neighbor pairs for the whole batch with a
-  vectorised cell-grid probe, and delivers per-receiver beacon batches
-  through one scheduled event — so the event heap sees O(ticks) events
-  instead of O(N·ticks).
+  vectorised probe of the cell index, and delivers per-receiver beacon
+  batches through one scheduled event — so the event heap sees O(ticks)
+  events instead of O(N·ticks).
 
 RNG contract: the tick draws exclusively from a dedicated numpy stream
 (``fleet-beacon`` in :class:`~repro.experiments.world.World`), never from
@@ -37,7 +41,7 @@ fleet receivers, whose router accepts them through the same
 ``GeoRouter.receive_beacons_bulk`` a beacon frame reaches (verification is
 hoisted to signing time — the one memoised :func:`~repro.security.signing.
 verify` call a per-frame receiver would make on first reception).
-Interfaces *outside* the fleet — the attacker's mast, a node that does not
+Radios on real-frame slots — the attacker's mast, a node that does not
 beacon — receive real :class:`~repro.radio.frames.Frame` objects through
 their normal handlers, so sniffing, replay and promiscuous overhearing
 work unchanged.
@@ -45,6 +49,8 @@ work unchanged.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from math import floor
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -55,24 +61,92 @@ from repro.radio.frames import Frame, FrameKind
 from repro.sim.engine import Simulator
 from repro.sim.process import PeriodicProcess
 
-_CY_MASK = 0xFFFFFFFF
+#: Cell size of an index with no TX range to take it from.
+_DEFAULT_CELL_SIZE = 500.0
+
+
+class _CellIndex:
+    """Live slots sorted by packed cell key, for one fleet version.
+
+    ``cell`` is the largest TX range of the slots that take tick batches
+    (of every live slot when none does), so a tick sender probes at most
+    its 3x3 cell neighborhood.  A key packs the two lattice coordinates as
+    ``(cx << 32) + cy``: one column's cells are one contiguous key range,
+    so a disc probe costs one bisection per column.  The numpy arrays serve
+    :meth:`FleetState.neighbor_pairs`; their Python-list copies, built on
+    the first per-frame query, serve :meth:`FleetState.near`.
+    """
+
+    __slots__ = ("version", "cell", "inv", "keys", "slots", "xs", "ys", "_lists")
+
+    def __init__(self, fleet: "FleetState"):
+        live = fleet.live_slots()
+        batch = fleet.batch_slots()
+        cell = float(fleet.tx_range[batch].max()) if batch.size else 0.0
+        if cell <= 0.0 and live.size:
+            cell = float(fleet.tx_range[live].max())
+        if cell <= 0.0:
+            cell = _DEFAULT_CELL_SIZE
+        self.version = fleet._version
+        self.cell = cell
+        self.inv = inv = 1.0 / cell
+        xs = fleet.x[live]
+        ys = fleet.y[live]
+        keys = (np.floor(xs * inv).astype(np.int64) << 32) + np.floor(
+            ys * inv
+        ).astype(np.int64)
+        order = np.argsort(keys, kind="stable")
+        self.keys = keys[order]
+        self.slots = live[order]
+        self.xs = xs[order]
+        self.ys = ys[order]
+        self._lists = None
+
+    def lists(self) -> tuple:
+        """``(keys, slots, xs, ys)`` as Python lists (built once)."""
+        if self._lists is None:
+            self._lists = (
+                self.keys.tolist(),
+                self.slots.tolist(),
+                self.xs.tolist(),
+                self.ys.tolist(),
+            )
+        return self._lists
+
+    def same_as(self, other: "_CellIndex") -> bool:
+        """True when both indexes hold the same cells, slots and points."""
+        return (
+            self.cell == other.cell
+            and np.array_equal(self.keys, other.keys)
+            and np.array_equal(self.slots, other.slots)
+            and np.array_equal(self.xs, other.xs)
+            and np.array_equal(self.ys, other.ys)
+        )
 
 
 class FleetState:
-    """Struct-of-arrays state for the beaconing fleet.
+    """Struct-of-arrays state for every radio on a channel.
 
-    This is the only store of vehicle kinematics: position, lane progress
-    ``s``, speed, heading, length, IDM speed factor, forced acceleration
-    (``accel``; NaN means "drive by IDM") and the index of the next
-    intersection ahead (``next_cross``), next to the radio state (TX range,
-    next-beacon deadline, alive flag) as parallel arrays.  A static node
-    claims a slot holding only its position (``add(x=, y=)``), which no
-    traffic stepper touches.
+    This is the only store of radio positions and of vehicle kinematics:
+    position, lane progress ``s``, speed, heading, length, IDM speed factor,
+    forced acceleration (``accel``; NaN means "drive by IDM") and the index
+    of the next intersection ahead (``next_cross``), next to the radio state
+    (TX range, next-beacon deadline, alive flag) as parallel arrays.  A
+    static slot holds only a position (``add(x=, y=)``), which no traffic
+    stepper touches.  ``batch`` marks a slot whose member beacons through
+    the tick and hears beacon batches; every other slot's radio (a mast, a
+    node that does not beacon) takes real frames.
 
     Slots are stable for a member's lifetime: :meth:`add` hands out the
-    lowest free slot, :meth:`remove` recycles it.  Arrays are over-
-    allocated and doubled on demand, so hot-loop consumers index
-    ``fleet.x[slots]`` without per-member indirection.
+    most recently freed slot (the lowest unused one at first),
+    :meth:`remove` recycles it.  Arrays are over-allocated and doubled on
+    demand, so hot-loop consumers index ``fleet.x[slots]`` without
+    per-member indirection.
+
+    ``add``, ``attach``, ``remove`` and ``move`` bump the fleet's version;
+    a caller that writes the ``x``/``y`` columns in place (the traffic
+    step) calls :meth:`moved`.  The slot views and the cell index are
+    cached on that version.
     """
 
     #: ``(name, dtype, fill)`` of every per-slot column.  ``next_beacon_at``
@@ -92,30 +166,36 @@ class FleetState:
         ("tx_range", float, 0.0),
         ("next_beacon_at", float, np.nan),
         ("alive", bool, False),
+        ("batch", bool, False),
         ("beacons_sent", np.int64, 0),  # beacons the tick generated
     )
 
-    def __init__(self, channel=None, capacity: int = 256):
+    def __init__(self, capacity: int = 256):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        self._channel = channel
-        if channel is not None:
-            # The channel finds fleet receivers in these arrays instead of
-            # its spatial grid.
-            channel.fleet = self
         self.capacity = capacity
         for name, dtype, fill in self._COLUMNS:
             setattr(self, name, np.full(capacity, fill, dtype=dtype))
         #: Slot -> member object (e.g. GeoNode); None until attached.
         self.members: List[object] = [None] * capacity
-        #: Slot -> radio interface (kept separately: the hot loops need the
-        #: interface without touching the member).
+        #: Slot -> radio interface, set by the channel on register (kept
+        #: separately: the hot loops need the interface without touching
+        #: the member).
         self.ifaces: List[object] = [None] * capacity
         self._free: List[int] = list(range(capacity - 1, -1, -1))
         self._n_live = 0
-        #: Bumped on every add/remove; caches keyed on it.
+        #: Bumped by every membership or position change; caches keyed on it.
         self._version = 0
-        self._live_cache: Optional[Tuple[int, np.ndarray]] = None
+        self._views: Optional[tuple] = None
+        self._index: Optional[_CellIndex] = None
+
+    def __getstate__(self):
+        # The caches are derived from the columns: a restored fleet
+        # rebuilds them on its first query.
+        state = self.__dict__.copy()
+        state["_views"] = None
+        state["_index"] = None
+        return state
 
     # ------------------------------------------------------------------
     # membership
@@ -136,12 +216,12 @@ class FleetState:
         self.capacity = new
 
     def add(self, **columns) -> int:
-        """Claim the lowest free slot and return it.
+        """Claim a free slot and return it.
 
         Keyword arguments set the slot's columns by name (``x=``, ``s=``,
         ``speed=`` ...); every other column takes its fill value, so the
         beacon deadline starts as NaN — seeded lazily by the scheduler.
-        The slot has no radio until :meth:`attach`.
+        The slot has no radio until a channel registers one on it.
         """
         if not self._free:
             self._grow()
@@ -155,30 +235,18 @@ class FleetState:
         self._version += 1
         return slot
 
-    def attach(self, slot: int, member, iface, tx_range: float) -> None:
-        """Give ``slot`` its member and radio.
-
-        The interface is marked fleet on the channel: the per-frame path
-        finds it through these arrays, and the batched tick beacons for it.
-        Re-attaching a slot (a pseudonym rotation swaps the member's radio)
-        un-marks the radio it had before.
-        """
-        old = self.ifaces[slot]
+    def attach(self, slot: int, member, tx_range: float) -> None:
+        """Make ``member`` the beaconing owner of ``slot``: the tick
+        beacons for it at ``tx_range`` and hands it beacon batches."""
         self.members[slot] = member
-        self.ifaces[slot] = iface
         self.tx_range[slot] = tx_range
-        if self._channel is not None:
-            if old is not None:
-                self._channel.unmark_fleet(old)
-            self._channel.mark_fleet(iface)
+        self.batch[slot] = True
+        self._version += 1
 
     def remove(self, slot: int) -> None:
         """Release ``slot`` (member left the simulation for good)."""
         if not self.alive[slot]:
             raise ValueError(f"slot {slot} is not live")
-        iface = self.ifaces[slot]
-        if self._channel is not None and iface is not None:
-            self._channel.unmark_fleet(iface)
         self.alive[slot] = False
         self.members[slot] = None
         self.ifaces[slot] = None
@@ -186,28 +254,84 @@ class FleetState:
         self._n_live -= 1
         self._version += 1
 
+    def move(self, slot: int, x: float, y: float) -> None:
+        """Move ``slot`` to ``(x, y)`` (a mobile mast reporting its move)."""
+        self.x[slot] = x
+        self.y[slot] = y
+        self._version += 1
+
+    def moved(self) -> None:
+        """Note that the ``x``/``y`` columns were written in place."""
+        self._version += 1
+
+    def _slot_views(self) -> tuple:
+        views = self._views
+        if views is None or views[0] != self._version:
+            live = np.flatnonzero(self.alive)
+            batch = self.batch[live]
+            views = self._views = (self._version, live, live[batch], live[~batch])
+        return views
+
     def live_slots(self) -> np.ndarray:
-        """Slots currently claimed, ascending (cached until membership
-        changes)."""
-        cache = self._live_cache
-        if cache is None or cache[0] != self._version:
-            cache = self._live_cache = (self._version, np.flatnonzero(self.alive))
-        return cache[1]
+        """Slots currently claimed, ascending."""
+        return self._slot_views()[1]
 
-    def within(self, x: float, y: float, radius: float) -> Tuple[list, list]:
-        """Live slots within ``radius`` of ``(x, y)`` (boundary inclusive)
-        and their squared distances, as ascending-slot lists.
+    def batch_slots(self) -> np.ndarray:
+        """Live slots that take tick batches, ascending."""
+        return self._slot_views()[2]
 
-        One vectorised disc test, computed exactly like
-        :meth:`~repro.radio.spatial.SpatialGrid.query_disc`
-        (``dx = x_i - x``, ``dx*dx + dy*dy <= r*r``).
+    def frame_slots(self) -> np.ndarray:
+        """Live slots whose radio takes real frames, ascending."""
+        return self._slot_views()[3]
+
+    # ------------------------------------------------------------------
+    # the cell index
+    # ------------------------------------------------------------------
+    def cell_index(self) -> _CellIndex:
+        """The cell index of the live slots, rebuilt when the version moved."""
+        index = self._index
+        if index is None or index.version != self._version:
+            index = self._index = _CellIndex(self)
+        return index
+
+    def index_is_current(self) -> bool:
+        """False when the cached index differs from a fresh build — a
+        column write that skipped the version bump."""
+        index = self._index
+        if index is None or index.version != self._version:
+            return True
+        return index.same_as(_CellIndex(self))
+
+    def near(self, x: float, y: float, radius: float) -> List[Tuple[int, float]]:
+        """``(slot, d_sq)`` of every live slot within ``radius`` of
+        ``(x, y)`` (boundary inclusive, ``d_sq`` computed as
+        ``dx = x_i - x``, ``dx*dx + dy*dy``), in cell-key order.
+
+        Plain Python over the index's lists: a column of cells is one
+        bisected key range, so a probe wider than the cell (a long
+        per-frame range, a mast's ``link_range``) costs one range per
+        column it spans.
         """
-        live = self.live_slots()
-        dx = self.x[live] - x
-        dy = self.y[live] - y
-        d_sq = dx * dx + dy * dy
-        hit = d_sq <= radius * radius
-        return live[hit].tolist(), d_sq[hit].tolist()
+        if radius < 0:
+            return []
+        index = self.cell_index()
+        keys, slots, xs, ys = index.lists()
+        inv = index.inv
+        cy0 = floor((y - radius) * inv)
+        cy1 = floor((y + radius) * inv)
+        r_sq = radius * radius
+        out: List[Tuple[int, float]] = []
+        append = out.append
+        for cx in range(floor((x - radius) * inv), floor((x + radius) * inv) + 1):
+            base = cx << 32
+            lo = bisect_left(keys, base + cy0)
+            for k in range(lo, bisect_right(keys, base + cy1, lo)):
+                dx = xs[k] - x
+                dy = ys[k] - y
+                d_sq = dx * dx + dy * dy
+                if d_sq <= r_sq:
+                    append((slots[k], d_sq))
+        return out
 
     # ------------------------------------------------------------------
     # neighbor sweep
@@ -215,40 +339,32 @@ class FleetState:
     def neighbor_pairs(
         self, senders: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Fleet receivers in range of each sender, for a whole batch.
+        """Live slots in range of each sender, for a whole batch.
 
-        ``senders`` holds slot ids.  Returns ``(sender_idx, receiver_slot,
-        candidates)``: for every in-range (sender, fleet receiver) pair one
-        entry with the *index into senders* and the receiver's slot; self
-        pairs are excluded.  ``candidates`` counts cell-level candidates
-        examined (the receiver_candidates statistic).
+        ``senders`` holds slot ids of batch slots.  Returns ``(sender_idx,
+        receiver_slot, candidates)``: for every (sender, receiver) pair
+        within the sender's TX range one entry with the *index into
+        senders* and the receiver's slot; self pairs are excluded.
+        ``candidates`` counts cell-level candidates examined (the
+        receiver_candidates statistic).
 
-        One vectorised pass: live members are bucketed by packed cell key
-        (cell size >= the largest live TX range, so each sender probes at
-        most its 3x3 cell neighborhood), the sorted key array is probed
-        with ``searchsorted`` for all senders at once, and the ragged
-        candidate ranges are gathered with one ``repeat``/``arange``
-        composition — no per-sender Python work at all.
+        One vectorised pass over the cell index (cell >= every sender's TX
+        range, so each sender probes at most its 3x3 cell neighborhood):
+        the sorted key array is probed with ``searchsorted`` for all
+        senders at once, and the ragged candidate ranges are gathered with
+        one ``repeat``/``arange`` composition — no per-sender Python work
+        at all.
         """
-        live = self.live_slots()
         n_senders = len(senders)
         empty = np.empty(0, dtype=np.intp)
-        if live.size == 0 or n_senders == 0:
+        if len(self) == 0 or n_senders == 0:
             return empty, empty, 0
-        xs = self.x[live]
-        ys = self.y[live]
-        cell = float(self.tx_range[live].max())
-        if cell <= 0.0:
-            return empty, empty, 0
-        inv = 1.0 / cell
-        keys = (np.floor(xs * inv).astype(np.int64) << 32) ^ (
-            np.floor(ys * inv).astype(np.int64) & _CY_MASK
-        )
-        order = np.argsort(keys, kind="stable")
-        keys_sorted = keys[order]
-        live_sorted = live[order]
-        xs_sorted = xs[order]
-        ys_sorted = ys[order]
+        index = self.cell_index()
+        keys_sorted = index.keys
+        live_sorted = index.slots
+        xs_sorted = index.xs
+        ys_sorted = index.ys
+        inv = index.inv
 
         sx = self.x[senders]
         sy = self.y[senders]
@@ -261,7 +377,7 @@ class FleetState:
         cand_sender_parts = []
         for dx in (-1, 0, 1):
             for dy in (-1, 0, 1):
-                probe = ((scx + dx) << 32) ^ ((scy + dy) & _CY_MASK)
+                probe = ((scx + dx) << 32) + (scy + dy)
                 starts = np.searchsorted(keys_sorted, probe, side="left")
                 ends = np.searchsorted(keys_sorted, probe, side="right")
                 lens = ends - starts
@@ -296,9 +412,9 @@ class FleetBeaconScheduler:
 
     One periodic tick (``World`` uses its mobility dt) advances all beacon
     deadlines that fell due, builds each due member's beacon once, sweeps
-    fleet receivers vectorised, groups entries per receiver, and
-    schedules **one** delivery event for the whole tick.  Non-fleet
-    interfaces get real frames via :meth:`Simulator.schedule_many`.
+    batch receivers vectorised, groups entries per receiver, and
+    schedules **one** delivery event for the whole tick.  Radios on
+    real-frame slots get real frames via :meth:`Simulator.schedule_many`.
 
     Members (``GeoNode`` in a simulation) implement four methods, which
     run only for *due* members (~N·dt/period per tick) and for receivers:
@@ -309,8 +425,8 @@ class FleetBeaconScheduler:
     * ``beacon_extra_delay() -> float`` — extra seconds added to the next
       deadline (the fault layer's congested-DCC beacon jitter; 0.0 unset).
     * ``make_beacon(pv, now) -> (payload, entry) | None`` — build the
-      signed payload for non-fleet receivers and the ``(addr, pv)`` entry
-      for fleet receivers; None suppresses the beacon (DCC throttling).
+      signed payload for real-frame receivers and the ``(addr, pv)`` entry
+      for batch receivers; None suppresses the beacon (DCC throttling).
     * ``hear_beacons(batch, now) -> int`` — deliver a batch of entries to
       a receiving member; returns how many it heard (the delivered-frames
       statistic).
@@ -361,7 +477,7 @@ class FleetBeaconScheduler:
     def _on_tick(self) -> None:
         fleet = self._fleet
         now = self._sim.now
-        live = fleet.live_slots()
+        live = fleet.batch_slots()
         if live.size == 0:
             return
         nba = fleet.next_beacon_at
@@ -432,15 +548,21 @@ class FleetBeaconScheduler:
         tx_x = fleet.x[due]
         tx_y = fleet.y[due]
         tx_r = fleet.tx_range[due]
-        # Cached for lazy frame construction (slow pair filter + non-fleet
+        # Cached for lazy frame construction (slow pair filter + real-frame
         # delivery share the per-sender Frame).
         self._due_cache = due
         self._due_x, self._due_y, self._due_r = tx_x, tx_y, tx_r
         channel.note_tx_batch(now + channel.base_latency, tx_x, tx_y, tx_r)
 
-        # --- fleet receivers: vectorised sweep + per-receiver grouping ---
+        # --- batch receivers: vectorised sweep + per-receiver grouping ---
         sidx, rslots, candidates = fleet.neighbor_pairs(due)
         stats.receiver_candidates += candidates
+        frame_slots = fleet.frame_slots()
+        if frame_slots.size and sidx.size:
+            # Real-frame radios are reached below, at their own reach.
+            batch = fleet.batch[rslots]
+            sidx = sidx[batch]
+            rslots = rslots[batch]
         frames: List[Optional[Frame]] = [None] * n_sent
         if channel.has_obstructions and sidx.size:
             # Obstructions are position predicates: one mask over the
@@ -460,10 +582,11 @@ class FleetBeaconScheduler:
             )
             self._sim.schedule_fire(latency, self._deliver_groups, groups)
 
-        # --- non-fleet receivers: real frames through normal delivery ---
-        self._deliver_nonfleet(
-            due, tx_x, tx_y, tx_r, payloads, frames, now
-        )
+        # --- real-frame receivers: real frames through normal delivery ---
+        if frame_slots.size:
+            self._deliver_frames(
+                frame_slots, due, tx_x, tx_y, tx_r, payloads, frames, now
+            )
 
     # ------------------------------------------------------------------
     # helpers
@@ -542,59 +665,71 @@ class FleetBeaconScheduler:
             delivered += member.hear_beacons(batch, now)
         self._channel.stats.record_delivered(FrameKind.BEACON, delivered)
 
-    def _deliver_nonfleet(
-        self, due, tx_x, tx_y, tx_r, payloads, frames, now
+    def _deliver_frames(
+        self, frame_slots, due, tx_x, tx_y, tx_r, payloads, frames, now
     ) -> None:
-        """Real-frame deliveries to interfaces outside the fleet.
+        """Real-frame deliveries to the radios of non-batch slots.
 
-        The attacker's promiscuous mast and the static destination nodes
-        live here: they receive genuine frames with true transmit metadata,
-        so sniffing and replay work as with per-frame transmits.
-        Distances are checked vectorised over the (senders x non-fleet)
-        matrix — non-fleet populations are tiny (a destination pair and at
-        most one mast).
+        The attacker's promiscuous mast and nodes that do not beacon live
+        here: they receive genuine frames with true transmit metadata, so
+        sniffing and replay work as with per-frame transmits.  Each such
+        radio is tested against the tick's few due senders at its reach
+        (its ``link_range`` override, else the sender's TX range): a mast's
+        override may exceed the cell size, so the batch probe cannot find
+        it.  Deliveries go out sender-major, in registration order.
         """
+        fleet = self._fleet
         channel = self._channel
-        nonfleet = channel.nonfleet_interfaces()
-        if not nonfleet:
-            return
-        px = np.array([iface.get_position().x for iface in nonfleet])
-        py = np.array([iface.get_position().y for iface in nonfleet])
-        override = np.array(
-            [
-                -1.0 if iface.link_range is None else iface.link_range
-                for iface in nonfleet
-            ]
+        ifaces = fleet.ifaces
+        receivers = sorted(
+            (
+                iface
+                for iface in (ifaces[slot] for slot in frame_slots.tolist())
+                if iface is not None and iface.channel is channel
+            ),
+            key=lambda iface: iface._reg_order,
         )
-        dx = px[None, :] - tx_x[:, None]
-        dy = py[None, :] - tx_y[:, None]
-        reach = np.where(override[None, :] > 0.0, override[None, :], tx_r[:, None])
-        hits = (dx * dx + dy * dy) <= reach * reach
-        hit_s, hit_r = np.nonzero(hits)
-        if channel.has_obstructions and hit_s.size:
+        if not receivers:
+            return
+        points = [
+            (fleet.x.item(iface.slot), fleet.y.item(iface.slot), iface.link_range)
+            for iface in receivers
+        ]
+        hits = []
+        for i, (sx, sy, r) in enumerate(
+            zip(tx_x.tolist(), tx_y.tolist(), tx_r.tolist())
+        ):
+            for j, (rx, ry, override) in enumerate(points):
+                dx = rx - sx
+                dy = ry - sy
+                reach = r if override is None else override
+                if dx * dx + dy * dy <= reach * reach:
+                    hits.append((i, j))
+        if not hits:
+            return
+        if channel.has_obstructions:
             # Blocked links are dropped before the link-fault hook, so they
             # spend no fault-RNG draws and never count as fault drops.
-            unblocked = ~channel.block_mask(
-                np.concatenate((tx_x, px)),
-                np.concatenate((tx_y, py)),
+            rx_slots = [iface.slot for iface in receivers]
+            hit_s, hit_r = np.array(hits, dtype=np.intp).T
+            blocked = channel.block_mask(
+                np.concatenate((tx_x, fleet.x[rx_slots])),
+                np.concatenate((tx_y, fleet.y[rx_slots])),
                 hit_s,
                 hit_r + tx_x.size,
             )
-            hit_s = hit_s[unblocked]
-            hit_r = hit_r[unblocked]
-        if hit_s.size == 0:
-            return
+            hits = [hit for hit, b in zip(hits, blocked.tolist()) if not b]
         stats = channel.stats
         link_fault = channel.link_fault
         rng = self._rng
         base = channel.base_latency
         jitter = channel.latency_jitter
         deliveries = []
-        for i, j in zip(hit_s.tolist(), hit_r.tolist()):
-            iface = nonfleet[j]
+        for i, j in hits:
+            iface = receivers[j]
             frame = self._frame_for(i, payloads, frames, tx_x, tx_y, tx_r, now)
             if link_fault is not None and link_fault(
-                self._fleet.ifaces[int(due[i])], iface, frame
+                ifaces[int(due[i])], iface, frame
             ):
                 stats.frames_fault_dropped += 1
                 continue

@@ -5,13 +5,15 @@ participates in GeoNetworking: it beacons its position vector, maintains a
 location table, and forwards GeoBroadcast packets via GF/CBF.  Nodes hold
 CA-issued credentials; every message they emit is signed.
 
-A node beacons once it joins a :class:`~repro.geonet.fleet.FleetState`
-(:meth:`GeoNode.join_fleet`): the fleet's one
+A node built on a slot of its channel's
+:class:`~repro.geonet.fleet.FleetState` (``GeoNode(slot=...)``, a traffic
+or roadside slot) beacons: the fleet's one
 :class:`~repro.geonet.fleet.FleetBeaconScheduler` calls the node's four
 beacon methods (:meth:`~GeoNode.beacon_active`,
 :meth:`~GeoNode.beacon_extra_delay`, :meth:`~GeoNode.make_beacon`,
-:meth:`~GeoNode.hear_beacons`).  A node outside the fleet beacons only
-when told to (:meth:`~GeoNode.send_beacon`).
+:meth:`~GeoNode.hear_beacons`).  A node built without a slot gets a
+static slot from the channel, takes real frames, and beacons only when
+told to (:meth:`~GeoNode.send_beacon`).
 """
 
 from __future__ import annotations
@@ -77,6 +79,7 @@ class GeoNode:
         pseudonym_pool=None,
         pseudonym_period: Optional[float] = None,
         ledger=None,
+        slot: Optional[int] = None,
     ):
         self.sim = sim
         self.channel = channel
@@ -99,7 +102,12 @@ class GeoNode:
         #: Optional :class:`~repro.observability.PacketLedger`; must be set
         #: before the router is built so every service can capture it.
         self.ledger = ledger
-        self.iface = RadioInterface(get_position=mobility.position, tx_range=tx_range)
+        #: This node's fleet slot (its position; the tick beacons for it),
+        #: or None for a node that does not beacon.
+        self.slot = slot
+        self.iface = RadioInterface(
+            get_position=mobility.position, tx_range=tx_range, slot=slot
+        )
         channel.register(self.iface)
         #: Per-node randomness (CBF timers).
         self.rng = rng if rng is not None else random.Random(self.iface.address)
@@ -112,9 +120,8 @@ class GeoNode:
             self.dcc = DccGate(sim, config, self._medium_busy)
         self.router = GeoRouter(self)
         self.iface.attach(self._on_frame)
-        #: ``(fleet, slot)`` once :meth:`join_fleet` made this node a
-        #: beaconing fleet member; None for a node that does not beacon.
-        self._fleet_slot = None
+        if slot is not None:
+            channel.fleet.attach(slot, self, tx_range)
         # --- pseudonym rotation (privacy, paper §II) ----------------------
         # "A personal vehicle is allowed to use a pseudonym to hide its true
         # identity."  Rotation swaps the link-layer address; neighbors'
@@ -234,13 +241,6 @@ class GeoNode:
     # ------------------------------------------------------------------
     # beaconing (called by the fleet's FleetBeaconScheduler)
     # ------------------------------------------------------------------
-    def join_fleet(self, fleet, slot: int) -> None:
-        """Beacon from ``slot`` of ``fleet``, whose columns hold this
-        node's position: the fleet tick beacons for the node and hands it
-        its neighbors' beacons."""
-        self._fleet_slot = (fleet, slot)
-        fleet.attach(slot, self, self.iface, self.iface.tx_range)
-
     def beacon_active(self) -> bool:
         """Whether the node beacons this cycle (not down, not shut down)."""
         return not (self._shut_down or self._down)
@@ -297,19 +297,18 @@ class GeoNode:
         if self._shut_down or self._down:
             return self.address
         old_iface = self.iface
+        # The new radio takes the node's slot, so the fleet tick beacons
+        # from, and delivers to, it.
         new_iface = RadioInterface(
             get_position=self.mobility.position,
             tx_range=old_iface.tx_range,
             address=self._pseudonym_pool.draw(),
+            slot=self.slot,
         )
         self.channel.unregister(old_iface)
         self.channel.register(new_iface)
         new_iface.attach(self._on_frame)
         self.iface = new_iface
-        if self._fleet_slot is not None:
-            # The fleet tick must beacon from, and deliver to, the new radio.
-            fleet, slot = self._fleet_slot
-            fleet.attach(slot, self, new_iface, new_iface.tx_range)
         self.pseudonyms_used += 1
         # Announce the new identity immediately so neighbors relearn us.
         self.send_beacon()

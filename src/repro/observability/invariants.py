@@ -14,9 +14,9 @@ asserts, each tick:
   contention timer due at or after ``now`` and a positive forward RHL;
 * **ledger conservation** — every tracked packet has exactly one outcome,
   outcomes sum to originations, and no event precedes its origination;
-* **spatial-grid consistency** — the channel's neighbor index is
-  internally consistent (:meth:`SpatialGrid.check_consistency`) and holds
-  exactly the registered interfaces outside the vehicle fleet;
+* **radio slots** — every registered interface sits in exactly one live
+  slot of the channel's fleet, at the position its ``get_position()``
+  reports, and the fleet's cached cell index equals a fresh build;
 * **traffic/fleet ownership** — every lane's slot array is sorted by
   progress, no slot is in two lanes or dead in the fleet, and every
   vehicle sits at ``lane.point_at(s)`` with the lane's heading.
@@ -96,7 +96,7 @@ class InvariantChecker:
         now = self._sim.now
         self._check_event_queue(now)
         if self._channel is not None:
-            self._check_grid()
+            self._check_slots()
         if self._traffic is not None:
             self._check_traffic()
         if self._iter_nodes is not None:
@@ -148,27 +148,34 @@ class InvariantChecker:
                         f"heap[{child}]={heap[child][:3]} < heap[{i}]={heap[i][:3]}",
                     )
 
-    def _check_grid(self) -> None:
+    def _check_slots(self) -> None:
         channel = self._channel
-        grid = getattr(channel, "_grid", None)
-        if grid is None:
-            return  # grid is built lazily on first query
-        try:
-            grid.check_consistency()
-        except ValueError as exc:
-            self._fail("spatial grid inconsistent", str(exc))
-        # Fleet radios are found in the fleet arrays, never in the grid.
-        nonfleet = channel._nonfleet
-        for iface in nonfleet.values():
-            if iface._grid_item not in grid:
+        fleet = channel.fleet
+        holders = {}
+        for slot in fleet.live_slots().tolist():
+            iface = fleet.ifaces[slot]
+            if iface is not None and iface.channel is channel:
+                holders.setdefault(id(iface), []).append(slot)
+        for iface in channel.interfaces:
+            slots = holders.get(id(iface), [])
+            if slots != [iface.slot]:
                 self._fail(
-                    "registered interface missing from the spatial grid",
-                    f"address={iface.address}",
+                    "registered interface not in exactly one live slot",
+                    f"address={iface.address} slot={iface.slot}"
+                    f" holding slots={slots}",
                 )
-        if len(grid) != len(nonfleet):
+            pos = iface.get_position()
+            at = (fleet.x.item(iface.slot), fleet.y.item(iface.slot))
+            if at != (pos.x, pos.y):
+                self._fail(
+                    "interface position disagrees with its slot",
+                    f"address={iface.address} slot {iface.slot} at {at}"
+                    f" get_position()=({pos.x}, {pos.y})",
+                )
+        if not fleet.index_is_current():
             self._fail(
-                "spatial grid size disagrees with the non-fleet interfaces",
-                f"grid={len(grid)} non-fleet interfaces={len(nonfleet)}",
+                "fleet cell index is stale",
+                "a column write skipped the version bump",
             )
 
     def _check_traffic(self) -> None:

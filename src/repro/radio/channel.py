@@ -19,19 +19,18 @@ disk at the technology's NLoS-median range.
 Unicast frames are delivered to the addressee only (if in range), but
 promiscuous interfaces overhear them — radio is a broadcast medium.
 
-Receiver lookup has two sources.  Vehicle radios are members of a
-:class:`~repro.geonet.fleet.FleetState`, the one copy of where each vehicle
-is: a transmit finds those within reach with one vectorised disc test over
-the fleet arrays.  Every other radio — masts, roadside units, standalone
-test nodes — sits in a :class:`~repro.radio.spatial.SpatialGrid` keyed on
-its cached position, so a transmit only examines the ~k of them near the
-sender.  The grid is maintained incrementally — interfaces are
-inserted/removed on register/unregister and *moved* when a mobile mast
-calls :meth:`BroadcastChannel.refresh_interface_position`, the one way a
-radio outside the fleet reports a move.
+Every registered radio sits in a slot of the channel's one
+:class:`~repro.geonet.fleet.FleetState` (:attr:`BroadcastChannel.fleet`),
+the one store of radio positions: a node's radio in its traffic or
+roadside slot, any other radio (a mast, a test double) in a static slot
+the channel claims on :meth:`~BroadcastChannel.register` and frees on
+:meth:`~BroadcastChannel.unregister`.  A transmit finds its receivers with
+a plain-Python probe of the fleet's cell index, which is cached on the
+fleet's version; a mobile mast reports a move with
+:meth:`~repro.geonet.fleet.FleetState.move`.
 Deliveries happen in interface *registration order* regardless of where
-candidates come from, which keeps the RNG draw order — and therefore whole
-fixed-seed runs — independent of the lookup.
+candidates sit in the index, which keeps the RNG draw order — and
+therefore whole fixed-seed runs — independent of the lookup.
 
 The channel has no loss model of its own: i.i.d. and bursty link loss are
 fault-layer impairments (``FaultPlan.link``), applied through the
@@ -49,12 +48,8 @@ import numpy as np
 
 from repro.geo.position import Position
 from repro.radio.frames import Frame, FrameKind
-from repro.radio.spatial import SpatialGrid
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
-
-#: Fallback grid cell size when no registered interface implies one.
-_DEFAULT_CELL_SIZE = 500.0
 
 
 class RadioInterface:
@@ -62,6 +57,10 @@ class RadioInterface:
 
     ``address=None`` leaves the link-layer address to the channel, which
     assigns the next free one when the interface first registers.
+    ``slot`` is the fleet slot that holds the radio's position, for a radio
+    whose owner holds one (a node on its traffic or roadside slot);
+    ``None`` lets the channel claim a static slot at the radio's position
+    on register and free it on unregister.
     """
 
     def __init__(
@@ -72,6 +71,7 @@ class RadioInterface:
         link_range: Optional[float] = None,
         address: Optional[int] = None,
         promiscuous: bool = False,
+        slot: Optional[int] = None,
     ):
         if tx_range < 0:
             raise ValueError(f"tx_range must be non-negative, got {tx_range}")
@@ -86,14 +86,11 @@ class RadioInterface:
         self.promiscuous = promiscuous
         self.handler: Optional[Callable[[Frame], None]] = None
         self.channel: Optional["BroadcastChannel"] = None
+        self.slot = slot
+        #: True while :attr:`slot` is a static slot the channel claimed.
+        self._claimed_slot = False
         #: Channel-assigned registration sequence; fixes delivery order.
         self._reg_order = -1
-        #: ``(reg_order, self)`` — the candidate item of receiver lookups
-        #: (and the object a non-fleet interface is stored under in the
-        #: spatial grid).  Keeping the sequence number inside the item lets
-        #: the channel sort raw candidates into delivery order without
-        #: building a second candidate list per transmit.
-        self._grid_item: Optional[tuple] = None
 
     def attach(self, handler: Callable[[Frame], None]) -> None:
         """Register the receive callback for this interface."""
@@ -129,8 +126,10 @@ class ChannelStats:
     #: Receptions eaten by the fault-injection ``link_fault`` hook.
     frames_fault_dropped: int = 0
     unicast_lost: int = 0
-    #: Candidate receivers examined across all transmits (the cost the
-    #: spatial index shrinks from N per frame to ~k).
+    #: Candidate receivers examined across all transmits: registered
+    #: radios inside a frame's search disc, and the cell-level candidates
+    #: of each beacon tick (the cost the cell index shrinks from N per
+    #: frame to ~k).
     receiver_candidates: int = 0
     sent_by_kind: Dict[FrameKind, int] = field(default_factory=dict)
     delivered_by_kind: Dict[FrameKind, int] = field(default_factory=dict)
@@ -166,10 +165,9 @@ class ChannelStats:
 class BroadcastChannel:
     """The shared medium all radio interfaces are registered on.
 
-    Fleet radios are found in the :attr:`fleet` arrays, which the traffic
-    updates in place.  Other radios' positions are cached in the spatial
-    grid; callers that move such an interface call
-    :meth:`refresh_interface_position`, so the cache is exact.
+    Every registered radio's position lives in a slot of :attr:`fleet`;
+    the traffic updates vehicle slots in place, a mobile mast moves its
+    static slot with :meth:`~repro.geonet.fleet.FleetState.move`.
     """
 
     def __init__(
@@ -179,16 +177,16 @@ class BroadcastChannel:
         *,
         base_latency: float = 5e-4,
         latency_jitter: float = 2e-4,
-        cell_size: Optional[float] = None,
     ):
-        if cell_size is not None and cell_size <= 0:
-            raise ValueError(f"cell_size must be positive, got {cell_size}")
+        # Imported here: repro.geonet imports this module.
+        from repro.geonet.fleet import FleetState
+
         self._sim = sim
         self._rng = streams.get("channel")
         self.base_latency = base_latency
         self.latency_jitter = latency_jitter
-        self._interfaces: List[RadioInterface] = []
-        self._index_of: Dict[int, int] = {}
+        #: Registered interfaces by address.
+        self._by_addr: Dict[int, RadioInterface] = {}
         self._next_reg_order = 0
         #: Link-layer addresses for interfaces registered without one.
         self._addresses = itertools.count(1)
@@ -201,20 +199,12 @@ class BroadcastChannel:
         #: instead of one heap push per sender).  Appended in increasing
         #: end-time order, so expiry drops from the front.
         self._active_tx_batches: List[tuple] = []
-        #: Addresses opted into the batched fleet path (their beacons are
-        #: generated by the fleet tick, so they are skipped when the tick
-        #: enumerates per-object receivers) and the registered interfaces
-        #: *not* in the fleet (static destinations, attacker masts) that
-        #: must keep receiving real frames.
-        self._fleet_addrs: set = set()
-        self._nonfleet: Dict[int, RadioInterface] = {}
-        #: The :class:`~repro.geonet.fleet.FleetState` whose members' radios
-        #: are looked up in its arrays (set by the fleet itself).
-        self.fleet = None
-        self._cell_size = cell_size
-        self._grid: Optional[SpatialGrid] = None
-        #: link_range overrides by address; their max widens grid queries so
-        #: a long-eared mast is found beyond the sender's own tx range.
+        #: The one store of radio positions: every registered interface
+        #: sits in one of its slots.
+        self.fleet = FleetState()
+        #: link_range overrides by address; their max widens receiver
+        #: searches so a long-eared mast is found beyond the sender's own
+        #: tx range.
         self._override_ranges: Dict[int, float] = {}
         self._max_override = 0.0
         self.stats = ChannelStats()
@@ -243,47 +233,41 @@ class BroadcastChannel:
 
         An interface without an address gets the channel's next one
         (1, 2, ... in registration order); a re-registered interface keeps
-        the address it has.
+        the address it has.  An interface without a fleet slot gets a
+        static slot at its current position.
         """
         if iface.address is None:
             iface.address = next(self._addresses)
-        if iface.address in self._index_of:
+        if iface.address in self._by_addr:
             raise ValueError(f"address {iface.address} already registered")
+        fleet = self.fleet
+        if iface.slot is None:
+            pos = iface.get_position()
+            iface.slot = fleet.add(x=pos.x, y=pos.y, tx_range=iface.tx_range)
+            iface._claimed_slot = True
+        fleet.ifaces[iface.slot] = iface
         iface.channel = self
         iface._reg_order = self._next_reg_order
-        iface._grid_item = (iface._reg_order, iface)
         self._next_reg_order += 1
-        self._index_of[iface.address] = len(self._interfaces)
-        self._interfaces.append(iface)
+        self._by_addr[iface.address] = iface
         if iface.link_range is not None:
             self._override_ranges[iface.address] = iface.link_range
             if iface.link_range > self._max_override:
                 self._max_override = iface.link_range
-        if iface.address not in self._fleet_addrs:
-            self._nonfleet[iface.address] = iface
-            if self._grid is not None:
-                # Inserted at its current position: the grid stays exact.
-                pos = iface.get_position()
-                self._grid.insert(iface._grid_item, pos.x, pos.y)
 
     def unregister(self, iface: RadioInterface) -> None:
         """Detach an interface (e.g. a vehicle leaving the road).
 
-        Swap-remove: the last interface takes the departing one's slot, so
-        a departure costs O(1) instead of rebuilding the whole index.  (The
-        interface list no longer tracks registration order — delivery order
-        comes from each interface's registration sequence number.)
+        A static slot the channel claimed is freed; a node's own slot stays
+        with the node, which may register the radio again (a reboot).
         """
-        idx = self._index_of.pop(iface.address, None)
-        if idx is None:
+        if iface.channel is not self:
             return
-        last = self._interfaces.pop()
-        if last is not iface:
-            self._interfaces[idx] = last
-            self._index_of[last.address] = idx
-        self._nonfleet.pop(iface.address, None)
-        if self._grid is not None and iface._grid_item in self._grid:
-            self._grid.remove(iface._grid_item)
+        del self._by_addr[iface.address]
+        if iface._claimed_slot:
+            self.fleet.remove(iface.slot)
+            iface.slot = None
+            iface._claimed_slot = False
         override = self._override_ranges.pop(iface.address, None)
         if override is not None and override >= self._max_override:
             self._max_override = max(
@@ -295,45 +279,12 @@ class BroadcastChannel:
     def interfaces(self) -> tuple:
         """A snapshot of registered interfaces, in registration order."""
         return tuple(
-            sorted(self._interfaces, key=lambda iface: iface._reg_order)
+            sorted(self._by_addr.values(), key=lambda iface: iface._reg_order)
         )
 
     # ------------------------------------------------------------------
     # batched-fleet integration
     # ------------------------------------------------------------------
-    def mark_fleet(self, iface: RadioInterface) -> None:
-        """Opt ``iface`` into the batched fleet path.
-
-        Fleet members' beacons are generated and delivered by the fleet
-        tick (:mod:`repro.geonet.fleet`), and per-frame transmits find them
-        in the :attr:`fleet` arrays: marking takes them out of the spatial
-        grid and out of the non-fleet receiver set the tick enumerates for
-        real-frame delivery.  The mark survives unregister/re-register
-        cycles (power faults) and is keyed by address, so it must be
-        re-applied after a pseudonym rotation (which swaps the address),
-        and the interface must have an address (be registered) first.
-        """
-        if iface.address is None:
-            raise ValueError("register the interface before marking it fleet")
-        self._fleet_addrs.add(iface.address)
-        self._nonfleet.pop(iface.address, None)
-        if self._grid is not None and iface._grid_item in self._grid:
-            self._grid.remove(iface._grid_item)
-
-    def unmark_fleet(self, iface: RadioInterface) -> None:
-        """Undo :meth:`mark_fleet` (fleet member removed for good)."""
-        self._fleet_addrs.discard(iface.address)
-        if iface.address in self._index_of:
-            self._nonfleet[iface.address] = iface
-            if self._grid is not None:
-                pos = iface.get_position()
-                self._grid.insert(iface._grid_item, pos.x, pos.y)
-
-    def nonfleet_interfaces(self) -> List[RadioInterface]:
-        """Registered interfaces outside the batched fleet, in registration
-        order (the delivery order :meth:`transmit` uses)."""
-        return sorted(self._nonfleet.values(), key=lambda i: i._reg_order)
-
     def note_tx_batch(self, end_time: float, xs, ys, ranges) -> None:
         """Record a whole tick of fleet transmissions for carrier sense.
 
@@ -343,18 +294,6 @@ class BroadcastChannel:
         order, so expiry pops from the front.
         """
         self._active_tx_batches.append((end_time, xs, ys, ranges))
-
-    def refresh_interface_position(self, iface: RadioInterface) -> None:
-        """Report that ``iface``, a radio outside the fleet (a mobile mast,
-        a test double), has moved: the one way such a radio keeps its grid
-        cell exact.  A no-op before the grid is built (building it reads
-        every position) and for an interface the grid does not hold (a
-        fleet member, one off the channel).
-        """
-        grid = self._grid
-        if grid is not None and iface._grid_item in grid:
-            pos = iface.get_position()
-            grid.move(iface._grid_item, pos.x, pos.y)
 
     def add_obstruction(
         self, blocks: Callable[[Position, Position], bool]
@@ -420,35 +359,6 @@ class BroadcastChannel:
         return blocked
 
     # ------------------------------------------------------------------
-    # position cache
-    # ------------------------------------------------------------------
-    def _auto_cell_size(self) -> float:
-        """Cell size = max link range over registered interfaces.
-
-        With cell >= every query radius, a disc query touches at most a 3×3
-        cell neighborhood (see :mod:`repro.radio.spatial`).  Interfaces that
-        register later with longer ranges stay correct — queries just walk
-        more cells.
-        """
-        best = 0.0
-        for iface in self._interfaces:
-            best = max(best, iface.tx_range)
-            if iface.link_range is not None:
-                best = max(best, iface.link_range)
-        return best if best > 0 else _DEFAULT_CELL_SIZE
-
-    def _build_grid(self) -> None:
-        """Index every non-fleet interface at its current position (on the
-        first receiver lookup; register/unregister and
-        :meth:`refresh_interface_position` keep it exact from then on)."""
-        grid = self._grid = SpatialGrid(
-            self._cell_size if self._cell_size is not None else self._auto_cell_size()
-        )
-        for iface in self._nonfleet.values():
-            pos = iface.get_position()
-            grid.insert(iface._grid_item, pos.x, pos.y)
-
-    # ------------------------------------------------------------------
     # transmission
     # ------------------------------------------------------------------
     def transmit(
@@ -512,42 +422,37 @@ class BroadcastChannel:
         self.stats.record_delivered(kind, delivered)
         return frame
 
-    def _candidates(self, position: Position, radius: float) -> List[tuple]:
-        """``((reg_order, iface), dist_sq)`` for interfaces within ``radius``
-        — plus any interface inside the widened override search radius
-        (callers re-check each candidate against its effective reach).  The
-        grid's raw query output is extended with the fleet radios in the
-        search disc whose interface is on the channel (a radio powered off
-        mid-outage keeps its slot but hears nothing); sorting the list
-        orders candidates by registration sequence (``reg_order`` is
-        unique, the interface is never compared)."""
-        if self._grid is None:
-            self._build_grid()
-        if not self._interfaces:
-            return []
-        search = radius if radius > self._max_override else self._max_override
-        found = self._grid.query_disc(position.x, position.y, search)
-        fleet = self.fleet
-        if fleet is not None and len(fleet):
-            ifaces = fleet.ifaces
-            slots, d_sqs = fleet.within(position.x, position.y, search)
-            for slot, d_sq in zip(slots, d_sqs):
-                iface = ifaces[slot]
-                if iface is not None and iface.channel is self:
-                    found.append((iface._grid_item, d_sq))
+    def _candidates(self, position: Position, search: float) -> List[tuple]:
+        """``(reg_order, iface, d_sq)`` for every registered interface
+        within ``search`` of ``position``, in registration order.  A radio
+        powered off mid-outage keeps its node's slot but is skipped: it is
+        off the channel, and a slot without a radio (a vehicle with no
+        node) holds none.  ``reg_order`` is unique, so the sort never
+        compares interfaces."""
+        ifaces = self.fleet.ifaces
+        found = []
+        append = found.append
+        for slot, d_sq in self.fleet.near(position.x, position.y, search):
+            iface = ifaces[slot]
+            if iface is not None and iface.channel is self:
+                append((iface._reg_order, iface, d_sq))
+        found.sort()
         return found
 
     def _receivers_for(
         self, frame: Frame, sender: RadioInterface
     ) -> List[RadioInterface]:
         tx_range = frame.tx_range
-        candidates = self._candidates(frame.tx_position, tx_range)
+        # Searching out to the longest override finds every mast whose
+        # link reaches farther than the frame; each candidate is then
+        # checked against its own reach.
+        search = tx_range if tx_range > self._max_override else self._max_override
+        candidates = self._candidates(frame.tx_position, search)
         self.stats.receiver_candidates += len(candidates)
-        candidates.sort()
         dest_addr = frame.dest_addr
         receivers: List[RadioInterface] = []
         append = receivers.append
-        for (_order, iface), d_sq in candidates:
+        for _order, iface, d_sq in candidates:
             if iface is sender:
                 continue
             reach = tx_range if iface.link_range is None else iface.link_range
@@ -581,18 +486,11 @@ class BroadcastChannel:
     ) -> List[RadioInterface]:
         """Registered interfaces within ``radius`` of ``position``.
 
-        Served from the same spatial index the transmit path uses; results
+        Served from the same cell index the transmit path uses; results
         come back in registration order.  This is the query the analysis
         layer reuses for proximity lookups (e.g. ``World.nodes_near``).
         """
-        r_sq = radius * radius
-        matches = [
-            item
-            for item, d_sq in self._candidates(position, radius)
-            if d_sq <= r_sq
-        ]
-        matches.sort()
-        return [iface for _order, iface in matches]
+        return [iface for _order, iface, _d_sq in self._candidates(position, radius)]
 
     def medium_busy(self, position: Position) -> bool:
         """Carrier sense: is a transmission audible at ``position`` right now?

@@ -294,6 +294,7 @@ class TrafficSimulation:
             fleet.x[slot], fleet.y[slot] = target.point_at(s)
             fleet.heading[slot] = target.heading
             self._insert(target, slot, s)
+        fleet.moved()
         for vehicle in exits:
             self._leave_lane(vehicle)
             vehicle.active = False

@@ -12,7 +12,7 @@ import pytest
 
 from repro.geo.position import Position
 from repro.geonet.config import GeoNetConfig
-from repro.geonet.fleet import FleetBeaconScheduler, FleetState
+from repro.geonet.fleet import FleetBeaconScheduler
 from repro.geonet.node import GeoNode, StaticMobility
 from repro.radio.channel import BroadcastChannel
 from repro.radio.technology import DSRC
@@ -31,7 +31,7 @@ class Testbed:
         self.channel = BroadcastChannel(self.sim, self.streams)
         self.ca = CertificateAuthority()
         self.config = config or GeoNetConfig(dist_max=DSRC.max_range_m)
-        self.fleet = FleetState(self.channel)
+        self.fleet = self.channel.fleet
         self.fleet_scheduler = FleetBeaconScheduler(
             self.sim,
             self.fleet,
@@ -66,10 +66,9 @@ class Testbed:
             rng=self.streams.get(f"beacon:{node_name}"),
             name=node_name,
             ledger=ledger,
+            slot=self.fleet.add(x=x, y=y) if beaconing else None,
             **node_kwargs,
         )
-        if beaconing:
-            node.join_fleet(self.fleet, self.fleet.add(x=x, y=y))
         return node
 
     def beacons_sent(self, node: GeoNode) -> int:

@@ -143,7 +143,9 @@ class TestCurveWorld:
     def test_vehicles_and_rsu_are_world_nodes(self):
         world = _curve_world(attacked=True)
         assert len(world.nodes) == 2
-        assert len(world.fleet) == 3  # the two vehicles and the RSU
+        # The two vehicles and the RSU beacon; the mast has a static slot.
+        assert world.fleet.batch_slots().size == 3
+        assert len(world.fleet) == 4
         assert [node.name for node in world.roadside_nodes] == ["rsu"]
         assert world.dest_nodes == []
         rsu = world.roadside_nodes[0]

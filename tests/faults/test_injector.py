@@ -108,14 +108,14 @@ def test_outage_powers_the_node_off_and_reboot_restores_it(testbed):
     assert b.is_down
     assert injector.is_down_addr(b.address)
     assert not b.beacon_active()
-    assert b.iface not in testbed.channel._interfaces
+    assert b.iface not in testbed.channel.interfaces
     assert injector.stats.outages == 1
 
     injector._reboot(b)
     assert not b.is_down
     assert not injector.is_down_addr(b.address)
     assert b.beacon_active()
-    assert b.iface in testbed.channel._interfaces
+    assert b.iface in testbed.channel.interfaces
     # volatile state wiped on reboot...
     assert b.router.loct.get(a.address, testbed.sim.now) is None
     # ...but the stats objects (and their counts) survive

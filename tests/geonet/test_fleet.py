@@ -50,19 +50,21 @@ def add_member(channel, fleet, x, y, tx_range=150.0):
     """A fleet member whose position lives only in its slot."""
     slot = fleet.add(x=x, y=y)
     iface = RadioInterface(
-        lambda: Position(fleet.x.item(slot), fleet.y.item(slot)), tx_range
+        lambda: Position(fleet.x.item(slot), fleet.y.item(slot)),
+        tx_range,
+        slot=slot,
     )
     channel.register(iface)
     member = Member(iface)
     member.slot = slot
-    fleet.attach(slot, member, iface, tx_range)
+    fleet.attach(slot, member, tx_range)
     return member
 
 
 def build_fleet(positions, tx_range=150.0, *, seed=1):
     sim = Simulator()
     channel = BroadcastChannel(sim, RandomStreams(seed))
-    fleet = FleetState(channel, capacity=4)
+    fleet = channel.fleet
     members = [add_member(channel, fleet, x, y, tx_range) for x, y in positions]
     return sim, channel, fleet, members
 
@@ -92,13 +94,12 @@ def test_slots_are_stable_and_recycled():
 
 
 def test_capacity_grows_transparently():
-    sim, channel, fleet, members = build_fleet([(0, 0)])
-    assert fleet.capacity == 4
-    for k in range(1, 20):
-        add_member(channel, fleet, float(k * 10), 0.0)
+    fleet = FleetState(capacity=4)
+    slots = [fleet.add(x=float(k * 10)) for k in range(20)]
     assert len(fleet) == 20
     assert fleet.capacity >= 20
-    assert sorted(fleet.live_slots().tolist()) == list(range(20))
+    assert sorted(fleet.live_slots().tolist()) == sorted(slots) == list(range(20))
+    assert [fleet.x.item(slot) for slot in slots] == [k * 10.0 for k in range(20)]
 
 
 def test_remove_dead_slot_raises():
@@ -109,10 +110,21 @@ def test_remove_dead_slot_raises():
 
 
 def test_fleet_membership_tracked_on_channel():
+    """Members take tick batches; a radio registered without a slot gets a
+    static real-frame slot, freed again when it leaves the channel."""
     sim, channel, fleet, members = build_fleet([(0, 0), (50, 0)])
-    assert channel.nonfleet_interfaces() == []
-    fleet.remove(members[0].slot)
-    assert channel.nonfleet_interfaces() == [members[0].iface]
+    assert fleet.batch_slots().tolist() == [m.slot for m in members]
+    assert fleet.frame_slots().size == 0
+    mast = RadioInterface(lambda: Position(25.0, 5.0), 10.0)
+    channel.register(mast)
+    assert fleet.frame_slots().tolist() == [mast.slot]
+    assert fleet.ifaces[mast.slot] is mast
+    assert (fleet.x[mast.slot], fleet.y[mast.slot]) == (25.0, 5.0)
+    slot = mast.slot
+    channel.unregister(mast)
+    assert mast.slot is None
+    assert not fleet.alive[slot]
+    assert fleet.frame_slots().size == 0
 
 
 # ----------------------------------------------------------------------

@@ -96,10 +96,10 @@ def test_rotation_period_requires_pool(testbed):
 
 
 def test_rotated_fleet_member_keeps_one_beacon_path(testbed):
-    """Rotation re-points the node's fleet slot to the new radio: the fleet
-    tick beacons from it and delivers to it, and the radio leaves the
-    non-fleet set.  Otherwise the node would hear every neighbor beacon
-    twice (fleet batch + real frame) and its detector would cry replay."""
+    """The new radio takes the node's fleet slot: the fleet tick beacons
+    from it and delivers to it, and no static real-frame slot is claimed
+    for it.  Otherwise the node would hear every neighbor beacon twice
+    (fleet batch + real frame) and its detector would cry replay."""
     from repro.core.detection import MisbehaviorDetector
     from repro.observability.invariants import InvariantChecker
 
@@ -111,10 +111,9 @@ def test_rotated_fleet_member_keeps_one_beacon_path(testbed):
     fleet = testbed.fleet
     slot = fleet.members.index(node)
     assert fleet.ifaces[slot] is node.iface
-    assert node.iface not in testbed.channel.nonfleet_interfaces()
-    grid = testbed.channel._grid
-    assert grid is not None  # built by the rotation's announce beacon
-    assert node.iface._grid_item not in grid
+    assert node.iface.slot == node.slot == slot
+    assert fleet.batch[slot]
+    assert fleet.frame_slots().size == 0
     InvariantChecker(
         testbed.sim,
         iter_nodes=lambda: [neighbor, node],

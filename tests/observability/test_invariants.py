@@ -207,35 +207,40 @@ def test_detects_delivery_preceding_origination(testbed):
 
 
 # ----------------------------------------------------------------------
-# spatial grid
+# radio slots
 # ----------------------------------------------------------------------
-def _built_grid(testbed):
-    # The grid indexes non-fleet radios only; a per-frame transmit builds it.
-    nodes = testbed.chain(3, 200.0, beaconing=False)
-    nodes[0].send_beacon()
-    testbed.warm_up(1.0)
-    grid = testbed.channel._grid
-    assert grid is not None, "a per-frame transmit should have built the grid"
-    assert len(grid) == 3
-    return grid
+def _slotted_testbed(testbed):
+    """Beaconing nodes, a static-slot radio and a cell index in use."""
+    nodes = testbed.chain(3, 200.0)
+    loner = testbed.add_node(100.0, 50.0, beaconing=False)
+    testbed.warm_up(4.0)
+    loner.send_beacon()  # a per-frame lookup: the index is cached
+    make_checker(testbed, nodes).run()
+    return nodes, loner
 
 
-def test_detects_stale_grid_bucket_position(testbed):
-    grid = _built_grid(testbed)
-    item, cell = next(iter(grid._cell_of.items()))
-    x, y = grid._cells[cell][item]
-    grid._cells[cell][item] = (x + 10000.0, y)  # bypasses move()
-    with pytest.raises(InvariantViolation, match="spatial grid inconsistent"):
+def test_detects_slot_position_disagreeing_with_its_radio(testbed):
+    nodes, _loner = _slotted_testbed(testbed)
+    testbed.fleet.move(nodes[1].slot, 5000.0, 0.0)  # the radio stays put
+    with pytest.raises(InvariantViolation, match="disagrees with its slot"):
         make_checker(testbed).run()
 
 
-def test_detects_interface_missing_from_grid(testbed):
-    grid = _built_grid(testbed)
-    item = next(iter(grid._cell_of))
-    grid.remove(item)  # clean removal: grid stays self-consistent
-    with pytest.raises(
-        InvariantViolation, match="missing from the spatial grid"
-    ):
+def test_detects_registered_radio_without_a_slot(testbed):
+    _nodes, loner = _slotted_testbed(testbed)
+    testbed.fleet.remove(loner.iface.slot)  # behind the channel's back
+    with pytest.raises(InvariantViolation, match="not in exactly one live slot"):
+        make_checker(testbed).run()
+
+
+def test_detects_cell_index_left_stale(testbed):
+    nodes, loner = _slotted_testbed(testbed)
+    slot = loner.iface.slot
+    testbed.fleet.cell_index()
+    # Moved in place with no version bump, and the radio moved with it.
+    testbed.fleet.x[slot] = 900.0
+    loner.mobility._position = Position(900.0, 50.0)
+    with pytest.raises(InvariantViolation, match="cell index is stale"):
         make_checker(testbed).run()
 
 

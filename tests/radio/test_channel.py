@@ -201,6 +201,8 @@ def test_unregister_unknown_is_noop():
 
 
 def test_positions_refresh_after_invalidation():
+    """A radio outside the traffic moves by moving its slot: the move bumps
+    the fleet's version, so the next lookup rebuilds the cell index."""
     sim, channel = make_channel()
     pos = {"x": 0.0}
     mover = RadioInterface(lambda: Position(pos["x"], 0), 100.0)
@@ -214,7 +216,7 @@ def test_positions_refresh_after_invalidation():
     assert mover_rx == []
     # Move into range and report the move, as a mobile mast does.
     pos["x"] = 450.0
-    channel.refresh_interface_position(mover)
+    channel.fleet.move(mover.slot, 450.0, 0.0)
     sender.send(FrameKind.BEACON, "two")
     sim.run_until(0.02)
     assert [f.payload for f in mover_rx] == ["two"]
@@ -259,5 +261,3 @@ def test_channel_assigns_addresses_at_registration():
     channel.unregister(a)
     channel.register(a)
     assert a.address == 1  # a re-registered radio keeps its address
-    with pytest.raises(ValueError, match="register"):
-        channel.mark_fleet(RadioInterface(lambda: Position(0, 0), 10.0))

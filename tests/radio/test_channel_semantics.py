@@ -1,17 +1,17 @@
 """Behavior tests for channel delivery semantics.
 
-These pin the delivery rules of the grid-backed receiver lookup: unicast
+These pin the delivery rules of the cell-indexed receiver lookup: unicast
 vs promiscuous overhearing, the asymmetric ``link_range`` override,
 obstruction predicates, link-loss hooks, delivery ordering, and the
-swap-remove membership bookkeeping.
+membership bookkeeping.
 
-Every scenario runs twice.  ``grid`` runs the channel as it is; ``scan``
-runs it with every receiver set and neighbor query checked against
+Every scenario runs twice.  ``grid`` (a name kept so test ids stay
+stable) runs the channel as it is; ``scan`` runs it with every receiver set and neighbor query checked against
 :func:`reference_receivers` / :func:`reference_neighbors` — a brute-force
 linear scan over all registered interfaces that lives here, in the tests,
 as the reference model of the unit-disk rule.  A hypothesis property
-checks the same reference over random layouts, with some interfaces in a
-vehicle fleet (found in the fleet arrays, not the grid).
+checks the same reference over random layouts, with some interfaces on
+fleet member slots and the rest on static slots the channel claims.
 """
 
 import pytest
@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.geo.position import Position
-from repro.geonet.fleet import FleetState
 from repro.radio.channel import BroadcastChannel, RadioInterface
 from repro.radio.frames import FrameKind
 from repro.radio.shadowing import ManhattanShadowing
@@ -173,7 +172,7 @@ def test_unicast_to_out_of_range_target_counted_lost(mode):
 # ----------------------------------------------------------------------
 def test_mast_override_extends_reception_beyond_sender_range(mode):
     """A mast hears a weak sender far beyond the sender's tx range —
-    the grid must find it outside the frame's own search radius."""
+    the lookup must find it outside the frame's own search radius."""
     sim, channel = make_channel(mode)
     sender, _ = make_iface(channel, 0, tx_range=100.0)
     _mast, mast_rx = make_iface(channel, 800, link_range=1000.0)
@@ -295,7 +294,7 @@ def test_delivery_order_is_registration_order(mode):
     sender, _ = make_iface(channel, 0)
     order = []
     ifaces = []
-    # Register across several grid cells, deliberately not sorted by x.
+    # Register across several cells, deliberately not sorted by x.
     for label, x in (("d", 90.0), ("a", 10.0), ("c", 70.0), ("b", 40.0)):
         iface = RadioInterface(lambda x=x: Position(x, 0.0), 100.0)
         iface.attach(lambda f, label=label: order.append(label))
@@ -307,8 +306,8 @@ def test_delivery_order_is_registration_order(mode):
 
 
 def test_delivery_order_survives_swap_remove(mode):
-    """unregister() swap-removes from the interface list; delivery order
-    must still follow original registration order."""
+    """unregister() frees b's static slot and e reuses it, so slot order
+    is no longer registration order; delivery order must still be."""
     sim, channel = make_channel(mode, latency_jitter=0.0)
     sender, _ = make_iface(channel, 0)
     order = []
@@ -320,8 +319,9 @@ def test_delivery_order_survives_swap_remove(mode):
         return iface
 
     a, b, c, d = reg("a", 10), reg("b", 20), reg("c", 30), reg("d", 40)
-    channel.unregister(b)  # swap-remove moves d into b's slot
-    reg("e", 50)
+    channel.unregister(b)
+    e = reg("e", 50)
+    assert e.slot < d.slot
     sender.send(FrameKind.BEACON, "x")
     sim.run_until(1.0)
     assert order == ["a", "c", "d", "e"]
@@ -358,9 +358,11 @@ def test_unregister_twice_is_noop(mode):
 
 
 # ----------------------------------------------------------------------
-# grid-specific mechanics
+# cell-index mechanics
 # ----------------------------------------------------------------------
 def test_moving_interface_is_retracked_after_invalidation(mode):
+    """Moving a static slot bumps the fleet's version, so the cell index
+    is rebuilt and the radio is found in its new cell."""
     sim, channel = make_channel(mode)
     pos = {"x": 0.0}
     mover = RadioInterface(lambda: Position(pos["x"], 0.0), 100.0)
@@ -371,18 +373,19 @@ def test_moving_interface_is_retracked_after_invalidation(mode):
     sender.send(FrameKind.BEACON, "one")
     sim.run_until(0.01)
     assert mover_rx == []
-    # Cross many grid cells in one hop, as a teleporting test double would.
+    # Cross many cells in one hop, as a teleporting test double would.
     pos["x"] = 2950.0
-    channel.refresh_interface_position(mover)
+    channel.fleet.move(mover.slot, 2950.0, 0.0)
     sender.send(FrameKind.BEACON, "two")
     sim.run_until(0.02)
     assert [f.payload for f in mover_rx] == ["two"]
 
 
 def test_per_frame_tx_range_beyond_cell_size(mode):
-    """A frame's tx_range may exceed the grid cell size; the multi-ring
-    query keeps the result exact."""
-    sim, channel = make_channel(mode, cell_size=100.0)
+    """A frame's tx_range may exceed the cell size (here the radios' 100 m
+    range); probing every cell column the search disc spans keeps the
+    result exact."""
+    sim, channel = make_channel(mode)
     sender, _ = make_iface(channel, 0, tx_range=100.0)
     _far, far_rx = make_iface(channel, 1500.0)
     _beyond, beyond_rx = make_iface(channel, 2500.0)
@@ -452,7 +455,7 @@ def test_medium_busy_expires_staggered_transmissions_in_order(mode):
 
 
 # ----------------------------------------------------------------------
-# the grid against the brute-force reference, over random layouts
+# the cell index against the brute-force reference, over random layouts
 # ----------------------------------------------------------------------
 _coord = st.floats(0.0, 1200.0, allow_nan=False)
 _iface_spec = st.tuples(
@@ -461,7 +464,7 @@ _iface_spec = st.tuples(
     st.floats(10.0, 400.0),  # tx_range
     st.one_of(st.none(), st.floats(1.0, 900.0)),  # link_range override
     st.booleans(),  # promiscuous
-    st.booleans(),  # fleet member: its position lives only in a fleet slot
+    st.booleans(),  # fleet member: it holds a slot of its own
 )
 
 
@@ -491,7 +494,6 @@ def _pairwise(model):
             st.floats(150.0, 600.0), st.floats(5.0, 60.0), st.floats(0.0, 70.0)
         ),
     ),
-    cell_size=st.one_of(st.none(), st.floats(40.0, 600.0)),
     removed=st.sets(st.integers(0, 24), max_size=5),
     frames=st.lists(
         st.tuples(
@@ -505,12 +507,10 @@ def _pairwise(model):
     ),
 )
 def test_receivers_match_brute_force_reference(
-    specs, walls, streets, cell_size, removed, frames
+    specs, walls, streets, removed, frames
 ):
     sim = Simulator()
-    channel = BroadcastChannel(
-        sim, RandomStreams(1), latency_jitter=0.0, cell_size=cell_size
-    )
+    channel = BroadcastChannel(sim, RandomStreams(1), latency_jitter=0.0)
     obstructions = [_wall(x0) for x0 in walls]
     for blocks in obstructions:
         channel.add_obstruction(blocks)
@@ -523,7 +523,7 @@ def test_receivers_match_brute_force_reference(
         )
         channel.add_obstruction(model)
         obstructions.append(_pairwise(model))
-    fleet = FleetState(channel)
+    fleet = channel.fleet
     ifaces = []
     log = []
     for x, y, tx_range, link_range, promiscuous, in_fleet in specs:
@@ -533,15 +533,16 @@ def test_receivers_match_brute_force_reference(
             tx_range,
             link_range=link_range,
             promiscuous=promiscuous,
+            slot=slot,
         )
         iface.attach(lambda frame, iface=iface: log.append((iface, frame)))
         channel.register(iface)
         if in_fleet:
-            fleet.attach(slot, iface, iface, tx_range)
+            fleet.attach(slot, iface, tx_range)
         ifaces.append(iface)
-    # Swap-removes reorder the channel's interface list; the reference
-    # still walks registration order.  An unregistered fleet member keeps
-    # its live slot, like a radio powered off mid-outage.
+    # Unregistering frees a static slot; the reference still walks
+    # registration order.  An unregistered fleet member keeps its live
+    # slot, like a radio powered off mid-outage.
     for k in sorted(removed):
         if k < len(ifaces):
             channel.unregister(ifaces[k])
@@ -568,24 +569,9 @@ def test_receivers_match_brute_force_reference(
         assert channel.neighbors_within(
             frame.tx_position, radius
         ) == reference_neighbors(live, frame.tx_position, radius)
-        # Fleet members move with no call into the channel.
-        fleet.x[fleet.live_slots()] += drift
+        # Fleet members move with no call into the channel, as the
+        # traffic step moves them: in place, then one version bump.
+        members = fleet.batch_slots()
+        fleet.x[members] += drift
+        fleet.moved()
     assert channel.stats.frames_sent == len(frames)
-
-
-def test_mark_fleet_takes_an_interface_out_of_the_grid_and_back():
-    sim, channel = make_channel("grid")
-    a = RadioInterface(lambda: Position(0.0, 0.0), 100.0)
-    b = RadioInterface(lambda: Position(50.0, 0.0), 100.0)
-    channel.register(a)
-    channel.register(b)
-    assert channel.neighbors_within(Position(0.0, 0.0), 100.0) == [a, b]
-    grid = channel._grid
-    assert b._grid_item in grid
-    channel.mark_fleet(b)
-    assert b._grid_item not in grid
-    assert channel.nonfleet_interfaces() == [a]
-    channel.unmark_fleet(b)
-    assert b._grid_item in grid
-    assert channel.nonfleet_interfaces() == [a, b]
-    assert channel.neighbors_within(Position(0.0, 0.0), 100.0) == [a, b]
