@@ -30,8 +30,6 @@ from repro.core import (
     InterAreaInterceptor,
     IntraAreaBlocker,
     VulnerabilityModel,
-    enable_plausibility_check,
-    enable_rhl_check,
 )
 
 __version__ = "1.0.0"
@@ -49,7 +47,5 @@ __all__ = [
     "RangeClass",
     "RectangularArea",
     "VulnerabilityModel",
-    "enable_plausibility_check",
-    "enable_rhl_check",
     "__version__",
 ]

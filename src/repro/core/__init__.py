@@ -24,12 +24,7 @@ from repro.core.detection import (
     MisbehaviorDetector,
     deploy_fleet_detectors,
 )
-from repro.core.mitigations import (
-    duplicate_rhl_plausible,
-    enable_plausibility_check,
-    enable_rhl_check,
-    position_plausible,
-)
+from repro.core.mitigations import duplicate_rhl_plausible, position_plausible
 from repro.core.vulnerability import VulnerabilityModel
 
 __all__ = [
@@ -45,7 +40,5 @@ __all__ = [
     "VulnerabilityModel",
     "deploy_fleet_detectors",
     "duplicate_rhl_plausible",
-    "enable_plausibility_check",
-    "enable_rhl_check",
     "position_plausible",
 ]

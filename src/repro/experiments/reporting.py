@@ -29,26 +29,6 @@ def coverage_note(stored: int, planned: int) -> str:
     return f"partial: {stored}/{planned} runs stored ({pct:.0f}%)"
 
 
-def format_progress(snapshot: Dict[str, object]) -> str:
-    """One log line from a campaign progress snapshot (the dict served by
-    the status endpoint — see
-    :func:`repro.experiments.service.status.progress_snapshot`)."""
-    parts = [
-        f"{snapshot.get('stored', 0)}/{snapshot.get('planned', 0)} stored "
-        f"({snapshot.get('percent', 0.0)}%)",
-        f"{snapshot.get('failures', 0)} failed",
-    ]
-    queue = snapshot.get("queue")
-    if isinstance(queue, dict):
-        parts.append(
-            f"queue: {queue.get('pending', 0)} pending, "
-            f"{queue.get('leased', 0)} leased, "
-            f"{queue.get('done', 0)} done, "
-            f"{queue.get('failed', 0)} failed"
-        )
-    return "campaign progress: " + ", ".join(parts)
-
-
 def detection_table(
     rows: Sequence[tuple],
 ) -> List[str]:

@@ -30,8 +30,7 @@ from repro.faults.plan import FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.geonet.node import GeoNode
-    from repro.radio.channel import BroadcastChannel, RadioInterface
-    from repro.radio.frames import Frame
+    from repro.radio.channel import BroadcastChannel
     from repro.sim.engine import Simulator
     from repro.sim.random import RandomStreams
 
@@ -113,15 +112,13 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # link loss
     # ------------------------------------------------------------------
-    def _link_drop(
-        self, sender: "RadioInterface", receiver: "RadioInterface", frame: "Frame"
-    ) -> bool:
+    def _link_drop(self, sender_addr: int, receiver_addr: int) -> bool:
         """Channel hook: True drops this copy for this receiver."""
         link = self.plan.link
         rng = self._link_rng
         drop = False
         if link.burst_p > 0.0:
-            key = (sender.address, receiver.address)
+            key = (sender_addr, receiver_addr)
             bad = self._link_bad.get(key, False)
             if bad:
                 if rng.random() < link.burst_r:

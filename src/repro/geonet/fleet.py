@@ -44,7 +44,11 @@ verify` call a per-frame receiver would make on first reception).
 Radios on real-frame slots — the attacker's mast, a node that does not
 beacon — receive real :class:`~repro.radio.frames.Frame` objects through
 their normal handlers, so sniffing, replay and promiscuous overhearing
-work unchanged.
+work unchanged.  They hear the tick by the channel's one receiver rule:
+a radio without an override comes from the tick's own probe pairs, a
+long-eared one (``BroadcastChannel.long_eared``) is tested directly
+against the due senders at its ``link_range``.  Each due sender is noted
+for carrier sense in the channel's one active-transmission heap.
 """
 
 from __future__ import annotations
@@ -414,7 +418,8 @@ class FleetBeaconScheduler:
     deadlines that fell due, builds each due member's beacon once, sweeps
     batch receivers vectorised, groups entries per receiver, and
     schedules **one** delivery event for the whole tick.  Radios on
-    real-frame slots get real frames via :meth:`Simulator.schedule_many`.
+    real-frame slots get real frames, one scheduled delivery each, as a
+    per-frame transmit schedules them.
 
     Members (``GeoNode`` in a simulation) implement four methods, which
     run only for *due* members (~N·dt/period per tick) and for receivers:
@@ -461,9 +466,6 @@ class FleetBeaconScheduler:
         self._tick_dt = float(tick)
         #: Total beacons generated by the batched tick.
         self.beacons_sent = 0
-        # Per-tick caches for lazy per-sender Frame construction.
-        self._due_cache = np.empty(0, dtype=np.intp)
-        self._due_x = self._due_y = self._due_r = np.empty(0)
         self._process = PeriodicProcess(
             sim, tick, self._on_tick, start_delay=tick, priority=priority
         )
@@ -547,34 +549,42 @@ class FleetBeaconScheduler:
         stats.record_sent_batch(FrameKind.BEACON, n_sent)
         tx_x = fleet.x[due]
         tx_y = fleet.y[due]
-        tx_r = fleet.tx_range[due]
-        # Cached for lazy frame construction (slow pair filter + real-frame
-        # delivery share the per-sender Frame).
-        self._due_cache = due
-        self._due_x, self._due_y, self._due_r = tx_x, tx_y, tx_r
-        channel.note_tx_batch(now + channel.base_latency, tx_x, tx_y, tx_r)
+        note_tx = channel.note_tx
+        tx_r = fleet.tx_range[due].tolist()
+        for x, y, r in zip(tx_x.tolist(), tx_y.tolist(), tx_r):
+            note_tx(x, y, r)
 
-        # --- batch receivers: vectorised sweep + per-receiver grouping ---
+        # --- who hears: one probe, split into batch and real-frame links ---
         sidx, rslots, candidates = fleet.neighbor_pairs(due)
         stats.receiver_candidates += candidates
-        frame_slots = fleet.frame_slots()
-        if frame_slots.size and sidx.size:
-            # Real-frame radios are reached below, at their own reach.
-            batch = fleet.batch[rslots]
+        batch = fleet.batch[rslots]
+        fsidx, frslots = self._frame_links(
+            sidx[~batch], rslots[~batch], tx_x, tx_y
+        )
+        if not batch.all():
             sidx = sidx[batch]
             rslots = rslots[batch]
-        frames: List[Optional[Frame]] = [None] * n_sent
-        if channel.has_obstructions and sidx.size:
-            # Obstructions are position predicates: one mask over the
-            # fleet slots as endpoints, before link faults, as in
-            # BroadcastChannel._receivers_for.
-            blocked = channel.block_mask(fleet.x, fleet.y, due[sidx], rslots)
+        if channel.has_obstructions and (sidx.size or fsidx.size):
+            # Obstructions are position predicates: one mask over every
+            # link of the tick, with the fleet slots as endpoints, before
+            # link faults, as in BroadcastChannel._receivers_for.
+            n = sidx.size
+            blocked = channel.block_mask(
+                fleet.x,
+                fleet.y,
+                due[np.concatenate((sidx, fsidx))],
+                np.concatenate((rslots, frslots)),
+            )
             if blocked.any():
                 keep_mask = ~blocked
-                sidx = sidx[keep_mask]
-                rslots = rslots[keep_mask]
+                sidx = sidx[keep_mask[:n]]
+                rslots = rslots[keep_mask[:n]]
+                fsidx = fsidx[keep_mask[n:]]
+                frslots = frslots[keep_mask[n:]]
+
+        # --- batch receivers: per-receiver entry batches, one event ---
         if channel.link_fault is not None and sidx.size:
-            sidx, rslots = self._slow_pair_filter(sidx, rslots, payloads, frames)
+            sidx, rslots = self._drop_faulted(sidx, rslots, due)
         groups = self._group_by_receiver(sidx, rslots, entries)
         if groups:
             latency = channel.base_latency + channel.latency_jitter * float(
@@ -583,58 +593,61 @@ class FleetBeaconScheduler:
             self._sim.schedule_fire(latency, self._deliver_groups, groups)
 
         # --- real-frame receivers: real frames through normal delivery ---
-        if frame_slots.size:
-            self._deliver_frames(
-                frame_slots, due, tx_x, tx_y, tx_r, payloads, frames, now
-            )
+        if fsidx.size:
+            self._deliver_frames(fsidx, frslots, due, tx_x, tx_y, payloads, now)
 
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _frame_for(
-        self, i: int, payloads: list, frames: list, xs, ys, rs, now: float
-    ) -> Frame:
-        frame = frames[i]
-        if frame is None:
-            iface = self._fleet.ifaces[int(self._due_cache[i])]
-            frame = frames[i] = Frame(
-                kind=FrameKind.BEACON,
-                sender_addr=iface.address,
-                payload=payloads[i],
-                tx_position=Position(float(xs[i]), float(ys[i])),
-                tx_range=float(rs[i]),
-                tx_time=now,
-            )
-        return frame
+    def _frame_links(self, sidx, rslots, tx_x, tx_y):
+        """The tick's real-frame links ``(sender_idx, receiver_slot)``,
+        sender-major and in registration order within a sender.
 
-    def _slow_pair_filter(self, sidx, rslots, payloads, frames):
-        """Per-pair fallback when a link fault hook is installed.
-
-        The hook takes ``(sender_iface, receiver_iface, frame)``, so the
-        vectorised path cannot evaluate it; fault campaigns trade speed for
-        fidelity here.  Obstructions do not come through here — they are
-        position predicates and run vectorised via
-        :meth:`BroadcastChannel.block_mask` before this filter.
+        ``sidx``/``rslots`` are the probe's pairs to non-batch slots: they
+        give every real-frame radio without an override.  A long-eared one
+        is tested directly against every due sender at its own
+        ``link_range``.
         """
         fleet = self._fleet
         channel = self._channel
-        link_fault = channel.link_fault
         ifaces = fleet.ifaces
+        links = []
+        for i, slot in zip(sidx.tolist(), rslots.tolist()):
+            iface = ifaces[slot]
+            if (
+                iface is not None
+                and iface.channel is channel
+                and iface.link_range is None
+            ):
+                links.append((i, iface._reg_order, slot))
+        for iface in channel.long_eared:
+            slot = iface.slot
+            if fleet.batch[slot]:
+                continue  # a beaconing member hears beacon batches
+            dx = fleet.x[slot] - tx_x
+            dy = fleet.y[slot] - tx_y
+            reach = iface.link_range
+            order = iface._reg_order
+            hits = np.flatnonzero(dx * dx + dy * dy <= reach * reach)
+            links.extend((i, order, slot) for i in hits.tolist())
+        if not links:
+            empty = np.empty(0, dtype=np.intp)
+            return empty, empty
+        links.sort()
+        fsidx, _orders, frslots = np.array(links, dtype=np.intp).T
+        return fsidx, frslots
+
+    def _drop_faulted(self, sidx, rslots, due):
+        """Batch links the channel's ``link_fault`` hook lets through, asked
+        pair by pair in probe order.  Obstructions do not come through
+        here — they are position predicates and run vectorised via
+        :meth:`BroadcastChannel.block_mask` first."""
+        channel = self._channel
+        link_fault = channel.link_fault
+        ifaces = self._fleet.ifaces
         keep = np.ones(sidx.size, dtype=bool)
-        for k in range(sidx.size):
-            i = int(sidx[k])
-            sender_iface = ifaces[int(self._due_cache[i])]
-            recv_iface = ifaces[int(rslots[k])]
-            frame = self._frame_for(
-                i,
-                payloads,
-                frames,
-                self._due_x,
-                self._due_y,
-                self._due_r,
-                self._sim.now,
-            )
-            if link_fault(sender_iface, recv_iface, frame):
+        for k, (s, r) in enumerate(zip(due[sidx].tolist(), rslots.tolist())):
+            if link_fault(ifaces[s].address, ifaces[r].address):
                 channel.stats.frames_fault_dropped += 1
                 keep[k] = False
         return sidx[keep], rslots[keep]
@@ -666,76 +679,43 @@ class FleetBeaconScheduler:
         self._channel.stats.record_delivered(FrameKind.BEACON, delivered)
 
     def _deliver_frames(
-        self, frame_slots, due, tx_x, tx_y, tx_r, payloads, frames, now
+        self, fsidx, frslots, due, tx_x, tx_y, payloads, now
     ) -> None:
-        """Real-frame deliveries to the radios of non-batch slots.
+        """Real-frame deliveries, one scheduled event per link in link
+        order, as :meth:`BroadcastChannel.transmit` schedules them.
 
-        The attacker's promiscuous mast and nodes that do not beacon live
-        here: they receive genuine frames with true transmit metadata, so
-        sniffing and replay work as with per-frame transmits.  Each such
-        radio is tested against the tick's few due senders at its reach
-        (its ``link_range`` override, else the sender's TX range): a mast's
-        override may exceed the cell size, so the batch probe cannot find
-        it.  Deliveries go out sender-major, in registration order.
+        The attacker's promiscuous mast and nodes that do not beacon
+        receive genuine frames with true transmit metadata, so sniffing and
+        replay work as with per-frame transmits.  A sender's frame is built
+        on its first delivery.
         """
         fleet = self._fleet
         channel = self._channel
         ifaces = fleet.ifaces
-        receivers = sorted(
-            (
-                iface
-                for iface in (ifaces[slot] for slot in frame_slots.tolist())
-                if iface is not None and iface.channel is channel
-            ),
-            key=lambda iface: iface._reg_order,
-        )
-        if not receivers:
-            return
-        points = [
-            (fleet.x.item(iface.slot), fleet.y.item(iface.slot), iface.link_range)
-            for iface in receivers
-        ]
-        hits = []
-        for i, (sx, sy, r) in enumerate(
-            zip(tx_x.tolist(), tx_y.tolist(), tx_r.tolist())
-        ):
-            for j, (rx, ry, override) in enumerate(points):
-                dx = rx - sx
-                dy = ry - sy
-                reach = r if override is None else override
-                if dx * dx + dy * dy <= reach * reach:
-                    hits.append((i, j))
-        if not hits:
-            return
-        if channel.has_obstructions:
-            # Blocked links are dropped before the link-fault hook, so they
-            # spend no fault-RNG draws and never count as fault drops.
-            rx_slots = [iface.slot for iface in receivers]
-            hit_s, hit_r = np.array(hits, dtype=np.intp).T
-            blocked = channel.block_mask(
-                np.concatenate((tx_x, fleet.x[rx_slots])),
-                np.concatenate((tx_y, fleet.y[rx_slots])),
-                hit_s,
-                hit_r + tx_x.size,
-            )
-            hits = [hit for hit, b in zip(hits, blocked.tolist()) if not b]
-        stats = channel.stats
         link_fault = channel.link_fault
         rng = self._rng
         base = channel.base_latency
         jitter = channel.latency_jitter
-        deliveries = []
-        for i, j in hits:
-            iface = receivers[j]
-            frame = self._frame_for(i, payloads, frames, tx_x, tx_y, tx_r, now)
-            if link_fault is not None and link_fault(
-                ifaces[int(due[i])], iface, frame
-            ):
-                stats.frames_fault_dropped += 1
+        schedule_fire = self._sim.schedule_fire
+        frames = {}
+        delivered = 0
+        for i, slot in zip(fsidx.tolist(), frslots.tolist()):
+            sender = ifaces[int(due[i])]
+            iface = ifaces[slot]
+            if link_fault is not None and link_fault(sender.address, iface.address):
+                channel.stats.frames_fault_dropped += 1
                 continue
-            deliveries.append(
-                (base + jitter * float(rng.random()), iface.deliver, frame)
-            )
-        if deliveries:
-            self._sim.schedule_many(deliveries)
-            stats.record_delivered(FrameKind.BEACON, len(deliveries))
+            frame = frames.get(i)
+            if frame is None:
+                frame = frames[i] = Frame(
+                    kind=FrameKind.BEACON,
+                    sender_addr=sender.address,
+                    payload=payloads[i],
+                    tx_position=Position(float(tx_x[i]), float(tx_y[i])),
+                    tx_range=float(fleet.tx_range[due[i]]),
+                    tx_time=now,
+                )
+            delivered += 1
+            schedule_fire(base + jitter * float(rng.random()), iface.deliver, frame)
+        if delivered:
+            channel.stats.record_delivered(FrameKind.BEACON, delivered)

@@ -81,6 +81,13 @@ class GeoNode:
         ledger=None,
         slot: Optional[int] = None,
     ):
+        # Validated before the radio registers: a raise must not leave a
+        # live radio (and its claimed slot) on the channel.
+        if pseudonym_period is not None:
+            if pseudonym_pool is None:
+                raise ValueError("pseudonym rotation requires a pool")
+            if pseudonym_period <= 0:
+                raise ValueError("pseudonym_period must be positive")
         self.sim = sim
         self.channel = channel
         self.config = config
@@ -132,10 +139,6 @@ class GeoNode:
         self._rotation_process = None
         self.pseudonyms_used = 1
         if pseudonym_period is not None:
-            if pseudonym_pool is None:
-                raise ValueError("pseudonym rotation requires a pool")
-            if pseudonym_period <= 0:
-                raise ValueError("pseudonym_period must be positive")
             from repro.sim.process import PeriodicProcess
 
             self._rotation_process = PeriodicProcess(

@@ -24,13 +24,21 @@ Every registered radio sits in a slot of the channel's one
 the one store of radio positions: a node's radio in its traffic or
 roadside slot, any other radio (a mast, a test double) in a static slot
 the channel claims on :meth:`~BroadcastChannel.register` and frees on
-:meth:`~BroadcastChannel.unregister`.  A transmit finds its receivers with
-a plain-Python probe of the fleet's cell index, which is cached on the
-fleet's version; a mobile mast reports a move with
+:meth:`~BroadcastChannel.unregister`; a mobile mast reports a move with
 :meth:`~repro.geonet.fleet.FleetState.move`.
+
+One receiver rule serves every real frame, per-frame transmit and beacon
+tick alike.  A radio without an override is found by probing the fleet's
+cell index (cached on the fleet's version) at the frame's range.  A
+*long-eared* radio, one with a ``link_range`` override, is left out of the
+probe and tested directly at its own reach; the channel keeps these radios
+in :attr:`BroadcastChannel.long_eared`, in registration order.
 Deliveries happen in interface *registration order* regardless of where
 candidates sit in the index, which keeps the RNG draw order — and
-therefore whole fixed-seed runs — independent of the lookup.
+therefore whole fixed-seed runs — independent of the lookup.  Carrier
+sense (:meth:`BroadcastChannel.medium_busy`) reads one heap of in-flight
+transmissions, fed by every transmit and every beacon-tick sender through
+:meth:`BroadcastChannel.note_tx`.
 
 The channel has no loss model of its own: i.i.d. and bursty link loss are
 fault-layer impairments (``FaultPlan.link``), applied through the
@@ -191,22 +199,17 @@ class BroadcastChannel:
         #: Link-layer addresses for interfaces registered without one.
         self._addresses = itertools.count(1)
         self._obstructions: List[Callable[[Position, Position], bool]] = []
-        #: Heap of (end_time, x, y, range) of in-flight transmissions, for
-        #: carrier sense; expired entries are popped from the top lazily.
+        #: Heap of (end_time, x, y, range) of in-flight transmissions, per
+        #: frame and per beacon-tick sender, for carrier sense; expired
+        #: entries are popped from the top lazily.
         self._active_tx: List[tuple] = []
-        #: Batched in-flight transmissions: ``(end_time, xs, ys, ranges)``
-        #: numpy triples noted by the fleet beacon tick (one entry per tick
-        #: instead of one heap push per sender).  Appended in increasing
-        #: end-time order, so expiry drops from the front.
-        self._active_tx_batches: List[tuple] = []
         #: The one store of radio positions: every registered interface
         #: sits in one of its slots.
         self.fleet = FleetState()
-        #: link_range overrides by address; their max widens receiver
-        #: searches so a long-eared mast is found beyond the sender's own
-        #: tx range.
-        self._override_ranges: Dict[int, float] = {}
-        self._max_override = 0.0
+        #: Registered radios with a ``link_range`` override, in
+        #: registration order: each is tested directly at its own reach,
+        #: never found by the cell probe.
+        self.long_eared: List[RadioInterface] = []
         self.stats = ChannelStats()
         #: Observability hooks fired when a unicast frame misses its
         #: addressee — ``(frame, why)`` with ``why`` one of
@@ -215,15 +218,13 @@ class BroadcastChannel:
         #: Purely passive: the list is empty by default and callbacks must
         #: not mutate protocol state.
         self.on_unicast_lost: List[Callable[[Frame, str], None]] = []
-        #: Optional fault-injection predicate ``(sender, receiver, frame) ->
-        #: drop?`` consulted per receiver that range and obstructions let
+        #: Optional fault-injection predicate ``(sender_addr, receiver_addr)
+        #: -> drop?`` consulted per receiver that range and obstructions let
         #: through.  None (the default) costs nothing on the hot path;
         #: installed by :class:`~repro.faults.injector.FaultInjector` when
         #: the plan has link impairments.  A dropped addressee fires ``on_unicast_lost``
         #: with ``why="faulted"``.
-        self.link_fault: Optional[
-            Callable[[RadioInterface, RadioInterface, Frame], bool]
-        ] = None
+        self.link_fault: Optional[Callable[[int, int], bool]] = None
 
     # ------------------------------------------------------------------
     # membership
@@ -251,9 +252,7 @@ class BroadcastChannel:
         self._next_reg_order += 1
         self._by_addr[iface.address] = iface
         if iface.link_range is not None:
-            self._override_ranges[iface.address] = iface.link_range
-            if iface.link_range > self._max_override:
-                self._max_override = iface.link_range
+            self.long_eared.append(iface)
 
     def unregister(self, iface: RadioInterface) -> None:
         """Detach an interface (e.g. a vehicle leaving the road).
@@ -268,11 +267,8 @@ class BroadcastChannel:
             self.fleet.remove(iface.slot)
             iface.slot = None
             iface._claimed_slot = False
-        override = self._override_ranges.pop(iface.address, None)
-        if override is not None and override >= self._max_override:
-            self._max_override = max(
-                self._override_ranges.values(), default=0.0
-            )
+        if iface.link_range is not None:
+            self.long_eared.remove(iface)
         iface.channel = None
 
     @property
@@ -281,19 +277,6 @@ class BroadcastChannel:
         return tuple(
             sorted(self._by_addr.values(), key=lambda iface: iface._reg_order)
         )
-
-    # ------------------------------------------------------------------
-    # batched-fleet integration
-    # ------------------------------------------------------------------
-    def note_tx_batch(self, end_time: float, xs, ys, ranges) -> None:
-        """Record a whole tick of fleet transmissions for carrier sense.
-
-        One entry replaces the per-sender ``_active_tx`` heap pushes; the
-        position/range arrays are checked vectorised in
-        :meth:`medium_busy`.  Ticks are appended in increasing end-time
-        order, so expiry pops from the front.
-        """
-        self._active_tx_batches.append((end_time, xs, ys, ranges))
 
     def add_obstruction(
         self, blocks: Callable[[Position, Position], bool]
@@ -361,6 +344,16 @@ class BroadcastChannel:
     # ------------------------------------------------------------------
     # transmission
     # ------------------------------------------------------------------
+    def note_tx(self, x: float, y: float, tx_range: float) -> None:
+        """Record a transmission from ``(x, y)`` starting now, for carrier
+        sense: it occupies the medium within ``tx_range`` for
+        ``base_latency`` seconds.  Expired entries are dropped first."""
+        now = self._sim.now
+        active = self._active_tx
+        while active and active[0][0] <= now:
+            heapq.heappop(active)
+        heapq.heappush(active, (now + self.base_latency, x, y, tx_range))
+
     def transmit(
         self,
         sender: RadioInterface,
@@ -386,10 +379,7 @@ class BroadcastChannel:
             dest_addr=dest_addr,
         )
         self.stats.record_sent(kind)
-        heapq.heappush(
-            self._active_tx,
-            (self._sim.now + self.base_latency, tx_pos.x, tx_pos.y, eff_range),
-        )
+        self.note_tx(tx_pos.x, tx_pos.y, eff_range)
         receivers = self._receivers_for(frame, sender)
         dest_addr = frame.dest_addr
         if dest_addr is not None and not any(
@@ -408,8 +398,9 @@ class BroadcastChannel:
         rng_random = self._rng.random
         link_fault = self.link_fault
         schedule_fire = self._sim.schedule_fire
+        sender_addr = sender.address
         for iface in receivers:
-            if link_fault is not None and link_fault(sender, iface, frame):
+            if link_fault is not None and link_fault(sender_addr, iface.address):
                 self.stats.frames_fault_dropped += 1
                 # An addressee eaten by the fault layer is the second
                 # silent-unicast-loss site.
@@ -422,49 +413,61 @@ class BroadcastChannel:
         self.stats.record_delivered(kind, delivered)
         return frame
 
-    def _candidates(self, position: Position, search: float) -> List[tuple]:
-        """``(reg_order, iface, d_sq)`` for every registered interface
-        within ``search`` of ``position``, in registration order.  A radio
-        powered off mid-outage keeps its node's slot but is skipped: it is
-        off the channel, and a slot without a radio (a vehicle with no
-        node) holds none.  ``reg_order`` is unique, so the sort never
-        compares interfaces."""
+    def _in_disc(self, position: Position, radius: float) -> List[tuple]:
+        """``(reg_order, iface)`` for every registered interface within
+        ``radius`` of ``position``, in cell-key order.  A radio powered off
+        mid-outage keeps its node's slot but is skipped: it is off the
+        channel, and a slot without a radio (a vehicle with no node) holds
+        none."""
         ifaces = self.fleet.ifaces
         found = []
         append = found.append
-        for slot, d_sq in self.fleet.near(position.x, position.y, search):
+        for slot, _d_sq in self.fleet.near(position.x, position.y, radius):
             iface = ifaces[slot]
             if iface is not None and iface.channel is self:
-                append((iface._reg_order, iface, d_sq))
-        found.sort()
+                append((iface._reg_order, iface))
         return found
 
     def _receivers_for(
         self, frame: Frame, sender: RadioInterface
     ) -> List[RadioInterface]:
-        tx_range = frame.tx_range
-        # Searching out to the longest override finds every mast whose
-        # link reaches farther than the frame; each candidate is then
-        # checked against its own reach.
-        search = tx_range if tx_range > self._max_override else self._max_override
-        candidates = self._candidates(frame.tx_position, search)
+        """The one receiver rule: the cell probe at the frame's range finds
+        every radio without an override; each long-eared radio is tested
+        directly at its own reach.  ``receiver_candidates`` counts the
+        registered radios inside the probe disc."""
+        position = frame.tx_position
+        candidates = self._in_disc(position, frame.tx_range)
         self.stats.receiver_candidates += len(candidates)
+        hits = [
+            hit
+            for hit in candidates
+            if hit[1].link_range is None and hit[1] is not sender
+        ]
+        if self.long_eared:
+            x = position.x
+            y = position.y
+            fx = self.fleet.x
+            fy = self.fleet.y
+            for iface in self.long_eared:
+                dx = fx.item(iface.slot) - x
+                dy = fy.item(iface.slot) - y
+                reach = iface.link_range
+                if dx * dx + dy * dy <= reach * reach and iface is not sender:
+                    hits.append((iface._reg_order, iface))
+        # reg_order is unique, so the sort never compares interfaces.
+        hits.sort()
         dest_addr = frame.dest_addr
-        receivers: List[RadioInterface] = []
-        append = receivers.append
-        for _order, iface, d_sq in candidates:
-            if iface is sender:
-                continue
-            reach = tx_range if iface.link_range is None else iface.link_range
-            if d_sq > reach * reach:
-                continue
-            if dest_addr is not None:
-                if iface.address != dest_addr and not iface.promiscuous:
-                    continue
-            append(iface)
+        if dest_addr is None:
+            receivers = [iface for _order, iface in hits]
+        else:
+            receivers = [
+                iface
+                for _order, iface in hits
+                if iface.address == dest_addr or iface.promiscuous
+            ]
         if self._obstructions and receivers:
             # One mask over the sender (endpoint 0) and every receiver.
-            points = [frame.tx_position]
+            points = [position]
             points += [iface.get_position() for iface in receivers]
             n = len(receivers)
             blocked = self.block_mask(
@@ -490,7 +493,9 @@ class BroadcastChannel:
         come back in registration order.  This is the query the analysis
         layer reuses for proximity lookups (e.g. ``World.nodes_near``).
         """
-        return [iface for _order, iface, _d_sq in self._candidates(position, radius)]
+        found = self._in_disc(position, radius)
+        found.sort()
+        return [iface for _order, iface in found]
 
     def medium_busy(self, position: Position) -> bool:
         """Carrier sense: is a transmission audible at ``position`` right now?
@@ -511,13 +516,5 @@ class BroadcastChannel:
             dx = position.x - x
             dy = position.y - y
             if dx * dx + dy * dy <= tx_range * tx_range:
-                return True
-        batches = self._active_tx_batches
-        while batches and batches[0][0] <= now:
-            batches.pop(0)
-        for _end, xs, ys, ranges in batches:
-            dx = xs - position.x
-            dy = ys - position.y
-            if bool(((dx * dx + dy * dy) <= ranges * ranges).any()):
                 return True
         return False

@@ -40,7 +40,6 @@ class Simulator:
         self._now = float(start_time)
         self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
-        self._running = False
         self._stopped = False
         self._events_fired = 0
         self._wall_time = 0.0
@@ -108,61 +107,6 @@ class Simulator:
         heapq.heappush(self._heap, (event.time, priority, seq, event))
         return EventHandle(event)
 
-    def schedule_many(
-        self,
-        entries,
-        *,
-        priority: int = 0,
-    ) -> list[EventHandle]:
-        """Bulk-schedule ``(delay, callback, *args)`` entries in one call.
-
-        Semantically identical to calling :meth:`schedule` once per entry,
-        in order — each entry gets the next sequence number, so the pop
-        order (and therefore the whole run) is bit-identical to the loop it
-        replaces: the heap's pop order is fixed by the total
-        ``(time, priority, seq)`` order regardless of the heap's internal
-        layout after insertion.
-
-        The win is the insertion cost: for a batch of k events into a heap
-        of size n, k sifts cost O(k log n) while ``extend`` + ``heapify``
-        costs O(n + k).  The crossover is handled with a size heuristic so
-        small batches into big heaps keep using sifts.
-        """
-        heap = self._heap
-        now = self._now
-        seq = self._seq
-        new: list[tuple] = []
-        handles: list[EventHandle] = []
-        for delay, callback, *args in entries:
-            time = now + delay
-            if math.isnan(time):
-                raise SimulationError("cannot schedule an event at NaN time")
-            if time < now:
-                raise SimulationError(
-                    f"cannot schedule at t={time:.6f} before now={now:.6f}"
-                )
-            event = Event(
-                time=float(time),
-                priority=priority,
-                seq=seq,
-                callback=callback,
-                args=tuple(args),
-            )
-            new.append((event.time, priority, seq, event))
-            handles.append(EventHandle(event))
-            seq += 1
-        self._seq = seq
-        # heapify is O(n + k); k pushes are O(k log n).  Prefer pushes when
-        # the batch is small relative to the heap (k log n < n + k roughly
-        # when 4k < n for the heap sizes seen here).
-        if len(new) * 4 < len(heap):
-            for entry in new:
-                heapq.heappush(heap, entry)
-        else:
-            heap.extend(new)
-            heapq.heapify(heap)
-        return handles
-
     def schedule_fire(
         self, delay: float, callback: Callable[..., Any], *args: Any
     ) -> None:
@@ -208,7 +152,6 @@ class Simulator:
                 f"end_time {end_time:.6f} is before now {self._now:.6f}"
             )
         self._stopped = False
-        self._running = True
         heap = self._heap
         started = _time.perf_counter()
         try:
@@ -223,7 +166,6 @@ class Simulator:
                 self._events_fired += 1
                 event.fire()
         finally:
-            self._running = False
             self._wall_time += _time.perf_counter() - started
         if not self._stopped:
             self._now = max(self._now, end_time)
@@ -231,7 +173,6 @@ class Simulator:
     def run(self) -> None:
         """Run until the event heap is exhausted or :meth:`stop` is called."""
         self._stopped = False
-        self._running = True
         heap = self._heap
         started = _time.perf_counter()
         try:
@@ -244,45 +185,8 @@ class Simulator:
                 self._events_fired += 1
                 event.fire()
         finally:
-            self._running = False
             self._wall_time += _time.perf_counter() - started
 
     def stop(self) -> None:
         """Stop the current :meth:`run`/:meth:`run_until` after this event."""
         self._stopped = True
-
-    # ------------------------------------------------------------------
-    # checkpoint support
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        """Capture clock, heap and counters for a checkpoint.
-
-        The heap entries reference live :class:`Event` objects (whose
-        callbacks must themselves be picklable — see
-        :mod:`repro.sim.checkpoint`); callers serialize the returned dict
-        together with the object graph those callbacks close over, so
-        shared identity is preserved.  Must not be called from inside a
-        running event loop.
-        """
-        if self._running:
-            raise SimulationError("cannot snapshot while the event loop runs")
-        return {
-            "now": self._now,
-            "heap": list(self._heap),
-            "seq": self._seq,
-            "events_fired": self._events_fired,
-        }
-
-    def restore(self, state: dict) -> None:
-        """Restore a :meth:`snapshot` taken from an equivalent simulator.
-
-        Wall-clock counters are deliberately not restored: they describe
-        this process's run loops, not the simulated timeline.
-        """
-        if self._running:
-            raise SimulationError("cannot restore while the event loop runs")
-        self._now = state["now"]
-        self._heap = list(state["heap"])
-        self._seq = state["seq"]
-        self._events_fired = state["events_fired"]
-        self._stopped = False

@@ -58,53 +58,13 @@ class RandomStreams:
     def spawn(self, name: str) -> "RandomStreams":
         """Return the (cached) child factory independent of our streams.
 
-        Children are cached by name so that a state snapshot of the parent
-        covers every stream the run has touched, including spawned ones.
+        Children are cached by name, so a child handed out twice is one
+        object, and pickling the parent (a checkpoint pickles the whole
+        world) carries every stream the run has touched, spawned ones
+        included.
         """
         child = self._children.get(name)
         if child is None:
             child = RandomStreams(_derive_seed(self._root_seed, f"spawn:{name}"))
             self._children[name] = child
         return child
-
-    # ------------------------------------------------------------------
-    # checkpoint support
-    # ------------------------------------------------------------------
-    def state_snapshot(self) -> dict:
-        """Capture every live stream's generator state, recursively.
-
-        The snapshot is pure data (no generator objects) and restorable on
-        a fresh factory built from the same root seed."""
-        return {
-            "root_seed": self._root_seed,
-            "streams": {
-                name: stream.getstate()
-                for name, stream in self._streams.items()
-            },
-            "numpy_streams": {
-                name: stream.bit_generator.state
-                for name, stream in self._numpy_streams.items()
-            },
-            "children": {
-                name: child.state_snapshot()
-                for name, child in self._children.items()
-            },
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore a :meth:`state_snapshot`, recreating streams on demand.
-
-        Streams absent from the snapshot are left untouched (they were
-        never drawn from at capture time, so their state is still the
-        seed-derived initial one)."""
-        if state["root_seed"] != self._root_seed:
-            raise ValueError(
-                f"snapshot was taken with root seed {state['root_seed']}, "
-                f"this factory uses {self._root_seed}"
-            )
-        for name, stream_state in state["streams"].items():
-            self.get(name).setstate(stream_state)
-        for name, numpy_state in state["numpy_streams"].items():
-            self.get_numpy(name).bit_generator.state = numpy_state
-        for name, child_state in state["children"].items():
-            self.spawn(name).restore_state(child_state)

@@ -1,41 +1,46 @@
-"""Tests for the mitigation enablers and their end-to-end effect (§V)."""
+"""Tests for switching on the §V mitigations and their end-to-end effect.
 
+A mitigation is switched on through its :class:`GeoNetConfig` flag:
+``with_mitigations`` flips the flags, :func:`dataclasses.replace` also
+sets a custom threshold.
+"""
 
-from repro.core.mitigations import (
-    duplicate_rhl_plausible,
-    enable_plausibility_check,
-    enable_rhl_check,
-    position_plausible,
-)
+from dataclasses import replace
+
+from repro.core.mitigations import duplicate_rhl_plausible, position_plausible
 from repro.geonet.config import GeoNetConfig
 
 
 def test_enable_plausibility_check_defaults():
-    config = enable_plausibility_check(GeoNetConfig())
+    config = GeoNetConfig().with_mitigations(plausibility_check=True)
     assert config.plausibility_check
     assert config.plausibility_threshold == 486.0
 
 
 def test_enable_plausibility_check_custom_threshold():
-    config = enable_plausibility_check(GeoNetConfig(), threshold=593.0)
+    config = replace(
+        GeoNetConfig(), plausibility_check=True, plausibility_threshold=593.0
+    )
+    assert config.plausibility_check
     assert config.plausibility_threshold == 593.0
 
 
 def test_enable_rhl_check_defaults():
-    config = enable_rhl_check(GeoNetConfig())
+    config = GeoNetConfig().with_mitigations(rhl_check=True)
     assert config.rhl_check
     assert config.rhl_drop_threshold == 3
 
 
 def test_enable_rhl_check_custom_threshold():
-    config = enable_rhl_check(GeoNetConfig(), threshold=5)
+    config = replace(GeoNetConfig(), rhl_check=True, rhl_drop_threshold=5)
+    assert config.rhl_check
     assert config.rhl_drop_threshold == 5
 
 
 def test_enablers_do_not_mutate_input():
     base = GeoNetConfig()
-    enable_plausibility_check(base)
-    enable_rhl_check(base)
+    base.with_mitigations(plausibility_check=True, rhl_check=True)
+    replace(base, plausibility_check=True, rhl_check=True)
     assert not base.plausibility_check
     assert not base.rhl_check
 
@@ -55,8 +60,10 @@ def test_plausibility_check_blocks_inter_area_attack_end_to_end(make_testbed):
     from repro.geo.position import Position
     from repro.radio.technology import DSRC
 
-    config = enable_plausibility_check(
-        GeoNetConfig(dist_max=DSRC.max_range_m), threshold=DSRC.nlos_median_m
+    config = replace(
+        GeoNetConfig(dist_max=DSRC.max_range_m),
+        plausibility_check=True,
+        plausibility_threshold=DSRC.nlos_median_m,
     )
     testbed = make_testbed(config=config)
     v1 = testbed.add_node(0.0)

@@ -300,8 +300,8 @@ def test_blocked_links_never_reach_the_link_fault_hook():
     channel.add_obstruction(lambda a, b: True)
     hook_calls = []
 
-    def link_fault(sender, receiver, frame):
-        hook_calls.append(receiver.address)
+    def link_fault(sender_addr, receiver_addr):
+        hook_calls.append(receiver_addr)
         return False
 
     channel.link_fault = link_fault

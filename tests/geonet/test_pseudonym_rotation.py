@@ -93,6 +93,9 @@ def test_rotation_period_requires_pool(testbed):
             rng=testbed.streams.get("beacon:bad"),
             pseudonym_period=10.0,
         )
+    # The raise leaves no radio on the channel and no static slot live.
+    assert testbed.channel.interfaces == ()
+    assert testbed.channel.fleet.live_slots().size == 0
 
 
 def test_rotated_fleet_member_keeps_one_beacon_path(testbed):

@@ -1,10 +1,10 @@
-"""Property-based tests (hypothesis) for RandomStreams state capture.
+"""Property-based tests (hypothesis) for pickled RandomStreams.
 
-The checkpoint subsystem relies on :meth:`RandomStreams.state_snapshot` /
-:meth:`restore_state` reproducing every future draw exactly — for stdlib
+A checkpoint is the pickled world, so it relies on a pickle round trip of
+:class:`RandomStreams` reproducing every future draw exactly — for stdlib
 streams, numpy generators and ``spawn()``-ed child factories alike.  These
 properties drive arbitrary interleavings of stream creation and draws,
-snapshot at an arbitrary point, and require the restored factory's
+pickle at an arbitrary point, and require the unpickled factory's
 subsequent draws to be bit-identical to the original's.
 """
 
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import pickle
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -60,44 +59,49 @@ def _future_draws(streams: RandomStreams, steps) -> list:
     return out
 
 
+def _round_trip(streams: RandomStreams) -> RandomStreams:
+    """What a checkpoint does to the factory: pickle, then unpickle."""
+    return pickle.loads(pickle.dumps(streams))
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=SEEDS, past=STEPS, future=STEPS)
 def test_restore_reproduces_future_draws_exactly(seed, past, future):
-    """snapshot -> restore on a fresh factory -> identical future draws."""
+    """pickle -> unpickle -> identical future draws."""
     original = RandomStreams(seed)
     for step in past:
         _apply(original, step)
-    snapshot = original.state_snapshot()
-
-    restored = RandomStreams(seed)
-    restored.restore_state(snapshot)
+    restored = _round_trip(original)
+    assert restored.root_seed == seed
     assert _future_draws(restored, future) == _future_draws(original, future)
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=SEEDS, past=STEPS, future=STEPS)
-def test_snapshot_survives_pickling(seed, past, future):
-    """The snapshot is pure data: a pickle round trip restores the same."""
+@given(seed=SEEDS, past=STEPS, middle=STEPS, future=STEPS)
+def test_snapshot_survives_pickling(seed, past, middle, future):
+    """A restored factory pickles again: a checkpoint taken after a
+    resume restores the same draws as the uninterrupted run."""
     original = RandomStreams(seed)
     for step in past:
         _apply(original, step)
-    snapshot = pickle.loads(pickle.dumps(original.state_snapshot()))
-
-    restored = RandomStreams(seed)
-    restored.restore_state(snapshot)
+    resumed = _round_trip(original)
+    for step in middle:
+        _apply(original, step)
+        _apply(resumed, step)
+    restored = _round_trip(resumed)
     assert _future_draws(restored, future) == _future_draws(original, future)
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=SEEDS, past=STEPS)
 def test_snapshot_is_passive(seed, past):
-    """Taking a snapshot must not advance or perturb any stream."""
+    """Pickling must not advance or perturb any stream."""
     witness = RandomStreams(seed)
     observed = RandomStreams(seed)
     for step in past:
         _apply(witness, step)
         _apply(observed, step)
-    observed.state_snapshot()
+    pickle.dumps(observed)
     probe = [("std", "a", 3), ("numpy", "b", 3), ("child", "a", 3)]
     assert _future_draws(observed, probe) == _future_draws(witness, probe)
 
@@ -105,16 +109,13 @@ def test_snapshot_is_passive(seed, past):
 @settings(max_examples=40, deadline=None)
 @given(seed=SEEDS, past=STEPS)
 def test_spawned_children_are_covered_recursively(seed, past):
-    """Grandchildren drawn from before the snapshot restore exactly too."""
+    """Grandchildren drawn from before the pickle restore exactly too."""
     original = RandomStreams(seed)
     for step in past:
         _apply(original, step)
     grandchild = original.spawn("x").spawn("y")
     burned = [grandchild.get("g").random() for _ in range(4)]
-    snapshot = original.state_snapshot()
-
-    restored = RandomStreams(seed)
-    restored.restore_state(snapshot)
+    restored = _round_trip(original)
     restored_grandchild = restored.spawn("x").spawn("y")
     next_draws = [grandchild.get("g").random() for _ in range(4)]
     assert [
@@ -123,24 +124,12 @@ def test_spawned_children_are_covered_recursively(seed, past):
     assert next_draws != burned  # the stream really advanced
 
 
-@given(seed=SEEDS, other=SEEDS)
-def test_restore_rejects_foreign_root_seed(seed, other):
-    """A snapshot only restores onto a factory with the same root seed."""
-    if seed == other:
-        other += 1
-    snapshot = RandomStreams(seed).state_snapshot()
-    with pytest.raises(ValueError, match="root seed"):
-        RandomStreams(other).restore_state(snapshot)
-
-
 def test_untouched_streams_stay_at_seed_derived_state():
-    """Streams absent from a snapshot keep their initial derived state."""
+    """Streams never drawn from before the pickle start at their
+    seed-derived state on the restored factory."""
     original = RandomStreams(11)
     original.get("used").random()
-    snapshot = original.state_snapshot()
-
-    restored = RandomStreams(11)
-    restored.restore_state(snapshot)
+    restored = _round_trip(original)
     fresh = RandomStreams(11)
     assert (
         restored.get("never_touched").random()

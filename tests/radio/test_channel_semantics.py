@@ -206,18 +206,23 @@ def test_override_applies_per_receiver_not_globally(mode):
 
 
 def test_unregistering_mast_restores_narrow_search(mode):
-    """Removing the largest override must shrink the override bookkeeping
-    (regression guard for the incremental max tracking)."""
+    """An unregistered mast leaves the long-eared list, so no frame tests
+    it any more; the masts still registered keep their own reach."""
     sim, channel = make_channel(mode)
     sender, _ = make_iface(channel, 0, tx_range=100.0)
     mast, mast_rx = make_iface(channel, 800, link_range=1000.0)
     small_mast, small_rx = make_iface(channel, 300, link_range=400.0)
+    assert channel.long_eared == [mast, small_mast]
     channel.unregister(mast)
+    assert channel.long_eared == [small_mast]
     sender.send(FrameKind.BEACON, "x")
     sim.run_until(1.0)
     assert mast_rx == []
     assert len(small_rx) == 1  # the smaller override still works
-    assert channel._max_override == 400.0
+    # The probe covers the frame's own 100 m only: the sender alone.
+    assert channel.stats.receiver_candidates == 1
+    channel.register(mast)
+    assert channel.long_eared == [small_mast, mast]  # registration order
 
 
 # ----------------------------------------------------------------------
@@ -462,7 +467,9 @@ _iface_spec = st.tuples(
     _coord,
     _coord,
     st.floats(10.0, 400.0),  # tx_range
-    st.one_of(st.none(), st.floats(1.0, 900.0)),  # link_range override
+    # link_range override: below and above the frame ranges, and past the
+    # cell size (the largest member tx_range, at most 400 m).
+    st.one_of(st.none(), st.floats(1.0, 1700.0)),
     st.booleans(),  # promiscuous
     st.booleans(),  # fleet member: it holds a slot of its own
 )

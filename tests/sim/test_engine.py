@@ -190,84 +190,3 @@ def test_resume_after_run_until():
     sim.run_until(5.0)
     sim.run_until(15.0)
     assert fired == [1, 10]
-
-
-# ----------------------------------------------------------------------
-# schedule_many (bulk insert)
-# ----------------------------------------------------------------------
-def test_schedule_many_matches_repeated_schedule():
-    """Bulk insert must be bit-identical in firing order to N schedule()s."""
-
-    def build(entries, bulk):
-        sim = Simulator()
-        fired = []
-        # An anchor event between the batches exercises interleaving.
-        sim.schedule(1.5, fired.append, "anchor")
-        if bulk:
-            sim.schedule_many(
-                [(d, fired.append, label) for d, label in entries]
-            )
-        else:
-            for d, label in entries:
-                sim.schedule(d, fired.append, label)
-        sim.run_until(10.0)
-        return fired
-
-    entries = [(2.0, "b"), (1.0, "a"), (2.0, "b2"), (0.5, "z"), (1.5, "tie")]
-    assert build(entries, bulk=True) == build(entries, bulk=False)
-
-
-def test_schedule_many_same_time_fires_in_insertion_order():
-    sim = Simulator()
-    fired = []
-    sim.schedule_many([(1.0, fired.append, k) for k in range(50)])
-    sim.run_until(2.0)
-    assert fired == list(range(50))
-
-
-def test_schedule_many_small_batch_into_big_heap():
-    """The push-vs-heapify heuristic must not change ordering."""
-    sim = Simulator()
-    fired = []
-    for k in range(100):
-        sim.schedule(float(k) + 10.0, fired.append, f"old-{k}")
-    sim.schedule_many([(1.0, fired.append, "new-a"), (2.0, fired.append, "new-b")])
-    sim.run_until(5.0)
-    assert fired == ["new-a", "new-b"]
-
-
-def test_schedule_many_returns_cancellable_handles():
-    sim = Simulator()
-    fired = []
-    handles = sim.schedule_many(
-        [(1.0, fired.append, "a"), (2.0, fired.append, "b")]
-    )
-    assert [h.time for h in handles] == [1.0, 2.0]
-    handles[0].cancel()
-    sim.run_until(3.0)
-    assert fired == ["b"]
-
-
-def test_schedule_many_rejects_negative_delay_and_nan():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.schedule_many([(-0.1, lambda: None)])
-    with pytest.raises(SimulationError):
-        sim.schedule_many([(float("nan"), lambda: None)])
-
-
-def test_schedule_many_empty_batch_is_noop():
-    sim = Simulator()
-    assert sim.schedule_many([]) == []
-    assert sim.pending == 0
-
-
-def test_schedule_many_interleaves_with_schedule_fire():
-    """seq numbering stays shared across all scheduling APIs."""
-    sim = Simulator()
-    fired = []
-    sim.schedule_fire(1.0, fired.append, "fire-1")
-    sim.schedule_many([(1.0, fired.append, "bulk-1")])
-    sim.schedule_fire(1.0, fired.append, "fire-2")
-    sim.run_until(2.0)
-    assert fired == ["fire-1", "bulk-1", "fire-2"]
