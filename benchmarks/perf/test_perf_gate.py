@@ -142,7 +142,6 @@ def test_checkpoint_overhead_at_default_interval(tmp_path):
     assertion is immune to runner speed, unlike the baseline-relative
     gates above.
     """
-    from repro.experiments.campaign import config_hash
     from repro.experiments.checkpointing import (
         DEFAULT_CHECKPOINT_INTERVAL,
         save_checkpoint,
@@ -165,12 +164,7 @@ def test_checkpoint_overhead_at_default_interval(tmp_path):
     wall_per_interval = time.perf_counter() - t0
 
     store = SqliteResultStore(tmp_path / "results.sqlite")
-    key = RunKey(
-        target="perf-gate",
-        config_hash=config_hash(config),
-        seed=7,
-        attacked=True,
-    )
+    key = RunKey.for_config(config, seed=7, attacked=True)
     save_cost = float("inf")
     for _ in range(4):
         t0 = time.perf_counter()

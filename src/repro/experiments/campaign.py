@@ -7,7 +7,9 @@ on top of the persistent result store:
    (:class:`RunSpec`\\ s).  An A/B target's settings
    (:class:`~repro.experiments.sweep.AbTarget`) expand to one spec per
    ``(config, attacked, seed)``; whole-run targets (tables, Fig 12/13,
-   overhead) expand to a single spec.
+   overhead) expand to a single spec.  A spec's store key is what it
+   simulates, so a run that several targets ask for (Fig 7c/d/e's wN
+   point is Fig 7a's wN setting) is planned once, by the first of them.
 2. **Execute** — :func:`repro.experiments.service.scheduler.run_service_campaign`
    skips the specs already stored and hands the rest to N leased worker
    processes, each of which runs :func:`execute_spec` per job.
@@ -16,6 +18,7 @@ on top of the persistent result store:
    :class:`~repro.experiments.runner.AbResult` from the stored
    :class:`~repro.experiments.runner.RunResult`\\ s, so the rendered
    output is identical to a fresh in-memory run at the same seeds.
+   Targets that share a run read its one record.
 
 A re-issued campaign therefore costs only the runs that are missing.
 """
@@ -46,11 +49,7 @@ from repro.experiments.runner import (
     run_single,
 )
 from repro.experiments.sweep import AbTarget
-from repro.experiments.store import (
-    ResultStoreBase,
-    RunKey,
-    config_hash,
-)
+from repro.experiments.store import ResultStoreBase, RunKey
 
 
 class CampaignError(RuntimeError):
@@ -63,7 +62,7 @@ class MissingRunError(CampaignError):
     def __init__(self, key: RunKey):
         self.key = key
         super().__init__(
-            f"no stored result for {key.target} config={key.config_hash} "
+            f"no stored result for config={key.config_hash} "
             f"seed={key.seed} {'atk' if key.attacked else 'af'}"
         )
 
@@ -183,22 +182,18 @@ class RunSpec:
     @property
     def key(self) -> RunKey:
         if self.kind == "ab":
-            digest = config_hash(self.config)
-        else:
-            digest = config_hash(dict(self.params or ()))
-        return RunKey(
-            target=self.target,
-            config_hash=digest,
-            seed=self.seed,
-            attacked=self.attacked,
-        )
+            return RunKey.for_config(
+                self.config, seed=self.seed, attacked=self.attacked
+            )
+        # A whole run's params alone do not say what it renders:
+        # table1 and table2 both take none.
+        identity = {"target": self.target, "params": dict(self.params or ())}
+        return RunKey.for_config(identity, seed=self.seed, attacked=self.attacked)
 
     def describe(self) -> str:
-        label = ""
-        if self.config is not None and self.config.label:
-            label = f" {self.config.label}"
-        mode = " atk" if self.attacked else " af"
-        return f"{self.target}{label} s{self.seed}{mode}"
+        key = self.key
+        mode = "atk" if self.attacked else "af"
+        return f"{self.target} {key.config_hash} s{self.seed} {mode}"
 
 
 def plan_target(
@@ -235,7 +230,11 @@ def plan_target(
 def plan_campaign(
     targets: Sequence[str], *, runs: int, duration: float, seed: int
 ) -> List[RunSpec]:
-    """Expand targets into deduplicated RunSpecs (first occurrence wins)."""
+    """Expand targets into RunSpecs, one per distinct run key.
+
+    A run several targets share is planned under the first target that
+    asks for it; the others read its record at assembly.
+    """
     seen = set()
     specs: List[RunSpec] = []
     for target in resolve_targets(targets):
@@ -329,7 +328,6 @@ def _store_result(store: ResultStoreBase, spec: RunSpec, result: Any) -> None:
 # ----------------------------------------------------------------------
 def store_ab(
     store: ResultStoreBase,
-    target: str,
     *,
     runs: int,
     partial: bool = False,
@@ -349,7 +347,7 @@ def store_ab(
         jobs = expand_jobs(config, runs)
         stored: Dict[Tuple[int, bool], RunResult] = {}
         for cfg, attacked, seed in jobs:
-            key = RunKey.for_config(target, cfg, seed=seed, attacked=attacked)
+            key = RunKey.for_config(cfg, seed=seed, attacked=attacked)
             result = store.get_run(key)
             if result is not None:
                 stored[seed, attacked] = result
@@ -397,7 +395,7 @@ def assemble_target(
         raise CampaignError(f"unknown campaign target {target!r}")
     coverage = [0, 0]
     artefact = AB_TARGETS[target].evaluate(
-        store_ab(store, target, runs=runs, partial=partial, coverage=coverage),
+        store_ab(store, runs=runs, partial=partial, coverage=coverage),
         duration=duration,
         seed=seed,
     )

@@ -81,7 +81,6 @@ def save_checkpoint(
         sim_time=world.sim.now,
         meta={
             "schema": SCHEMA_VERSION,
-            "target": key.target,
             "config_hash": key.config_hash,
             "seed": key.seed,
             "attacked": key.attacked,
@@ -107,7 +106,6 @@ def load_checkpoint(
         return None
     try:
         for field_name, expected in (
-            ("target", key.target),
             ("config_hash", key.config_hash),
             ("seed", key.seed),
             ("attacked", key.attacked),

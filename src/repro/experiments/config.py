@@ -371,7 +371,6 @@ class ExperimentConfig:
     #: the bit-identity contract.
     invariant_check_interval: Optional[float] = None
     seed: int = 1
-    label: str = ""
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:

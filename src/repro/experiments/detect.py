@@ -115,7 +115,6 @@ def _settings(duration: float, seed: int):
         return config.with_(
             attack=replace(config.attack, variant=variant),
             faults=plans[impairment],
-            label=f"{scenario}-{variant}-{impairment}",
         )
 
     return grid(

@@ -70,13 +70,8 @@ def _plain_vs_mitigated(
         pairs = []
         for label, range_class in ranges:
             config = with_range(base, DSRC.range_for(range_class))
-            pairs.append(((label, "plain"), config.with_(label=f"{label}-plain")))
-            pairs.append(
-                (
-                    (label, check),
-                    config.with_(geonet=mitigated, label=f"{label}-{check}"),
-                )
-            )
+            pairs.append(((label, "plain"), config))
+            pairs.append(((label, check), config.with_(geonet=mitigated)))
         return pairs
 
     def render(results) -> FigureResult:

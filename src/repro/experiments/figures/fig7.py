@@ -19,7 +19,7 @@ from repro.radio.technology import DSRC
 def _ttls_and_mn(base):
     # The paper's extra series: a median-NLoS attacker still intercepts
     # almost everything even at the shortest TTL.
-    mn_at_5s = with_range(ttl(base, 5.0), DSRC.nlos_median_m, label="ttl5-mN")
+    mn_at_5s = with_range(ttl(base, 5.0), DSRC.nlos_median_m)
     return ttls(base) + [("ttl=5s,mN", mn_at_5s)]
 
 

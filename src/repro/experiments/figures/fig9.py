@@ -34,7 +34,7 @@ fig9a, fig9b, fig9c, fig9d, fig9e = attack_panels("Fig9", "intra-area", "mN")
 
 def _tuning(base):
     return [
-        (f"range={r:.0f}m", with_range(base, r, label=f"r{r:.0f}"))
+        (f"range={r:.0f}m", with_range(base, r))
         for r in TUNING_RANGES
     ]
 
@@ -86,9 +86,7 @@ def _source_levels(base):
     would land there a couple of times per hundred packets at best; the
     second setting gives the "inside" estimate its samples.
     """
-    config = with_range(
-        base, SOURCE_ATTACK_RANGE, label=f"src-loc-{SOURCE_ATTACK_RANGE:.0f}"
-    )
+    config = with_range(base, SOURCE_ATTACK_RANGE)
     settings = [("all", config)]
     surplus = SOURCE_ATTACK_RANGE - config.vehicle_range
     if surplus > 0:
@@ -97,8 +95,7 @@ def _source_levels(base):
                 config.workload,
                 source_xmin=config.attacker_x - surplus,
                 source_xmax=config.attacker_x + surplus,
-            ),
-            label=f"src-loc-fca-{SOURCE_ATTACK_RANGE:.0f}",
+            )
         )
         settings.append(("fca", fca_config))
     return settings

@@ -28,27 +28,17 @@ RANGE_LABELS = (
 Levels = Callable[[ExperimentConfig], List[Tuple[str, ExperimentConfig]]]
 
 
-def with_range(
-    base: ExperimentConfig, attack_range: float, **changes
-) -> ExperimentConfig:
-    """``base`` with the attacker's range (and any top-level fields) replaced."""
+def with_range(base: ExperimentConfig, attack_range: float) -> ExperimentConfig:
+    """``base`` with the attacker's range replaced."""
     return base.with_(
-        attack=dataclasses.replace(base.attack, attack_range=attack_range),
-        **changes,
+        attack=dataclasses.replace(base.attack, attack_range=attack_range)
     )
 
 
 def attack_ranges(technology: RadioTechnology) -> Levels:
     """The wN / mN / mL attacker of one radio technology."""
     return lambda base: [
-        (
-            label,
-            with_range(
-                base,
-                technology.range_for(range_class),
-                label=f"{technology.name}-{label}",
-            ),
-        )
+        (label, with_range(base, technology.range_for(range_class)))
         for label, range_class in RANGE_LABELS
     ]
 
@@ -73,7 +63,7 @@ def road_directions(base: ExperimentConfig, count: int) -> ExperimentConfig:
 def ttls(base: ExperimentConfig) -> List[Tuple[str, ExperimentConfig]]:
     """LocTE TTL 20 / 10 / 5 s."""
     return [
-        (f"ttl={t:.0f}s", ttl(base, t).with_(label=f"ttl{t:.0f}"))
+        (f"ttl={t:.0f}s", ttl(base, t))
         for t in (20.0, 10.0, 5.0)
     ]
 
@@ -81,7 +71,7 @@ def ttls(base: ExperimentConfig) -> List[Tuple[str, ExperimentConfig]]:
 def spacings(base: ExperimentConfig) -> List[Tuple[str, ExperimentConfig]]:
     """Inter-vehicle space 30 / 100 / 300 m."""
     return [
-        (f"i={m:.0f}m", spacing(base, m).with_(label=f"i{m:.0f}"))
+        (f"i={m:.0f}m", spacing(base, m))
         for m in (30.0, 100.0, 300.0)
     ]
 
@@ -89,7 +79,7 @@ def spacings(base: ExperimentConfig) -> List[Tuple[str, ExperimentConfig]]:
 def directions(base: ExperimentConfig) -> List[Tuple[str, ExperimentConfig]]:
     """A single- vs a two-direction road."""
     return [
-        (f"{n} direction(s)", road_directions(base, n).with_(label=f"dir{n}"))
+        (f"{n} direction(s)", road_directions(base, n))
         for n in (1, 2)
     ]
 
@@ -143,10 +133,7 @@ def cumulative_figure(
     """Named scenarios of one attack plus their cumulative-drop table."""
     return on_attack(
         attack,
-        lambda base: [
-            (name, config.with_(label=name))
-            for name, config in scenarios(base).items()
-        ],
+        lambda base: list(scenarios(base).items()),
         figure(
             figure_id,
             title,

@@ -138,7 +138,6 @@ def impact_config(
         ),
         attack=attack,
         workload=workload,
-        label=f"fig12-case{case}",
     )
 
 

@@ -46,7 +46,7 @@ def _settings(duration: float, seed: int):
             link=LinkFaultPlan(loss_rate=loss),
             churn=ChurnPlan(mean_uptime=uptimes[churn], mean_downtime=MEAN_DOWNTIME),
         )
-        return base.with_(faults=plan, label=f"loss{loss:.0%}-churn-{churn}")
+        return base.with_(faults=plan)
 
     return grid(cell, LOSS_LEVELS, [label for label, _uptime in CHURN_LEVELS])
 

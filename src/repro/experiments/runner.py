@@ -242,7 +242,7 @@ class AbResult:
         gamma = self.drop_rate()
         gamma_txt = f"{gamma:6.1%}" if gamma is not None else "   n/a"
         return (
-            f"{self.config.label or self.config.attack.kind.value:<28} "
+            f"{self.config.attack.kind.value:<28} "
             f"af={self.af_overall:6.1%}  atk={self.atk_overall:6.1%}  "
             f"drop={gamma_txt}  runs={len(self.af_runs)}"
         )

@@ -123,7 +123,6 @@ def curve_config(*, seed: int = 1, duration: float = 40.0) -> ExperimentConfig:
         ),
         duration=duration,
         seed=seed,
-        label="fig13",
     )
 
 

@@ -1,14 +1,14 @@
 """The lease-based job queue behind the campaign service.
 
 The queue holds one *job* per planned campaign run (keyed by the run's
-store key, ``target/config-hash/s<seed>-<af|atk>``).  Workers *lease* a
-job for a TTL, *heartbeat* to keep the lease while the simulation runs,
-and either *complete* or *fail* it.  A worker that dies silently — power
-loss, OOM kill, SIGKILL — simply stops heartbeating: its lease expires
-and the job returns to the queue for any other worker, which is the whole
-crash-recovery story.  Attempts are counted per lease, so a job that
-keeps killing its workers ends ``failed`` after ``max_attempts`` instead
-of looping forever.
+store key, ``config-hash/s<seed>-<af|atk>``, so a run that several
+targets share is one job).  Workers *lease* a job for a TTL, *heartbeat*
+to keep the lease while the simulation runs, and either *complete* or
+*fail* it.  A worker that dies silently — power loss, OOM kill, SIGKILL
+— simply stops heartbeating: its lease expires and the job returns to
+the queue for any other worker, which is the whole crash-recovery story.
+Attempts are counted per lease, so a job that keeps killing its workers
+ends ``failed`` after ``max_attempts`` instead of looping forever.
 
 :class:`LeaseQueue` keeps the queue in the ``jobs`` table of the result
 store's own SQLite database, every operation one ``BEGIN IMMEDIATE``
@@ -402,4 +402,4 @@ class LeaseQueue:
 def job_id_for(key) -> str:
     """The queue job id of a store key."""
     mode = "atk" if key.attacked else "af"
-    return f"{key.target}/{key.config_hash}/s{key.seed}-{mode}"
+    return f"{key.config_hash}/s{key.seed}-{mode}"

@@ -2,9 +2,10 @@
 
 Each record is the schema-versioned dict of
 :class:`~repro.experiments.store.ResultStoreBase`, serialised as compact
-JSON into a ``payload`` column keyed by ``(target, config_hash, seed,
-attacked)``.  The same database holds the lease queue's ``jobs`` table
-(:mod:`repro.experiments.service.leases`) and the run checkpoints:
+JSON into a ``payload`` column keyed by ``(config_hash, seed, attacked)``,
+what the run simulates.  The same database holds the lease queue's
+``jobs`` table (:mod:`repro.experiments.service.leases`) and the run
+checkpoints:
 
 * **WAL mode** — readers never block writers; independent worker
   processes append concurrently through their own connections, serialised
@@ -24,7 +25,8 @@ The records are plain JSON text, so the stdlib ``sqlite3`` shell reads
 them without this package::
 
     sqlite3 results/results.sqlite \
-        "SELECT target, seed, attacked, kind FROM records"
+        "SELECT json_extract(payload, '$.config.scenario'), seed, attacked,
+                kind FROM records"
 
 Connections are per-thread and per-process: a store object that crosses
 a ``fork`` (the service workers) transparently reopens its connection in
@@ -52,7 +54,7 @@ from repro.experiments.store import (
 
 #: Bumped when the *database* layout (tables/columns) changes incompatibly.
 #: Independent of the record SCHEMA_VERSION, which versions payload dicts.
-DB_FORMAT_VERSION = 1
+DB_FORMAT_VERSION = 2
 
 #: The database file a campaign keeps in its results directory.
 DB_NAME = "results.sqlite"
@@ -63,17 +65,15 @@ CREATE TABLE IF NOT EXISTS meta (
     value TEXT NOT NULL
 );
 CREATE TABLE IF NOT EXISTS records (
-    target      TEXT    NOT NULL,
     config_hash TEXT    NOT NULL,
     seed        INTEGER NOT NULL,
     attacked    INTEGER NOT NULL,
     kind        TEXT    NOT NULL,
     schema      INTEGER NOT NULL,
     payload     TEXT    NOT NULL,
-    PRIMARY KEY (target, config_hash, seed, attacked)
+    PRIMARY KEY (config_hash, seed, attacked)
 );
 CREATE TABLE IF NOT EXISTS quarantine (
-    target      TEXT    NOT NULL,
     config_hash TEXT    NOT NULL,
     seed        INTEGER NOT NULL,
     attacked    INTEGER NOT NULL,
@@ -89,16 +89,14 @@ CREATE TABLE IF NOT EXISTS jobs (
     error    TEXT
 );
 CREATE TABLE IF NOT EXISTS checkpoints (
-    target      TEXT    NOT NULL,
     config_hash TEXT    NOT NULL,
     seed        INTEGER NOT NULL,
     attacked    INTEGER NOT NULL,
     sim_time    REAL    NOT NULL,
     payload     TEXT    NOT NULL,
-    PRIMARY KEY (target, config_hash, seed, attacked)
+    PRIMARY KEY (config_hash, seed, attacked)
 );
 CREATE TABLE IF NOT EXISTS checkpoint_quarantine (
-    target      TEXT    NOT NULL,
     config_hash TEXT    NOT NULL,
     seed        INTEGER NOT NULL,
     attacked    INTEGER NOT NULL,
@@ -106,6 +104,14 @@ CREATE TABLE IF NOT EXISTS checkpoint_quarantine (
     reason      TEXT    NOT NULL
 );
 """
+
+#: Selects the one row of a run key in ``records`` or ``checkpoints``.
+_KEY_WHERE = "WHERE config_hash=? AND seed=? AND attacked=?"
+
+
+def _key_row(key: RunKey) -> tuple:
+    """A key's column values, in ``_KEY_WHERE`` and column order."""
+    return (key.config_hash, key.seed, int(key.attacked))
 
 
 class SqliteResultStore(ResultStoreBase):
@@ -224,13 +230,10 @@ class SqliteResultStore(ResultStoreBase):
         with self._txn() as conn:
             conn.execute(
                 "INSERT OR REPLACE INTO records "
-                "(target, config_hash, seed, attacked, kind, schema, payload) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?)",
-                (
-                    key.target,
-                    key.config_hash,
-                    key.seed,
-                    int(key.attacked),
+                "(config_hash, seed, attacked, kind, schema, payload) "
+                "VALUES (?, ?, ?, ?, ?, ?)",
+                _key_row(key)
+                + (
                     str(record.get("kind", "")),
                     int(record.get("schema", -1)),
                     payload,
@@ -244,9 +247,7 @@ class SqliteResultStore(ResultStoreBase):
         payload is moved to the ``quarantine`` table so the key reads as
         absent and is re-run by the next campaign."""
         row = self._conn().execute(
-            "SELECT schema, payload FROM records "
-            "WHERE target=? AND config_hash=? AND seed=? AND attacked=?",
-            (key.target, key.config_hash, key.seed, int(key.attacked)),
+            f"SELECT schema, payload FROM records {_KEY_WHERE}", _key_row(key)
         ).fetchone()
         if row is None:
             return None
@@ -269,22 +270,11 @@ class SqliteResultStore(ResultStoreBase):
             with self._txn() as conn:
                 conn.execute(
                     "INSERT INTO quarantine "
-                    "(target, config_hash, seed, attacked, payload, reason) "
-                    "VALUES (?, ?, ?, ?, ?, ?)",
-                    (
-                        key.target,
-                        key.config_hash,
-                        key.seed,
-                        int(key.attacked),
-                        str(payload),
-                        reason,
-                    ),
+                    "(config_hash, seed, attacked, payload, reason) "
+                    "VALUES (?, ?, ?, ?, ?)",
+                    _key_row(key) + (str(payload), reason),
                 )
-                conn.execute(
-                    "DELETE FROM records "
-                    "WHERE target=? AND config_hash=? AND seed=? AND attacked=?",
-                    (key.target, key.config_hash, key.seed, int(key.attacked)),
-                )
+                conn.execute(f"DELETE FROM records {_KEY_WHERE}", _key_row(key))
         except sqlite3.Error:
             pass
 
@@ -309,24 +299,15 @@ class SqliteResultStore(ResultStoreBase):
         with self._txn() as conn:
             conn.execute(
                 "INSERT OR REPLACE INTO checkpoints "
-                "(target, config_hash, seed, attacked, sim_time, payload) "
-                "VALUES (?, ?, ?, ?, ?, ?)",
-                (
-                    key.target,
-                    key.config_hash,
-                    key.seed,
-                    int(key.attacked),
-                    sim_time,
-                    payload,
-                ),
+                "(config_hash, seed, attacked, sim_time, payload) "
+                "VALUES (?, ?, ?, ?, ?)",
+                _key_row(key) + (sim_time, payload),
             )
         return key
 
     def get_checkpoint(self, key: RunKey) -> Optional[Dict[str, Any]]:
         row = self._conn().execute(
-            "SELECT payload FROM checkpoints "
-            "WHERE target=? AND config_hash=? AND seed=? AND attacked=?",
-            (key.target, key.config_hash, key.seed, int(key.attacked)),
+            f"SELECT payload FROM checkpoints {_KEY_WHERE}", _key_row(key)
         ).fetchone()
         if row is None:
             return None
@@ -342,39 +323,24 @@ class SqliteResultStore(ResultStoreBase):
 
     def delete_checkpoint(self, key: RunKey) -> None:
         with self._txn() as conn:
-            conn.execute(
-                "DELETE FROM checkpoints "
-                "WHERE target=? AND config_hash=? AND seed=? AND attacked=?",
-                (key.target, key.config_hash, key.seed, int(key.attacked)),
-            )
+            conn.execute(f"DELETE FROM checkpoints {_KEY_WHERE}", _key_row(key))
 
     def quarantine_checkpoint(self, key: RunKey, reason: str) -> None:
         try:
             with self._txn() as conn:
                 row = conn.execute(
-                    "SELECT payload FROM checkpoints "
-                    "WHERE target=? AND config_hash=? AND seed=? AND attacked=?",
-                    (key.target, key.config_hash, key.seed, int(key.attacked)),
+                    f"SELECT payload FROM checkpoints {_KEY_WHERE}", _key_row(key)
                 ).fetchone()
                 if row is None:
                     return
                 conn.execute(
                     "INSERT INTO checkpoint_quarantine "
-                    "(target, config_hash, seed, attacked, payload, reason) "
-                    "VALUES (?, ?, ?, ?, ?, ?)",
-                    (
-                        key.target,
-                        key.config_hash,
-                        key.seed,
-                        int(key.attacked),
-                        str(row[0]),
-                        reason,
-                    ),
+                    "(config_hash, seed, attacked, payload, reason) "
+                    "VALUES (?, ?, ?, ?, ?)",
+                    _key_row(key) + (str(row[0]), reason),
                 )
                 conn.execute(
-                    "DELETE FROM checkpoints "
-                    "WHERE target=? AND config_hash=? AND seed=? AND attacked=?",
-                    (key.target, key.config_hash, key.seed, int(key.attacked)),
+                    f"DELETE FROM checkpoints {_KEY_WHERE}", _key_row(key)
                 )
         except sqlite3.Error:
             pass
@@ -390,9 +356,7 @@ class SqliteResultStore(ResultStoreBase):
         """Answered from the indexed ``sim_time`` column — the status
         endpoint polls this per job, so the multi-MiB payload stays cold."""
         row = self._conn().execute(
-            "SELECT sim_time FROM checkpoints "
-            "WHERE target=? AND config_hash=? AND seed=? AND attacked=?",
-            (key.target, key.config_hash, key.seed, int(key.attacked)),
+            f"SELECT sim_time FROM checkpoints {_KEY_WHERE}", _key_row(key)
         ).fetchone()
         if row is None:
             return None
@@ -401,19 +365,11 @@ class SqliteResultStore(ResultStoreBase):
     # -- queries --------------------------------------------------------
     def iter_keys(self) -> Iterator[RunKey]:
         rows = self._conn().execute(
-            "SELECT target, config_hash, seed, attacked FROM records "
-            "ORDER BY target, config_hash, seed, attacked"
+            "SELECT config_hash, seed, attacked FROM records "
+            "ORDER BY config_hash, seed, attacked"
         ).fetchall()
-        for target, config_hash, seed, attacked in rows:
-            try:
-                yield RunKey(
-                    target=target,
-                    config_hash=config_hash,
-                    seed=int(seed),
-                    attacked=bool(attacked),
-                )
-            except StoreError:  # pragma: no cover - defensive
-                continue
+        for config_hash, seed, attacked in rows:
+            yield RunKey(config_hash, int(seed), bool(attacked))
 
     def count(self) -> int:
         return int(

@@ -1,15 +1,18 @@
 """The record format of the persistent result store.
 
-Every simulated run is identified by a :class:`RunKey` — ``(target,
-config-hash, seed, attacked)`` — and persisted as one schema-versioned
-record in the campaign's SQLite database
+Every simulated run is identified by a :class:`RunKey` — ``(config-hash,
+seed, attacked)`` — and persisted as one schema-versioned record in the
+campaign's SQLite database
 (:class:`~repro.experiments.sqlite_store.SqliteResultStore`,
-``results/results.sqlite`` by default).
+``results/results.sqlite`` by default).  The key names what is simulated,
+not which target asked for it: every target whose settings include a run
+reads the one record.
 
 The config hash is content-addressed: a SHA-256 over the canonical JSON
 serialisation of the full :class:`~repro.experiments.config.ExperimentConfig`
 (nested dataclasses, enums and the radio technology included), so two runs
-share a record if and only if they simulate the identical scenario.  Every
+share a record if and only if they simulate the identical scenario.  A
+whole-run target hashes its name with its parameters instead.  Every
 record carries a schema version; records written by an incompatible schema
 are treated as absent and re-run rather than mis-parsed.
 
@@ -36,7 +39,7 @@ from repro.experiments.metrics import BinnedRates, PacketOutcome
 from repro.experiments.runner import RunResult
 
 #: Bumped whenever the stored record layout changes incompatibly.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Default store directory, relative to the working directory.
 DEFAULT_RESULTS_DIR = "results"
@@ -85,26 +88,14 @@ def config_hash(config: Any) -> str:
 class RunKey:
     """The identity of one stored run."""
 
-    target: str
     config_hash: str
     seed: int
     attacked: bool
 
-    def __post_init__(self):
-        if not self.target or "/" in self.target:
-            raise StoreError(f"invalid target name {self.target!r}")
-
     @staticmethod
-    def for_config(
-        target: str, config: Any, *, seed: int, attacked: bool
-    ) -> "RunKey":
+    def for_config(config: Any, *, seed: int, attacked: bool) -> "RunKey":
         """Build the key for one run of ``config``."""
-        return RunKey(
-            target=target,
-            config_hash=config_hash(config),
-            seed=seed,
-            attacked=attacked,
-        )
+        return RunKey(config_hash(config), seed, attacked)
 
 
 # ----------------------------------------------------------------------
@@ -137,7 +128,7 @@ def run_result_to_dict(result: RunResult) -> Dict[str, Any]:
         ],
         "extras": dict(result.extras),
         # Packet-lifecycle outcome counts; null for runs without a ledger.
-        # Additive and optional, so schema version 1 records round-trip.
+        # Additive and optional, so records without it still round-trip.
         "drop_breakdown": (
             None
             if result.drop_breakdown is None
@@ -202,7 +193,6 @@ class ResultStoreBase:
         return {
             "schema": SCHEMA_VERSION,
             "kind": kind,
-            "target": key.target,
             "config_hash": key.config_hash,
             "seed": key.seed,
             "attacked": key.attacked,

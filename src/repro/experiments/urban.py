@@ -53,8 +53,7 @@ def _settings(duration: float, seed: int):
         if scenario == "urban":
             config = config.urbanized(**URBAN_OVERRIDES)
         return config.with_(
-            geonet=replace(config.geonet, dcc_enabled=dcc, cbf_variant=forwarder),
-            label=f"{attack}-{scenario}-dcc{'on' if dcc else 'off'}-{forwarder}",
+            geonet=replace(config.geonet, dcc_enabled=dcc, cbf_variant=forwarder)
         )
 
     return grid(cell, ATTACKS, SCENARIOS, DCC_LEVELS, FORWARDERS)

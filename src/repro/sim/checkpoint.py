@@ -40,7 +40,7 @@ from typing import Any, Dict
 
 #: Bump whenever the payload layout or the pickled object graph changes
 #: incompatibly; readers refuse versions they do not know.
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 
 #: ``kind`` discriminator used in envelopes (and store records).
 CHECKPOINT_KIND = "checkpoint"
@@ -131,7 +131,7 @@ def restore_world(blob: bytes) -> Any:
 def encode_envelope(blob: bytes, *, sim_time: float, meta: Dict[str, Any] | None = None) -> Dict[str, Any]:
     """Wrap a payload blob in a versioned, integrity-checked JSON envelope.
 
-    ``meta`` entries (run identity such as target/config hash/seed) are
+    ``meta`` entries (run identity such as config hash/seed) are
     merged in; they must not collide with the envelope's own keys.
     """
     # Compression level 1: checkpoints are written every interval on the

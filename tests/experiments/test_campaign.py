@@ -97,6 +97,26 @@ def test_plan_dedups_overlapping_targets():
     merged = plan_campaign(["fig7", "fig7a"], **KW)
     alone = plan_campaign(["fig7"], **KW)
     assert len(merged) == len(alone)
+    # Fig 7c/d/e each vary one knob around Fig 7a's wN setting (20 s TTL,
+    # 30 m spacing, one direction): that point is one run pair, planned by
+    # fig7a and read by all four panels.
+    assert len(alone) == 24
+
+    def setting_keys(target, level):
+        settings = campaign.AB_TARGETS[target].settings(KW["duration"], KW["seed"])
+        config = dict(settings)[level]
+        specs = campaign.plan_target(target, **KW)
+        return [s.key for s in specs if s.config == config]
+
+    wn_keys = setting_keys("fig7a", "wN")
+    assert len(wn_keys) == 2
+    assert {s.target for s in alone if s.key in wn_keys} == {"fig7a"}
+    for panel, level in (
+        ("fig7c", "ttl=20s"),
+        ("fig7d", "i=30m"),
+        ("fig7e", "1 direction(s)"),
+    ):
+        assert setting_keys(panel, level) == wn_keys
 
 
 def test_resolve_targets_expands_aliases_and_rejects_unknown():
@@ -107,7 +127,7 @@ def test_resolve_targets_expands_aliases_and_rejects_unknown():
 
 def test_plan_keys_of_existing_stores_are_pinned():
     """Campaigns already on disk were stored under these keys: a change to
-    a target's settings, their labels or their order orphans them."""
+    a target's settings or their order orphans them."""
     specs = plan_campaign(
         campaign.CAMPAIGN_TARGETS, runs=2, duration=10.0, seed=1
     )
@@ -115,9 +135,9 @@ def test_plan_keys_of_existing_stores_are_pinned():
         f"{s.target} {s.key.config_hash} {s.seed} {int(s.attacked)}"
         for s in specs
     )
-    assert len(specs) == 418
+    assert len(specs) == 302
     assert hashlib.sha256(keys.encode()).hexdigest() == (
-        "974f3c8686fdeaf06c94054efd5bf64a7fc6d72cf65ca6615cf0a278757d2a12"
+        "7cf5876e352a8b6468b0b53d40eea941d5d483b4b4d4841aace86d54a2213e70"
     )
 
 
@@ -167,7 +187,7 @@ def test_plan_and_assembly_agree(target, tmp_path):
 
     def ab(config):
         runs = [
-            results[RunKey.for_config(target, cfg, seed=s, attacked=a)]
+            results[RunKey.for_config(cfg, seed=s, attacked=a)]
             for cfg, a, s in expand_jobs(config, plan["runs"])
         ]
         return AbResult(

@@ -35,7 +35,7 @@ from repro.experiments.checkpointing import (
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_single, summarize_world
 from repro.experiments.sqlite_store import SqliteResultStore
-from repro.experiments.store import RunKey, config_hash, jsonable
+from repro.experiments.store import RunKey, jsonable
 from repro.experiments.world import World
 from repro.faults import (
     BeaconTimingPlan,
@@ -90,12 +90,7 @@ def masked(result) -> str:
 
 
 def key_for(config) -> RunKey:
-    return RunKey(
-        target="ckpt",
-        config_hash=config_hash(config),
-        seed=SEED,
-        attacked=True,
-    )
+    return RunKey.for_config(config, seed=SEED, attacked=True)
 
 
 def baseline_for(config) -> str:

@@ -140,7 +140,9 @@ class TestSweepAssembly:
         assert all(c.detection.enabled for c in seen)
         assert all(c.faults is not None for c in seen)
         cell = sweep.get("highway", "adaptive", "impaired")
-        assert cell.result.config.label == "highway-adaptive-impaired"
+        assert cell.result.config.scenario == "highway"
+        assert cell.result.config.attack.variant == "adaptive"
+        assert cell.result.config.faults.gps.error_stddev == 8.0
         text = sweep.format()
         assert "recall" in text and "latency" in text
         # The acceptance headline: adaptive recall below static recall.

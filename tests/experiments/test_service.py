@@ -310,6 +310,16 @@ def test_progress_snapshot_counts(store):
     assert with_queue["workers_active"] == 0
 
 
+def test_progress_snapshot_counts_runs_stored_for_another_target(store):
+    """Fig 7c's ttl=20s point is Fig 7a's wN setting, so a store holding
+    only Fig 7a's runs already holds that point's two runs."""
+    for spec in plan_campaign(["fig7a"], **KW):
+        campaign._store_result(store, spec, fake_result(spec))
+    snapshot = progress_snapshot(store, plan_campaign(["fig7c"], **KW))
+    assert snapshot["planned"] == 8
+    assert snapshot["stored"] == 2
+
+
 def test_status_server_serves_snapshot_and_health(store):
     specs = plan_campaign(["fig12a"], **KW)
     server = StatusServer(lambda: progress_snapshot(store, specs), port=0)

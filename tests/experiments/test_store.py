@@ -8,6 +8,7 @@ store in a results directory the removed per-file JSON store wrote into.
 
 import dataclasses
 import json
+import sqlite3
 from contextlib import contextmanager
 
 import pytest
@@ -62,8 +63,8 @@ def sample_result(seed=7, attacked=True):
     )
 
 
-def key(target="figX", seed=7, attacked=True):
-    return RunKey(target=target, config_hash="ab12", seed=seed, attacked=attacked)
+def key(config_hash="ab12", seed=7, attacked=True):
+    return RunKey(config_hash=config_hash, seed=seed, attacked=attacked)
 
 
 def make_store(tmp_path):
@@ -72,8 +73,8 @@ def make_store(tmp_path):
 
 def _where(k):
     return (
-        "target=? AND config_hash=? AND seed=? AND attacked=?",
-        (k.target, k.config_hash, k.seed, int(k.attacked)),
+        "config_hash=? AND seed=? AND attacked=?",
+        (k.config_hash, k.seed, int(k.attacked)),
     )
 
 
@@ -122,7 +123,7 @@ CONTRACT_KEYS = (
     key(),
     key(seed=99),
     key(attacked=False),
-    key(target="table1", attacked=False),
+    key(config_hash="table1", attacked=False),
 )
 
 
@@ -135,12 +136,12 @@ def plant_json_store(root, keys):
     """
     files = {}
     for k in keys:
-        folder = root / k.target / k.config_hash
+        folder = root / "figX" / k.config_hash
         name = f"s{k.seed}-{'atk' if k.attacked else 'af'}.json"
         record = {
             "schema": SCHEMA_VERSION,
             "kind": "run",
-            "target": k.target,
+            "target": "figX",
             "config_hash": k.config_hash,
             "seed": k.seed,
             "attacked": k.attacked,
@@ -183,6 +184,34 @@ def test_store_ignores_json_store_files(tmp_path):
             assert store.get_checkpoint(k) is None
         assert store.quarantine_count() == 0
         assert store.checkpoint_quarantine_count() == 0
+
+
+def test_store_refuses_a_format_1_database(tmp_path):
+    """A format-1 database keys records by target too; opening it is
+    refused by name, before any row is read or written."""
+    path = tmp_path / DB_NAME
+    conn = sqlite3.connect(path)
+    conn.executescript(
+        """
+        CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+        INSERT INTO meta VALUES ('db_format', '1');
+        CREATE TABLE records (
+            target TEXT NOT NULL, config_hash TEXT NOT NULL,
+            seed INTEGER NOT NULL, attacked INTEGER NOT NULL,
+            kind TEXT NOT NULL, schema INTEGER NOT NULL,
+            payload TEXT NOT NULL,
+            PRIMARY KEY (target, config_hash, seed, attacked)
+        );
+        INSERT INTO records VALUES ('fig7a', 'ab12', 1, 0, 'run', 1, '{}');
+        """
+    )
+    conn.commit()
+    conn.close()
+    with pytest.raises(StoreError, match="format 1, this code expects 2"):
+        SqliteResultStore(path)
+    conn = sqlite3.connect(path)
+    assert conn.execute("SELECT target FROM records").fetchall() == [("fig7a",)]
+    conn.close()
 
 
 # ----------------------------------------------------------------------
@@ -310,7 +339,7 @@ def test_schema_mismatch_is_not_quarantined(tmp_path):
 
 def test_text_records(tmp_path):
     store = make_store(tmp_path)
-    k = key(target="table1", attacked=False)
+    k = key(config_hash="table1", attacked=False)
     store.put_text(k, "rendered artefact", params={"seed": 1})
     assert store.get_text(k) == "rendered artefact"
     assert store.has(k)
@@ -336,21 +365,14 @@ def test_success_overwrites_failure(tmp_path):
 def test_iter_keys_and_count(tmp_path):
     store = make_store(tmp_path)
     keys = [
-        key(target="a", seed=1, attacked=False),
-        key(target="a", seed=1, attacked=True),
-        key(target="b", seed=2, attacked=False),
+        key(config_hash="a", seed=1, attacked=False),
+        key(config_hash="a", seed=1, attacked=True),
+        key(config_hash="b", seed=2, attacked=False),
     ]
     for k in keys:
         store.put_run(k, sample_result(seed=k.seed, attacked=k.attacked))
     assert set(store.iter_keys()) == set(keys)
     assert store.count() == 3
-
-
-def test_invalid_target_name_rejected():
-    with pytest.raises(StoreError):
-        RunKey(target="../escape", config_hash="ab", seed=1, attacked=False)
-    with pytest.raises(StoreError):
-        RunKey(target="", config_hash="ab", seed=1, attacked=False)
 
 
 # ----------------------------------------------------------------------

@@ -55,7 +55,7 @@ def test_run_round_trip(backend):
 
 def test_text_round_trip(backend):
     store = backend.open()
-    k = key(target="table1", attacked=False)
+    k = key(config_hash="table1", attacked=False)
     store.put_text(k, "rendered artefact", params={"seed": 1})
     assert store.get_text(k) == "rendered artefact"
     assert store.has(k)
@@ -89,9 +89,9 @@ def test_records_persist_across_reopen(backend):
 def test_iter_keys_and_count(backend):
     store = backend.open()
     keys = [
-        key(target="a", seed=1, attacked=False),
-        key(target="a", seed=1, attacked=True),
-        key(target="b", seed=2, attacked=False),
+        key(config_hash="a", seed=1, attacked=False),
+        key(config_hash="a", seed=1, attacked=True),
+        key(config_hash="b", seed=2, attacked=False),
     ]
     for k in keys:
         store.put_run(k, sample_result(seed=k.seed, attacked=k.attacked))
@@ -167,12 +167,10 @@ def test_batch_writes_are_visible_after_the_block(backend):
 def _writer_process(path, worker, per_worker):
     store = SqliteResultStore(path)
     for n in range(per_worker):
-        k = RunKey(
-            target=f"w{worker}", config_hash="ab12", seed=n, attacked=False
-        )
+        k = RunKey(config_hash=f"w{worker}", seed=n, attacked=False)
         store.put_run(k, sample_result(seed=n, attacked=False))
     # every worker also hammers one shared key with the identical record
-    shared = RunKey(target="shared", config_hash="ab12", seed=0, attacked=False)
+    shared = RunKey(config_hash="shared", seed=0, attacked=False)
     for _ in range(per_worker):
         store.put_run(shared, sample_result(seed=0, attacked=False))
 
@@ -197,11 +195,9 @@ def test_concurrent_writers_do_not_corrupt_records(backend):
     assert store.quarantine_count() == 0
     for w in range(workers):
         for n in range(per_worker):
-            k = RunKey(
-                target=f"w{w}", config_hash="ab12", seed=n, attacked=False
-            )
+            k = RunKey(config_hash=f"w{w}", seed=n, attacked=False)
             assert store.get_run(k) == sample_result(seed=n, attacked=False)
-    shared = RunKey(target="shared", config_hash="ab12", seed=0, attacked=False)
+    shared = RunKey(config_hash="shared", seed=0, attacked=False)
     assert store.get_run(shared) == sample_result(seed=0, attacked=False)
 
 
