@@ -75,7 +75,7 @@ def load_channel_grid_reference():
 
 class _Member:
     """Minimal fleet member for transport-level benchmarks: always active,
-    a null payload, and a sink that discards every batch."""
+    an unsigned null payload, and a sink that discards every batch."""
 
     __slots__ = ("iface",)
 
@@ -89,7 +89,7 @@ class _Member:
         return 0.0
 
     def make_beacon(self, pv, now):
-        return b"x" * 32, (self.iface.address, pv)
+        return (self.iface.address, pv), b"x" * 32, None
 
     def hear_beacons(self, batch, now):
         return len(batch)

@@ -35,20 +35,23 @@ deterministic under its own seed.  The tick draws no frame loss of its
 own: link loss is the fault layer's, applied per pair through the
 channel's ``link_fault`` hook.
 
-Protocol fidelity: each beacon is built, DCC-gated and signed once by its
-member (``GeoNode.make_beacon``), and carried as ``(addr, pv)`` entries to
-fleet receivers, whose router accepts them through the same
-``GeoRouter.receive_beacons_bulk`` a beacon frame reaches (verification is
-hoisted to signing time — the one memoised :func:`~repro.security.signing.
-verify` call a per-frame receiver would make on first reception).
-Radios on real-frame slots — the attacker's mast, a node that does not
-beacon — receive real :class:`~repro.radio.frames.Frame` objects through
-their normal handlers, so sniffing, replay and promiscuous overhearing
-work unchanged.  They hear the tick by the channel's one receiver rule:
-a radio without an override comes from the tick's own probe pairs, a
-long-eared one (``BroadcastChannel.long_eared``) is tested directly
-against the due senders at its ``link_range``.  Each due sender is noted
-for carrier sense in the channel's one active-transmission heap.
+Protocol fidelity: each beacon is built and DCC-gated once by its member
+(``GeoNode.make_beacon``), and carried as ``(addr, pv)`` entries to fleet
+receivers, whose router accepts them through the same
+``GeoRouter.receive_beacons_bulk`` a beacon frame reaches.  A fleet
+receiver reads no signature, so none is made for it: a beacon is signed
+(:func:`~repro.geonet.node.sign_beacon`, with the credentials its member
+returned) on its first real frame of the tick, and
+:func:`~repro.security.signing.sign` records the verdict every receiver of
+that frame reads.  Radios on real-frame slots — the attacker's mast, a
+node that does not beacon — receive real
+:class:`~repro.radio.frames.Frame` objects through their normal handlers,
+so sniffing, replay and promiscuous overhearing work unchanged.  They
+hear the tick by the channel's one receiver rule: a radio without an
+override comes from the tick's own probe pairs, a long-eared one
+(``BroadcastChannel.long_eared``) is tested directly against the due
+senders at its ``link_range``.  Each due sender is noted for carrier
+sense in the channel's one active-transmission heap.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.geo.position import Position, PositionVector
+from repro.geonet.node import sign_beacon
 from repro.radio.frames import Frame, FrameKind
 from repro.sim.engine import Simulator
 from repro.sim.process import PeriodicProcess
@@ -429,9 +433,11 @@ class FleetBeaconScheduler:
       comes back beacons at its normal cadence with no catch-up burst.
     * ``beacon_extra_delay() -> float`` — extra seconds added to the next
       deadline (the fault layer's congested-DCC beacon jitter; 0.0 unset).
-    * ``make_beacon(pv, now) -> (payload, entry) | None`` — build the
-      signed payload for real-frame receivers and the ``(addr, pv)`` entry
-      for batch receivers; None suppresses the beacon (DCC throttling).
+    * ``make_beacon(pv, now) -> (entry, body, credentials) | None`` —
+      build the ``(addr, pv)`` entry for batch receivers, plus the body and
+      the credentials a real frame's payload is signed with (on the
+      sender's first real frame of the tick; None credentials send the body
+      unsigned); None suppresses the beacon (DCC throttling).
     * ``hear_beacons(batch, now) -> int`` — deliver a batch of entries to
       a receiving member; returns how many it heard (the delivered-frames
       statistic).
@@ -508,7 +514,7 @@ class FleetBeaconScheduler:
         else:
             nba[due] = anchor + self._period
 
-        # Per-due-member Python work: activity filter + payload build.
+        # Per-due-member Python work: activity filter + beacon build.
         members = fleet.members
         due_list = due.tolist()
         bx = fleet.x[due].tolist()
@@ -516,7 +522,7 @@ class FleetBeaconScheduler:
         bs = fleet.speed[due].tolist()
         bh = fleet.heading[due].tolist()
         keep: List[int] = []
-        payloads: List[object] = []
+        beacons: List[tuple] = []
         entries: List[tuple] = []
         for i, slot in enumerate(due_list):
             member = members[slot]
@@ -532,14 +538,13 @@ class FleetBeaconScheduler:
             out = member.make_beacon(pv, now)
             if out is None:
                 continue
-            payload, entry = out
             keep.append(i)
-            payloads.append(payload)
-            entries.append(entry)
+            beacons.append(out)
+            entries.append(out[0])
             fleet.beacons_sent[slot] += 1
-        if not payloads:
+        if not beacons:
             return
-        n_sent = len(payloads)
+        n_sent = len(beacons)
         self.beacons_sent += n_sent
         if len(keep) < due.size:
             due = due[np.array(keep, dtype=np.intp)]
@@ -594,7 +599,7 @@ class FleetBeaconScheduler:
 
         # --- real-frame receivers: real frames through normal delivery ---
         if fsidx.size:
-            self._deliver_frames(fsidx, frslots, due, tx_x, tx_y, payloads, now)
+            self._deliver_frames(fsidx, frslots, due, tx_x, tx_y, beacons, now)
 
     # ------------------------------------------------------------------
     # helpers
@@ -679,15 +684,15 @@ class FleetBeaconScheduler:
         self._channel.stats.record_delivered(FrameKind.BEACON, delivered)
 
     def _deliver_frames(
-        self, fsidx, frslots, due, tx_x, tx_y, payloads, now
+        self, fsidx, frslots, due, tx_x, tx_y, beacons, now
     ) -> None:
         """Real-frame deliveries, one scheduled event per link in link
         order, as :meth:`BroadcastChannel.transmit` schedules them.
 
         The attacker's promiscuous mast and nodes that do not beacon
         receive genuine frames with true transmit metadata, so sniffing and
-        replay work as with per-frame transmits.  A sender's frame is built
-        on its first delivery.
+        replay work as with per-frame transmits.  A sender's beacon is
+        signed, and its frame built, on its first delivery.
         """
         fleet = self._fleet
         channel = self._channel
@@ -707,10 +712,11 @@ class FleetBeaconScheduler:
                 continue
             frame = frames.get(i)
             if frame is None:
+                _entry, body, credentials = beacons[i]
                 frame = frames[i] = Frame(
                     kind=FrameKind.BEACON,
                     sender_addr=sender.address,
-                    payload=payloads[i],
+                    payload=sign_beacon(body, credentials),
                     tx_position=Position(float(tx_x[i]), float(tx_y[i])),
                     tx_range=float(fleet.tx_range[due[i]]),
                     tx_time=now,

@@ -71,6 +71,30 @@ class LocationTable:
         self.refreshes = 0
         self.purged = 0
 
+    def __getstate__(self):
+        # Column-packed: four parallel lists instead of one entry object
+        # per neighbor, which made the tables most of a world checkpoint.
+        # The PVs stay objects, so pickle's memo still shares one PV among
+        # every table that holds it.
+        state = self.__dict__.copy()
+        entries = state["_entries"].values()
+        state["_entries"] = (
+            [e.addr for e in entries],
+            [e.pv for e in entries],
+            [e.updated_at for e in entries],
+            [e.expires_at for e in entries],
+        )
+        return state
+
+    def __setstate__(self, state):
+        addrs, pvs, updated, expires = state["_entries"]
+        self.__dict__.update(state)
+        # Rebuilt in insertion order: GF ranks candidates in table order.
+        self._entries = {
+            addr: LocationTableEntry(addr, pv, updated_at, expires_at)
+            for addr, pv, updated_at, expires_at in zip(addrs, pvs, updated, expires)
+        }
+
     def update(
         self, addr: int, pv: PositionVector, now: float
     ) -> LocationTableEntry:

@@ -3,7 +3,9 @@
 A :class:`GeoNode` is a vehicle or a piece of roadside infrastructure that
 participates in GeoNetworking: it beacons its position vector, maintains a
 location table, and forwards GeoBroadcast packets via GF/CBF.  Nodes hold
-CA-issued credentials; every message they emit is signed.
+CA-issued credentials; every frame they emit carries a signed message.  A
+fleet beacon is signed only when a frame carries it (:func:`sign_beacon`):
+fleet receivers take its ``(addr, pv)`` entry and read no signature.
 
 A node built on a slot of its channel's
 :class:`~repro.geonet.fleet.FleetState` (``GeoNode(slot=...)``, a traffic
@@ -31,7 +33,7 @@ from repro.observability.ledger import reasons
 from repro.radio.channel import BroadcastChannel, RadioInterface
 from repro.radio.frames import Frame, FrameKind
 from repro.security.certificates import Credentials
-from repro.security.signing import sign, verify
+from repro.security.signing import sign
 from repro.sim.engine import Simulator
 
 
@@ -52,6 +54,20 @@ class StaticMobility:
         return PositionVector(
             position=self._position, speed=0.0, heading=0.0, timestamp=now
         )
+
+
+def sign_beacon(body, credentials):
+    """The payload of a fleet beacon frame: ``body`` signed with
+    ``credentials``, both as :meth:`GeoNode.make_beacon` returned them.
+
+    The fleet tick calls this on a sender's first real frame of the tick,
+    so a beacon no frame carries is never signed.  A fleet member without
+    credentials (a transport-level stand-in for a node) sends its body
+    unsigned.
+    """
+    if credentials is None:
+        return body
+    return sign(body, credentials)
 
 
 def ledger_kind(payload) -> Optional[str]:
@@ -195,7 +211,8 @@ class GeoNode:
             return
         out = self.make_beacon(self.position_vector(), self.sim.now)
         if out is not None:
-            self.iface.send(FrameKind.BEACON, out[0])
+            _entry, body, credentials = out
+            self.iface.send(FrameKind.BEACON, sign(body, credentials))
 
     def send_unicast(self, dest_addr: int, packet: GeoBroadcastPacket) -> None:
         """Link-layer unicast of a GF-forwarded packet.
@@ -254,24 +271,25 @@ class GeoNode:
         return 0.0 if hook is None else hook()
 
     def make_beacon(self, pv: PositionVector, now: float):
-        """Build this cycle's beacon: ``(signed payload, (addr, pv))``, or
-        None when the DCC gate throttles it.
+        """Build this cycle's beacon: ``((addr, pv), body, credentials)``,
+        or None when the DCC gate throttles it.
 
         The advertised PV passes through the fault layer's ``pv_fault``
         transform (GPS error/drift) when one is installed; the node's true
-        mobility is never perturbed.  The body is signed once and verified
-        immediately, memoizing the verdict so no receiver pays for
-        re-verification (a per-frame receiver would memoize on first
-        reception instead; same single verify call per beacon).
+        mobility is never perturbed.  Nothing is signed here: batch
+        receivers take the ``(addr, pv)`` entry, and the :class:`BeaconBody`
+        is signed with these credentials only when a frame carries it: by
+        :func:`sign_beacon` for a real-frame receiver of the tick, or by
+        :meth:`send_beacon`.
         """
         if self.dcc is not None and not self.dcc.allow(now):
             self.dcc.stats.beacons_throttled += 1
             return None
         if self.pv_fault is not None:
             pv = self.pv_fault(pv)
-        payload = sign(BeaconBody(source_addr=self.address, pv=pv), self.credentials)
-        verify(payload)
-        return payload, (self.address, pv)
+        address = self.address
+        body = BeaconBody(source_addr=address, pv=pv)
+        return (address, pv), body, self.credentials
 
     def hear_beacons(self, batch, now: float) -> int:
         """Receive one fleet tick's ``(addr, pv)`` beacons for this node.

@@ -161,11 +161,13 @@ class GeoRouter:
         ``(addr, pv)`` pairs sharing one timestamp: a fleet tick's batch
         for this receiver, or the single beacon of a frame that passed
         :meth:`_handle_beacon`'s verify, body-type and self-echo checks.
-        Fleet batches were verified at signing time (the one memoised
-        :func:`verify` call a per-frame receiver would make) and never
-        contain self pairs.  Every :attr:`beacon_taps` observer sees the
-        batch first, stale or not; the freshness window is then checked
-        once for the whole batch.  Returns how many were accepted.
+        Fleet batches come straight from their senders' members, so they
+        carry no signature to verify (the tick signs a beacon only when a
+        real frame carries it, and :func:`sign` records that frame's
+        verdict), and never contain self pairs.  Every :attr:`beacon_taps`
+        observer sees the batch first, stale or not; the freshness window
+        is then checked once for the whole batch.  Returns how many were
+        accepted.
         """
         n = len(entries)
         if n == 0:

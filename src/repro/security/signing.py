@@ -9,6 +9,9 @@ function plays the role of the mathematics of ECDSA: no attacker entity in
 the simulation calls it.  Keypairs are stateless, so a message verifies in
 any process, a fresh one restoring a checkpoint included.
 
+:func:`sign` records the verdict :func:`verify` would return, so a signed
+message's body is encoded once, however many receivers check it.
+
 Two properties matter for the paper and are enforced (and unit-tested):
 
 * altering any signed field, or signing with an unenrolled certificate,
@@ -23,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.security.certificates import Certificate, Credentials
 
@@ -48,23 +51,40 @@ def canonical_bytes(body: Any) -> bytes:
     return _encode(body).encode("utf-8")
 
 
+#: The common leaf types, whose encoding is their ``repr`` (exact types; a
+#: subclass such as an enum takes the general path, which ends at ``repr``
+#: too).
+_SCALARS = frozenset((float, int, str, bool))
+
+#: Field names of each dataclass type met so far, or None for a type that is
+#: not a dataclass: one :func:`dataclasses.fields` walk per type, not per
+#: body.
+_FIELD_NAMES: Dict[type, Optional[Tuple[str, ...]]] = {}
+
+
+def _field_names(cls: type) -> Optional[Tuple[str, ...]]:
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
 def _encode(value: Any) -> str:
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = ",".join(
-            f"{f.name}={_encode(getattr(value, f.name))}"
-            for f in dataclasses.fields(value)
-        )
-        return f"{type(value).__name__}({fields})"
-    if isinstance(value, float):
+    cls = type(value)
+    if cls in _SCALARS:
         return repr(value)
-    if isinstance(value, (str, int, bool, bytes)) or value is None:
-        return repr(value)
+    try:
+        names = _FIELD_NAMES[cls]
+    except KeyError:
+        names = _FIELD_NAMES[cls] = _field_names(cls)
+    if names is not None:
+        fields = ",".join(f"{name}={_encode(getattr(value, name))}" for name in names)
+        return f"{cls.__name__}({fields})"
     if isinstance(value, (tuple, list)):
         return "[" + ",".join(_encode(v) for v in value) + "]"
     if isinstance(value, dict):
         items = sorted(value.items())
         return "{" + ",".join(f"{_encode(k)}:{_encode(v)}" for k, v in items) + "}"
-    # Enums and anything else with a stable repr.
+    # None, bytes, enums and anything else with a stable repr.
     return repr(value)
 
 
@@ -79,16 +99,20 @@ def _signature_over(body: Any, private_token: str) -> str:
 class SignedMessage:
     """An immutable signed body.
 
-    Verification results are memoized per object: a message is checked once
-    no matter how many receivers hear it (or how many times an attacker
-    replays the same capture), which keeps large simulations fast without
-    changing semantics.
+    The verification verdict is memoized per object: :func:`sign` records
+    it, and :func:`verify` records it for a message it has not seen, so a
+    message is checked at most once no matter how many receivers hear it
+    (or how many times an attacker replays the same capture).  The memo is
+    not an ``__init__`` field, so a copy made with
+    :func:`dataclasses.replace` (a tampered body) starts without one.
     """
 
     body: Any
     certificate: Certificate
     signature: str
-    _verified: Optional[bool] = field(default=None, compare=False, repr=False)
+    _verified: Optional[bool] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def cached_verdict(self) -> Optional[bool]:
         """The memoized verification verdict, if any."""
@@ -99,14 +123,26 @@ class SignedMessage:
 
 
 def sign(body: Any, credentials: Credentials) -> SignedMessage:
-    """Sign ``body`` with a node's credentials."""
+    """Sign ``body`` with a node's credentials.
+
+    The message carries its verdict from the start: the signature verifies
+    exactly when the private token is the one the certificate's public token
+    derives, so this is :func:`verify`'s answer without a second encoding
+    walk.  Credentials the CA never issued memoize False.
+    """
     if credentials is None:
         raise SigningError("cannot sign without credentials")
-    return SignedMessage(
+    certificate = credentials.certificate
+    private_token = credentials.private_token
+    message = SignedMessage(
         body=body,
-        certificate=credentials.certificate,
-        signature=_signature_over(body, credentials.private_token),
+        certificate=certificate,
+        signature=_signature_over(body, private_token),
     )
+    message._remember(
+        private_token == _private_token_for(certificate.public_token)
+    )
+    return message
 
 
 def verify(message: SignedMessage) -> bool:

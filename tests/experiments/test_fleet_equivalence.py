@@ -70,7 +70,7 @@ def test_tiny_batched_world_smoke():
 @pytest.mark.slow
 def test_batched_beacons_pass_through_gps_fault_hook():
     """Fleet beacons must run the fault layer's ``pv_fault`` transform
-    (``GeoNode.make_beacon`` applies it before signing)."""
+    (``GeoNode.make_beacon`` applies it to the entry and the body)."""
     from repro.faults import GpsFaultPlan
     from repro.faults.plan import FaultPlan
 

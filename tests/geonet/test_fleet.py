@@ -39,7 +39,7 @@ class Member:
     def make_beacon(self, pv, now):
         if self.muted:
             return None
-        return (b"beacon", (self.iface.address, pv))
+        return (self.iface.address, pv), b"beacon", None
 
     def hear_beacons(self, batch, now):
         self.received.extend(batch)

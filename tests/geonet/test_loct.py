@@ -1,5 +1,7 @@
 """Tests for the location table."""
 
+import pickle
+
 import pytest
 
 from repro.geo.position import Position, PositionVector
@@ -176,3 +178,35 @@ def test_update_many_runs_opportunistic_purge():
     assert 1 not in loct
     assert 2 in loct
 
+
+
+def test_pickle_round_trip_keeps_entries_order_and_shared_pvs():
+    """A checkpoint packs a table into columns; the restored table has the
+    same entries in the same order, the same counters and purge clock, and
+    one PV object still shared by every table that held it."""
+    shared = pv(500, t=4.0)
+    a = LocationTable(ttl=20.0)
+    b = LocationTable(ttl=20.0, purge_interval=5.0)
+    a.update_many([(3, pv(30)), (1, shared), (2, pv(20))], now=1.0)
+    a.update(3, pv(31, t=2.0), now=2.0)
+    b.update(9, pv(90), now=4.0)
+    b.maybe_purge(30.0)
+    b.update_many([(7, pv(70, t=30.0)), (1, shared)], now=30.0)
+
+    a2, b2 = pickle.loads(pickle.dumps((a, b)))
+
+    for before, after in ((a, a2), (b, b2)):
+        assert list(after._entries) == list(before._entries)
+        assert [vars(e) for e in after._entries.values()] == [
+            vars(e) for e in before._entries.values()
+        ]
+        for key in ("ttl", "purge_interval", "_next_purge_at", "inserts",
+                    "refreshes", "purged"):
+            assert getattr(after, key) == getattr(before, key)
+    assert a2._entries[1].pv is b2._entries[1].pv
+    # The restored table keeps working: a refresh, then an insert.
+    a2.update(2, pv(25, t=5.0), now=5.0)
+    a2.update(4, pv(40, t=5.0), now=5.0)
+    assert list(a2._entries) == [3, 1, 2, 4]
+    assert a2.get(2, now=5.0).position.x == 25
+    assert (a2.inserts, a2.refreshes) == (a.inserts + 1, a.refreshes + 1)
