@@ -32,6 +32,8 @@ from repro.geonet.loct import LocationTable, LocationTableEntry
 class GfSelection:
     """The outcome of a next-hop scan."""
 
+    #: A read-only view of the chosen LocTE (built by ``live_entries``; the
+    #: table itself stores ``(pv, updated_at)``), or None.
     next_hop: Optional[LocationTableEntry]
     candidates_considered: int = 0
     rejected_by_plausibility: int = 0

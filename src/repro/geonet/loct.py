@@ -1,8 +1,9 @@
 """The GeoNetworking location table (LocT).
 
 Every node stores the position vectors of the neighbors it has heard
-beacons from, as ``LocTE (addr, PV, TTL)`` per the paper.  Entries expire
-``ttl`` seconds after their last refresh (default 20 s).
+beacons from, as ``LocTE (addr, PV, TTL)`` per the paper.  A LocTE is
+stored as ``addr -> (pv, updated_at)``; the TTL (default 20 s) belongs to
+the table, so an entry's expiry ``updated_at + ttl`` is derived on read.
 
 The table trusts whatever authenticated beacon it is given: EN 302 636-4-1
 performs no distance-plausibility check on reception, which is the second
@@ -11,15 +12,13 @@ GF vulnerability the paper identifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
 from repro.geo.position import Position, PositionVector
 
 
-@dataclass
-class LocationTableEntry:
-    """One LocTE: address, PV and expiry bookkeeping.
+class LocationTableEntry(NamedTuple):
+    """A read-only view of one LocTE: address, PV and expiry bookkeeping.
 
     Every entry comes from a beacon, so every entry is a one-hop neighbor
     GF may pick as a next hop.  The inter-area attack works precisely
@@ -32,10 +31,6 @@ class LocationTableEntry:
     updated_at: float
     expires_at: float
 
-    def is_live(self, now: float) -> bool:
-        """Whether the entry is still within its TTL."""
-        return now <= self.expires_at
-
     @property
     def position(self) -> Position:
         """The advertised position (as beaconed — never extrapolated)."""
@@ -43,7 +38,10 @@ class LocationTableEntry:
 
 
 class LocationTable:
-    """addr -> LocTE with TTL expiry.
+    """addr -> ``(pv, updated_at)`` with TTL expiry.
+
+    An entry is live iff ``now <= updated_at + ttl``.  Entry views are
+    built only when a query returns one.
 
     Expired entries are already invisible to every liveness-aware query
     (:meth:`get`, :meth:`live_entries`), but they used to stay in the dict
@@ -61,7 +59,10 @@ class LocationTable:
         #: Seconds between opportunistic purges; dead entries survive at
         #: most ``ttl + purge_interval`` after their last refresh.
         self.purge_interval = ttl if purge_interval is None else purge_interval
-        self._entries: Dict[int, LocationTableEntry] = {}
+        #: addr -> (pv, updated_at), in first-insertion order: a refresh
+        #: reassigns an existing key, which keeps its place, and GF ranks
+        #: candidates in table order.
+        self._entries: Dict[int, Tuple[PositionVector, float]] = {}
         self._next_purge_at = self.purge_interval
         #: Churn counters (monotonic; never reset by :meth:`clear`).  An
         #: inter-area attacker inflates ``inserts`` — every replayed beacon
@@ -71,71 +72,34 @@ class LocationTable:
         self.refreshes = 0
         self.purged = 0
 
-    def __getstate__(self):
-        # Column-packed: four parallel lists instead of one entry object
-        # per neighbor, which made the tables most of a world checkpoint.
-        # The PVs stay objects, so pickle's memo still shares one PV among
-        # every table that holds it.
-        state = self.__dict__.copy()
-        entries = state["_entries"].values()
-        state["_entries"] = (
-            [e.addr for e in entries],
-            [e.pv for e in entries],
-            [e.updated_at for e in entries],
-            [e.expires_at for e in entries],
-        )
-        return state
-
-    def __setstate__(self, state):
-        addrs, pvs, updated, expires = state["_entries"]
-        self.__dict__.update(state)
-        # Rebuilt in insertion order: GF ranks candidates in table order.
-        self._entries = {
-            addr: LocationTableEntry(addr, pv, updated_at, expires_at)
-            for addr, pv, updated_at, expires_at in zip(addrs, pvs, updated, expires)
-        }
-
-    def update(
-        self, addr: int, pv: PositionVector, now: float
-    ) -> LocationTableEntry:
+    def update(self, addr: int, pv: PositionVector, now: float) -> None:
         """Insert or refresh the entry for ``addr`` with a new PV."""
         self.update_many(((addr, pv),), now)
-        return self._entries[addr]
 
     def update_many(self, pairs, now: float) -> None:
-        """Insert or refresh the entries of ``(addr, pv)`` pairs.
+        """Insert or refresh the entries of a sequence of ``(addr, pv)`` pairs.
 
         The one insert/refresh body (:meth:`update` is its one-pair call).
         The opportunistic purge runs at most once, before the first insert,
-        so a whole beacon batch pays the purge check and attribute lookups
-        once instead of once per beacon.
+        so a whole beacon batch pays the purge check once.  Inserts are the
+        growth of the table; every other pair of the batch is a refresh.
         """
         self.maybe_purge(now)
         entries = self._entries
-        ttl = self.ttl
-        expires_at = now + ttl
+        before = len(entries)
         for addr, pv in pairs:
-            entry = entries.get(addr)
-            if entry is None:
-                self.inserts += 1
-                entries[addr] = LocationTableEntry(
-                    addr=addr,
-                    pv=pv,
-                    updated_at=now,
-                    expires_at=expires_at,
-                )
-            else:
-                self.refreshes += 1
-                entry.pv = pv
-                entry.updated_at = now
-                entry.expires_at = expires_at
+            entries[addr] = (pv, now)
+        inserted = len(entries) - before
+        self.inserts += inserted
+        self.refreshes += len(pairs) - inserted
 
     def get(self, addr: int, now: float) -> Optional[LocationTableEntry]:
         """The live entry for ``addr``, or None."""
-        entry = self._entries.get(addr)
-        if entry is None or not entry.is_live(now):
+        row = self._entries.get(addr)
+        if row is None or now > row[1] + self.ttl:
             return None
-        return entry
+        pv, updated_at = row
+        return LocationTableEntry(addr, pv, updated_at, updated_at + self.ttl)
 
     def remove(self, addr: int) -> None:
         """Drop the entry for ``addr`` if present."""
@@ -148,16 +112,19 @@ class LocationTable:
             self._next_purge_at = now + self.purge_interval
 
     def live_entries(self, now: float) -> Iterator[LocationTableEntry]:
-        """Iterate non-expired entries."""
-        for entry in self._entries.values():
-            if entry.is_live(now):
-                yield entry
+        """Iterate non-expired entries, in table order."""
+        ttl = self.ttl
+        for addr, (pv, updated_at) in self._entries.items():
+            if now <= updated_at + ttl:
+                yield LocationTableEntry(addr, pv, updated_at, updated_at + ttl)
 
     def purge(self, now: float) -> int:
         """Physically remove expired entries; returns how many were dropped."""
-        dead = [addr for addr, e in self._entries.items() if not e.is_live(now)]
+        ttl = self.ttl
+        entries = self._entries
+        dead = [addr for addr, (_pv, t) in entries.items() if now > t + ttl]
         for addr in dead:
-            del self._entries[addr]
+            del entries[addr]
         self.purged += len(dead)
         return len(dead)
 
@@ -170,8 +137,8 @@ class LocationTable:
 
     def contains(self, addr: int, now: float) -> bool:
         """Whether a *live* entry exists for ``addr`` (liveness-aware)."""
-        entry = self._entries.get(addr)
-        return entry is not None and entry.is_live(now)
+        row = self._entries.get(addr)
+        return row is not None and now <= row[1] + self.ttl
 
     def __len__(self) -> int:
         """Physical entry count, expired included (storage footprint —

@@ -40,7 +40,7 @@ from typing import Any, Dict
 
 #: Bump whenever the payload layout or the pickled object graph changes
 #: incompatibly; readers refuse versions they do not know.
-CHECKPOINT_VERSION = 9
+CHECKPOINT_VERSION = 10
 
 #: ``kind`` discriminator used in envelopes (and store records).
 CHECKPOINT_KIND = "checkpoint"

@@ -100,8 +100,8 @@ def test_loct_and_done_set_stay_bounded(monkeypatch):
     for node in _all_nodes(world):
         loct = node.router.loct
         last_purge = loct._next_purge_at - loct.purge_interval
-        for entry in loct._entries.values():
-            assert entry.expires_at >= last_purge
+        for _pv, updated_at in loct._entries.values():
+            assert updated_at + loct.ttl >= last_purge
         cbf = node.router.cbf
         last_sweep = cbf._next_done_sweep - 5.0  # _DONE_SWEEP_INTERVAL
         for drop_after in cbf._done.values():

@@ -181,9 +181,10 @@ def test_update_many_runs_opportunistic_purge():
 
 
 def test_pickle_round_trip_keeps_entries_order_and_shared_pvs():
-    """A checkpoint packs a table into columns; the restored table has the
-    same entries in the same order, the same counters and purge clock, and
-    one PV object still shared by every table that held it."""
+    """A checkpoint pickles a table's ``addr -> (pv, updated_at)`` dict; the
+    restored table has the same entries in the same order, the same
+    counters and purge clock, and one PV object still shared by every table
+    that held it."""
     shared = pv(500, t=4.0)
     a = LocationTable(ttl=20.0)
     b = LocationTable(ttl=20.0, purge_interval=5.0)
@@ -197,13 +198,11 @@ def test_pickle_round_trip_keeps_entries_order_and_shared_pvs():
 
     for before, after in ((a, a2), (b, b2)):
         assert list(after._entries) == list(before._entries)
-        assert [vars(e) for e in after._entries.values()] == [
-            vars(e) for e in before._entries.values()
-        ]
+        assert list(after._entries.values()) == list(before._entries.values())
         for key in ("ttl", "purge_interval", "_next_purge_at", "inserts",
                     "refreshes", "purged"):
             assert getattr(after, key) == getattr(before, key)
-    assert a2._entries[1].pv is b2._entries[1].pv
+    assert a2._entries[1][0] is b2._entries[1][0]
     # The restored table keeps working: a refresh, then an insert.
     a2.update(2, pv(25, t=5.0), now=5.0)
     a2.update(4, pv(40, t=5.0), now=5.0)

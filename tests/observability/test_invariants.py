@@ -96,39 +96,35 @@ def test_detects_broken_heap_property(testbed):
 # ----------------------------------------------------------------------
 # location table
 # ----------------------------------------------------------------------
-def _neighbor_entry(testbed):
+def _neighbor_row(testbed):
+    """A warmed-up two-node chain, and ``a``'s LocT with ``b``'s address."""
     a, b = testbed.chain(2, 100.0)
     testbed.warm_up(8.0)
-    entry = a.router.loct._entries[b.address]
-    return a, b, entry
+    return a, a.router.loct._entries, b.address
 
 
 def test_detects_loct_entry_updated_in_the_future(testbed):
-    a, _b, entry = _neighbor_entry(testbed)
-    entry.updated_at = testbed.sim.now + 100.0
+    a, entries, addr = _neighbor_row(testbed)
+    entries[addr] = (entries[addr][0], testbed.sim.now + 100.0)
     with pytest.raises(InvariantViolation, match="updated in the future"):
         make_checker(testbed, [a]).run()
 
 
-def test_detects_loct_expiry_ttl_mismatch(testbed):
-    a, _b, entry = _neighbor_entry(testbed)
-    entry.expires_at += 5.0
-    with pytest.raises(InvariantViolation, match="expiry inconsistent"):
-        make_checker(testbed, [a]).run()
-
-
 def test_detects_loct_non_finite_position(testbed):
-    a, _b, entry = _neighbor_entry(testbed)
-    entry.pv = dataclasses.replace(
-        entry.pv, position=Position(math.nan, 0.0)
+    a, entries, addr = _neighbor_row(testbed)
+    pv, updated_at = entries[addr]
+    entries[addr] = (
+        dataclasses.replace(pv, position=Position(math.nan, 0.0)),
+        updated_at,
     )
     with pytest.raises(InvariantViolation, match="non-finite position"):
         make_checker(testbed, [a]).run()
 
 
 def test_detects_loct_position_outside_the_world(testbed):
-    a, _b, entry = _neighbor_entry(testbed)
-    entry.pv = dataclasses.replace(entry.pv, position=Position(1e9, 0.0))
+    a, entries, addr = _neighbor_row(testbed)
+    pv, updated_at = entries[addr]
+    entries[addr] = (dataclasses.replace(pv, position=Position(1e9, 0.0)), updated_at)
     with pytest.raises(InvariantViolation, match="outside the plausible"):
         make_checker(testbed, [a]).run()
 
