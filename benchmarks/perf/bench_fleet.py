@@ -85,9 +85,6 @@ class _Member:
     def beacon_active(self):
         return True
 
-    def beacon_extra_delay(self):
-        return 0.0
-
     def make_beacon(self, pv, now):
         return (self.iface.address, pv), b"x" * 32, None
 

@@ -361,8 +361,8 @@ class ExperimentConfig:
     bin_width: float = 5.0
     #: Mobility step, which is also the fleet's beacon tick.
     mobility_dt: float = 0.1
-    #: Deterministic fault injection (link loss, churn, GPS error, beacon
-    #: timing); ``FaultPlan.lossy(x)`` is the i.i.d. frame-loss model.  The
+    #: Deterministic fault injection (link loss, churn, GPS error);
+    #: ``FaultPlan.lossy(x)`` is the i.i.d. frame-loss model.  The
     #: default zero plan installs nothing and changes nothing —
     #: golden-verified bit-identity with a plan-less run.
     faults: FaultPlan = field(default_factory=FaultPlan)

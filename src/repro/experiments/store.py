@@ -11,8 +11,10 @@ reads the one record.
 The config hash is content-addressed: a SHA-256 over the canonical JSON
 serialisation of the full :class:`~repro.experiments.config.ExperimentConfig`
 (nested dataclasses, enums and the radio technology included), so two runs
-share a record if and only if they simulate the identical scenario.  A
-whole-run target hashes its name with its parameters instead.  Every
+share a record if and only if they simulate the identical scenario.  An
+attack-free run leaves out every attack setting its world never reads
+(:meth:`RunKey.for_config`).  A whole-run target hashes its name with its
+parameters instead.  Every
 record carries a schema version; records written by an incompatible schema
 are treated as absent and re-run rather than mis-parsed.
 
@@ -35,6 +37,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.metrics import BinnedRates, PacketOutcome
 from repro.experiments.runner import RunResult
 
@@ -94,7 +97,21 @@ class RunKey:
 
     @staticmethod
     def for_config(config: Any, *, seed: int, attacked: bool) -> "RunKey":
-        """Build the key for one run of ``config``."""
+        """Build the key for one run of ``config``.
+
+        An attack-free run of an :class:`ExperimentConfig` hashes its
+        attack settings reduced to ``x`` and ``attack_range``: no attacker
+        exists in its world, and those two alone shape the paired workload
+        (:class:`~repro.core.vulnerability.VulnerabilityModel`).  Settings
+        that differ only in the attack they deploy share their attack-free
+        runs.
+        """
+        if not attacked and isinstance(config, ExperimentConfig):
+            attack = config.attack
+            config = {
+                f.name: getattr(config, f.name) for f in dataclasses.fields(config)
+            }
+            config["attack"] = {"x": attack.x, "attack_range": attack.attack_range}
         return RunKey(config_hash(config), seed, attacked)
 
 

@@ -4,16 +4,9 @@ See :doc:`docs/faults` for the fault model and the RNG determinism contract.
 """
 
 from repro.faults.injector import FaultInjector, FaultStats
-from repro.faults.plan import (
-    BeaconTimingPlan,
-    ChurnPlan,
-    FaultPlan,
-    GpsFaultPlan,
-    LinkFaultPlan,
-)
+from repro.faults.plan import ChurnPlan, FaultPlan, GpsFaultPlan, LinkFaultPlan
 
 __all__ = [
-    "BeaconTimingPlan",
     "ChurnPlan",
     "FaultInjector",
     "FaultPlan",

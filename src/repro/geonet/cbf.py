@@ -116,7 +116,7 @@ class CbfForwarder:
         rng=None,
         medium_busy: Optional[Callable[[], bool]] = None,
         ledger=None,
-        get_addr: Optional[Callable[[], int]] = None,
+        addr: int = -1,
         dcc=None,
     ):
         self._sim = sim
@@ -129,9 +129,9 @@ class CbfForwarder:
         #: re-broadcasts that win contention still pass the access-layer
         #: rate gate before hitting the air.
         self._dcc = dcc
-        #: Optional PacketLedger plus the owner's (current) address for it.
+        #: Optional PacketLedger plus the owner's address for it.
         self._ledger = ledger
-        self._get_addr = get_addr
+        self._addr = addr
         #: Carrier-sense hook: when set and True at timer expiry, the
         #: re-broadcast defers briefly (CSMA) — the deferring contender then
         #: hears the in-flight duplicate and cancels like real radios do.
@@ -320,7 +320,7 @@ class CbfForwarder:
                 "gbc",
                 packet.packet_id,
                 self._sim.now,
-                self._get_addr() if self._get_addr is not None else -1,
+                self._addr,
                 reason,
             )
 
@@ -330,7 +330,7 @@ class CbfForwarder:
                 "gbc",
                 packet.packet_id,
                 self._sim.now,
-                self._get_addr() if self._get_addr is not None else -1,
+                self._addr,
                 action,
             )
 

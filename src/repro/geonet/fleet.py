@@ -425,14 +425,12 @@ class FleetBeaconScheduler:
     real-frame slots get real frames, one scheduled delivery each, as a
     per-frame transmit schedules them.
 
-    Members (``GeoNode`` in a simulation) implement four methods, which
+    Members (``GeoNode`` in a simulation) implement three methods, which
     run only for *due* members (~N·dt/period per tick) and for receivers:
 
     * ``beacon_active() -> bool`` — False skips the cycle (node powered
       down or shut down); the deadline still advances, so a member that
       comes back beacons at its normal cadence with no catch-up burst.
-    * ``beacon_extra_delay() -> float`` — extra seconds added to the next
-      deadline (the fault layer's congested-DCC beacon jitter; 0.0 unset).
     * ``make_beacon(pv, now) -> (entry, body, credentials) | None`` —
       build the ``(addr, pv)`` entry for batch receivers, plus the body and
       the credentials a real frame's payload is signed with (on the
@@ -528,7 +526,6 @@ class FleetBeaconScheduler:
             member = members[slot]
             if not member.beacon_active():
                 continue
-            nba[slot] += member.beacon_extra_delay()
             pv = PositionVector(
                 position=Position(bx[i], by[i]),
                 speed=bs[i],

@@ -5,17 +5,17 @@ participates in GeoNetworking: it beacons its position vector, maintains a
 location table, and forwards GeoBroadcast packets via GF/CBF.  Nodes hold
 CA-issued credentials; every frame they emit carries a signed message.  A
 fleet beacon is signed only when a frame carries it (:func:`sign_beacon`):
-fleet receivers take its ``(addr, pv)`` entry and read no signature.
+fleet receivers take its ``(addr, pv)`` entry and read no signature.  A
+node keeps one link-layer address for its whole life.
 
 A node built on a slot of its channel's
 :class:`~repro.geonet.fleet.FleetState` (``GeoNode(slot=...)``, a traffic
 or roadside slot) beacons: the fleet's one
-:class:`~repro.geonet.fleet.FleetBeaconScheduler` calls the node's four
+:class:`~repro.geonet.fleet.FleetBeaconScheduler` calls the node's three
 beacon methods (:meth:`~GeoNode.beacon_active`,
-:meth:`~GeoNode.beacon_extra_delay`, :meth:`~GeoNode.make_beacon`,
-:meth:`~GeoNode.hear_beacons`).  A node built without a slot gets a
-static slot from the channel, takes real frames, and beacons only when
-told to (:meth:`~GeoNode.send_beacon`).
+:meth:`~GeoNode.make_beacon`, :meth:`~GeoNode.hear_beacons`).  A node
+built without a slot gets a static slot from the channel, takes real
+frames, and does not beacon.
 """
 
 from __future__ import annotations
@@ -92,18 +92,9 @@ class GeoNode:
         tx_range: float,
         rng: Optional[random.Random] = None,
         name: str = "",
-        pseudonym_pool=None,
-        pseudonym_period: Optional[float] = None,
         ledger=None,
         slot: Optional[int] = None,
     ):
-        # Validated before the radio registers: a raise must not leave a
-        # live radio (and its claimed slot) on the channel.
-        if pseudonym_period is not None:
-            if pseudonym_pool is None:
-                raise ValueError("pseudonym rotation requires a pool")
-            if pseudonym_period <= 0:
-                raise ValueError("pseudonym_period must be positive")
         self.sim = sim
         self.channel = channel
         self.config = config
@@ -115,13 +106,11 @@ class GeoNode:
         #: permanent ``_shut_down``): the radio leaves the channel and every
         #: protocol timer dies, but the node can :meth:`come_up` later.
         self._down = False
-        #: Fault-injection hooks (installed by
+        #: Fault-injection hook (installed by
         #: :class:`~repro.faults.injector.FaultInjector`; None costs
-        #: nothing).  ``pv_fault`` perturbs the PV advertised in beacons —
-        #: never the true mobility; ``beacon_extra_jitter`` delays beacon
-        #: cycles further (:meth:`beacon_extra_delay`).
+        #: nothing): perturbs the PV advertised in beacons — never the
+        #: true mobility.
         self.pv_fault: Optional[Callable[[PositionVector], PositionVector]] = None
-        self.beacon_extra_jitter: Optional[Callable[[], float]] = None
         #: Optional :class:`~repro.observability.PacketLedger`; must be set
         #: before the router is built so every service can capture it.
         self.ledger = ledger
@@ -145,36 +134,11 @@ class GeoNode:
         self.iface.attach(self._on_frame)
         if slot is not None:
             channel.fleet.attach(slot, self, tx_range)
-        # --- pseudonym rotation (privacy, paper §II) ----------------------
-        # "A personal vehicle is allowed to use a pseudonym to hide its true
-        # identity."  Rotation swaps the link-layer address; neighbors'
-        # stale LocT entries for the old address linger until TTL and any
-        # in-flight unicast toward it is lost — the real-world session-
-        # continuity cost of pseudonym change.
-        self._pseudonym_pool = pseudonym_pool
-        self._rotation_process = None
-        self.pseudonyms_used = 1
-        if pseudonym_period is not None:
-            from repro.sim.process import PeriodicProcess
-
-            self._rotation_process = PeriodicProcess(
-                sim,
-                pseudonym_period,
-                self._rotate_tick,
-                start_delay=pseudonym_period,
-            )
 
     def _medium_busy(self) -> bool:
         """Whether the medium is busy at the node's current position (the
         DCC/CBF carrier-sense probe, as a checkpointable descriptor)."""
         return self.channel.medium_busy(self.mobility.position())
-
-    def _get_address(self) -> int:
-        """The current link-layer address (survives pseudonym rotation)."""
-        return self.iface.address
-
-    def _rotate_tick(self) -> None:
-        self.rotate_pseudonym()
 
     # ------------------------------------------------------------------
     # identity / state
@@ -204,16 +168,6 @@ class GeoNode:
     # ------------------------------------------------------------------
     # transmission
     # ------------------------------------------------------------------
-    def send_beacon(self) -> None:
-        """Broadcast a beacon with the current PV right now, outside the
-        fleet tick (the announce after a pseudonym rotation)."""
-        if self._shut_down or self._down:
-            return
-        out = self.make_beacon(self.position_vector(), self.sim.now)
-        if out is not None:
-            _entry, body, credentials = out
-            self.iface.send(FrameKind.BEACON, sign(body, credentials))
-
     def send_unicast(self, dest_addr: int, packet: GeoBroadcastPacket) -> None:
         """Link-layer unicast of a GF-forwarded packet.
 
@@ -265,22 +219,16 @@ class GeoNode:
         """Whether the node beacons this cycle (not down, not shut down)."""
         return not (self._shut_down or self._down)
 
-    def beacon_extra_delay(self) -> float:
-        """Extra per-cycle beacon delay from the fault layer (0.0 unset)."""
-        hook = self.beacon_extra_jitter
-        return 0.0 if hook is None else hook()
-
     def make_beacon(self, pv: PositionVector, now: float):
         """Build this cycle's beacon: ``((addr, pv), body, credentials)``,
         or None when the DCC gate throttles it.
 
         The advertised PV passes through the fault layer's ``pv_fault``
-        transform (GPS error/drift) when one is installed; the node's true
+        transform (GPS error) when one is installed; the node's true
         mobility is never perturbed.  Nothing is signed here: batch
         receivers take the ``(addr, pv)`` entry, and the :class:`BeaconBody`
-        is signed with these credentials only when a frame carries it: by
-        :func:`sign_beacon` for a real-frame receiver of the tick, or by
-        :meth:`send_beacon`.
+        is signed with these credentials only when a frame carries it, by
+        :func:`sign_beacon` for a real-frame receiver of the tick.
         """
         if self.dcc is not None and not self.dcc.allow(now):
             self.dcc.stats.beacons_throttled += 1
@@ -303,37 +251,6 @@ class GeoNode:
             return 0
         self.router.receive_beacons_bulk(batch, now)
         return len(batch)
-
-    # ------------------------------------------------------------------
-    # pseudonym rotation
-    # ------------------------------------------------------------------
-    def rotate_pseudonym(self) -> int:
-        """Swap to a fresh pseudonymous link-layer address.
-
-        Returns the new address.  The old interface leaves the channel, so
-        unicasts addressed to the previous pseudonym are silently lost.
-        """
-        if self._pseudonym_pool is None:
-            raise RuntimeError("node was created without a pseudonym pool")
-        if self._shut_down or self._down:
-            return self.address
-        old_iface = self.iface
-        # The new radio takes the node's slot, so the fleet tick beacons
-        # from, and delivers to, it.
-        new_iface = RadioInterface(
-            get_position=self.mobility.position,
-            tx_range=old_iface.tx_range,
-            address=self._pseudonym_pool.draw(),
-            slot=self.slot,
-        )
-        self.channel.unregister(old_iface)
-        self.channel.register(new_iface)
-        new_iface.attach(self._on_frame)
-        self.iface = new_iface
-        self.pseudonyms_used += 1
-        # Announce the new identity immediately so neighbors relearn us.
-        self.send_beacon()
-        return self.address
 
     # ------------------------------------------------------------------
     # power state (fault injection)
@@ -396,7 +313,5 @@ class GeoNode:
         if self._shut_down:
             return
         self._shut_down = True
-        if self._rotation_process is not None:
-            self._rotation_process.stop()
         self.router.shutdown()
         self.channel.unregister(self.iface)

@@ -75,7 +75,7 @@ class GeoRouter:
             rng=node.rng,
             medium_busy=node._medium_busy,
             ledger=self.ledger,
-            get_addr=node._get_address,
+            addr=node.address,
             dcc=node.dcc,
         )
         self._seq = itertools.count(1)

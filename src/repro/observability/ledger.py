@@ -23,8 +23,8 @@ one terminal outcome:
 ``lifetime-expired``
     the packet's lifetime elapsed anywhere else on the path;
 ``faulted-link-loss``
-    the fault-injection layer's link impairment (i.i.d. or Gilbert–Elliott
-    burst loss) ate the frame carrying the packet to its addressee;
+    the fault-injection layer's i.i.d. link loss ate the frame carrying
+    the packet to its addressee;
 ``node-down``
     a fault-injected outage killed the node holding the packet (buffered
     CBF copies, pending GF rechecks) or the packet's unicast addressee was

@@ -40,8 +40,8 @@ sense (:meth:`BroadcastChannel.medium_busy`) reads one heap of in-flight
 transmissions, fed by every transmit and every beacon-tick sender through
 :meth:`BroadcastChannel.note_tx`.
 
-The channel has no loss model of its own: i.i.d. and bursty link loss are
-fault-layer impairments (``FaultPlan.link``), applied through the
+The channel has no loss model of its own: i.i.d. link loss is a
+fault-layer impairment (``FaultPlan.link``), applied through the
 :attr:`BroadcastChannel.link_fault` hook.
 """
 

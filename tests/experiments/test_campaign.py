@@ -135,9 +135,9 @@ def test_plan_keys_of_existing_stores_are_pinned():
         f"{s.target} {s.key.config_hash} {s.seed} {int(s.attacked)}"
         for s in specs
     )
-    assert len(specs) == 302
+    assert len(specs) == 278
     assert hashlib.sha256(keys.encode()).hexdigest() == (
-        "7cf5876e352a8b6468b0b53d40eea941d5d483b4b4d4841aace86d54a2213e70"
+        "cf5a8660b237aa29c34a29cd60b14580b49ae90c123903fdb2e42021af7b5033"
     )
 
 

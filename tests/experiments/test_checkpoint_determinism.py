@@ -37,13 +37,7 @@ from repro.experiments.runner import run_single, summarize_world
 from repro.experiments.sqlite_store import SqliteResultStore
 from repro.experiments.store import RunKey, jsonable
 from repro.experiments.world import World
-from repro.faults import (
-    BeaconTimingPlan,
-    ChurnPlan,
-    FaultPlan,
-    GpsFaultPlan,
-    LinkFaultPlan,
-)
+from repro.faults import ChurnPlan, FaultPlan, GpsFaultPlan, LinkFaultPlan
 from repro.sim.checkpoint import CHECKPOINT_VERSION, decode_envelope
 from tests.experiments.test_store import RESULTS_LAYOUTS, results_dir
 
@@ -58,10 +52,9 @@ def _highway():
 def _batched_with_faults():
     return _highway().with_(
         faults=FaultPlan(
-            link=LinkFaultPlan(loss_rate=0.05, burst_p=0.02, burst_r=0.3),
+            link=LinkFaultPlan(loss_rate=0.05),
             churn=ChurnPlan(mean_uptime=4.0, mean_downtime=1.0),
-            gps=GpsFaultPlan(error_stddev=1.5, drift_rate=0.2),
-            beacon=BeaconTimingPlan(extra_jitter=0.01),
+            gps=GpsFaultPlan(error_stddev=1.5),
         ),
     )
 

@@ -1,15 +1,11 @@
 """Validation and composition tests for fault plans."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigError
-from repro.faults import (
-    BeaconTimingPlan,
-    ChurnPlan,
-    FaultPlan,
-    GpsFaultPlan,
-    LinkFaultPlan,
-)
+from repro.faults import ChurnPlan, FaultPlan, GpsFaultPlan, LinkFaultPlan
 
 
 def test_default_plan_is_zero():
@@ -18,15 +14,13 @@ def test_default_plan_is_zero():
     assert not plan.link.enabled
     assert not plan.churn.enabled
     assert not plan.gps.enabled
-    assert not plan.beacon.enabled
 
 
 def test_explicit_zero_values_are_still_zero():
     plan = FaultPlan(
-        link=LinkFaultPlan(loss_rate=0.0, burst_p=0.0),
+        link=LinkFaultPlan(loss_rate=0.0),
         churn=ChurnPlan(mean_uptime=0.0),
-        gps=GpsFaultPlan(error_stddev=0.0, drift_rate=0.0),
-        beacon=BeaconTimingPlan(extra_jitter=0.0),
+        gps=GpsFaultPlan(error_stddev=0.0),
     )
     assert plan.is_zero
 
@@ -35,11 +29,8 @@ def test_explicit_zero_values_are_still_zero():
     "plan",
     [
         FaultPlan.lossy(0.1),
-        FaultPlan.bursty(),
         FaultPlan.churning(60.0),
         FaultPlan(gps=GpsFaultPlan(error_stddev=2.0)),
-        FaultPlan(gps=GpsFaultPlan(drift_rate=0.5)),
-        FaultPlan(beacon=BeaconTimingPlan(extra_jitter=0.1)),
     ],
 )
 def test_any_enabled_dimension_makes_the_plan_non_zero(plan):
@@ -50,8 +41,6 @@ def test_factories_enable_exactly_one_dimension():
     lossy = FaultPlan.lossy(0.2)
     assert lossy.link.enabled and not lossy.churn.enabled
     assert lossy.link.loss_rate == 0.2
-    bursty = FaultPlan.bursty(burst_p=0.1, burst_r=0.5, burst_loss=0.9)
-    assert bursty.link.enabled and bursty.link.loss_rate == 0.0
     churning = FaultPlan.churning(45.0, mean_downtime=3.0)
     assert churning.churn.enabled and not churning.link.enabled
     assert churning.churn.mean_downtime == 3.0
@@ -62,17 +51,12 @@ def test_factories_enable_exactly_one_dimension():
     [
         (lambda: LinkFaultPlan(loss_rate=1.0), "link.loss_rate"),
         (lambda: LinkFaultPlan(loss_rate=-0.1), "link.loss_rate"),
-        (lambda: LinkFaultPlan(burst_p=1.5), "link.burst_p"),
-        (lambda: LinkFaultPlan(burst_loss=-0.2), "link.burst_loss"),
-        (lambda: LinkFaultPlan(burst_p=0.1, burst_r=0.0), "link.burst_r"),
         (lambda: ChurnPlan(mean_uptime=-1.0), "churn.mean_uptime"),
         (
             lambda: ChurnPlan(mean_uptime=10.0, mean_downtime=0.0),
             "churn.mean_downtime",
         ),
         (lambda: GpsFaultPlan(error_stddev=-1.0), "gps.error_stddev"),
-        (lambda: GpsFaultPlan(drift_rate=-0.5), "gps.drift_rate"),
-        (lambda: BeaconTimingPlan(extra_jitter=-0.1), "beacon.extra_jitter"),
     ],
 )
 def test_validation_names_the_offending_field(build, field_name):
@@ -106,3 +90,28 @@ def test_plan_feeds_the_store_config_hash():
     assert config_hash(faulted) == config_hash(
         base.with_(faults=FaultPlan.lossy(0.05))
     )
+
+
+def _knobs(plan):
+    """``(dimension.field, value)`` for every leaf of a fault plan."""
+    for dimension in dataclasses.fields(plan):
+        sub = getattr(plan, dimension.name)
+        for f in dataclasses.fields(sub):
+            yield f"{dimension.name}.{f.name}", getattr(sub, f.name)
+
+
+def test_every_fault_knob_is_set_by_a_campaign_target():
+    """A knob no planned run moves off its default models nothing a run
+    exercises: every leaf of :class:`FaultPlan` is set by some sweep."""
+    from repro.experiments import campaign
+
+    defaults = dict(_knobs(FaultPlan()))
+    exercised = {
+        name
+        for target in campaign.CAMPAIGN_TARGETS
+        for spec in campaign.plan_target(target, runs=1, duration=10.0, seed=1)
+        if spec.config is not None
+        for name, value in _knobs(spec.config.faults)
+        if value != defaults[name]
+    }
+    assert sorted(set(defaults) - exercised) == []

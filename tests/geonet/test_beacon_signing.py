@@ -3,9 +3,8 @@
 Fleet receivers take a beacon's ``(addr, pv)`` entry and read no
 signature, so the beacon tick signs a beacon only on its sender's first
 real frame of the tick (the attacker's mast, a radio that does not
-beacon), and ``GeoNode.send_beacon`` signs the announce after a pseudonym
-rotation as it sends.  Both sign through ``repro.geonet.node.sign``, which
-these tests wrap and count.
+beacon).  It signs through ``repro.geonet.node.sign``, which these tests
+wrap and count.
 """
 
 import pytest
@@ -18,7 +17,6 @@ from repro.geonet import node as node_module
 from repro.geonet.packets import BeaconBody
 from repro.radio.channel import RadioInterface
 from repro.radio.frames import FrameKind
-from repro.security.pseudonym import PseudonymPool
 from repro.security.signing import SignedMessage, verify
 
 DURATION = 10.0
@@ -127,27 +125,3 @@ def test_sniffed_beacon_verifies_and_poisons_when_replayed(testbed, signed):
     assert entry.position == Position(880.0, 0.0)
     assert v1.router.stats.beacons_rejected_auth == 0
 
-
-def test_rotation_announce_is_signed_by_the_node(testbed, signed):
-    node = testbed.add_node(
-        0.0,
-        name="rotating",
-        pseudonym_pool=PseudonymPool(testbed.streams.get("pseudonyms")),
-    )
-    heard = []
-    listener = RadioInterface(lambda: Position(50.0, 0.0), 10.0)
-    listener.attach(heard.append)
-    testbed.channel.register(listener)
-    testbed.sim.run_until(0.05)  # before the first beacon tick
-
-    new = node.rotate_pseudonym()
-    testbed.sim.run_until(0.09)
-
-    assert [frame.kind for frame in heard] == [FrameKind.BEACON]
-    frame = heard[0]
-    message = frame.payload
-    assert frame.sender_addr == new
-    assert message.body.source_addr == new
-    assert message.certificate == node.credentials.certificate
-    assert verify(_unmemoized(message))
-    assert [m is message for m in signed] == [True]

@@ -19,22 +19,18 @@ from repro.sim.random import RandomStreams
 class Member:
     """A minimal fleet member: an interface plus a reception log.
 
-    ``active``, ``extra_delay`` and ``muted`` drive the scheduler's member
-    methods the way a GeoNode's power state, fault hook and DCC gate do.
+    ``active`` and ``muted`` drive the scheduler's member methods the way
+    a GeoNode's power state and DCC gate do.
     """
 
     def __init__(self, iface):
         self.iface = iface
         self.received = []
         self.active = True
-        self.extra_delay = 0.0
         self.muted = False
 
     def beacon_active(self):
         return self.active
-
-    def beacon_extra_delay(self):
-        return self.extra_delay
 
     def make_beacon(self, pv, now):
         if self.muted:
@@ -322,15 +318,6 @@ def test_make_beacon_returning_none_suppresses():
     assert fleet.beacons_sent[muted.slot] == 0
     assert fleet.beacons_sent[members[1].slot] >= 2
     assert muted.received  # still receives neighbors' beacons
-
-
-def test_extra_delay_slows_cadence():
-    sim, channel, fleet, members = build_fleet([(0, 0), (100, 0)])
-    slow = members[0]
-    slow.extra_delay = 3.0
-    make_scheduler(sim, fleet, channel)
-    sim.run_until(20.0)
-    assert fleet.beacons_sent[slow.slot] < fleet.beacons_sent[members[1].slot]
 
 
 def test_beacon_tick_asserts_carrier_sense():

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro.geo.areas import CircularArea
 from repro.geo.position import Position
 from repro.observability import PacketLedger, reasons
 from repro.observability.invariants import InvariantChecker, InvariantViolation
@@ -210,7 +211,8 @@ def _slotted_testbed(testbed):
     nodes = testbed.chain(3, 200.0)
     loner = testbed.add_node(100.0, 50.0, beaconing=False)
     testbed.warm_up(4.0)
-    loner.send_beacon()  # a per-frame lookup: the index is cached
+    # A CBF origination is a per-frame transmit: the index is cached.
+    loner.originate(CircularArea(loner.position(), 10.0), "probe")
     make_checker(testbed, nodes).run()
     return nodes, loner
 

@@ -4,10 +4,10 @@ Every registered radio sits in a slot of the channel's fleet, and one cell
 index over the slot columns answers every receiver lookup.  Churn is what
 can leave that index behind the radios: a static slot claimed and freed by
 register/unregister, a node's own slot keeping a powered-off radio, a
-rotated pseudonym taking over the node's slot, a mobile mast moving its
-slot, an attacker leaving the channel for good.  A hypothesis sequence of
-those steps is checked after every step against the brute-force reference
-of ``test_channel_semantics`` and the invariant checker's slot check.
+mobile mast moving its slot, an attacker leaving the channel for good.  A
+hypothesis sequence of those steps is checked after every step against
+the brute-force reference of ``test_channel_semantics`` and the invariant
+checker's slot check.
 """
 
 from hypothesis import given, settings
@@ -19,7 +19,6 @@ from repro.geo.position import Position
 from repro.observability.invariants import InvariantChecker
 from repro.radio.channel import RadioInterface
 from repro.radio.frames import Frame, FrameKind
-from repro.security.pseudonym import PseudonymPool
 from tests import conftest
 from tests.radio.test_channel_semantics import (
     reference_neighbors,
@@ -41,7 +40,6 @@ _step = st.one_of(
     st.tuples(st.just("reregister"), st.integers(0, 15)),
     st.tuples(st.just("mast_move"), st.integers(1, 8)),
     st.tuples(st.just("power_cycle"), st.integers(0, 5)),
-    st.tuples(st.just("rotate"), st.integers(0, 5)),
     st.tuples(st.just("stop"), st.integers(0, 1)),
 )
 
@@ -65,7 +63,6 @@ class _Radio:
 
 def _build():
     tb = conftest.Testbed(seed=3)
-    pool = PseudonymPool(tb.streams.get("pseudonyms"))
     # Beaconing nodes keep their own slots; the others get static slots.
     nodes = [
         tb.add_node(
@@ -73,7 +70,6 @@ def _build():
             40.0 * (i % 2),
             beaconing=i % 2 == 0,
             name=f"n{i}",
-            pseudonym_pool=pool,
         )
         for i in range(6)
     ]
@@ -116,8 +112,6 @@ def _apply(step, tb, nodes, attackers, radios):
             node.come_up()
         else:
             node.go_down()
-    elif kind == "rotate":
-        nodes[step[1]].rotate_pseudonym()
     elif kind == "stop":
         attackers[step[1]].stop()
 
