@@ -25,6 +25,7 @@ A re-issued campaign therefore costs only the runs that are missing.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -49,7 +50,7 @@ from repro.experiments.runner import (
     run_single,
 )
 from repro.experiments.sweep import AbTarget
-from repro.experiments.store import ResultStoreBase, RunKey
+from repro.experiments.store import ResultStoreBase, RunKey, run_identity
 
 
 class CampaignError(RuntimeError):
@@ -179,8 +180,9 @@ class RunSpec:
     config: Optional[ExperimentConfig] = None  # ab specs
     params: Optional[Tuple[Tuple[str, Any], ...]] = None  # text specs
 
-    @property
+    @functools.cached_property
     def key(self) -> RunKey:
+        """The spec's store key, hashed once per spec."""
         if self.kind == "ab":
             return RunKey.for_config(
                 self.config, seed=self.seed, attacked=self.attacked
@@ -320,7 +322,11 @@ def _store_result(store: ResultStoreBase, spec: RunSpec, result: Any) -> None:
     if spec.kind == "text":
         store.put_text(spec.key, result, params=dict(spec.params or ()))
     else:
-        store.put_run(spec.key, result, config=spec.config)
+        store.put_run(
+            spec.key,
+            result,
+            config=run_identity(spec.config, attacked=spec.attacked),
+        )
 
 
 # ----------------------------------------------------------------------

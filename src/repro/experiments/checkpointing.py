@@ -4,17 +4,18 @@
 :func:`~repro.experiments.runner.run_single`.  It simulates the same world
 but in segments: every ``interval`` seconds of *simulation* time the whole
 world is snapshotted (:mod:`repro.sim.checkpoint`) and persisted as the
-run's single checkpoint envelope in the result store — atomically
+run's one row in the store's ``checkpoints`` table — atomically
 overwritten in place, so the newest valid checkpoint is always the one on
 record.  Because segmented ``run_until`` calls are bit-identical to one
 uninterrupted call, a run that resumes from any of these checkpoints
 produces the byte-identical final record.
 
 Resume is automatic: if the store holds a valid checkpoint for the run's
-key, execution continues from its simulation time instead of t=0.  A
-checkpoint that fails validation (unknown version, digest mismatch,
-identity mismatch, unpicklable payload) is *quarantined* and the run falls
-back to from-scratch execution — a bad checkpoint can cost time, never
+key, execution continues from its simulation time instead of t=0.  The
+row is selected by the run's key columns, so it cannot belong to another
+run.  A checkpoint that fails validation (unknown version, digest
+mismatch, unpicklable payload) is *quarantined* and the run falls back
+to from-scratch execution — a bad checkpoint can cost time, never
 correctness.
 
 Preemption: a SIGTERM received mid-run triggers a graceful drain — the
@@ -33,25 +34,18 @@ from typing import Any, Callable, Optional
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import RunResult, summarize_world
-from repro.experiments.store import (
-    ResultStoreBase,
-    RunKey,
-    SCHEMA_VERSION,
-)
+from repro.experiments.store import ResultStoreBase, RunKey
 from repro.experiments.world import World
 from repro.observability.ledger import PacketLedger
-from repro.sim.checkpoint import (
-    CheckpointError,
-    decode_envelope,
-    encode_envelope,
-)
+from repro.sim.checkpoint import Checkpoint, CheckpointError
 
 #: Simulation seconds between checkpoints when checkpointing is enabled
 #: without an explicit interval.  Re-simulated time after a crash is less
 #: than one interval by construction.  120 sim-seconds keeps the
 #: steady-state overhead well under 5% wall on the heaviest (dense-500)
-#: scenario — one ~0.25s snapshot per ~9s of simulation wall — while a
-#: lost worker re-simulates at most ~10s of wall-clock work.
+#: scenario — one ~0.1s save per 4-7s of simulation wall on 2 shared
+#: vCPUs — while a lost worker re-simulates at most ~10s of wall-clock
+#: work.
 DEFAULT_CHECKPOINT_INTERVAL = 120.0
 
 
@@ -76,17 +70,9 @@ def save_checkpoint(
     store: ResultStoreBase, key: RunKey, world: World
 ) -> None:
     """Snapshot ``world`` and persist it as ``key``'s checkpoint."""
-    envelope = encode_envelope(
-        world.snapshot(),
-        sim_time=world.sim.now,
-        meta={
-            "schema": SCHEMA_VERSION,
-            "config_hash": key.config_hash,
-            "seed": key.seed,
-            "attacked": key.attacked,
-        },
+    store.put_checkpoint(
+        key, Checkpoint.of(world.snapshot(), sim_time=world.sim.now)
     )
-    store.put_checkpoint(key, envelope)
     if _post_checkpoint_hook is not None:
         _post_checkpoint_hook(key, world.sim.now)
 
@@ -96,26 +82,15 @@ def load_checkpoint(
 ) -> Optional[World]:
     """The restored world for ``key``'s stored checkpoint, or None.
 
-    Anything invalid — wrong version, digest mismatch, an envelope written
-    for a different run identity, an unpicklable payload — is quarantined
-    (evidence preserved) and reads as "no checkpoint": the caller runs
-    from scratch.
+    Anything invalid — wrong version, digest mismatch, an unpicklable
+    payload — is quarantined (evidence preserved) and reads as "no
+    checkpoint": the caller runs from scratch.
     """
-    envelope = store.get_checkpoint(key)
-    if envelope is None:
+    checkpoint = store.get_checkpoint(key)
+    if checkpoint is None:
         return None
     try:
-        for field_name, expected in (
-            ("config_hash", key.config_hash),
-            ("seed", key.seed),
-            ("attacked", key.attacked),
-        ):
-            if envelope.get(field_name) != expected:
-                raise CheckpointError(
-                    f"checkpoint {field_name}={envelope.get(field_name)!r} "
-                    f"does not match run {field_name}={expected!r}"
-                )
-        world = World.restore(decode_envelope(envelope))
+        world = World.restore(checkpoint.checked_payload())
     except CheckpointError as exc:
         store.quarantine_checkpoint(key, str(exc))
         return None

@@ -5,7 +5,9 @@ Each record is the schema-versioned dict of
 JSON into a ``payload`` column keyed by ``(config_hash, seed, attacked)``,
 what the run simulates.  The same database holds the lease queue's
 ``jobs`` table (:mod:`repro.experiments.service.leases`) and the run
-checkpoints:
+checkpoints, one ``checkpoints`` row per run key whose ``payload`` BLOB
+is the world's pickle as is (:class:`~repro.sim.checkpoint.Checkpoint`
+names the columns and checks them):
 
 * **WAL mode** — readers never block writers; independent worker
   processes append concurrently through their own connections, serialised
@@ -51,10 +53,11 @@ from repro.experiments.store import (
     SCHEMA_VERSION,
     StoreError,
 )
+from repro.sim.checkpoint import Checkpoint
 
 #: Bumped when the *database* layout (tables/columns) changes incompatibly.
 #: Independent of the record SCHEMA_VERSION, which versions payload dicts.
-DB_FORMAT_VERSION = 2
+DB_FORMAT_VERSION = 3
 
 #: The database file a campaign keeps in its results directory.
 DB_NAME = "results.sqlite"
@@ -93,14 +96,16 @@ CREATE TABLE IF NOT EXISTS checkpoints (
     seed        INTEGER NOT NULL,
     attacked    INTEGER NOT NULL,
     sim_time    REAL    NOT NULL,
-    payload     TEXT    NOT NULL,
+    version     INTEGER NOT NULL,
+    sha256      TEXT    NOT NULL,
+    payload     BLOB    NOT NULL,
     PRIMARY KEY (config_hash, seed, attacked)
 );
 CREATE TABLE IF NOT EXISTS checkpoint_quarantine (
     config_hash TEXT    NOT NULL,
     seed        INTEGER NOT NULL,
     attacked    INTEGER NOT NULL,
-    payload     TEXT    NOT NULL,
+    payload     BLOB    NOT NULL,
     reason      TEXT    NOT NULL
 );
 """
@@ -284,42 +289,28 @@ class SqliteResultStore(ResultStoreBase):
         )
 
     # -- checkpoints -----------------------------------------------------
-    # Checkpoints live apart from run records: one envelope per key,
+    # Checkpoints live apart from run records: one row per key,
     # overwritten in place, invisible to ``iter_keys``/``has``/``count``
-    # and deleted when the run commits.  An envelope that does not parse
-    # is quarantined here; one that parses but fails validation is
-    # quarantined by the resume layer via ``quarantine_checkpoint`` —
-    # either way the run restarts from scratch.
-    def put_checkpoint(self, key: RunKey, envelope: Dict[str, Any]) -> RunKey:
-        payload = json.dumps(envelope, separators=(",", ":"))
-        try:
-            sim_time = float(envelope.get("sim_time", 0.0))
-        except (TypeError, ValueError):
-            sim_time = 0.0
+    # and deleted when the run commits.  One that fails validation is
+    # quarantined by the resume layer via ``quarantine_checkpoint``, and
+    # the run restarts from scratch.
+    def put_checkpoint(self, key: RunKey, checkpoint: Checkpoint) -> RunKey:
         with self._txn() as conn:
             conn.execute(
                 "INSERT OR REPLACE INTO checkpoints "
-                "(config_hash, seed, attacked, sim_time, payload) "
-                "VALUES (?, ?, ?, ?, ?)",
-                _key_row(key) + (sim_time, payload),
+                "(config_hash, seed, attacked, sim_time, version, sha256, "
+                "payload) VALUES (?, ?, ?, ?, ?, ?, ?)",
+                _key_row(key) + tuple(checkpoint),
             )
         return key
 
-    def get_checkpoint(self, key: RunKey) -> Optional[Dict[str, Any]]:
+    def get_checkpoint(self, key: RunKey) -> Optional[Checkpoint]:
         row = self._conn().execute(
-            f"SELECT payload FROM checkpoints {_KEY_WHERE}", _key_row(key)
+            "SELECT sim_time, version, sha256, payload FROM checkpoints "
+            f"{_KEY_WHERE}",
+            _key_row(key),
         ).fetchone()
-        if row is None:
-            return None
-        try:
-            envelope = json.loads(row[0])
-        except (TypeError, json.JSONDecodeError):
-            self.quarantine_checkpoint(key, "unparseable checkpoint payload")
-            return None
-        if not isinstance(envelope, dict):
-            self.quarantine_checkpoint(key, "non-dict checkpoint payload")
-            return None
-        return envelope
+        return None if row is None else Checkpoint._make(row)
 
     def delete_checkpoint(self, key: RunKey) -> None:
         with self._txn() as conn:
@@ -328,16 +319,12 @@ class SqliteResultStore(ResultStoreBase):
     def quarantine_checkpoint(self, key: RunKey, reason: str) -> None:
         try:
             with self._txn() as conn:
-                row = conn.execute(
-                    f"SELECT payload FROM checkpoints {_KEY_WHERE}", _key_row(key)
-                ).fetchone()
-                if row is None:
-                    return
                 conn.execute(
                     "INSERT INTO checkpoint_quarantine "
                     "(config_hash, seed, attacked, payload, reason) "
-                    "VALUES (?, ?, ?, ?, ?)",
-                    _key_row(key) + (str(row[0]), reason),
+                    "SELECT config_hash, seed, attacked, payload, ? "
+                    f"FROM checkpoints {_KEY_WHERE}",
+                    (reason,) + _key_row(key),
                 )
                 conn.execute(
                     f"DELETE FROM checkpoints {_KEY_WHERE}", _key_row(key)

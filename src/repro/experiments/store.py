@@ -13,7 +13,7 @@ serialisation of the full :class:`~repro.experiments.config.ExperimentConfig`
 (nested dataclasses, enums and the radio technology included), so two runs
 share a record if and only if they simulate the identical scenario.  An
 attack-free run leaves out every attack setting its world never reads
-(:meth:`RunKey.for_config`).  A whole-run target hashes its name with its
+(:func:`run_identity`).  A whole-run target hashes its name with its
 parameters instead.  Every
 record carries a schema version; records written by an incompatible schema
 are treated as absent and re-run rather than mis-parsed.
@@ -97,22 +97,32 @@ class RunKey:
 
     @staticmethod
     def for_config(config: Any, *, seed: int, attacked: bool) -> "RunKey":
-        """Build the key for one run of ``config``.
+        """Build the key for one run of ``config``: the hash of its
+        :func:`run_identity`."""
+        return RunKey(
+            config_hash(run_identity(config, attacked=attacked)), seed, attacked
+        )
 
-        An attack-free run of an :class:`ExperimentConfig` hashes its
-        attack settings reduced to ``x`` and ``attack_range``: no attacker
-        exists in its world, and those two alone shape the paired workload
-        (:class:`~repro.core.vulnerability.VulnerabilityModel`).  Settings
-        that differ only in the attack they deploy share their attack-free
-        runs.
-        """
-        if not attacked and isinstance(config, ExperimentConfig):
-            attack = config.attack
-            config = {
-                f.name: getattr(config, f.name) for f in dataclasses.fields(config)
-            }
-            config["attack"] = {"x": attack.x, "attack_range": attack.attack_range}
-        return RunKey(config_hash(config), seed, attacked)
+
+def run_identity(config: Any, *, attacked: bool) -> Any:
+    """What one run of ``config`` simulates: the content its key hashes
+    and its ``run`` record stores.
+
+    An attack-free run of an :class:`ExperimentConfig` keeps its attack
+    settings reduced to ``x`` and ``attack_range``: no attacker exists in
+    its world, and those two alone shape the paired workload
+    (:class:`~repro.core.vulnerability.VulnerabilityModel`).  Settings
+    that differ only in the attack they deploy share their attack-free
+    runs.  Any other config is its own identity.
+    """
+    if attacked or not isinstance(config, ExperimentConfig):
+        return config
+    identity = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+    identity["attack"] = {
+        "x": config.attack.x,
+        "attack_range": config.attack.attack_range,
+    }
+    return identity
 
 
 # ----------------------------------------------------------------------

@@ -21,29 +21,25 @@ Two rules make this possible:
    load.  :class:`RestrictedPickler` rejects anything else with an error
    naming the offender, so a regression fails fast instead of producing a
    checkpoint that cannot be restored in a fresh process.
-2. **Versioned, integrity-checked envelopes.**  The pickled payload is
-   wrapped with a format version and a SHA-256 digest; a reader confronted
-   with an unknown version or a corrupted payload raises
-   :class:`CheckpointError` rather than resuming from garbage.
+2. **Versioned, integrity-checked checkpoints.**  A stored
+   :class:`Checkpoint` is the world's pickle as is, with the format
+   version and a SHA-256 digest of those bytes beside it;
+   :meth:`Checkpoint.checked_payload` refuses an unknown version or a
+   corrupted payload with :class:`CheckpointError`, before anything is
+   unpickled, rather than resuming from garbage.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import io
 import pickle
-import pickletools
 import types
-import zlib
-from typing import Any, Dict
+from typing import Any, NamedTuple
 
-#: Bump whenever the payload layout or the pickled object graph changes
-#: incompatibly; readers refuse versions they do not know.
-CHECKPOINT_VERSION = 11
-
-#: ``kind`` discriminator used in envelopes (and store records).
-CHECKPOINT_KIND = "checkpoint"
+#: Bump whenever the pickled object graph changes incompatibly; readers
+#: refuse versions they do not know.
+CHECKPOINT_VERSION = 12
 
 
 class CheckpointError(RuntimeError):
@@ -100,12 +96,11 @@ def snapshot_world(world: Any) -> bytes:
     failure — purely to turn the stock pickler's terse error into the
     descriptive one naming the offending callable.
     """
-    payload = {"world": world}
     try:
-        return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        return pickle.dumps(world, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as plain_exc:
         try:
-            return restricted_dumps(payload)
+            return restricted_dumps(world)
         except CheckpointError:
             raise
         except Exception as exc:
@@ -117,105 +112,60 @@ def snapshot_world(world: Any) -> bytes:
 def restore_world(blob: bytes) -> Any:
     """Rebuild a world from :func:`snapshot_world` output."""
     try:
-        payload = pickle.loads(blob)
+        return pickle.loads(blob)
     except Exception as exc:
         raise CheckpointError(f"checkpoint payload does not unpickle: {exc}") from exc
-    if not isinstance(payload, dict) or "world" not in payload:
-        raise CheckpointError("checkpoint payload has an unexpected layout")
-    return payload["world"]
 
 
 # ----------------------------------------------------------------------
-# envelopes
+# the stored checkpoint
 # ----------------------------------------------------------------------
-def encode_envelope(blob: bytes, *, sim_time: float, meta: Dict[str, Any] | None = None) -> Dict[str, Any]:
-    """Wrap a payload blob in a versioned, integrity-checked JSON envelope.
+class Checkpoint(NamedTuple):
+    """One stored checkpoint, in the column order of the store's row."""
 
-    ``meta`` entries (run identity such as config hash/seed) are
-    merged in; they must not collide with the envelope's own keys.
-    """
-    # Compression level 1: checkpoints are written every interval on the
-    # simulation's critical path and deleted when the run commits, so
-    # encode speed matters far more than a few percent of size.  The
-    # digest covers the *compressed* bytes — cheaper to compute, and it
-    # lets readers verify integrity before feeding zlib.
-    compressed = zlib.compress(blob, 1)
-    envelope: Dict[str, Any] = dict(meta or {})
-    envelope.update(
-        kind=CHECKPOINT_KIND,
-        version=CHECKPOINT_VERSION,
-        sim_time=float(sim_time),
-        payload_b64=base64.b64encode(compressed).decode("ascii"),
-        payload_sha256=hashlib.sha256(compressed).hexdigest(),
-    )
-    return envelope
+    sim_time: float
+    version: int
+    #: Hex SHA-256 of ``payload``.
+    sha256: str
+    #: A :func:`snapshot_world` blob.
+    payload: bytes
 
-
-def decode_envelope(envelope: Dict[str, Any]) -> bytes:
-    """Validate an envelope and return the payload blob.
-
-    Raises :class:`CheckpointError` for anything that is not a current-
-    version, integrity-intact checkpoint — the caller quarantines it and
-    falls back to a from-scratch run.
-    """
-    if not isinstance(envelope, dict):
-        raise CheckpointError("checkpoint envelope is not a mapping")
-    if envelope.get("kind") != CHECKPOINT_KIND:
-        raise CheckpointError(
-            f"not a checkpoint envelope (kind={envelope.get('kind')!r})"
+    @classmethod
+    def of(cls, payload: bytes, *, sim_time: float) -> "Checkpoint":
+        """The current-version checkpoint of a snapshot taken at ``sim_time``."""
+        return cls(
+            float(sim_time),
+            CHECKPOINT_VERSION,
+            hashlib.sha256(payload).hexdigest(),
+            payload,
         )
-    version = envelope.get("version")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {version!r} "
-            f"(this build reads version {CHECKPOINT_VERSION})"
-        )
-    try:
-        compressed = base64.b64decode(envelope["payload_b64"])
-    except KeyError as exc:
-        raise CheckpointError("checkpoint envelope has no payload") from exc
-    except Exception as exc:
-        raise CheckpointError(f"checkpoint payload does not decode: {exc}") from exc
-    digest = hashlib.sha256(compressed).hexdigest()
-    if digest != envelope.get("payload_sha256"):
-        raise CheckpointError(
-            "checkpoint payload digest mismatch "
-            f"(stored {envelope.get('payload_sha256')!r}, computed {digest!r})"
-        )
-    try:
-        return zlib.decompress(compressed)
-    except Exception as exc:
-        raise CheckpointError(f"checkpoint payload does not decode: {exc}") from exc
 
+    def checked_payload(self) -> bytes:
+        """The payload, once its version and digest are confirmed.
 
-def audit_blob(blob: bytes) -> list:
-    """List the global function references a payload blob pins.
-
-    A diagnostic helper for tests and debugging: every ``STACK_GLOBAL`` /
-    ``GLOBAL`` opcode in the pickle stream is a name the restoring process
-    must be able to import — scan the result for suspicious entries.
-    """
-    names = []
-    arg_stack: list = []
-    for opcode, arg, _pos in pickletools.genops(blob):
-        if opcode.name in ("SHORT_BINUNICODE", "BINUNICODE", "UNICODE"):
-            arg_stack.append(arg)
-            arg_stack = arg_stack[-2:]
-        elif opcode.name == "STACK_GLOBAL" and len(arg_stack) == 2:
-            names.append(f"{arg_stack[0]}.{arg_stack[1]}")
-        elif opcode.name == "GLOBAL":
-            names.append(arg.replace(" ", "."))
-    return names
+        Raises :class:`CheckpointError` for anything that is not a
+        current-version, integrity-intact checkpoint — the caller
+        quarantines it and falls back to a from-scratch run.
+        """
+        if self.version != CHECKPOINT_VERSION:
+            raise CheckpointError(
+                f"unsupported checkpoint version {self.version!r} "
+                f"(this build reads version {CHECKPOINT_VERSION})"
+            )
+        digest = hashlib.sha256(self.payload).hexdigest()
+        if digest != self.sha256:
+            raise CheckpointError(
+                "checkpoint payload digest mismatch "
+                f"(stored {self.sha256!r}, computed {digest!r})"
+            )
+        return self.payload
 
 
 __all__ = [
-    "CHECKPOINT_KIND",
     "CHECKPOINT_VERSION",
+    "Checkpoint",
     "CheckpointError",
     "RestrictedPickler",
-    "audit_blob",
-    "decode_envelope",
-    "encode_envelope",
     "restore_world",
     "restricted_dumps",
     "snapshot_world",

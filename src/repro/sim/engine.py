@@ -8,7 +8,7 @@ The heap stores ``(time, priority, seq, event)`` tuples rather than event
 objects, so sift comparisons are C-level tuple compares; ``seq`` is unique,
 which keeps ordering total without ever comparing the payload.  The
 simulator also keeps lightweight performance counters — events fired and
-wall-clock time spent inside the run loops — so experiment reports can
+wall-clock time spent inside the run loop — so experiment reports can
 state events/second without external instrumentation.
 """
 
@@ -64,7 +64,7 @@ class Simulator:
 
     @property
     def wall_time_s(self) -> float:
-        """Wall-clock seconds spent inside :meth:`run`/:meth:`run_until`."""
+        """Wall-clock seconds spent inside :meth:`run_until`."""
         return self._wall_time
 
     @property
@@ -128,19 +128,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Fire the next pending event.  Returns False if the heap is empty."""
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            event = entry[3]
-            if event.cancelled:
-                continue
-            self._now = entry[0]
-            self._events_fired += 1
-            event.fire()
-            return True
-        return False
-
     def run_until(self, end_time: float) -> None:
         """Run events up to and including ``end_time``; advance clock to it.
 
@@ -170,23 +157,6 @@ class Simulator:
         if not self._stopped:
             self._now = max(self._now, end_time)
 
-    def run(self) -> None:
-        """Run until the event heap is exhausted or :meth:`stop` is called."""
-        self._stopped = False
-        heap = self._heap
-        started = _time.perf_counter()
-        try:
-            while heap and not self._stopped:
-                entry = heapq.heappop(heap)
-                event = entry[3]
-                if event.cancelled:
-                    continue
-                self._now = entry[0]
-                self._events_fired += 1
-                event.fire()
-        finally:
-            self._wall_time += _time.perf_counter() - started
-
     def stop(self) -> None:
-        """Stop the current :meth:`run`/:meth:`run_until` after this event."""
+        """Stop the current :meth:`run_until` after this event."""
         self._stopped = True

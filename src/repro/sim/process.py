@@ -14,12 +14,10 @@ from repro.sim.events import EventHandle
 
 
 class PeriodicProcess:
-    """Calls ``callback()`` every ``period`` seconds.
+    """Calls ``callback()`` every ``period`` seconds until stopped.
 
-    The callback may return a ``float`` to override the delay until the
-    *next* invocation, which lets services apply per-cycle adaptivity.
-    Only genuine floats count — callbacks that incidentally return ints
-    (counters, addresses) keep the configured period.
+    The callback's return value is ignored; the callback may stop its own
+    process.
     """
 
     def __init__(
@@ -49,15 +47,12 @@ class PeriodicProcess:
     def _tick(self) -> None:
         if self._stopped:
             return
-        override = self._callback()
+        self._callback()
         if self._stopped:  # the callback may stop the process
             return
-        delay = (
-            override
-            if isinstance(override, float) and not isinstance(override, bool)
-            else self._period
+        self._handle = self._sim.schedule(
+            self._period, self._tick, priority=self._priority
         )
-        self._handle = self._sim.schedule(delay, self._tick, priority=self._priority)
 
     def stop(self) -> None:
         """Cancel the pending tick and stop rescheduling.  Idempotent."""

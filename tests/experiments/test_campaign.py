@@ -30,7 +30,7 @@ from repro.experiments.service.scheduler import (
     run_service_campaign,
 )
 from repro.experiments.sqlite_store import SqliteResultStore
-from repro.experiments.store import RunKey
+from repro.experiments.store import RunKey, config_hash
 
 KW = dict(runs=1, duration=6.0, seed=1)
 
@@ -117,6 +117,25 @@ def test_plan_dedups_overlapping_targets():
         ("fig7e", "1 direction(s)"),
     ):
         assert setting_keys(panel, level) == wn_keys
+
+
+def test_run_spec_key_is_hashed_once_per_spec(monkeypatch):
+    """Planning and every later lookup of a spec's key (its description,
+    its queue job id) hash the spec's config once."""
+    hashed = []
+    for_config = RunKey.for_config
+
+    def counting(config, *, seed, attacked):
+        hashed.append(seed)
+        return for_config(config, seed=seed, attacked=attacked)
+
+    monkeypatch.setattr(RunKey, "for_config", staticmethod(counting))
+    specs = plan_campaign(["fig7a"], **KW)
+    for spec in specs:
+        assert spec.key.config_hash in spec.describe()
+        assert job_id_for(spec.key).startswith(spec.key.config_hash)
+    assert len(specs) == 6
+    assert len(hashed) == len(specs)
 
 
 def test_resolve_targets_expands_aliases_and_rejects_unknown():
@@ -240,6 +259,32 @@ def test_resume_executes_only_missing_runs(tmp_path, monkeypatch):
     assert report2.executed == 0
     assert report2.skipped == len(specs)
     assert executed_keys(log_path) == []
+
+
+def test_stored_config_hashes_to_its_key(tmp_path, monkeypatch):
+    """A run record stores what its run simulates: the config hashes to
+    the record's key, so an attack-free run that several attack variants
+    share stores no attack setting its world never read."""
+    monkeypatch.setattr(
+        campaign, "execute_spec", recording_execute(str(tmp_path / "executed.log"))
+    )
+    store = make_store(tmp_path)
+    report = run_service_campaign(
+        ["fig7a", "fig7c", "detect"],
+        store=store,
+        workers=2,
+        settings=FAST,
+        runs=1,
+        duration=1.0,
+        seed=1,
+    )
+    assert not report.failed
+    records = [store.get_record(key) for key in store.iter_keys()]
+    assert len(records) == report.planned
+    assert {record["kind"] for record in records} == {"run"}
+    assert any(not record["attacked"] for record in records)
+    for record in records:
+        assert config_hash(record["config"]) == record["config_hash"]
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,9 @@ same record.
 
 import json
 import os
+import pickletools
 import signal
+import sqlite3
 import subprocess
 import sys
 
@@ -38,7 +40,7 @@ from repro.experiments.sqlite_store import SqliteResultStore
 from repro.experiments.store import RunKey, jsonable
 from repro.experiments.world import World
 from repro.faults import ChurnPlan, FaultPlan, GpsFaultPlan, LinkFaultPlan
-from repro.sim.checkpoint import CHECKPOINT_VERSION, decode_envelope
+from repro.sim.checkpoint import CHECKPOINT_VERSION
 from tests.experiments.test_store import RESULTS_LAYOUTS, results_dir
 
 DURATION = 6.0
@@ -122,10 +124,10 @@ def test_restore_then_run_is_bit_identical(name, store):
     # An unrelated World between save and restore: the restored run must
     # not draw on anything this process allocated after the save.
     World(_urban(), attacked=False, seed=SEED + 1).run(duration=1.0)
-    envelope = store.get_checkpoint(key)
-    assert envelope is not None
-    assert envelope["sim_time"] == DURATION / 2
-    restored = World.restore(decode_envelope(envelope))
+    checkpoint = store.get_checkpoint(key)
+    assert checkpoint is not None
+    assert checkpoint.sim_time == DURATION / 2
+    restored = World.restore(checkpoint.checked_payload())
     assert restored.sim.now == DURATION / 2
     restored.run(duration=DURATION)
     assert masked(summarize_world(restored)) == baseline
@@ -216,32 +218,45 @@ def test_resume_picks_up_mid_run_checkpoint(store):
 # ----------------------------------------------------------------------
 # quarantine and fallback
 # ----------------------------------------------------------------------
-def _tampered_cases():
-    def corrupt_payload(envelope):
-        envelope["payload_b64"] = envelope["payload_b64"][:-20]
-        return envelope
-
-    def wrong_version(envelope):
-        envelope["version"] = CHECKPOINT_VERSION + 1
-        return envelope
-
-    def previous_version(envelope):
-        envelope["version"] = CHECKPOINT_VERSION - 1
-        return envelope
-
-    def wrong_identity(envelope):
-        envelope["seed"] = 999
-        return envelope
-
-    return {
-        "corrupt_payload": corrupt_payload,
-        "wrong_version": wrong_version,
-        "previous_version": previous_version,
-        "wrong_identity": wrong_identity,
-    }
+_ROW = "WHERE config_hash=? AND seed=? AND attacked=?"
 
 
-@pytest.mark.parametrize("case", sorted(_tampered_cases()))
+def _flip_byte(conn, row):
+    """Flip the lowest bit of the first pickled float: the payload still
+    unpickles, so only its digest tells it from the stored one."""
+    (payload,) = conn.execute(
+        f"SELECT payload FROM checkpoints {_ROW}", row
+    ).fetchone()
+    at = 8 + next(
+        pos for op, _arg, pos in pickletools.genops(payload) if op.name == "BINFLOAT"
+    )
+    flipped = payload[:at] + bytes([payload[at] ^ 0x01]) + payload[at + 1:]
+    return conn.execute(
+        f"UPDATE checkpoints SET payload = ? {_ROW}", (flipped,) + row
+    )
+
+
+def _sql(statement):
+    return lambda conn, row: conn.execute(f"{statement} {_ROW}", row)
+
+
+#: Edits of a stored checkpoint's row, each applied to the row of ``row``
+#: (the key's column values) through a plain SQLite connection.
+_TAMPERED_CASES = {
+    "corrupt_payload": _sql(
+        "UPDATE checkpoints SET payload = substr(payload, 1, length(payload) - 20)"
+    ),
+    "flipped_byte": _flip_byte,
+    "wrong_version": _sql(
+        f"UPDATE checkpoints SET version = {CHECKPOINT_VERSION + 1}"
+    ),
+    "previous_version": _sql(
+        f"UPDATE checkpoints SET version = {CHECKPOINT_VERSION - 1}"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TAMPERED_CASES))
 def test_bad_checkpoint_quarantined_and_run_falls_back(case, store):
     """A stale/corrupt checkpoint costs time, never correctness: it is
     quarantined (with its evidence) and the run executes from scratch to
@@ -254,8 +269,11 @@ def test_bad_checkpoint_quarantined_and_run_falls_back(case, store):
     world.run(duration=3.0)
     save_checkpoint(store, key, world)
     del world
-    envelope = store.get_checkpoint(key)
-    store.put_checkpoint(key, _tampered_cases()[case](envelope))
+    conn = sqlite3.connect(store.path)
+    with conn:
+        row = (key.config_hash, key.seed, int(key.attacked))
+        assert _TAMPERED_CASES[case](conn, row).rowcount == 1
+    conn.close()
 
     resumed_from = []
     with pytest.MonkeyPatch.context() as mp:

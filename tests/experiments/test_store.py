@@ -207,10 +207,39 @@ def test_store_refuses_a_format_1_database(tmp_path):
     )
     conn.commit()
     conn.close()
-    with pytest.raises(StoreError, match="format 1, this code expects 2"):
+    with pytest.raises(StoreError, match="format 1, this code expects 3"):
         SqliteResultStore(path)
     conn = sqlite3.connect(path)
     assert conn.execute("SELECT target FROM records").fetchall() == [("fig7a",)]
+    conn.close()
+
+
+def test_store_refuses_a_format_2_database(tmp_path):
+    """A format-2 database keeps each checkpoint as one JSON envelope
+    text; opening it is refused by name and its checkpoint stays."""
+    path = tmp_path / DB_NAME
+    conn = sqlite3.connect(path)
+    conn.executescript(
+        """
+        CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+        INSERT INTO meta VALUES ('db_format', '2');
+        CREATE TABLE checkpoints (
+            config_hash TEXT NOT NULL, seed INTEGER NOT NULL,
+            attacked INTEGER NOT NULL, sim_time REAL NOT NULL,
+            payload TEXT NOT NULL,
+            PRIMARY KEY (config_hash, seed, attacked)
+        );
+        INSERT INTO checkpoints VALUES ('ab12', 1, 1, 2.0, '{"kind":"checkpoint"}');
+        """
+    )
+    conn.commit()
+    conn.close()
+    with pytest.raises(StoreError, match="format 2, this code expects 3"):
+        SqliteResultStore(path)
+    conn = sqlite3.connect(path)
+    assert conn.execute("SELECT payload FROM checkpoints").fetchall() == [
+        ('{"kind":"checkpoint"}',)
+    ]
     conn.close()
 
 

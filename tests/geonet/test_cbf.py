@@ -39,13 +39,18 @@ class Harness:
         self.sim = Simulator()
         self.delivered = []
         self.broadcasts = []
+        self.broadcast_times = []
         self.cbf = CbfForwarder(
             sim=self.sim,
             config=config,
             get_position=lambda: Position(x, 0),
             deliver=self.delivered.append,
-            broadcast=lambda p, rhl: self.broadcasts.append((p, rhl)),
+            broadcast=self._broadcast,
         )
+
+    def _broadcast(self, packet, rhl):
+        self.broadcasts.append((packet, rhl))
+        self.broadcast_times.append(self.sim.now)
 
 
 class TestContentionTimeout:
@@ -91,9 +96,9 @@ class TestCbfStateMachine:
     def test_timer_matches_distance_formula(self):
         h = Harness(x=300.0)
         h.cbf.handle_broadcast(make_packet())
-        h.sim.run()
+        h.sim.run_until(1.0)
         expected = contention_timeout(300.0, CONFIG)
-        assert h.sim.now == pytest.approx(expected)
+        assert h.broadcast_times == [pytest.approx(expected)]
 
     def test_duplicate_before_expiry_cancels(self):
         h = Harness()

@@ -2,20 +2,21 @@
 
 World-level round trips and bit-identity live in
 ``tests/experiments/test_checkpoint_determinism.py``; this file covers the
-primitives: restricted pickling and envelope integrity.
+primitives: restricted pickling and the envelope of a stored checkpoint,
+the version and SHA-256 digest kept beside its pickled payload.
 """
 
+import hashlib
 import pickle
 
 import pytest
 
+from repro.experiments.world import World
 from repro.sim.checkpoint import (
-    CHECKPOINT_KIND,
     CHECKPOINT_VERSION,
+    Checkpoint,
     CheckpointError,
-    audit_blob,
-    decode_envelope,
-    encode_envelope,
+    restore_world,
     restricted_dumps,
     snapshot_world,
 )
@@ -67,65 +68,53 @@ def test_snapshot_world_wraps_unpicklable_graph_descriptively():
         snapshot_world(FakeWorldWithLambda())
 
 
-def test_audit_blob_lists_pinned_globals():
-    blob = restricted_dumps({"fn": module_level_callback})
-    names = audit_blob(blob)
-    assert any("module_level_callback" in name for name in names)
-
-
 # ----------------------------------------------------------------------
-# envelopes
+# the envelope: version and digest beside the payload
 # ----------------------------------------------------------------------
 def test_envelope_round_trip():
     blob = b"payload bytes" * 100
-    envelope = encode_envelope(blob, sim_time=12.5, meta={"target": "t"})
-    assert envelope["kind"] == CHECKPOINT_KIND
-    assert envelope["version"] == CHECKPOINT_VERSION
-    assert envelope["sim_time"] == 12.5
-    assert envelope["target"] == "t"
-    assert decode_envelope(envelope) == blob
+    checkpoint = Checkpoint.of(blob, sim_time=12.5)
+    assert checkpoint.version == CHECKPOINT_VERSION
+    assert checkpoint.sim_time == 12.5
+    assert checkpoint.sha256 == hashlib.sha256(blob).hexdigest()
+    assert checkpoint.payload is blob
+    assert checkpoint.checked_payload() is blob
 
 
 def test_envelope_rejects_wrong_kind():
-    envelope = encode_envelope(b"x", sim_time=0.0)
-    envelope["kind"] = "result"
-    with pytest.raises(CheckpointError, match="kind"):
-        decode_envelope(envelope)
+    # A payload that unpickles to something other than a World.
+    checkpoint = Checkpoint.of(pickle.dumps({"world": None}), sim_time=0.0)
+    with pytest.raises(CheckpointError, match="World"):
+        World.restore(checkpoint.checked_payload())
 
 
 def test_envelope_rejects_unknown_version():
-    # A newer writer, and the previous layout, whose pickled vehicles and
-    # lanes no longer match the traffic classes.
+    # A newer writer, and the previous layout, whose pickled object graph
+    # no longer matches this build's classes.
+    checkpoint = Checkpoint.of(b"x", sim_time=0.0)
     for version in (CHECKPOINT_VERSION + 1, CHECKPOINT_VERSION - 1):
-        envelope = encode_envelope(b"x", sim_time=0.0)
-        envelope["version"] = version
         with pytest.raises(CheckpointError, match="version"):
-            decode_envelope(envelope)
+            checkpoint._replace(version=version).checked_payload()
 
 
 def test_envelope_rejects_tampered_payload():
-    blob = b"payload bytes" * 100
-    envelope = encode_envelope(blob, sim_time=0.0)
-    other = encode_envelope(b"different", sim_time=0.0)
-    envelope["payload_b64"] = other["payload_b64"]
+    checkpoint = Checkpoint.of(b"payload bytes" * 100, sim_time=0.0)
+    blob = checkpoint.payload
+    flipped = blob[:7] + bytes([blob[7] ^ 0x01]) + blob[8:]
     with pytest.raises(CheckpointError, match="digest"):
-        decode_envelope(envelope)
+        checkpoint._replace(payload=flipped).checked_payload()
 
 
 def test_envelope_rejects_garbage_payload():
-    envelope = encode_envelope(b"x", sim_time=0.0)
-    envelope["payload_b64"] = "%%% not base64 %%%"
-    with pytest.raises(CheckpointError):
-        decode_envelope(envelope)
+    # Intact bytes that were never a pickle pass the digest, then fail
+    # to unpickle.
+    checkpoint = Checkpoint.of(b"not a pickle", sim_time=0.0)
+    with pytest.raises(CheckpointError, match="unpickle"):
+        restore_world(checkpoint.checked_payload())
 
 
 def test_envelope_rejects_missing_payload():
-    envelope = encode_envelope(b"x", sim_time=0.0)
-    del envelope["payload_b64"]
-    with pytest.raises(CheckpointError, match="payload"):
-        decode_envelope(envelope)
-
-
-def test_envelope_rejects_non_mapping():
-    with pytest.raises(CheckpointError, match="mapping"):
-        decode_envelope("not a dict")
+    checkpoint = Checkpoint.of(b"payload bytes" * 100, sim_time=0.0)
+    for short in (checkpoint.payload[:-20], b""):
+        with pytest.raises(CheckpointError, match="digest"):
+            checkpoint._replace(payload=short).checked_payload()

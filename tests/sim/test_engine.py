@@ -89,9 +89,11 @@ def test_cancelled_event_does_not_fire():
     sim = Simulator()
     fired = []
     handle = sim.schedule(1.0, fired.append, 1)
+    sim.schedule(2.0, fired.append, 2)
     handle.cancel()
     sim.run_until(2.0)
-    assert fired == []
+    assert fired == [2]
+    assert sim.events_fired == 1
     assert handle.cancelled
 
 
@@ -130,9 +132,10 @@ def test_stop_halts_run():
     sim.schedule(1.0, fired.append, 1)
     sim.schedule(2.0, sim.stop)
     sim.schedule(3.0, fired.append, 3)
-    sim.run()
+    sim.run_until(10.0)
     assert fired == [1]
     assert sim.pending == 1
+    assert sim.now == 2.0  # a stopped run leaves the clock at the stop
 
 
 def test_run_drains_all_events():
@@ -140,30 +143,10 @@ def test_run_drains_all_events():
     fired = []
     for t in (3.0, 1.0, 2.0):
         sim.schedule(t, fired.append, t)
-    sim.run()
+    sim.run_until(3.0)
     assert fired == [1.0, 2.0, 3.0]
     assert sim.pending == 0
 
-
-def test_step_fires_one_event():
-    sim = Simulator()
-    fired = []
-    sim.schedule(1.0, fired.append, 1)
-    sim.schedule(2.0, fired.append, 2)
-    assert sim.step()
-    assert fired == [1]
-    assert sim.step()
-    assert not sim.step()
-
-
-def test_step_skips_cancelled_events():
-    sim = Simulator()
-    fired = []
-    handle = sim.schedule(1.0, fired.append, 1)
-    sim.schedule(2.0, fired.append, 2)
-    handle.cancel()
-    assert sim.step()
-    assert fired == [2]
 
 
 def test_events_fired_counter():

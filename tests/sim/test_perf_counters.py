@@ -11,7 +11,8 @@ def test_wall_time_accumulates_across_run_calls():
     sim.run_until(0.5)
     first = sim.wall_time_s
     assert first > 0.0
-    sim.run()
+    assert sim.events_fired == 50
+    sim.run_until(1.0)
     assert sim.wall_time_s >= first
     assert sim.events_fired == 100
 
@@ -20,13 +21,5 @@ def test_events_per_wall_sec_guarded_against_zero():
     sim = Simulator()
     assert sim.events_per_wall_sec == 0.0  # nothing ran yet
     sim.schedule_at(0.0, lambda: None)
-    sim.run()
+    sim.run_until(0.0)
     assert sim.events_per_wall_sec > 0.0
-
-
-def test_step_counts_events_but_only_run_loops_count_wall_time():
-    sim = Simulator()
-    sim.schedule_at(0.0, lambda: None)
-    assert sim.step() is True
-    assert sim.events_fired == 1
-    assert sim.wall_time_s == 0.0  # wall_time_s covers run()/run_until() only

@@ -47,49 +47,6 @@ def test_callback_may_stop_its_own_process():
     assert len(count) == 3
 
 
-def test_callback_return_value_overrides_next_delay():
-    sim = Simulator()
-    times = []
-
-    def tick():
-        times.append(sim.now)
-        return 2.0  # override the 1.0 period
-
-    PeriodicProcess(sim, 1.0, tick)
-    sim.run_until(5.0)
-    assert times == [0.0, 2.0, 4.0]
-
-
-def test_integer_return_does_not_override_delay():
-    """Only genuine floats override the period — callbacks returning
-    counters or addresses must not silently reschedule themselves."""
-    sim = Simulator()
-    times = []
-
-    def tick():
-        times.append(sim.now)
-        return 1_000_000  # an int, e.g. an address
-
-    PeriodicProcess(sim, 1.0, tick)
-    sim.run_until(3.0)
-    assert times == [0.0, 1.0, 2.0, 3.0]
-
-
-def test_bool_return_does_not_override_delay():
-    sim = Simulator()
-    times = []
-
-    def tick():
-        times.append(sim.now)
-        return True
-
-    PeriodicProcess(sim, 1.0, tick)
-    sim.run_until(2.0)
-    assert times == [0.0, 1.0, 2.0]
-
-
-
-
 def test_non_positive_period_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
